@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateSnr, NotInterferenceLimited, ValidationError
@@ -27,10 +28,21 @@ N_TX = 3
 # scenario ingestion rejects exponents above this cap.
 DEFAULT_ALPHA_CAP = 4.0
 
+# Largest SNR whose powers rho**alpha, alpha <= DEFAULT_ALPHA_CAP, keep every
+# sum in the rate and the bound finite. The largest such sum, in B(p), is
+# 1 + r + r + r/(1 + r) < 4*r with r = rho**DEFAULT_ALPHA_CAP, hence the
+# factor 4 of headroom below sys.float_info.max (about 769 dB).
+MAX_RHO_DB = 10.0 * math.log10(sys.float_info.max / 4.0) / DEFAULT_ALPHA_CAP
+
 
 def rho_from_db(rho_db: float) -> float:
-    """Convert an SNR in dB to linear scale: rho = 10**(dB/10)."""
-    return 10.0 ** (float(rho_db) / 10.0)
+    """Convert an SNR in dB, finite and at most MAX_RHO_DB, to linear scale:
+    rho = 10**(dB/10)."""
+    db = float(rho_db)
+    if not (math.isfinite(db) and db <= MAX_RHO_DB):
+        raise ValidationError(
+            f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got {rho_db!r}")
+    return 10.0 ** (db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -123,7 +135,10 @@ def alpha_from_gain(h: complex, rho: float) -> float:
         raise ValidationError(f"bad gain/SNR: {exc}") from None
     if not math.isfinite(rho) or rho <= 1.0:
         raise DegenerateSnr(f"rho must be finite and > 1, got {rho!r}")
-    inr = rho * abs(h) ** 2
+    try:
+        inr = rho * abs(h) ** 2
+    except OverflowError:
+        raise ValidationError(f"rho*|h|^2 overflows for gain {h!r}") from None
     if not inr > 1.0:
         raise NotInterferenceLimited(
             f"rho*|h|^2 = {inr!r} must exceed 1 (interference-limited assumption)"
@@ -162,6 +177,12 @@ def validate_scenario(scenario: ChannelScenario,
         alpha = AlphaMatrix(tuple(rows))
     else:
         alpha = scenario.alpha
+    check_exponent_range(alpha, alpha_cap)
+    return alpha
+
+
+def check_exponent_range(alpha: AlphaMatrix, alpha_cap: float = DEFAULT_ALPHA_CAP) -> None:
+    """Require every exponent of a physical channel to satisfy 0 < x <= alpha_cap."""
     for j in (1, 2):
         for i in (1, 2, 3):
             x = alpha.entry(j, i)
@@ -171,7 +192,6 @@ def validate_scenario(scenario: ChannelScenario,
             if x > alpha_cap:
                 raise ValidationError(
                     f"alpha[{j}][{i}] = {x!r} exceeds the cap {alpha_cap}")
-    return alpha
 
 
 def scenario_from_dict(payload) -> ChannelScenario:
@@ -215,6 +235,6 @@ def load_scenario(path) -> ChannelScenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValidationError(f"invalid scenario JSON: {exc}") from None
     return scenario_from_dict(payload)

@@ -1,14 +1,4 @@
-"""Command-line front end.
-
-Commands
-    eval            TDMA-TIN rate, sum-capacity bound, and their gap at a point
-    classify        regime memberships and certified GDoF of one exponent grid
-    bound           per-ordering sum-capacity upper-bound profile
-    gdof            per-ordering GDoF upper-bound profile plus achievable GDoF
-    sweep           regime sweep over the symmetric (alpha21, alpha12) plane
-    gap-audit       seeded constant-gap audit (7-bit check)
-    sandwich-audit  seeded achievability-vs-bound sandwich audit
-    converge        normalized rate/bound table along an increasing SNR list
+"""Command-line front end; COMMANDS lists each command with its flags.
 
 Exit codes: 0 success, 1 I/O error, 2 validation error, 3 audit property
 failure. Data go to stdout or --out; diagnostics go to stderr only, never
@@ -25,11 +15,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import experiments
 from .achievability import tdma_tin_gdof, tdma_tin_rate
 from .bounds import gdof_ub, sum_capacity_ub
-from .channel import (DEFAULT_ALPHA_CAP, AlphaMatrix, load_scenario,
+from .channel import (AlphaMatrix, check_exponent_range, load_scenario,
                       rho_from_db, validate_scenario)
 from .errors import (AuditFailure, DegenerateSnr, UnsupportedFormat,
                      ValidationError)
@@ -41,7 +32,8 @@ from .regime import classify
 
 @dataclass(frozen=True)
 class CliInvocation:
-    """One parsed command invocation; parameters unused by a command are ignored."""
+    """One parsed command invocation; the parser gives each command only
+    the flags it reads, so the other fields keep their defaults."""
 
     command: str
     scenario_path: str | None = None
@@ -51,9 +43,20 @@ class CliInvocation:
     step: float = 0.005
     n: int | None = None
     seed: int = 0
+    fixed_family: bool = False
     out: str | None = None
     format: str | None = None
     tolerance: float = 0.0
+
+
+class Report(NamedTuple):
+    """A command's result: head is a point command's JSON document or a table
+    command's summary; columns and rows are the csv records."""
+
+    head: dict
+    columns: tuple[str, ...]
+    rows: list
+    audit_ok: bool = True
 
 
 # ---------------------------------------------------------------- serialization
@@ -120,11 +123,7 @@ def _resolve_alpha(inv: CliInvocation):
     if inv.alpha is None:
         raise ValidationError("this command needs --scenario or --alpha")
     alpha = AlphaMatrix.from_rows((inv.alpha[:3], inv.alpha[3:]))
-    for j in (1, 2):
-        for i in (1, 2, 3):
-            if alpha.entry(j, i) > DEFAULT_ALPHA_CAP:
-                raise ValidationError(
-                    f"alpha[{j}][{i}] exceeds the cap {DEFAULT_ALPHA_CAP}")
+    check_exponent_range(alpha)
     return alpha, None
 
 
@@ -135,10 +134,7 @@ def _single_rho(inv: CliInvocation, scenario_rho: float | None) -> float:
         return scenario_rho
     if inv.rho_db is None or len(inv.rho_db) != 1:
         raise ValidationError("this command needs exactly one --rho-db value")
-    rho = rho_from_db(inv.rho_db[0])
-    if rho <= 1.0:
-        raise DegenerateSnr(f"rho_db must be > 0 dB, got {inv.rho_db[0]!r}")
-    return rho
+    return _rho_list_from_db(inv.rho_db)[0]
 
 
 def _rho_list_from_db(values) -> tuple[float, ...]:
@@ -167,7 +163,7 @@ def _cmd_eval(inv: CliInvocation):
     }
     columns = ("rho", "rate_bits", "rate_argmax", "ub_bits", "ub_argmin", "gap_bits")
     rows = [(rho, rate.value, rate.argmax.label(), ub.value, ub.argmin.label(), gap)]
-    return doc, columns, rows, None, True
+    return Report(doc, columns, rows)
 
 
 def _cmd_classify(inv: CliInvocation):
@@ -187,7 +183,7 @@ def _cmd_classify(inv: CliInvocation):
     rows = [(verdict.in_extended, verdict.in_gsj, verdict.gdof_value,
              we.label() if we is not None else None,
              wg.label() if wg is not None else None)]
-    return doc, columns, rows, None, True
+    return Report(doc, columns, rows)
 
 
 def _cmd_bound(inv: CliInvocation):
@@ -204,7 +200,7 @@ def _cmd_bound(inv: CliInvocation):
     }
     columns = ("perm", "bound_bits")
     rows = [(p.label(), v) for p, v in result.per_perm]
-    return doc, columns, rows, None, True
+    return Report(doc, columns, rows)
 
 
 def _cmd_gdof(inv: CliInvocation):
@@ -222,7 +218,7 @@ def _cmd_gdof(inv: CliInvocation):
     }
     columns = ("perm", "gdof_ub")
     rows = [(p.label(), v) for p, v in ub.per_perm]
-    return doc, columns, rows, None, True
+    return Report(doc, columns, rows)
 
 
 def _cmd_sweep(inv: CliInvocation):
@@ -239,15 +235,16 @@ def _cmd_sweep(inv: CliInvocation):
         "n_extended": sum(1 for r in records if r.in_extended),
         "n_gsj": sum(1 for r in records if r.in_gsj),
     }
-    doc = {"summary": summary, "records": [dict(zip(SWEEP_COLUMNS, row)) for row in rows]}
-    return doc, SWEEP_COLUMNS, rows, summary, True
+    audit_ok = (inv.tolerance > 0.0
+                or experiments.sweep_geometry_holds(records, inv.beta, inv.step))
+    return Report(summary, SWEEP_COLUMNS, rows, audit_ok)
 
 
 def _cmd_gap_audit(inv: CliInvocation):
     n = inv.n if inv.n is not None else 1000
-    rhos = _rho_list_from_db(inv.rho_db) if inv.rho_db is not None else \
-        tuple(rho_from_db(db) for db in (20.0, 40.0, 60.0))
-    report, rows = experiments.gap_audit_with_rows(n, rhos, inv.seed)
+    rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (20.0, 40.0, 60.0))
+    report, rows = experiments.gap_audit_with_rows(n, rhos, inv.seed,
+                                                   beta_free=not inv.fixed_family)
     summary = {
         "command": "gap-audit",
         "generator": GENERATOR_ID,
@@ -260,9 +257,8 @@ def _cmd_gap_audit(inv: CliInvocation):
         "all_within_7": report.all_within_7,
         "argmax_alpha": report.argmax_alpha,
     }
-    doc = {"summary": summary, "records": [dict(zip(GAP_COLUMNS, row)) for row in rows]}
     audit_ok = report.all_within_7 and report.min_gap_bits > 0.0
-    return doc, GAP_COLUMNS, rows, summary, audit_ok
+    return Report(summary, GAP_COLUMNS, rows, audit_ok)
 
 
 def _cmd_sandwich_audit(inv: CliInvocation):
@@ -281,16 +277,14 @@ def _cmd_sandwich_audit(inv: CliInvocation):
         "rate_tol_bits": SANDWICH_RATE_TOL_BITS,
         "gdof_tol": SANDWICH_GDOF_TOL,
     }
-    doc = {"summary": summary, "records": [dict(zip(SANDWICH_COLUMNS, row)) for row in rows]}
     audit_ok = (report.max_rate_violation_bits <= SANDWICH_RATE_TOL_BITS
                 and report.max_gdof_violation <= SANDWICH_GDOF_TOL)
-    return doc, SANDWICH_COLUMNS, rows, summary, audit_ok
+    return Report(summary, SANDWICH_COLUMNS, rows, audit_ok)
 
 
 def _cmd_converge(inv: CliInvocation):
     alpha, _ = _resolve_alpha(inv)
-    rhos = _rho_list_from_db(inv.rho_db) if inv.rho_db is not None else \
-        tuple(rho_from_db(db) for db in (40.0, 60.0, 90.0))
+    rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (40.0, 60.0, 90.0))
     probe = experiments.gdof_convergence_probe(alpha, rhos)
     rows = [(r.rho, r.rate_norm, r.ub_norm, r.d_tt, r.d_ub) for r in probe]
     summary = {
@@ -299,35 +293,78 @@ def _cmd_converge(inv: CliInvocation):
         "d_tt": probe[0].d_tt,
         "d_ub": probe[0].d_ub,
     }
-    doc = {"summary": summary, "records": [dict(zip(CONVERGE_COLUMNS, row)) for row in rows]}
     audit_ok = all(
         abs(r.rate_norm - r.d_tt) <= 2.0 / math.log2(r.rho) + 1e-9
         and r.ub_norm >= r.rate_norm - 1e-12
         for r in probe
     )
-    return doc, CONVERGE_COLUMNS, rows, summary, audit_ok
+    return Report(summary, CONVERGE_COLUMNS, rows, audit_ok)
 
 
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "classify": _cmd_classify,
-    "bound": _cmd_bound,
-    "gdof": _cmd_gdof,
-    "sweep": _cmd_sweep,
-    "gap-audit": _cmd_gap_audit,
-    "sandwich-audit": _cmd_sandwich_audit,
-    "converge": _cmd_converge,
+@dataclass(frozen=True)
+class Command:
+    """One CLI command: its handler, help text, own flags and output shape.
+
+    A table command (sweep, audits, converge) streams records, csv by
+    default; its JSON document is {"summary", "records"}. A point command's
+    JSON document is the head of its report, and json is its default.
+    """
+
+    handler: Callable[[CliInvocation], Report]
+    help: str
+    flags: tuple[str, ...]
+    table: bool = False
+
+
+# argparse keyword arguments of every flag; --out and --format go to every
+# command, the others only to the commands that list them.
+_FLAGS = {
+    "--scenario": dict(dest="scenario_path", metavar="PATH",
+                       help="scenario JSON file ({rho_db, gains|alpha})"),
+    "--rho-db": dict(metavar="DB[,DB...]",
+                     help="SNR in dB; comma-separated list for audits/converge "
+                          "(defaults: gap-audit 20,40,60; converge 40,60,90; "
+                          "sandwich-audit samples log-uniform over [10, 90] dB)"),
+    "--alpha": dict(metavar="A11,A12,A13,A21,A22,A23",
+                    help="exponent grid, row-major (receiver 1 first)"),
+    "--beta": dict(type=float,
+                   help="sweep family cross exponent, 0.5 <= beta < 1 (default 0.75)"),
+    "--step": dict(type=float, help="sweep grid step (default 0.005)"),
+    "--n": dict(type=int, help="audit sample count (default: 1000 gap-audit, "
+                               "10000 sandwich-audit)"),
+    "--seed": dict(type=int, help="audit PRNG seed, >= 0 (default 0)"),
+    "--fixed-family": dict(action="store_true",
+                           help="draw from the symmetric sweep family instead of the free box"),
+    "--tolerance": dict(type=float,
+                        help="closed-boundary slack for regime classification, "
+                             "finite and >= 0 (default 0)"),
+    "--out": dict(metavar="PATH",
+                  help="write data to PATH instead of stdout; with csv, the "
+                       "JSON summary then goes to stdout"),
+    "--format": dict(choices=("csv", "json"),
+                     help="output format (default: json for point commands, "
+                          "csv for sweep/audits/converge)"),
 }
 
-_DEFAULT_FORMAT = {
-    "eval": "json",
-    "classify": "json",
-    "bound": "json",
-    "gdof": "json",
-    "sweep": "csv",
-    "gap-audit": "csv",
-    "sandwich-audit": "csv",
-    "converge": "csv",
+_POINT = ("--scenario", "--alpha")
+_AUDIT = ("--n", "--rho-db", "--seed")
+
+COMMANDS = {
+    "eval": Command(_cmd_eval, "rate, bound, and gap at one channel point",
+                    _POINT + ("--rho-db",)),
+    "classify": Command(_cmd_classify, "regime memberships and certified GDoF",
+                        _POINT + ("--tolerance",)),
+    "bound": Command(_cmd_bound, "per-ordering sum-capacity bound profile",
+                     _POINT + ("--rho-db",)),
+    "gdof": Command(_cmd_gdof, "per-ordering GDoF bound profile", _POINT),
+    "sweep": Command(_cmd_sweep, "regime sweep over the symmetric (alpha21, alpha12) plane",
+                     ("--beta", "--step", "--tolerance"), table=True),
+    "gap-audit": Command(_cmd_gap_audit, "seeded constant-gap (7-bit) audit",
+                         _AUDIT + ("--fixed-family",), table=True),
+    "sandwich-audit": Command(_cmd_sandwich_audit, "seeded rate-vs-bound sandwich audit",
+                              _AUDIT, table=True),
+    "converge": Command(_cmd_converge, "normalized rate/bound table along an SNR list",
+                        _POINT + ("--rho-db",), table=True),
 }
 
 
@@ -351,20 +388,24 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
     """
     out_stream = stdout if stdout is not None else sys.stdout
     err_stream = stderr if stderr is not None else sys.stderr
-    handler = _HANDLERS.get(inv.command)
-    if handler is None:
+    command = COMMANDS.get(inv.command)
+    if command is None:
         print(f"error: unknown command {inv.command!r}", file=err_stream)
         return 2
-    fmt = inv.format if inv.format is not None else _DEFAULT_FORMAT[inv.command]
+    fmt = inv.format if inv.format is not None else ("csv" if command.table else "json")
     try:
-        doc, columns, rows, summary, audit_ok = handler(inv)
+        report = command.handler(inv)
         if fmt == "json":
+            doc = report.head
+            if command.table:
+                doc = {"summary": doc,
+                       "records": [dict(zip(report.columns, row)) for row in report.rows]}
             _write(emit_report(doc, "json"), inv.out, out_stream)
         elif fmt == "csv":
-            _write(emit_report({"columns": columns, "rows": rows}, "csv"),
+            _write(emit_report({"columns": report.columns, "rows": report.rows}, "csv"),
                    inv.out, out_stream)
-            if inv.out is not None and summary is not None:
-                _write(emit_report(summary, "json"), None, out_stream)
+            if inv.out is not None and command.table:
+                _write(emit_report(report.head, "json"), None, out_stream)
         else:
             raise UnsupportedFormat(f"unsupported format: {fmt!r}")
     except AuditFailure as exc:
@@ -376,7 +417,7 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=err_stream)
         return 1
-    return 0 if audit_ok else 3
+    return 0 if report.audit_ok else 3
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,43 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "noisy-interference regime audits for the 3x2 Gaussian X channel.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    helps = {
-        "eval": "rate, bound, and gap at one channel point",
-        "classify": "regime memberships and certified GDoF",
-        "bound": "per-ordering sum-capacity bound profile",
-        "gdof": "per-ordering GDoF bound profile",
-        "sweep": "regime sweep over the symmetric (alpha21, alpha12) plane",
-        "gap-audit": "seeded constant-gap (7-bit) audit",
-        "sandwich-audit": "seeded rate-vs-bound sandwich audit",
-        "converge": "normalized rate/bound table along an SNR list",
-    }
-    for name, text in helps.items():
-        p = sub.add_parser(name, help=text)
-        p.add_argument("--scenario", metavar="PATH", default=None,
-                       help="scenario JSON file ({rho_db, gains|alpha})")
-        p.add_argument("--rho-db", metavar="DB[,DB...]", default=None,
-                       help="SNR in dB; comma-separated list for audits/converge "
-                            "(defaults: gap-audit 20,40,60; converge 40,60,90; "
-                            "sandwich-audit samples log-uniform over [10, 90] dB)")
-        p.add_argument("--alpha", metavar="A11,A12,A13,A21,A22,A23", default=None,
-                       help="exponent grid, row-major (receiver 1 first)")
-        p.add_argument("--beta", type=float, default=0.75,
-                       help="sweep family cross exponent, 0.5 <= beta < 1 (default 0.75)")
-        p.add_argument("--step", type=float, default=0.005,
-                       help="sweep grid step (default 0.005)")
-        p.add_argument("--n", type=int, default=None,
-                       help="audit sample count (default: 1000 gap-audit, "
-                            "10000 sandwich-audit)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="audit PRNG seed (default 0)")
-        p.add_argument("--out", metavar="PATH", default=None,
-                       help="write data to PATH instead of stdout; with csv, the "
-                            "JSON summary then goes to stdout")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: json for point commands, "
-                            "csv for sweep/audits/converge)")
-        p.add_argument("--tolerance", type=float, default=0.0,
-                       help="closed-boundary slack for regime classification (default 0)")
+    for name, command in COMMANDS.items():
+        # Absent flags stay out of the namespace, so CliInvocation holds
+        # the only defaults.
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag in command.flags + ("--out", "--format"):
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -437,25 +447,15 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
 
 
 def _invocation_from_namespace(ns: argparse.Namespace) -> CliInvocation:
-    rho_db = _parse_float_list(ns.rho_db, "--rho-db") if ns.rho_db is not None else None
-    alpha = None
-    if ns.alpha is not None:
-        alpha = _parse_float_list(ns.alpha, "--alpha")
-        if len(alpha) != 6:
-            raise ValidationError(f"--alpha needs six values, got {len(alpha)}")
-    return CliInvocation(
-        command=ns.command,
-        scenario_path=ns.scenario,
-        rho_db=rho_db,
-        alpha=alpha,
-        beta=ns.beta,
-        step=ns.step,
-        n=ns.n,
-        seed=ns.seed,
-        out=ns.out,
-        format=ns.format,
-        tolerance=ns.tolerance,
-    )
+    fields = dict(vars(ns))
+    if "rho_db" in fields:
+        fields["rho_db"] = _parse_float_list(fields["rho_db"], "--rho-db")
+    if "alpha" in fields:
+        fields["alpha"] = _parse_float_list(fields["alpha"], "--alpha")
+    inv = CliInvocation(**fields)
+    if not (math.isfinite(inv.tolerance) and inv.tolerance >= 0.0):
+        raise ValidationError(f"--tolerance must be finite and >= 0, got {inv.tolerance!r}")
+    return inv
 
 
 def main(argv=None) -> int:

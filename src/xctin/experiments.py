@@ -9,6 +9,7 @@ identical record streams byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,14 @@ SWEEP_COLUMNS = ("alpha21", "alpha12", "extended", "gsj", "d_tt", "gdof_ub", "wi
 GAP_COLUMNS = ("sample", "rho", "gap_bits", "ub_bits", "rate_bits")
 SANDWICH_COLUMNS = ("sample", "rho", "rate_bits", "ub_bits", "d_tt", "d_ub")
 CONVERGE_COLUMNS = ("rho", "rate_norm", "ub_norm", "d_tt", "d_ub")
+
+# Slack the sweep adds to the caller's tolerance: a grid line k*step meant
+# to sit on a regime boundary misses it by rounding (95*0.005 =
+# 0.47500000000000003 > 1 - 0.525) and would leave the regime whole; 1e-12
+# covers that and stays far below any step the grid cap allows.
+SWEEP_GRID_SLACK = 1e-12
+# Grid points per axis at most (the acceptance grid has 151).
+SWEEP_MAX_AXIS_POINTS = 1001
 
 
 @dataclass(frozen=True)
@@ -90,8 +99,10 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = 0.75,
 
     Grid points are k*step for integer k with k*step <= range_max (endpoints
     inclusive, generated by index so record counts do not drift), emitted
-    row-major: alpha21 outer, alpha12 inner. beta = 0.5 is accepted for the
-    regime-coincidence check; otherwise 0.5 < beta < 1.
+    row-major: alpha21 outer, alpha12 inner; at most SWEEP_MAX_AXIS_POINTS
+    per axis. beta = 0.5 is accepted for the regime-coincidence check;
+    otherwise 0.5 < beta < 1. Points are classified with tolerance
+    tol + SWEEP_GRID_SLACK.
 
     Raises AuditFailure if any record violates regime inclusion or, inside
     the extended regime, the achievable-GDoF/bound equality.
@@ -103,14 +114,19 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = 0.75,
     rng_max = float(range_max)
     if not (math.isfinite(s) and 0.0 < s <= rng_max):
         raise ValidationError(f"step must satisfy 0 < step <= range_max, got {step!r}")
-    k_max = int(math.floor(rng_max / s + 1e-9))
+    span = rng_max / s + 1e-9
+    if not span < SWEEP_MAX_AXIS_POINTS:
+        raise ValidationError(
+            f"step {step!r} gives more than {SWEEP_MAX_AXIS_POINTS} grid points per axis")
+    k_max = int(span)
+    tol_grid = tol + SWEEP_GRID_SLACK
     records: list[SweepRecord] = []
     for k21 in range(k_max + 1):
         a21 = k21 * s
         for k12 in range(k_max + 1):
             a12 = k12 * s
             alpha = AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
-            verdict = classify(alpha, tol=tol)
+            verdict = classify(alpha, tol=tol_grid)
             d_tt = tdma_tin_gdof(alpha).value
             ub = gdof_ub(alpha).value
             if verdict.in_gsj and not verdict.in_extended:
@@ -124,6 +140,42 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = 0.75,
     return records
 
 
+def sweep_geometry_holds(records: list[SweepRecord], beta: float, step: float) -> bool:
+    """Whether a tol-0 sweep matches the closed-form geometry on grid indices:
+    extended = ([0, 0.5] x [0, 1-beta]) u ([0, 1-beta] x [0, 0.5]), reference
+    = [0, 1-beta]^2, boundaries moved out by the sweep's SWEEP_GRID_SLACK."""
+    s = float(step)
+    k_half = int((0.5 + SWEEP_GRID_SLACK) / s)
+    k_beta = int((1.0 - float(beta) + SWEEP_GRID_SLACK) / s)
+    for r in records:
+        k21, k12 = round(r.alpha21 / s), round(r.alpha12 / s)
+        if (r.in_extended != ((k21 <= k_half and k12 <= k_beta)
+                              or (k21 <= k_beta and k12 <= k_half))
+                or r.in_gsj != (k21 <= k_beta and k12 <= k_beta)):
+            return False
+    return True
+
+
+def _check_rhos(rho_list) -> tuple[float, ...]:
+    rhos = tuple(float(r) for r in rho_list)
+    if not rhos or any(not r > 1.0 for r in rhos):
+        raise ValidationError(f"every rho must be > 1, got {rho_list!r}")
+    return rhos
+
+
+def _check_box(box) -> tuple[float, float]:
+    lo, hi = float(box[0]), float(box[1])
+    if not (0.0 <= lo < hi):
+        raise ValidationError(f"box must satisfy 0 <= lo < hi, got {box!r}")
+    return lo, hi
+
+
+def _generator(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def _draw_alpha(rng: np.random.Generator, box: tuple[float, float]) -> AlphaMatrix:
     """One exponent grid with entries uniform on (lo, hi], drawn row-major."""
     lo, hi = box
@@ -131,53 +183,44 @@ def _draw_alpha(rng: np.random.Generator, box: tuple[float, float]) -> AlphaMatr
     return AlphaMatrix(((v[0], v[1], v[2]), (v[3], v[4], v[5])))
 
 
-def sample_in_regime(n: int, rng: np.random.Generator,
-                     box: tuple[float, float] = (0.0, 2.0),
-                     exhaustion_window: int = 1_000_000) -> list[AlphaMatrix]:
-    """Rejection-sample n grids uniform on the box and inside the extended
-    regime.
+def _draw_symmetric(rng: np.random.Generator) -> AlphaMatrix:
+    """One grid of the symmetric sweep family alpha = [[1, a12, beta],
+    [a21, 1, beta]] with beta in [0.5, 1) and a21, a12 in [0, 0.75).
+    Draw order: beta, a21, a12."""
+    b = 0.5 + 0.5 * rng.random()
+    a21 = 0.75 * rng.random()
+    a12 = 0.75 * rng.random()
+    return AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
 
-    Rejection keeps the accepted distribution exactly uniform on the regime.
-    Raises SamplerExhausted once acceptance drops below 0.1% over the
-    exhaustion window, which flags a misconfigured box instead of hanging.
-    """
+
+def _rejection_sample(n: int, draw, exhaustion_window: int) -> list[AlphaMatrix]:
+    """The first n results of draw() inside the extended regime, so exactly
+    draw()'s distribution restricted to the regime. Raises SamplerExhausted
+    once acceptance drops below 0.1% over the exhaustion window, which flags
+    a misconfigured draw instead of hanging."""
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
-    lo, hi = float(box[0]), float(box[1])
-    if not (0.0 <= lo < hi):
-        raise ValidationError(f"box must satisfy 0 <= lo < hi, got {box!r}")
     out: list[AlphaMatrix] = []
     trials = 0
     while len(out) < n:
         trials += 1
-        alpha = _draw_alpha(rng, (lo, hi))
+        alpha = draw()
         if in_extended_regime(alpha) is not None:
             out.append(alpha)
         elif trials >= exhaustion_window and len(out) < 0.001 * trials:
             raise SamplerExhausted(
-                f"acceptance {len(out)}/{trials} is below 0.1%; box {box!r} "
-                "barely intersects the extended regime")
+                f"acceptance {len(out)}/{trials} is below 0.1%; the draws "
+                "barely intersect the extended regime")
     return out
 
 
-def _sample_symmetric_in_regime(n: int, rng: np.random.Generator,
-                                exhaustion_window: int = 1_000_000) -> list[AlphaMatrix]:
-    """Like sample_in_regime but restricted to the symmetric sweep family:
-    alpha = [[1, a12, beta], [a21, 1, beta]] with beta in [0.5, 1) and
-    a21, a12 in [0, 0.75). Draw order per candidate: beta, a21, a12."""
-    out: list[AlphaMatrix] = []
-    trials = 0
-    while len(out) < n:
-        trials += 1
-        b = 0.5 + 0.5 * rng.random()
-        a21 = 0.75 * rng.random()
-        a12 = 0.75 * rng.random()
-        alpha = AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
-        if in_extended_regime(alpha) is not None:
-            out.append(alpha)
-        elif trials >= exhaustion_window and len(out) < 0.001 * trials:
-            raise SamplerExhausted(f"acceptance {len(out)}/{trials} is below 0.1%")
-    return out
+def sample_in_regime(n: int, rng: np.random.Generator,
+                     box: tuple[float, float] = (0.0, 2.0),
+                     exhaustion_window: int = 1_000_000) -> list[AlphaMatrix]:
+    """Rejection-sample n grids uniform on the box and inside the extended
+    regime (see _rejection_sample)."""
+    return _rejection_sample(n, functools.partial(_draw_alpha, rng, _check_box(box)),
+                             exhaustion_window)
 
 
 def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
@@ -192,16 +235,13 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     draw-major order. A gap above 7 bits is reported, never raised: the
     7-bit claim is exactly what the audit is for.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    rhos = tuple(float(r) for r in rho_list)
-    if not rhos or any(not r > 1.0 for r in rhos):
-        raise ValidationError(f"every rho must be > 1, got {rho_list!r}")
-    rng = np.random.Generator(np.random.Philox(seed))
+    rhos = _check_rhos(rho_list)
+    rng = _generator(seed)
     if beta_free:
         samples = sample_in_regime(n, rng, box, exhaustion_window)
     else:
-        samples = _sample_symmetric_in_regime(n, rng, exhaustion_window)
+        samples = _rejection_sample(n, functools.partial(_draw_symmetric, rng),
+                                    exhaustion_window)
     rows = []
     max_gap = -math.inf
     min_gap = math.inf
@@ -252,21 +292,15 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
-    lo, hi = float(box[0]), float(box[1])
-    if not (0.0 <= lo < hi):
-        raise ValidationError(f"box must satisfy 0 <= lo < hi, got {box!r}")
-    rhos = None
-    if rho_list is not None:
-        rhos = tuple(float(r) for r in rho_list)
-        if not rhos or any(not r > 1.0 for r in rhos):
-            raise ValidationError(f"every rho must be > 1, got {rho_list!r}")
+    box = _check_box(box)
+    rhos = _check_rhos(rho_list) if rho_list is not None else None
     lg_lo, lg_hi = math.log10(rho_range[0]), math.log10(rho_range[1])
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = _generator(seed)
     rows = []
     max_rate_violation = -math.inf
     max_gdof_violation = -math.inf
     for idx in range(n):
-        alpha = _draw_alpha(rng, (lo, hi))
+        alpha = _draw_alpha(rng, box)
         sample_rhos = rhos if rhos is not None else (10.0 ** rng.uniform(lg_lo, lg_hi),)
         d_tt = tdma_tin_gdof(alpha).value
         d_ub = gdof_ub(alpha).value
@@ -302,9 +336,7 @@ def gdof_convergence_probe(alpha: AlphaMatrix, rho_list) -> list[ConvergenceRow]
     approach; the normalized rate stays within 2/log2(rho) of the achievable
     GDoF on both sides.
     """
-    rhos = [float(r) for r in rho_list]
-    if not rhos or any(not r > 1.0 for r in rhos):
-        raise ValidationError(f"every rho must be > 1, got {rho_list!r}")
+    rhos = _check_rhos(rho_list)
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValidationError("rho values must be strictly increasing")
     d_tt = tdma_tin_gdof(alpha).value

@@ -82,6 +82,28 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
     return first if first > second else second
 
 
+def _first_witness(alpha: AlphaMatrix, tol: float, reduced: bool) -> TxPermutation | None:
+    """First ordering (lexicographic) meeting both regime conditions, or None.
+
+    The threshold is psi when reduced, else max{a[j1][i3], a[j1][i2]}: the
+    two regimes differ only in the (a[j2][i3] - a[j2][i1])^+ reduction.
+    """
+    a = alpha.a
+    for p in PERMUTATIONS:
+        cross1 = a[p.j2 - 1][p.i1 - 1]
+        cross3 = a[p.j2 - 1][p.i3 - 1]
+        first = a[p.j1 - 1][p.i3 - 1]
+        if reduced and cross3 > cross1:
+            first -= cross3 - cross1
+        second = a[p.j1 - 1][p.i2 - 1]
+        thr = first if first > second else second
+        hi = cross1 if cross1 > cross3 else cross3
+        if (a[p.j1 - 1][p.i1 - 1] - cross1 + tol >= thr
+                and a[p.j2 - 1][p.i2 - 1] - second + tol >= hi):
+            return p
+    return None
+
+
 def in_extended_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | None:
     """First ordering (lexicographic) meeting both regime conditions, or None.
 
@@ -89,32 +111,13 @@ def in_extended_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | 
     floating-point points consistently (default 0: take the conditions
     literally).
     """
-    a = alpha.a
-    for p in PERMUTATIONS:
-        cross1 = a[p.j2 - 1][p.i1 - 1]
-        cross3 = a[p.j2 - 1][p.i3 - 1]
-        hi = cross1 if cross1 > cross3 else cross3
-        if (a[p.j1 - 1][p.i1 - 1] - cross1 + tol >= psi(alpha, p)
-                and a[p.j2 - 1][p.i2 - 1] - a[p.j1 - 1][p.i2 - 1] + tol >= hi):
-            return p
-    return None
+    return _first_witness(alpha, tol, True)
 
 
 def in_gsj_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | None:
     """Witness for the stricter reference regime (threshold without the
     positive-part reduction), or None."""
-    a = alpha.a
-    for p in PERMUTATIONS:
-        t1 = a[p.j1 - 1][p.i3 - 1]
-        t2 = a[p.j1 - 1][p.i2 - 1]
-        thr = t1 if t1 > t2 else t2
-        cross1 = a[p.j2 - 1][p.i1 - 1]
-        cross3 = a[p.j2 - 1][p.i3 - 1]
-        hi = cross1 if cross1 > cross3 else cross3
-        if (a[p.j1 - 1][p.i1 - 1] - cross1 + tol >= thr
-                and a[p.j2 - 1][p.i2 - 1] - a[p.j1 - 1][p.i2 - 1] + tol >= hi):
-            return p
-    return None
+    return _first_witness(alpha, tol, False)
 
 
 def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:

@@ -2,12 +2,15 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xctin.channel import (DEFAULT_ALPHA_CAP, AlphaMatrix, ChannelScenario,
-                           alpha_from_gain, effective_inr, load_scenario,
-                           rho_from_db, scenario_from_dict, validate_scenario)
+from xctin.achievability import tdma_tin_rate
+from xctin.bounds import sum_capacity_ub
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix,
+                           ChannelScenario, alpha_from_gain, effective_inr,
+                           load_scenario, rho_from_db, scenario_from_dict,
+                           validate_scenario)
 from xctin.errors import DegenerateSnr, NotInterferenceLimited, ValidationError
 
 rhos = st.floats(2.0, 1e12)
@@ -50,6 +53,11 @@ def test_alpha_from_gain_zero_gain():
         alpha_from_gain(0.0, 100.0)
 
 
+def test_alpha_from_gain_overflowing_gain():
+    with pytest.raises(ValidationError):
+        alpha_from_gain(1e200, 100.0)
+
+
 def test_effective_inr_values():
     assert effective_inr(100.0, 0.5) == pytest.approx(10.0, rel=1e-15)
     assert effective_inr(100.0, 0.0) == 1.0
@@ -86,6 +94,20 @@ def test_effective_inr_strictly_increasing(rho, alpha, delta):
 def test_rho_from_db():
     assert rho_from_db(20.0) == pytest.approx(100.0, rel=1e-15)
     assert rho_from_db(0.0) == 1.0
+
+
+@pytest.mark.parametrize("db", [math.nan, math.inf, -math.inf, MAX_RHO_DB + 1e-9, 4000.0])
+def test_rho_from_db_rejects_non_finite_and_above_maximum(db):
+    with pytest.raises(ValidationError):
+        rho_from_db(db)
+
+
+@given(alpha=st.lists(st.floats(0.0, DEFAULT_ALPHA_CAP), min_size=6, max_size=6))
+@example(alpha=[DEFAULT_ALPHA_CAP] * 6)
+def test_rate_and_bound_finite_at_the_maximum_snr(alpha):
+    grid = AlphaMatrix.from_rows((alpha[:3], alpha[3:]))
+    rho = rho_from_db(MAX_RHO_DB)
+    assert math.isfinite(sum_capacity_ub(rho, grid).value - tdma_tin_rate(rho, grid).value)
 
 
 # ---------------------------------------------------------------- AlphaMatrix
@@ -215,6 +237,15 @@ def test_load_scenario_round_trip(tmp_path):
 def test_load_scenario_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
+    with pytest.raises(ValidationError):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe\x00", b"[" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_load_scenario_undecodable(tmp_path, data):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(data)
     with pytest.raises(ValidationError):
         load_scenario(path)
 

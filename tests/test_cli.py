@@ -1,12 +1,18 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
+import os
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from xctin import cli
+from xctin import cli, experiments
 from xctin.cli import CliInvocation, emit_report, main, run
-from xctin.channel import AlphaMatrix
+from xctin.channel import MAX_RHO_DB, AlphaMatrix
 from xctin.errors import UnsupportedFormat
 from xctin.experiments import GapReport
 
@@ -244,3 +250,219 @@ def test_out_to_missing_directory_is_io_error(tmp_path, capsys):
     assert main(["sweep", "--beta", "0.75", "--step", "0.25",
                  "--out", str(target)]) == 1
     assert "i/o error" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- byte pins
+
+FIG_ALPHA = "1,0.2,0.75,0.4,1,0.75"
+
+# SHA-256 of stdout and of the --out file ("" when there is none), recorded
+# before the command table replaced the per-command dicts; the refactor and
+# later ones must keep every byte.
+BYTE_PINS = [
+    (("eval", "--alpha", FIG_ALPHA, "--rho-db", "40"),
+     "42210c85d0b349d53036fab510bc155f15fb890239181b47a5b8490cd68f9e71", ""),
+    (("eval", "--scenario", "{scenario}", "--format", "csv"),
+     "13a2ece6ec378e151029e30d3ce2dc140ad677d3931285016e3c88276472a90e", ""),
+    (("classify", "--alpha", FIG_ALPHA, "--format", "csv"),
+     "5f89b9f8268d0f4a9d9f69745b543acb406a9d61088a1d7c7e8838cae4006e45", ""),
+    (("classify", "--scenario", "{scenario}"),
+     "da7f6be68fe1063acf99f6112089d00ca70cb49d03951376abe0ca3f2bba02ef", ""),
+    (("bound", "--alpha", FIG_ALPHA, "--rho-db", "40", "--format", "csv"),
+     "a712f0315db747a0b6df902a0183f7e4ce34ac15c5a158897d4edde6ee0f8f35", ""),
+    (("bound", "--scenario", "{scenario}"),
+     "085f54b6026b169cd262fa823057e72a9895232c017a2d83a72803e52ec540af", ""),
+    (("gdof", "--alpha", FIG_ALPHA),
+     "16ab57d89f2068c6c1e66ba72e48ec139139413b14ce044b390fbadade38513c", ""),
+    (("gdof", "--scenario", "{scenario}", "--format", "csv"),
+     "4a80e252d309296f51e3f58aaac634ab9a528b0bcd4f389278d74f3a1413be2c", ""),
+    (("converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60,90"),
+     "61efc72f9eb35ec2808c845d8dbf8529a7f3421b22f5c02941ca1f9a7dfda58d", ""),
+    (("converge", "--scenario", "{scenario}", "--format", "json"),
+     "ff38987b95e173c927091b975c5f882314909eac893cf8f6fdda44913ba8e7a2", ""),
+    (("sweep", "--beta", "0.75", "--step", "0.05", "--out", "{out}"),
+     "60683a6a78ae4de1b5959227af20a604696196f6601946b463458d22c330a952", "4eb2c51d50a4da2c96ae022a98b4bdbe813c81780ae6f88ba0894142817bc1e8"),
+    (("sweep", "--beta", "0.6", "--step", "0.05", "--format", "json"),
+     "f568a114c0a2e1429f7e3efc9b85cfdd4a3651862dee88ec5a71eba30b912f73", ""),
+    (("gap-audit", "--n", "20", "--seed", "7", "--rho-db", "20,40"),
+     "238b1e002f9dec89fe13648fc5b56abb37e29d9ece9b2d8f8fa5ea752ee2b2fb", ""),
+    (("gap-audit", "--n", "20", "--seed", "7", "--format", "json", "--out", "{out}"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "5546883f4338b3c975cd4a8fba5f3aa17babf4996f55d258091b7d579cb6b3cd"),
+    (("sandwich-audit", "--n", "20", "--seed", "1", "--out", "{out}"),
+     "f8aad90bbc19c54d65050ded5bc1332493183c5c3e63fbd1d07d9b856bc4c710", "bacc6f296b7c565518b18348d8367d05cccbfbe194d12baeeaad42930bf6b88f"),
+    (("sandwich-audit", "--n", "20", "--seed", "1", "--rho-db", "30,60", "--format", "json"),
+     "64f438962589bf464632c859208a9228b1d16376973a7d9951fdca18ffda077a", ""),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("argv,stdout_sha,out_sha", BYTE_PINS,
+                         ids=[" ".join(p[0][:1] + p[0][-2:]) for p in BYTE_PINS])
+def test_outputs_match_pinned_hashes(tmp_path, capsys, argv, stdout_sha, out_sha):
+    scenario = _write_scenario(tmp_path, FIG_SCENARIO)
+    out = tmp_path / "out.dat"
+    argv = [a.replace("{scenario}", scenario).replace("{out}", str(out)) for a in argv]
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode()) == stdout_sha
+    assert (_sha(out.read_bytes()) if out.exists() else "") == out_sha
+
+
+def test_gap_audit_fixed_family_matches_former_script_output(tmp_path, capsys):
+    # Hash of the CSV that scripts/run_gap_audit.py --fixed-family wrote for
+    # these arguments before the flag moved into the CLI.
+    out = tmp_path / "gap.csv"
+    assert main(["gap-audit", "--fixed-family", "--n", "20", "--seed", "7",
+                 "--rho-db", "20,40", "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == \
+        "068bc32ea7106e1ed34ec73b0fb8991833b05ba5647acee1b8e502cb6c1b912a"
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 20
+
+
+# ---------------------------------------------------------------- per-command flags and input holes
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--alpha", FIG_ALPHA, "--n", "5", "--beta", "7"],
+    ["eval", "--alpha", FIG_ALPHA, "--rho-db", "40", "--seed", "1"],
+    ["gdof", "--alpha", FIG_ALPHA, "--tolerance", "0.1"],
+    ["sweep", "--step", "0.25", "--alpha", FIG_ALPHA],
+    ["sandwich-audit", "--n", "5", "--fixed-family"],
+    ["gap-audit", "--n", "5", "--scenario", "x.json"],
+])
+def test_unused_flag_is_rejected_by_parser(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["gap-audit", "--n", "5", "--seed", "-1"],
+    ["sandwich-audit", "--n", "5", "--seed", "-1"],
+    ["classify", "--alpha", FIG_ALPHA, "--tolerance", "nan"],
+    ["classify", "--alpha", FIG_ALPHA, "--tolerance", "-0.01"],
+    ["sweep", "--step", "0.25", "--tolerance", "inf"],
+    ["classify", "--alpha", "0,0.2,0.75,0.4,1,0.75"],
+    ["sweep", "--step", "1e-7"],
+    ["eval", "--alpha", "1,1,1,1,1,1", "--rho-db", "4000"],
+    ["eval", "--alpha", "1,1,4,1,1,1", "--rho-db", "800"],
+    ["eval", "--alpha", "1,1,1,1,1,1", "--rho-db", "nan"],
+    ["gap-audit", "--n", "5", "--rho-db", "4000"],
+    ["converge", "--alpha", FIG_ALPHA, "--rho-db", "3000,3100"],
+    ["eval", "--alpha", "4,4,4,4,4,4", "--rho-db", repr(MAX_RHO_DB + 1e-9)],
+])
+def test_input_holes_exit_2_with_empty_stdout(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_scenario_snr_above_maximum_exits_2(tmp_path, capsys):
+    path = _write_scenario(tmp_path, {"rho_db": 4000, "alpha": [[1, 1, 1], [1, 1, 1]]})
+    assert main(["eval", "--scenario", path]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_eval_at_maximum_snr_is_finite(capsys):
+    assert main(["eval", "--alpha", "4,4,4,4,4,4", "--rho-db", repr(MAX_RHO_DB)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ub_bits"] > doc["rate_bits"] > 0.0
+
+
+def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys):
+    # A classifier that drops the grid slack lets 7*0.05 round past
+    # 1 - 0.65, so a whole grid line leaves the regime: the records and the
+    # summary are still written, then the geometry audit exits 3.
+    assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 0
+    capsys.readouterr()
+    exact = experiments.classify
+    monkeypatch.setattr(experiments, "classify", lambda alpha, tol: exact(alpha))
+    assert main(["sweep", "--beta", "0.65", "--step", "0.05", "--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["records"]) == doc["summary"]["n_records"] == 16 ** 2
+    # At tolerance > 0 the regions are not rectangles and go unchecked.
+    assert main(["sweep", "--beta", "0.65", "--step", "0.05", "--tolerance", "1e-15"]) == 0
+
+
+def test_sweep_near_grid_beta_passes_geometry_audit(capsys):
+    # 1 - beta sits 3e-11 below grid line 5, beyond the grid slack, so
+    # line 5 is out of the regime on both sides of the audit.
+    assert main(["sweep", "--beta", "0.75000000003", "--step", "0.05"]) == 0
+
+
+# ---------------------------------------------------------------- main(argv) contract
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    files = {
+        "alpha": json.dumps(FIG_SCENARIO).encode(),
+        "gains": json.dumps({"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, 1]] * 3]}).encode(),
+        "loud": json.dumps({"rho_db": 5000, "alpha": [[1] * 3] * 2}).encode(),
+        "huge": json.dumps({"rho_db": 20, "gains": [[[1e200, 0]] * 3] * 2}).encode(),
+        "zero": json.dumps({"rho_db": 20, "alpha": [[0] * 3] * 2}).encode(),
+        "broken": b"{oops",
+        "binary": b"\xff\xfe\x00",
+        "deep": b"[" * 100_000,
+    }
+    paths = []
+    for name, data in files.items():
+        (d / f"{name}.json").write_bytes(data)
+        paths.append(str(d / f"{name}.json"))
+    paths.append(str(d / "missing.json"))
+    return {"scenarios": paths, "outs": [str(d / "out.dat"), str(d), str(d / "no" / "out.dat")]}
+
+
+_numbers = st.one_of(st.floats(-10.0, 900.0), st.sampled_from(["nan", "inf", "-inf", "4000", "x"]))
+_number_lists = st.lists(_numbers, min_size=1, max_size=7).map(lambda xs: ",".join(map(str, xs)))
+_VALUES = {
+    "--alpha": st.one_of(st.just(FIG_ALPHA), _number_lists),
+    "--rho-db": st.one_of(st.sampled_from(["40", "20,40", "30,60,90"]), _number_lists),
+    "--beta": st.one_of(st.floats(0.4, 1.1).map(str), st.sampled_from(["0.65", "nan"])),
+    "--step": st.sampled_from(["0.05", "0.1", "0.25", "0", "-1", "nan", "1e-7", "x"]),
+    "--n": st.one_of(st.integers(-1, 20).map(str), st.just("x")),
+    "--seed": st.one_of(st.integers(-3, 2**70).map(str), st.just("1.5")),
+    "--tolerance": st.one_of(st.sampled_from(["0", "0.01", "-1", "nan", "inf"]),
+                             st.floats(0.0, 1.0).map(str)),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+# Audits and sweeps without these flags run at full acceptance size.
+_SIZE_FLAGS = {"sweep": "--step", "gap-audit": "--n", "sandwich-audit": "--n"}
+_NON_FINITE = re.compile(r"NaN|Infinity|\bnan\b|\binf\b")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_main_contract(contract_files, data):
+    command = data.draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = data.draw(st.lists(st.sampled_from(sorted(cli._FLAGS)), max_size=5, unique=True))
+    if command in _SIZE_FLAGS and _SIZE_FLAGS[command] not in flags:
+        flags.append(_SIZE_FLAGS[command])
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag == "--scenario":
+            argv.append(data.draw(st.sampled_from(contract_files["scenarios"])))
+        elif flag == "--out":
+            argv.append(data.draw(st.sampled_from(contract_files["outs"])))
+        elif flag != "--fixed-family":
+            argv.append(data.draw(_VALUES[flag]))
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(contract_files["outs"][0])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv
+    if code in (1, 2):
+        assert stdout.getvalue() == "", argv
+    outputs = [stdout.getvalue()]
+    if "--out" in flags and argv[argv.index("--out") + 1] == contract_files["outs"][0]:
+        with contextlib.suppress(FileNotFoundError), open(contract_files["outs"][0]) as fh:
+            outputs.append(fh.read())
+    assert not any(_NON_FINITE.search(text) for text in outputs), argv

@@ -5,11 +5,12 @@ import pytest
 
 from xctin.channel import AlphaMatrix
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
-from xctin.experiments import (GapReport, gap_audit,
+from xctin.experiments import (SWEEP_GRID_SLACK, GapReport, gap_audit,
                                gap_audit_with_rows, gdof_convergence_probe,
                                sample_in_regime, sandwich_audit,
-                               sandwich_audit_with_rows, sweep_regime_plane)
-from xctin.regime import in_extended_regime
+                               sandwich_audit_with_rows, sweep_geometry_holds,
+                               sweep_regime_plane)
+from xctin.regime import classify, in_extended_regime
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
 
@@ -61,6 +62,50 @@ def test_sweep_beta_half_coincidence():
         assert rec.in_extended == rec.in_gsj
 
 
+# Every beta in [0.5, 0.995] that lies on the step-0.005 grid, as parsed
+# from its decimal form.
+ALIGNED_BETAS = [float(f"{0.5 + 0.005 * k:.3f}") for k in range(100)]
+
+
+def test_sweep_boundary_lines_match_geometry_at_aligned_betas():
+    # 1 - beta sits on grid line k_beta, and k*step rounds past it for 11 of
+    # these betas; the sweep's grid slack must keep those lines in the regime.
+    step = 0.005
+    for k, beta in enumerate(ALIGNED_BETAS):
+        k_beta = 100 - k
+        for line in (k_beta, k_beta + 1, 100, 101):
+            for other in (0, k_beta, k_beta + 1, 100, 101, 150):
+                for k21, k12 in ((line, other), (other, line)):
+                    v = classify(AlphaMatrix(((1.0, k12 * step, beta), (k21 * step, 1.0, beta))),
+                                 tol=SWEEP_GRID_SLACK)
+                    ext = (k21 <= 100 and k12 <= k_beta) or (k21 <= k_beta and k12 <= 100)
+                    gsj = k21 <= k_beta and k12 <= k_beta
+                    assert (v.in_extended, v.in_gsj) == (ext, gsj), (beta, k21, k12)
+
+
+def test_sweep_at_misrounded_beta_passes_geometry_audit():
+    records = sweep_regime_plane(0.525, 0.005)  # 95*0.005 > 1 - 0.525 in doubles
+    assert sweep_geometry_holds(records, 0.525, 0.005)
+    assert sum(r.in_gsj for r in records) == 96 ** 2
+    assert sum(r.in_extended for r in records) == 2 * 101 * 96 - 96 ** 2
+
+
+@pytest.mark.parametrize("offset", [-3e-11, -3e-12, -5e-13, 5e-13, 3e-12, 3e-11])
+def test_sweep_geometry_audit_agrees_near_grid_lines(offset):
+    # 1 - beta just off a grid line, inside and outside the grid slack: the
+    # classification and the audit must put the line on the same side.
+    for k in range(10):
+        beta = float(f"{0.5 + 0.05 * k:.2f}") + offset
+        if 0.5 <= beta < 1.0:
+            assert sweep_geometry_holds(sweep_regime_plane(beta, 0.05), beta, 0.05), beta
+
+
+def test_sweep_geometry_audit_detects_a_moved_boundary():
+    records = sweep_regime_plane(0.75, 0.05)
+    assert sweep_geometry_holds(records, 0.75, 0.05)
+    assert not sweep_geometry_holds(records, 0.7, 0.05)
+
+
 def test_sweep_rejects_bad_parameters():
     with pytest.raises(InvalidBeta):
         sweep_regime_plane(0.4, 0.05)
@@ -70,6 +115,10 @@ def test_sweep_rejects_bad_parameters():
         sweep_regime_plane(0.75, 0.0)
     with pytest.raises(ValidationError):
         sweep_regime_plane(0.75, 0.8, range_max=0.75)
+    with pytest.raises(ValidationError):  # 1002 points per axis, above the cap
+        sweep_regime_plane(0.75, 0.75 / 1001)
+    with pytest.raises(ValidationError):
+        sweep_regime_plane(0.75, 5e-324)
 
 
 # ---------------------------------------------------------------- sampling
@@ -141,6 +190,8 @@ def test_gap_audit_rejects_bad_parameters():
         gap_audit(5, (), seed=1)
     with pytest.raises(ValidationError):
         gap_audit(5, (0.5,), seed=1)
+    with pytest.raises(ValidationError):
+        gap_audit(5, (1e2,), seed=-1)
 
 
 # ---------------------------------------------------------------- sandwich audit
@@ -173,6 +224,8 @@ def test_sandwich_audit_rejects_bad_parameters():
         sandwich_audit(0, seed=1)
     with pytest.raises(ValidationError):
         sandwich_audit(5, rho_list=(1.0,), seed=1)
+    with pytest.raises(ValidationError):
+        sandwich_audit(5, seed=-1)
 
 
 # ---------------------------------------------------------------- convergence probe

@@ -90,6 +90,24 @@ def test_classify_fig_points():
     assert v.gdof_value is None and v.witness_extended is None
 
 
+def _first_witness_reference(alpha, threshold, tol):
+    a = alpha.a
+    for p in PERMUTATIONS:
+        cross = max(a[p.j2 - 1][p.i1 - 1], a[p.j2 - 1][p.i3 - 1])
+        if (a[p.j1 - 1][p.i1 - 1] - a[p.j2 - 1][p.i1 - 1] + tol >= threshold(a, p)
+                and a[p.j2 - 1][p.i2 - 1] - a[p.j1 - 1][p.i2 - 1] + tol >= cross):
+            return p
+    return None
+
+
+@given(alpha=alpha_grids, tol=st.sampled_from([0.0, 1e-12, 0.05]))
+def test_regime_witnesses_match_reference(alpha, tol):
+    assert in_extended_regime(alpha, tol) == _first_witness_reference(
+        alpha, lambda a, p: psi(alpha, p), tol)
+    assert in_gsj_regime(alpha, tol) == _first_witness_reference(
+        alpha, lambda a, p: max(a[p.j1 - 1][p.i3 - 1], a[p.j1 - 1][p.i2 - 1]), tol)
+
+
 @given(alpha=alpha_grids)
 def test_regime_inclusion(alpha):
     if in_gsj_regime(alpha) is not None:
