@@ -12,7 +12,7 @@ from .bounds import (BoundResult, GenieParams, TxPermutation,
 from .channel import (AlphaMatrix, ChannelScenario, alpha_from_gain,
                       effective_inr, load_scenario, rho_from_db,
                       scenario_from_dict, validate_scenario)
-from .errors import (AuditFailure, CaseMismatch, DegenerateSnr, InvalidBeta,
+from .errors import (CaseMismatch, DegenerateSnr, InvalidBeta,
                      NotApplicable, NotInterferenceLimited, SamplerExhausted,
                      UnsupportedFormat, ValidationError)
 from .experiments import (ConvergenceRow, GapReport, SandwichReport,
@@ -26,7 +26,7 @@ from .regime import (AuxChannelPair, RegimeVerdict, classify,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AchievabilityResult", "AlphaMatrix", "AuditFailure", "AuxChannelPair",
+    "AchievabilityResult", "AlphaMatrix", "AuxChannelPair",
     "BoundResult", "CaseMismatch", "ChannelScenario", "ConvergenceRow",
     "DegenerateSnr", "GapReport", "GenieParams", "IcConfig", "InvalidBeta",
     "NotApplicable", "NotInterferenceLimited", "RegimeVerdict",

@@ -18,9 +18,10 @@ and its high-SNR slope (GDoF) is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-from .channel import AlphaMatrix
+from .channel import AlphaMatrix, link_picker
 from .errors import ValidationError
 
 
@@ -30,19 +31,24 @@ class IcConfig:
 
     Canonical form fixes j1 = 1; the tuple with both pairs swapped denotes
     the same interference channel and the same sum rate, so six canonical
-    configurations cover all pairings.
+    configurations cover all pairings. take(x) picks each receiver's desired
+    and cross link, (j1, i1), (j1, i2), (j2, i2), (j2, i1), out of a
+    row-major grid such as AlphaMatrix.flat().
     """
 
     i1: int
     i2: int
     j1: int
     j2: int
+    take: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.i1 not in (1, 2, 3) or self.i2 not in (1, 2, 3) or self.i1 == self.i2:
             raise ValidationError(f"i1, i2 must be distinct in {{1,2,3}}, got ({self.i1}, {self.i2})")
         if (self.j1, self.j2) != (1, 2):
             raise ValidationError("canonical configurations have (j1, j2) = (1, 2)")
+        object.__setattr__(self, "take", link_picker(
+            ((self.j1, self.i1), (self.j1, self.i2), (self.j2, self.i2), (self.j2, self.i1))))
 
     def label(self) -> str:
         return f"{self.i1}{self.i2}{self.j1}{self.j2}"
@@ -62,6 +68,7 @@ class AchievabilityResult:
 IC_CONFIGS: tuple[IcConfig, ...] = tuple(
     IcConfig(i1, i2, 1, 2) for i1 in (1, 2, 3) for i2 in (1, 2, 3) if i2 != i1
 )
+_PICKS = tuple((cfg, cfg.take) for cfg in IC_CONFIGS)
 
 
 def enumerate_ic_configs() -> tuple[IcConfig, ...]:
@@ -69,14 +76,34 @@ def enumerate_ic_configs() -> tuple[IcConfig, ...]:
     return IC_CONFIGS
 
 
+def _first_max(kernel, grid) -> AchievabilityResult:
+    """First (lexicographic) pairing with the largest kernel(take(grid))."""
+    best = -math.inf
+    best_cfg = IC_CONFIGS[0]
+    for cfg, take in _PICKS:
+        v = kernel(take(grid))
+        if v > best:
+            best, best_cfg = v, cfg
+    return AchievabilityResult(best, best_cfg)
+
+
+def _tin_rate(powers) -> float:
+    """TIN sum rate from the pairing's picked powers rho**a."""
+    des1, cross1, des2, cross2 = powers
+    return math.log2(1.0 + des1 / (1.0 + cross1)) + math.log2(1.0 + des2 / (1.0 + cross2))
+
+
+def _tin_gdof(links) -> float:
+    """(a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+ from the picked links."""
+    des1, cross1, des2, cross2 = links
+    x = des1 - cross1
+    y = des2 - cross2
+    return (x if x > 0.0 else 0.0) + (y if y > 0.0 else 0.0)
+
+
 def tin_sum_rate(rho: float, alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """Sum rate in bits of one pairing with interference treated as noise."""
-    a = alpha.a
-    des1 = rho ** a[cfg.j1 - 1][cfg.i1 - 1]
-    cross1 = rho ** a[cfg.j1 - 1][cfg.i2 - 1]
-    des2 = rho ** a[cfg.j2 - 1][cfg.i2 - 1]
-    cross2 = rho ** a[cfg.j2 - 1][cfg.i1 - 1]
-    return math.log2(1.0 + des1 / (1.0 + cross1)) + math.log2(1.0 + des2 / (1.0 + cross2))
+    return _tin_rate([rho ** x for x in cfg.take(alpha.flat())])
 
 
 def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
@@ -84,29 +111,14 @@ def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
 
     Ties break to the lexicographically first (i1, i2).
     """
-    best = -math.inf
-    best_cfg = IC_CONFIGS[0]
-    for cfg in IC_CONFIGS:
-        r = tin_sum_rate(rho, alpha, cfg)
-        if r > best:
-            best, best_cfg = r, cfg
-    return AchievabilityResult(best, best_cfg)
+    return _first_max(_tin_rate, [rho ** x for x in alpha.flat()])
 
 
 def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """GDoF of one pairing: (a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+."""
-    a = alpha.a
-    x = a[cfg.j1 - 1][cfg.i1 - 1] - a[cfg.j1 - 1][cfg.i2 - 1]
-    y = a[cfg.j2 - 1][cfg.i2 - 1] - a[cfg.j2 - 1][cfg.i1 - 1]
-    return (x if x > 0.0 else 0.0) + (y if y > 0.0 else 0.0)
+    return _tin_gdof(cfg.take(alpha.flat()))
 
 
 def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
     """Best pairing GDoF; ties break to the lexicographically first (i1, i2)."""
-    best = -math.inf
-    best_cfg = IC_CONFIGS[0]
-    for cfg in IC_CONFIGS:
-        d = tdma_tin_gdof_config(alpha, cfg)
-        if d > best:
-            best, best_cfg = d, cfg
-    return AchievabilityResult(best, best_cfg)
+    return _first_max(_tin_gdof, alpha.flat())

@@ -29,21 +29,27 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
-from .channel import AlphaMatrix
+from .channel import AlphaMatrix, link_picker
 from .errors import CaseMismatch, ValidationError
 
 
 @dataclass(frozen=True)
 class TxPermutation:
-    """Ordering (i1, i2, i3, j1, j2): all transmitters and receivers, distinct."""
+    """Ordering (i1, i2, i3, j1, j2): all transmitters and receivers, distinct.
+
+    take(x) picks the links (j1, i1), (j1, i2), (j1, i3), (j2, i1), (j2, i2),
+    (j2, i3), in that order, out of a row-major grid such as AlphaMatrix.flat().
+    """
 
     i1: int
     i2: int
     i3: int
     j1: int
     j2: int
+    take: Callable = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if {self.i1, self.i2, self.i3} != {1, 2, 3}:
@@ -51,6 +57,8 @@ class TxPermutation:
                                   f"({self.i1}, {self.i2}, {self.i3})")
         if {self.j1, self.j2} != {1, 2}:
             raise ValidationError(f"(j1, j2) must enumerate {{1,2}}, got ({self.j1}, {self.j2})")
+        object.__setattr__(self, "take", link_picker(
+            (j, i) for j in (self.j1, self.j2) for i in (self.i1, self.i2, self.i3)))
 
     def label(self) -> str:
         return f"{self.i1}{self.i2}{self.i3}{self.j1}{self.j2}"
@@ -90,6 +98,7 @@ PERMUTATIONS: tuple[TxPermutation, ...] = tuple(
     for (i1, i2, i3) in itertools.permutations((1, 2, 3))
     for (j1, j2) in ((1, 2), (2, 1))
 )
+_PICKS = tuple((p, p.take) for p in PERMUTATIONS)
 
 
 def enumerate_permutations() -> tuple[TxPermutation, ...]:
@@ -97,16 +106,13 @@ def enumerate_permutations() -> tuple[TxPermutation, ...]:
     return PERMUTATIONS
 
 
-def _genie_params_rows(a, p: TxPermutation, rho: float) -> GenieParams:
-    a_j1i1 = a[p.j1 - 1][p.i1 - 1]
-    a_j1i3 = a[p.j1 - 1][p.i3 - 1]
-    a_j2i1 = a[p.j2 - 1][p.i1 - 1]
-    a_j2i3 = a[p.j2 - 1][p.i3 - 1]
-    if a_j2i3 <= a_j2i1:
-        return GenieParams(rho ** (a_j2i1 - a_j1i1), 0, 1)
-    if a_j2i1 - a_j1i1 <= a_j2i3 - a_j1i3 - a_j2i1:
-        return GenieParams(rho ** (a_j2i1 - a_j1i1), 1, 2)
-    return GenieParams(rho ** (a_j2i3 - a_j2i1 - a_j1i3), 1, 3)
+def _genie_case(rho: float, u1: float, u3: float, v1: float, v3: float):
+    """(c^2, d, case) from the links u = a[j1][i1, i3], v = a[j2][i1, i3]."""
+    if v3 <= v1:
+        return rho ** (v1 - u1), 0, 1
+    if v1 - u1 <= v3 - u3 - v1:
+        return rho ** (v1 - u1), 1, 2
+    return rho ** (v3 - v1 - u3), 1, 3
 
 
 def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParams:
@@ -122,7 +128,8 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     Boundary ties resolve in this order (both comparisons are <=); at the
     case-2/case-3 tie the two exponents coincide anyway.
     """
-    return _genie_params_rows(alpha.a, p, rho)
+    u1, _, u3, v1, _, v3 = p.take(alpha.flat())
+    return GenieParams(*_genie_case(rho, u1, u3, v1, v3))
 
 
 def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
@@ -137,10 +144,8 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     exponent parametrization this agrees with `genie_params` up to floating-
     point rounding.
     """
-    h_j1i1_sq = abs(gains[p.j1 - 1][p.i1 - 1]) ** 2
-    h_j1i3_sq = abs(gains[p.j1 - 1][p.i3 - 1]) ** 2
-    h_j2i1_sq = abs(gains[p.j2 - 1][p.i1 - 1]) ** 2
-    h_j2i3_sq = abs(gains[p.j2 - 1][p.i3 - 1]) ** 2
+    h_j1i1_sq, _, h_j1i3_sq, h_j2i1_sq, _, h_j2i3_sq = (
+        abs(h) ** 2 for h in p.take(tuple(gains[0]) + tuple(gains[1])))
     if min(h_j1i1_sq, h_j1i3_sq, h_j2i1_sq, h_j2i3_sq) <= 0.0:
         raise ValidationError("gains must be nonzero")
     if h_j2i3_sq <= h_j2i1_sq:
@@ -150,28 +155,32 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     return GenieParams(h_j2i3_sq / (rho * h_j2i1_sq * h_j1i3_sq), 1, 3)
 
 
-def _bound_single(rho: float, a, pw, p: TxPermutation) -> float:
-    """B(p) from precomputed powers pw[j][i] = rho**a[j][i]."""
-    gp = _genie_params_rows(a, p, rho)
-    d = gp.d
-    r_j1i1 = pw[p.j1 - 1][p.i1 - 1]
-    r_j1i2 = pw[p.j1 - 1][p.i2 - 1]
-    r_j1i3 = pw[p.j1 - 1][p.i3 - 1]
-    r_j2i1 = pw[p.j2 - 1][p.i1 - 1]
-    r_j2i2 = pw[p.j2 - 1][p.i2 - 1]
-    r_j2i3 = pw[p.j2 - 1][p.i3 - 1]
+def _bound(rho: float, a, pw, take) -> float:
+    """B(p) from the row-major exponents a and powers pw = rho**a, picked by
+    the ordering's take."""
+    u1, _, u3, v1, _, v3 = take(a)
+    c_sq, d, _ = _genie_case(rho, u1, u3, v1, v3)
+    r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = take(pw)
     genie_power = r_j1i1 + d * r_j1i3
     term1 = math.log2(1.0 + r_j1i2 + (1 - d) * r_j1i3
-                      + genie_power / (1.0 + gp.c_sq * genie_power))
+                      + genie_power / (1.0 + c_sq * genie_power))
     term2 = math.log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
     return term1 + term2 + 1.0
 
 
+def _first_min(per_perm) -> BoundResult:
+    """The profile with its first (lexicographic) minimum."""
+    best_p, best = per_perm[0]
+    for p, v in per_perm[1:]:
+        if v < best:
+            best_p, best = p, v
+    return BoundResult(best, best_p, per_perm)
+
+
 def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
-    a = alpha.a
-    pw = tuple(tuple(rho ** x for x in row) for row in a)
-    return _bound_single(rho, a, pw, p)
+    a = alpha.flat()
+    return _bound(rho, a, [rho ** x for x in a], p.take)
 
 
 def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
@@ -180,62 +189,41 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
     Ties break to the lexicographically first ordering; the profile is always
     materialized so audits can report per-ordering diagnostics.
     """
-    a = alpha.a
-    pw = tuple(tuple(rho ** x for x in row) for row in a)
-    per_perm = tuple((p, _bound_single(rho, a, pw, p)) for p in PERMUTATIONS)
-    best_p, best = per_perm[0]
-    for p, v in per_perm[1:]:
-        if v < best:
-            best_p, best = p, v
-    return BoundResult(best, best_p, per_perm)
+    a = alpha.flat()
+    pw = [rho ** x for x in a]
+    return _first_min(tuple([(p, _bound(rho, a, pw, take)) for p, take in _PICKS]))
 
 
 def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """GDoF bound branch for a strong third cross link (a[j2][i3] > a[j2][i1])."""
-    a = alpha.a
-    a_j2i1 = a[p.j2 - 1][p.i1 - 1]
-    a_j2i3 = a[p.j2 - 1][p.i3 - 1]
-    if not a_j2i3 > a_j2i1:
-        raise CaseMismatch(f"case 1 needs a[j2][i3] > a[j2][i1], got {a_j2i3!r} <= {a_j2i1!r}")
-    first = max(a_j2i1, a_j2i3, a[p.j2 - 1][p.i2 - 1] - a[p.j1 - 1][p.i2 - 1])
-    second = max(a[p.j1 - 1][p.i2 - 1],
-                 a[p.j1 - 1][p.i1 - 1] - a_j2i1,
-                 a[p.j1 - 1][p.i3 - 1] - (a_j2i3 - a_j2i1))
-    return first + second
+    u1, u2, u3, v1, v2, v3 = p.take(alpha.flat())
+    if not v3 > v1:
+        raise CaseMismatch(f"case 1 needs a[j2][i3] > a[j2][i1], got {v3!r} <= {v1!r}")
+    return max(v1, v3, v2 - u2) + max(u2, u1 - v1, u3 - (v3 - v1))
 
 
 def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """GDoF bound branch for a weak third cross link (a[j2][i3] <= a[j2][i1])."""
-    a = alpha.a
-    a_j2i1 = a[p.j2 - 1][p.i1 - 1]
-    a_j2i3 = a[p.j2 - 1][p.i3 - 1]
-    if not a_j2i3 <= a_j2i1:
-        raise CaseMismatch(f"case 2 needs a[j2][i3] <= a[j2][i1], got {a_j2i3!r} > {a_j2i1!r}")
-    first = max(a_j2i1, a_j2i3, a[p.j2 - 1][p.i2 - 1] - a[p.j1 - 1][p.i2 - 1])
-    second = max(a[p.j1 - 1][p.i2 - 1],
-                 a[p.j1 - 1][p.i3 - 1],
-                 a[p.j1 - 1][p.i1 - 1] - a_j2i1)
-    return first + second
+    u1, u2, u3, v1, v2, v3 = p.take(alpha.flat())
+    if not v3 <= v1:
+        raise CaseMismatch(f"case 2 needs a[j2][i3] <= a[j2][i1], got {v3!r} > {v1!r}")
+    return max(v1, v3, v2 - u2) + max(u2, u3, u1 - v1)
+
+
+def _gdof(a, take) -> float:
+    """D(p) from the row-major exponents a, picked by the ordering's take;
+    the positive part unifies the two branches."""
+    u1, u2, u3, v1, v2, v3 = take(a)
+    diff = v3 - v1
+    return max(v1, v3, v2 - u2) + max(u2, u1 - v1, u3 - (diff if diff > 0.0 else 0.0))
 
 
 def gdof_ub_single(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Combined GDoF bound D(p); the positive part unifies the two branches."""
-    a = alpha.a
-    a_j2i1 = a[p.j2 - 1][p.i1 - 1]
-    a_j2i3 = a[p.j2 - 1][p.i3 - 1]
-    diff = a_j2i3 - a_j2i1
-    first = max(a_j2i1, a_j2i3, a[p.j2 - 1][p.i2 - 1] - a[p.j1 - 1][p.i2 - 1])
-    second = max(a[p.j1 - 1][p.i2 - 1],
-                 a[p.j1 - 1][p.i1 - 1] - a_j2i1,
-                 a[p.j1 - 1][p.i3 - 1] - (diff if diff > 0.0 else 0.0))
-    return first + second
+    return _gdof(alpha.flat(), p.take)
 
 
 def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     """min_p D(p) with the full profile; ties break lexicographically."""
-    per_perm = tuple((p, gdof_ub_single(alpha, p)) for p in PERMUTATIONS)
-    best_p, best = per_perm[0]
-    for p, v in per_perm[1:]:
-        if v < best:
-            best_p, best = p, v
-    return BoundResult(best, best_p, per_perm)
+    a = alpha.flat()
+    return _first_min(tuple([(p, _gdof(a, take)) for p, take in _PICKS]))

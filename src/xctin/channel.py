@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -83,6 +84,12 @@ class AlphaMatrix:
     def flat(self) -> tuple[float, ...]:
         """Row-major (a11, a12, a13, a21, a22, a23)."""
         return self.a[0] + self.a[1]
+
+
+def link_picker(links) -> operator.itemgetter:
+    """Picker for the 1-based (receiver, transmitter) links, in order, out of
+    any row-major 2x3 sequence such as `AlphaMatrix.flat()`."""
+    return operator.itemgetter(*((j - 1) * N_TX + i - 1 for j, i in links))
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from .achievability import tdma_tin_gdof, tdma_tin_rate
 from .bounds import gdof_ub, sum_capacity_ub
 from .channel import (AlphaMatrix, check_exponent_range, load_scenario,
                       rho_from_db, validate_scenario)
-from .errors import (AuditFailure, DegenerateSnr, UnsupportedFormat,
-                     ValidationError)
+from .errors import DegenerateSnr, UnsupportedFormat, ValidationError
 from .experiments import (CONVERGE_COLUMNS, GAP_COLUMNS, GENERATOR_ID,
                           SANDWICH_COLUMNS, SANDWICH_GDOF_TOL,
-                          SANDWICH_RATE_TOL_BITS, SWEEP_COLUMNS)
+                          SANDWICH_RATE_TOL_BITS, SWEEP_COLUMNS,
+                          SWEEP_RANGE_MAX)
 from .regime import classify
 
 
@@ -229,14 +229,13 @@ def _cmd_sweep(inv: CliInvocation):
         "command": "sweep",
         "beta": inv.beta,
         "step": inv.step,
-        "range_max": 0.75,
+        "range_max": SWEEP_RANGE_MAX,
         "tolerance": inv.tolerance,
         "n_records": len(records),
         "n_extended": sum(1 for r in records if r.in_extended),
         "n_gsj": sum(1 for r in records if r.in_gsj),
     }
-    audit_ok = (inv.tolerance > 0.0
-                or experiments.sweep_geometry_holds(records, inv.beta, inv.step))
+    audit_ok = experiments.sweep_audit_holds(records, inv.beta, inv.step, inv.tolerance)
     return Report(summary, SWEEP_COLUMNS, rows, audit_ok)
 
 
@@ -408,9 +407,6 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
                 _write(emit_report(report.head, "json"), None, out_stream)
         else:
             raise UnsupportedFormat(f"unsupported format: {fmt!r}")
-    except AuditFailure as exc:
-        print(f"audit failure: {exc}", file=err_stream)
-        return 3
     except ValidationError as exc:
         print(f"error: {exc}", file=err_stream)
         return 2

@@ -40,7 +40,3 @@ class SamplerExhausted(ValidationError):
 
 class UnsupportedFormat(ValidationError):
     """Unknown serialization format."""
-
-
-class AuditFailure(RuntimeError):
-    """A deterministic property that an audit asserts was found violated."""

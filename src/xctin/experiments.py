@@ -18,7 +18,7 @@ import numpy as np
 from .achievability import tdma_tin_gdof, tdma_tin_rate
 from .bounds import gdof_ub, sum_capacity_ub
 from .channel import AlphaMatrix
-from .errors import AuditFailure, InvalidBeta, SamplerExhausted, ValidationError
+from .errors import InvalidBeta, SamplerExhausted, ValidationError
 from .regime import classify, in_extended_regime
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
@@ -40,6 +40,8 @@ CONVERGE_COLUMNS = ("rho", "rate_norm", "ub_norm", "d_tt", "d_ub")
 SWEEP_GRID_SLACK = 1e-12
 # Grid points per axis at most (the acceptance grid has 151).
 SWEEP_MAX_AXIS_POINTS = 1001
+# Largest exponent on each sweep axis.
+SWEEP_RANGE_MAX = 0.75
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ class ConvergenceRow:
     d_ub: float
 
 
-def sweep_regime_plane(beta: float, step: float, range_max: float = 0.75,
+def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_MAX,
                        tol: float = 0.0) -> list[SweepRecord]:
     """Classify the (alpha21, alpha12) plane of the symmetric family
     alpha = [[1, alpha12, beta], [alpha21, 1, beta]].
@@ -102,10 +104,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = 0.75,
     row-major: alpha21 outer, alpha12 inner; at most SWEEP_MAX_AXIS_POINTS
     per axis. beta = 0.5 is accepted for the regime-coincidence check;
     otherwise 0.5 < beta < 1. Points are classified with tolerance
-    tol + SWEEP_GRID_SLACK.
-
-    Raises AuditFailure if any record violates regime inclusion or, inside
-    the extended regime, the achievable-GDoF/bound equality.
+    tol + SWEEP_GRID_SLACK; `sweep_audit_holds` checks the records.
     """
     b = float(beta)
     if not (0.5 <= b < 1.0):
@@ -127,17 +126,22 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = 0.75,
             a12 = k12 * s
             alpha = AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
             verdict = classify(alpha, tol=tol_grid)
-            d_tt = tdma_tin_gdof(alpha).value
-            ub = gdof_ub(alpha).value
-            if verdict.in_gsj and not verdict.in_extended:
-                raise AuditFailure(f"regime inclusion violated at ({a21}, {a12})")
-            if verdict.in_extended and abs(d_tt - ub) > 1e-12:
-                raise AuditFailure(
-                    f"in-regime GDoF mismatch at ({a21}, {a12}): {d_tt!r} vs {ub!r}")
             witness = verdict.witness_extended.label() if verdict.in_extended else None
-            records.append(SweepRecord(a21, a12, verdict.in_extended,
-                                       verdict.in_gsj, d_tt, ub, witness))
+            records.append(SweepRecord(a21, a12, verdict.in_extended, verdict.in_gsj,
+                                       tdma_tin_gdof(alpha).value, gdof_ub(alpha).value, witness))
     return records
+
+
+def sweep_audit_holds(records: list[SweepRecord], beta: float, step: float,
+                      tol: float) -> bool:
+    """Whether a sweep at tolerance tol passes its audits: regime inclusion
+    (gsj implies extended), achievable GDoF = GDoF bound within 1e-12 inside
+    the extended regime, and at tol 0 the closed-form geometry."""
+    for r in records:
+        if ((r.in_gsj and not r.in_extended)
+                or (r.in_extended and abs(r.d_tt - r.gdof_ub) > 1e-12)):
+            return False
+    return tol > 0.0 or sweep_geometry_holds(records, beta, step)
 
 
 def sweep_geometry_holds(records: list[SweepRecord], beta: float, step: float) -> bool:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import PERMUTATIONS, TxPermutation, genie_params
+from .bounds import _PICKS, TxPermutation, _genie_case, genie_params
 from .channel import AlphaMatrix
 from .errors import NotApplicable, ValidationError
 
@@ -75,11 +75,10 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
     The first argument can go negative and is deliberately not clipped; the
     outer max with a[j1][i2] >= 0 makes clipping immaterial.
     """
-    a = alpha.a
-    diff = a[p.j2 - 1][p.i3 - 1] - a[p.j2 - 1][p.i1 - 1]
-    first = a[p.j1 - 1][p.i3 - 1] - (diff if diff > 0.0 else 0.0)
-    second = a[p.j1 - 1][p.i2 - 1]
-    return first if first > second else second
+    _, u2, u3, v1, _, v3 = p.take(alpha.flat())
+    diff = v3 - v1
+    first = u3 - (diff if diff > 0.0 else 0.0)
+    return first if first > u2 else u2
 
 
 def _first_witness(alpha: AlphaMatrix, tol: float, reduced: bool) -> TxPermutation | None:
@@ -88,18 +87,15 @@ def _first_witness(alpha: AlphaMatrix, tol: float, reduced: bool) -> TxPermutati
     The threshold is psi when reduced, else max{a[j1][i3], a[j1][i2]}: the
     two regimes differ only in the (a[j2][i3] - a[j2][i1])^+ reduction.
     """
-    a = alpha.a
-    for p in PERMUTATIONS:
-        cross1 = a[p.j2 - 1][p.i1 - 1]
-        cross3 = a[p.j2 - 1][p.i3 - 1]
-        first = a[p.j1 - 1][p.i3 - 1]
-        if reduced and cross3 > cross1:
-            first -= cross3 - cross1
-        second = a[p.j1 - 1][p.i2 - 1]
-        thr = first if first > second else second
-        hi = cross1 if cross1 > cross3 else cross3
-        if (a[p.j1 - 1][p.i1 - 1] - cross1 + tol >= thr
-                and a[p.j2 - 1][p.i2 - 1] - second + tol >= hi):
+    a = alpha.flat()
+    for p, take in _PICKS:
+        u1, u2, u3, v1, v2, v3 = take(a)
+        first = u3
+        if reduced and v3 > v1:
+            first -= v3 - v1
+        thr = first if first > u2 else u2
+        hi = v1 if v1 > v3 else v3
+        if u1 - v1 + tol >= thr and v2 - u2 + tol >= hi:
             return p
     return None
 
@@ -126,9 +122,8 @@ def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
     pg = in_gsj_regime(alpha, tol)
     gdof = None
     if pe is not None:
-        a = alpha.a
-        gdof = (a[pe.j1 - 1][pe.i1 - 1] - a[pe.j2 - 1][pe.i1 - 1]
-                + a[pe.j2 - 1][pe.i2 - 1] - a[pe.j1 - 1][pe.i2 - 1])
+        u1, u2, _, v1, v2, _ = pe.take(alpha.flat())
+        gdof = u1 - v1 + v2 - u2
     return RegimeVerdict(pe is not None, pg is not None, pe, pg, gdof)
 
 
@@ -157,13 +152,13 @@ def genie_aux_pair(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> AuxChann
     h1 = c*h[j1][i1], h2 = c*h[j1][i3], h3 = h[j2][i1], h4 = h[j2][i3] with
     |h[j][i]|^2 = rho**(a[j][i] - 1).
     """
-    gp = genie_params(alpha, p, rho)
-    a = alpha.a
+    u1, _, u3, v1, _, v3 = p.take(alpha.flat())
+    c_sq, _, _ = _genie_case(rho, u1, u3, v1, v3)
     return AuxChannelPair(
-        h1_sq=gp.c_sq * rho ** (a[p.j1 - 1][p.i1 - 1] - 1.0),
-        h2_sq=gp.c_sq * rho ** (a[p.j1 - 1][p.i3 - 1] - 1.0),
-        h3_sq=rho ** (a[p.j2 - 1][p.i1 - 1] - 1.0),
-        h4_sq=rho ** (a[p.j2 - 1][p.i3 - 1] - 1.0),
+        h1_sq=c_sq * rho ** (u1 - 1.0),
+        h2_sq=c_sq * rho ** (u3 - 1.0),
+        h3_sq=rho ** (v1 - 1.0),
+        h4_sq=rho ** (v3 - 1.0),
         rho=rho,
     )
 

@@ -172,7 +172,19 @@ def test_sum_capacity_ub_profile_consistency():
     assert result.value == min(v for _, v in result.per_perm)
     by_perm = dict(result.per_perm)
     assert by_perm[result.argmin] == result.value
-    assert result.per_perm[0][1] == sum_capacity_ub_single(1e4, FIG_POINT, P0)
+    for p, v in result.per_perm:
+        assert v == sum_capacity_ub_single(1e4, FIG_POINT, p), p
+
+
+@given(alpha=alpha_grids, rho=st.floats(10.0, 1e9))
+def test_profiles_match_single_ordering_values_exactly(alpha, rho):
+    for result, single in ((sum_capacity_ub(rho, alpha),
+                            lambda p: sum_capacity_ub_single(rho, alpha, p)),
+                           (gdof_ub(alpha), lambda p: gdof_ub_single(alpha, p))):
+        assert [p for p, _ in result.per_perm] == list(PERMUTATIONS)
+        assert [v for _, v in result.per_perm] == [single(p) for p in PERMUTATIONS]
+        first = next(p for p, v in result.per_perm if v == result.value)
+        assert result.argmin == first and result.value == min(v for _, v in result.per_perm)
 
 
 # ---------------------------------------------------------------- GDoF bound

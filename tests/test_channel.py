@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xctin.achievability import tdma_tin_rate
-from xctin.bounds import sum_capacity_ub
+from xctin.achievability import IC_CONFIGS, IcConfig, tdma_tin_rate
+from xctin.bounds import PERMUTATIONS, TxPermutation, sum_capacity_ub
 from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix,
                            ChannelScenario, alpha_from_gain, effective_inr,
-                           load_scenario, rho_from_db, scenario_from_dict,
-                           validate_scenario)
+                           link_picker, load_scenario, rho_from_db,
+                           scenario_from_dict, validate_scenario)
 from xctin.errors import DegenerateSnr, NotInterferenceLimited, ValidationError
 
 rhos = st.floats(2.0, 1e12)
@@ -128,6 +128,37 @@ def test_alpha_matrix_rejects_bad_entries():
         AlphaMatrix(((1.0, math.nan, 0.75), (0.4, 1.0, 0.75)))
     with pytest.raises(ValidationError):
         AlphaMatrix(((1.0, math.inf, 0.75), (0.4, 1.0, 0.75)))
+
+
+# Six distinct entries, so a picker that reads a wrong link cannot pass.
+DISTINCT = AlphaMatrix(((0.11, 0.12, 0.13), (0.21, 0.22, 0.23)))
+
+
+def test_link_picker_reads_row_major_grid():
+    take = link_picker(((2, 3), (1, 1), (2, 1)))
+    assert take(DISTINCT.flat()) == (0.23, 0.11, 0.21)
+
+
+def test_every_ordering_picks_its_documented_links():
+    for p in PERMUTATIONS:
+        links = ((p.j1, p.i1), (p.j1, p.i2), (p.j1, p.i3),
+                 (p.j2, p.i1), (p.j2, p.i2), (p.j2, p.i3))
+        assert p.take(DISTINCT.flat()) == tuple(DISTINCT.entry(j, i) for j, i in links), p
+
+
+def test_every_pairing_picks_its_documented_links():
+    for cfg in IC_CONFIGS:
+        links = ((cfg.j1, cfg.i1), (cfg.j1, cfg.i2), (cfg.j2, cfg.i2), (cfg.j2, cfg.i1))
+        assert cfg.take(DISTINCT.flat()) == tuple(DISTINCT.entry(j, i) for j, i in links), cfg
+
+
+def test_pickers_stay_out_of_equality_hash_and_repr():
+    p = TxPermutation(1, 2, 3, 1, 2)
+    assert p == PERMUTATIONS[0] and hash(p) == hash(PERMUTATIONS[0])
+    assert repr(p) == "TxPermutation(i1=1, i2=2, i3=3, j1=1, j2=2)"
+    cfg = IcConfig(1, 2, 1, 2)
+    assert cfg == IC_CONFIGS[0] and hash(cfg) == hash(IC_CONFIGS[0])
+    assert repr(cfg) == "IcConfig(i1=1, i2=2, j1=1, j2=2)"
 
 
 def test_alpha_matrix_accepts_zero_entries():

@@ -15,6 +15,7 @@ from xctin.cli import CliInvocation, emit_report, main, run
 from xctin.channel import MAX_RHO_DB, AlphaMatrix
 from xctin.errors import UnsupportedFormat
 from xctin.experiments import GapReport
+from xctin.regime import RegimeVerdict
 
 FIG_SCENARIO = {"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}
 
@@ -385,6 +386,17 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
     assert len(doc["records"]) == doc["summary"]["n_records"] == 16 ** 2
     # At tolerance > 0 the regions are not rectangles and go unchecked.
     assert main(["sweep", "--beta", "0.65", "--step", "0.05", "--tolerance", "1e-15"]) == 0
+
+
+def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys):
+    # A classifier that puts every point in the reference regime but none
+    # in the extended one breaks regime inclusion everywhere.
+    monkeypatch.setattr(experiments, "classify",
+                        lambda alpha, tol: RegimeVerdict(False, True, None, None, None))
+    assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--format", "json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["records"]) == doc["summary"]["n_records"] == 16
+    assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--tolerance", "0.1"]) == 3
 
 
 def test_sweep_near_grid_beta_passes_geometry_audit(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (SWEEP_GRID_SLACK, GapReport, gap_audit,
                                gap_audit_with_rows, gdof_convergence_probe,
                                sample_in_regime, sandwich_audit,
-                               sandwich_audit_with_rows, sweep_geometry_holds,
-                               sweep_regime_plane)
+                               sandwich_audit_with_rows, sweep_audit_holds,
+                               sweep_geometry_holds, sweep_regime_plane)
 from xctin.regime import classify, in_extended_regime
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
@@ -106,6 +107,20 @@ def test_sweep_geometry_audit_detects_a_moved_boundary():
     assert not sweep_geometry_holds(records, 0.7, 0.05)
 
 
+def test_sweep_audit_checks_inclusion_and_gdof_equality():
+    records = sweep_regime_plane(0.75, 0.25)
+    assert sweep_audit_holds(records, 0.75, 0.25, 0.0)
+    outside = next(i for i, r in enumerate(records) if not r.in_extended)
+    inside = next(i for i, r in enumerate(records) if r.in_extended)
+    for idx, change in ((outside, dict(in_gsj=True)),
+                        (inside, dict(gdof_ub=records[inside].d_tt + 1e-11))):
+        broken = list(records)
+        broken[idx] = dataclasses.replace(records[idx], **change)
+        assert not sweep_audit_holds(broken, 0.75, 0.25, 0.0)
+        # Tolerance > 0 skips only the geometry, never these two checks.
+        assert not sweep_audit_holds(broken, 0.75, 0.25, 1e-6)
+
+
 def test_sweep_rejects_bad_parameters():
     with pytest.raises(InvalidBeta):
         sweep_regime_plane(0.4, 0.05)
@@ -114,7 +129,7 @@ def test_sweep_rejects_bad_parameters():
     with pytest.raises(ValidationError):
         sweep_regime_plane(0.75, 0.0)
     with pytest.raises(ValidationError):
-        sweep_regime_plane(0.75, 0.8, range_max=0.75)
+        sweep_regime_plane(0.75, 0.8)  # a step above SWEEP_RANGE_MAX
     with pytest.raises(ValidationError):  # 1002 points per axis, above the cap
         sweep_regime_plane(0.75, 0.75 / 1001)
     with pytest.raises(ValidationError):
