@@ -21,7 +21,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .channel import AlphaMatrix, link_picker
+import numpy as np
+
+from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
+                      link_picker, link_table)
 from .errors import ValidationError
 
 
@@ -69,6 +72,8 @@ IC_CONFIGS: tuple[IcConfig, ...] = tuple(
     IcConfig(i1, i2, 1, 2) for i1 in (1, 2, 3) for i2 in (1, 2, 3) if i2 != i1
 )
 _PICKS = tuple((cfg, cfg.take) for cfg in IC_CONFIGS)
+# (6, 4): row k holds the grid positions IC_CONFIGS[k].take reads.
+_CONFIG_LINKS = link_table(IC_CONFIGS)
 
 
 def enumerate_ic_configs() -> tuple[IcConfig, ...]:
@@ -122,3 +127,27 @@ def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:
 def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
     """Best pairing GDoF; ties break to the lexicographically first (i1, i2)."""
     return _first_max(_tin_gdof, alpha.flat())
+
+
+# ---------------------------------------------------------------- block kernels
+#
+# The same formulas over many exponent grids per call: a is an (n, 6)
+# row-major exponent array (rows as AlphaMatrix.flat()), and column k of a
+# returned (n, 6) profile belongs to IC_CONFIGS[k]. Operand order and libm
+# transcendentals match _tin_rate/_tin_gdof bit for bit; argmax along a row
+# gives the first maximum, as _first_max does.
+
+
+def tdma_tin_rate_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """TIN sum rate in bits of every pairing and every row of a at the SNRs
+    rho (shape (n,)); returns (n, 6)."""
+    des1, cross1, des2, cross2 = link_columns(libm_pow(rho, a), _CONFIG_LINKS)
+    return libm_log2(1.0 + des1 / (1.0 + cross1)) + libm_log2(1.0 + des2 / (1.0 + cross2))
+
+
+def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
+    """TIN GDoF of every pairing and every row of a; returns (n, 6)."""
+    des1, cross1, des2, cross2 = link_columns(a, _CONFIG_LINKS)
+    x = des1 - cross1
+    y = des2 - cross2
+    return np.where(x > 0.0, x, 0.0) + np.where(y > 0.0, y, 0.0)

@@ -32,7 +32,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .channel import AlphaMatrix, link_picker
+import numpy as np
+
+from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
+                      link_picker, link_table)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -99,6 +102,8 @@ PERMUTATIONS: tuple[TxPermutation, ...] = tuple(
     for (j1, j2) in ((1, 2), (2, 1))
 )
 _PICKS = tuple((p, p.take) for p in PERMUTATIONS)
+# (12, 6): row k holds the grid positions PERMUTATIONS[k].take reads.
+_PERM_LINKS = link_table(PERMUTATIONS)
 
 
 def enumerate_permutations() -> tuple[TxPermutation, ...]:
@@ -227,3 +232,44 @@ def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     """min_p D(p) with the full profile; ties break lexicographically."""
     a = alpha.flat()
     return _first_min(tuple([(p, _gdof(a, take)) for p, take in _PICKS]))
+
+
+# ---------------------------------------------------------------- block kernels
+#
+# The same formulas over many exponent grids per call: a is an (n, 6)
+# row-major exponent array (rows as AlphaMatrix.flat()), and column k of a
+# returned (n, 12) profile belongs to PERMUTATIONS[k]. Every expression keeps
+# the scalar operand order and the transcendentals go through libm, so each
+# entry is bit-identical to _bound/_gdof; argmin along a row gives the first
+# minimum, as _first_min does.
+
+
+def _max3(x, y, z):
+    """Elementwise builtin max(x, y, z): the first of equal values wins, so
+    signed zeros come out as in the scalar code (np.maximum keeps the last)."""
+    m = np.where(y > x, y, x)
+    return np.where(z > m, z, m)
+
+
+def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """B(p) in bits for every ordering and every row of a at the SNRs rho
+    (shape (n,)); returns (n, 12)."""
+    u1, _, u3, v1, _, v3 = link_columns(a, _PERM_LINKS)
+    case1 = v3 <= v1
+    # Cases 1 and 2 scale the genie at i1, case 3 at i3 (see _genie_case).
+    at_i1 = case1 | (v1 - u1 <= v3 - u3 - v1)
+    c_sq = libm_pow(rho, np.where(at_i1, v1 - u1, v3 - v1 - u3))
+    d = np.where(case1, 0.0, 1.0)
+    r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = link_columns(libm_pow(rho, a), _PERM_LINKS)
+    genie_power = r_j1i1 + d * r_j1i3
+    term1 = libm_log2(1.0 + r_j1i2 + (1.0 - d) * r_j1i3
+                      + genie_power / (1.0 + c_sq * genie_power))
+    term2 = libm_log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
+    return term1 + term2 + 1.0
+
+
+def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
+    """D(p) for every ordering and every row of a; returns (n, 12)."""
+    u1, u2, u3, v1, v2, v3 = link_columns(a, _PERM_LINKS)
+    diff = v3 - v1
+    return _max3(v1, v3, v2 - u2) + _max3(u2, u1 - v1, u3 - np.where(diff > 0.0, diff, 0.0))

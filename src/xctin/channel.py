@@ -20,6 +20,8 @@ import operator
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateSnr, NotInterferenceLimited, ValidationError
 
 N_RX = 2
@@ -90,6 +92,38 @@ def link_picker(links) -> operator.itemgetter:
     """Picker for the 1-based (receiver, transmitter) links, in order, out of
     any row-major 2x3 sequence such as `AlphaMatrix.flat()`."""
     return operator.itemgetter(*((j - 1) * N_TX + i - 1 for j, i in links))
+
+
+def link_table(items) -> np.ndarray:
+    """Index table of the links each item's `take` picks: row k holds the
+    row-major grid positions that items[k].take reads, in take order."""
+    return np.array([item.take(range(N_RX * N_TX)) for item in items])
+
+
+def link_columns(x: np.ndarray, table: np.ndarray) -> list[np.ndarray]:
+    """For each link column of an index table, the (n, len(table)) array of
+    that link gathered from every row of the (n, 6) row-major array x."""
+    return [x[:, col] for col in table.T]
+
+
+# numpy's vectorized power and log2 round differently from libm on some
+# inputs, which shows at 12 printed digits. The block kernels therefore map
+# Python's own pow and math.log2 over the elements, so every transcendental
+# is bit-identical to the scalar code; + - * / and comparisons are exact in
+# numpy already.
+
+def libm_pow(base: np.ndarray, expo: np.ndarray) -> np.ndarray:
+    """base[k] ** expo[k, :] for an (n,) base and an (n, m) exponent array,
+    each through libm's pow as Python's float ** computes it."""
+    n, m = expo.shape
+    return np.fromiter(map(pow, np.repeat(base, m).tolist(), expo.ravel().tolist()),
+                       float, count=n * m).reshape(n, m)
+
+
+def libm_log2(x: np.ndarray) -> np.ndarray:
+    """math.log2 of every element of x."""
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float,
+                       count=x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -51,12 +51,13 @@ class CliInvocation:
 
 class Report(NamedTuple):
     """A command's result: head is a point command's JSON document or a table
-    command's summary; columns and rows are the csv records."""
+    command's summary; columns and rows are the csv records; failure names
+    the audit check that failed, if any."""
 
     head: dict
     columns: tuple[str, ...]
     rows: list
-    audit_ok: bool = True
+    failure: str | None = None
 
 
 # ---------------------------------------------------------------- serialization
@@ -235,8 +236,8 @@ def _cmd_sweep(inv: CliInvocation):
         "n_extended": sum(1 for r in records if r.in_extended),
         "n_gsj": sum(1 for r in records if r.in_gsj),
     }
-    audit_ok = experiments.sweep_audit_holds(records, inv.beta, inv.step, inv.tolerance)
-    return Report(summary, SWEEP_COLUMNS, rows, audit_ok)
+    failure = experiments.sweep_audit_failure(records, inv.beta, inv.step, inv.tolerance)
+    return Report(summary, SWEEP_COLUMNS, rows, failure)
 
 
 def _cmd_gap_audit(inv: CliInvocation):
@@ -256,8 +257,12 @@ def _cmd_gap_audit(inv: CliInvocation):
         "all_within_7": report.all_within_7,
         "argmax_alpha": report.argmax_alpha,
     }
-    audit_ok = report.all_within_7 and report.min_gap_bits > 0.0
-    return Report(summary, GAP_COLUMNS, rows, audit_ok)
+    failure = None
+    if not report.all_within_7:
+        failure = f"max gap {report.max_gap_bits:.12g} bits exceeds 7 bits"
+    elif not report.min_gap_bits > 0.0:
+        failure = f"min gap {report.min_gap_bits:.12g} bits is not positive"
+    return Report(summary, GAP_COLUMNS, rows, failure)
 
 
 def _cmd_sandwich_audit(inv: CliInvocation):
@@ -276,9 +281,14 @@ def _cmd_sandwich_audit(inv: CliInvocation):
         "rate_tol_bits": SANDWICH_RATE_TOL_BITS,
         "gdof_tol": SANDWICH_GDOF_TOL,
     }
-    audit_ok = (report.max_rate_violation_bits <= SANDWICH_RATE_TOL_BITS
-                and report.max_gdof_violation <= SANDWICH_GDOF_TOL)
-    return Report(summary, SANDWICH_COLUMNS, rows, audit_ok)
+    failure = None
+    if not report.max_rate_violation_bits <= SANDWICH_RATE_TOL_BITS:
+        failure = (f"rate exceeds the bound by {report.max_rate_violation_bits:.12g} "
+                   f"bits (tolerance {SANDWICH_RATE_TOL_BITS:g})")
+    elif not report.max_gdof_violation <= SANDWICH_GDOF_TOL:
+        failure = (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation:.12g} "
+                   f"(tolerance {SANDWICH_GDOF_TOL:g})")
+    return Report(summary, SANDWICH_COLUMNS, rows, failure)
 
 
 def _cmd_converge(inv: CliInvocation):
@@ -292,12 +302,18 @@ def _cmd_converge(inv: CliInvocation):
         "d_tt": probe[0].d_tt,
         "d_ub": probe[0].d_ub,
     }
-    audit_ok = all(
-        abs(r.rate_norm - r.d_tt) <= 2.0 / math.log2(r.rho) + 1e-9
-        and r.ub_norm >= r.rate_norm - 1e-12
-        for r in probe
-    )
-    return Report(summary, CONVERGE_COLUMNS, rows, audit_ok)
+    outside = [r for r in probe if not abs(r.rate_norm - r.d_tt) <= 2.0 / math.log2(r.rho) + 1e-9]
+    crossed = [r for r in probe if not r.ub_norm >= r.rate_norm - 1e-12]
+    failure = None
+    if outside:
+        r = max(outside, key=lambda r: abs(r.rate_norm - r.d_tt) - 2.0 / math.log2(r.rho))
+        failure = (f"normalized rate is {abs(r.rate_norm - r.d_tt):.12g} from d_tt at rho "
+                   f"{r.rho:.12g}, outside the 2/log2(rho) corridor")
+    elif crossed:
+        r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
+        failure = (f"normalized bound is below the normalized rate by "
+                   f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
+    return Report(summary, CONVERGE_COLUMNS, rows, failure)
 
 
 @dataclass(frozen=True)
@@ -413,7 +429,10 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=err_stream)
         return 1
-    return 0 if report.audit_ok else 3
+    if report.failure is not None:
+        print(f"audit failure: {report.failure}", file=err_stream)
+        return 3
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,13 +11,16 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .achievability import tdma_tin_gdof, tdma_tin_rate
-from .bounds import gdof_ub, sum_capacity_ub
-from .channel import AlphaMatrix
+from .achievability import (tdma_tin_gdof, tdma_tin_gdof_profiles,
+                            tdma_tin_rate, tdma_tin_rate_profiles)
+from .bounds import (gdof_ub, gdof_ub_profiles, sum_capacity_ub,
+                     sum_capacity_ub_profiles)
+from .channel import AlphaMatrix, libm_pow
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 from .regime import classify, in_extended_regime
 
@@ -42,6 +45,9 @@ SWEEP_GRID_SLACK = 1e-12
 SWEEP_MAX_AXIS_POINTS = 1001
 # Largest exponent on each sweep axis.
 SWEEP_RANGE_MAX = 0.75
+# Rows per block-kernel call in the sweep and the audits: enough to spread
+# numpy's per-call cost, few enough that the temporaries stay small whatever n.
+BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -104,7 +110,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     row-major: alpha21 outer, alpha12 inner; at most SWEEP_MAX_AXIS_POINTS
     per axis. beta = 0.5 is accepted for the regime-coincidence check;
     otherwise 0.5 < beta < 1. Points are classified with tolerance
-    tol + SWEEP_GRID_SLACK; `sweep_audit_holds` checks the records.
+    tol + SWEEP_GRID_SLACK; `sweep_audit_failure` checks the records.
     """
     b = float(beta)
     if not (0.5 <= b < 1.0):
@@ -119,35 +125,51 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
             f"step {step!r} gives more than {SWEEP_MAX_AXIS_POINTS} grid points per axis")
     k_max = int(span)
     tol_grid = tol + SWEEP_GRID_SLACK
+    axis = [k * s for k in range(k_max + 1)]
+    side = len(axis)
     records: list[SweepRecord] = []
-    for k21 in range(k_max + 1):
-        a21 = k21 * s
-        for k12 in range(k_max + 1):
-            a12 = k12 * s
-            alpha = AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
-            verdict = classify(alpha, tol=tol_grid)
+    for start in range(0, side * side, BLOCK_ROWS):
+        block = [(axis[k // side], axis[k % side])
+                 for k in range(start, min(start + BLOCK_ROWS, side * side))]
+        grids = np.array([(1.0, a12, b, a21, 1.0, b) for a21, a12 in block])
+        d_tt = _first_max(tdma_tin_gdof_profiles(grids)).tolist()
+        d_ub = _first_min(gdof_ub_profiles(grids)).tolist()
+        for (a21, a12), dt, du in zip(block, d_tt, d_ub):
+            verdict = classify(AlphaMatrix(((1.0, a12, b), (a21, 1.0, b))), tol=tol_grid)
             witness = verdict.witness_extended.label() if verdict.in_extended else None
             records.append(SweepRecord(a21, a12, verdict.in_extended, verdict.in_gsj,
-                                       tdma_tin_gdof(alpha).value, gdof_ub(alpha).value, witness))
+                                       dt, du, witness))
     return records
 
 
-def sweep_audit_holds(records: list[SweepRecord], beta: float, step: float,
-                      tol: float) -> bool:
-    """Whether a sweep at tolerance tol passes its audits: regime inclusion
-    (gsj implies extended), achievable GDoF = GDoF bound within 1e-12 inside
-    the extended regime, and at tol 0 the closed-form geometry."""
+def sweep_audit_failure(records: list[SweepRecord], beta: float, step: float,
+                        tol: float) -> str | None:
+    """The first failed audit of a sweep at tolerance tol, named with the
+    first offending (alpha21, alpha12), or None when all pass: regime
+    inclusion (gsj implies extended), achievable GDoF = GDoF bound within
+    1e-12 inside the extended regime, and at tol 0 the closed-form geometry."""
     for r in records:
-        if ((r.in_gsj and not r.in_extended)
-                or (r.in_extended and abs(r.d_tt - r.gdof_ub) > 1e-12)):
-            return False
-    return tol > 0.0 or sweep_geometry_holds(records, beta, step)
+        if r.in_gsj and not r.in_extended:
+            return f"regime inclusion violated at {_coords(r)}"
+        if r.in_extended and abs(r.d_tt - r.gdof_ub) > 1e-12:
+            return (f"GDoF equality violated at {_coords(r)}: "
+                    f"d_tt {r.d_tt:.12g}, gdof_ub {r.gdof_ub:.12g}")
+    if tol > 0.0:
+        return None
+    r = _geometry_violation(records, beta, step)
+    return None if r is None else f"regime geometry violated at {_coords(r)}"
 
 
 def sweep_geometry_holds(records: list[SweepRecord], beta: float, step: float) -> bool:
     """Whether a tol-0 sweep matches the closed-form geometry on grid indices:
     extended = ([0, 0.5] x [0, 1-beta]) u ([0, 1-beta] x [0, 0.5]), reference
     = [0, 1-beta]^2, boundaries moved out by the sweep's SWEEP_GRID_SLACK."""
+    return _geometry_violation(records, beta, step) is None
+
+
+def _geometry_violation(records: list[SweepRecord], beta: float,
+                        step: float) -> SweepRecord | None:
+    """The first record off the closed-form geometry of sweep_geometry_holds."""
     s = float(step)
     k_half = int((0.5 + SWEEP_GRID_SLACK) / s)
     k_beta = int((1.0 - float(beta) + SWEEP_GRID_SLACK) / s)
@@ -156,8 +178,38 @@ def sweep_geometry_holds(records: list[SweepRecord], beta: float, step: float) -
         if (r.in_extended != ((k21 <= k_half and k12 <= k_beta)
                               or (k21 <= k_beta and k12 <= k_half))
                 or r.in_gsj != (k21 <= k_beta and k12 <= k_beta)):
-            return False
-    return True
+            return r
+    return None
+
+
+def _coords(r: SweepRecord) -> str:
+    return f"({r.alpha21:.12g}, {r.alpha12:.12g})"
+
+
+def _first_min(profiles: np.ndarray) -> np.ndarray:
+    """Each row's first minimum, as bounds._first_min picks it."""
+    return np.take_along_axis(profiles, profiles.argmin(axis=1)[:, None], axis=1)[:, 0]
+
+
+def _first_max(profiles: np.ndarray) -> np.ndarray:
+    """Each row's first maximum, as achievability._first_max picks it."""
+    return np.take_along_axis(profiles, profiles.argmax(axis=1)[:, None], axis=1)[:, 0]
+
+
+def _rates_and_bounds(grids: np.ndarray, rhos: np.ndarray):
+    """TDMA-TIN rate and min_p B(p) of grid i at SNR rhos[i, j] for every
+    pair (i, j), grid-major, as two flat arrays; BLOCK_ROWS pairs per kernel
+    call."""
+    k = rhos.shape[1]
+    n_pairs = len(grids) * k
+    rates, ubs = [], []
+    for start in range(0, n_pairs, BLOCK_ROWS):
+        pair = np.arange(start, min(start + BLOCK_ROWS, n_pairs))
+        a = grids[pair // k]
+        rho = rhos[pair // k, pair % k]
+        rates.append(_first_max(tdma_tin_rate_profiles(a, rho)))
+        ubs.append(_first_min(sum_capacity_ub_profiles(a, rho)))
+    return np.concatenate(rates), np.concatenate(ubs)
 
 
 def _check_rhos(rho_list) -> tuple[float, ...]:
@@ -171,6 +223,13 @@ def _check_box(box) -> tuple[float, float]:
     lo, hi = float(box[0]), float(box[1])
     if not (0.0 <= lo < hi):
         raise ValidationError(f"box must satisfy 0 <= lo < hi, got {box!r}")
+    return lo, hi
+
+
+def _check_rho_range(rho_range) -> tuple[float, float]:
+    lo, hi = float(rho_range[0]), float(rho_range[1])
+    if not (1.0 < lo < hi and math.isfinite(hi)):
+        raise ValidationError(f"rho_range must be finite with 1 < lo < hi, got {rho_range!r}")
     return lo, hi
 
 
@@ -246,30 +305,22 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     else:
         samples = _rejection_sample(n, functools.partial(_draw_symmetric, rng),
                                     exhaustion_window)
-    rows = []
-    max_gap = -math.inf
-    min_gap = math.inf
-    total = 0.0
-    argmax_alpha = samples[0]
-    for idx, alpha in enumerate(samples):
-        for rho in rhos:
-            ub = sum_capacity_ub(rho, alpha).value
-            rate = tdma_tin_rate(rho, alpha).value
-            gap = ub - rate
-            rows.append((idx, rho, gap, ub, rate))
-            total += gap
-            if gap > max_gap:
-                max_gap = gap
-                argmax_alpha = alpha
-            if gap < min_gap:
-                min_gap = gap
+    k = len(rhos)
+    rate, ub = _rates_and_bounds(np.array([alpha.flat() for alpha in samples]),
+                                 np.broadcast_to(rhos, (n, k)))
+    gaps = (ub - rate).tolist()
+    rows = list(zip([idx for idx in range(n) for _ in rhos], rhos * n,
+                    gaps, ub.tolist(), rate.tolist()))
+    max_gap = max(gaps)
+    min_gap = min(gaps)
     report = GapReport(
         n_samples=n,
         rho_list=rhos,
         max_gap_bits=max_gap,
-        mean_gap_bits=total / len(rows),
+        # Summed in row order, one addition at a time, as a running total.
+        mean_gap_bits=functools.reduce(operator.add, gaps, 0.0) / len(rows),
         min_gap_bits=min_gap,
-        argmax_alpha=argmax_alpha,
+        argmax_alpha=samples[gaps.index(max_gap) // k],
         all_within_7=max_gap <= 7.0,
         seed=seed,
     )
@@ -290,35 +341,44 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
 
     Exponent grids are drawn uniform on the box with no regime restriction.
     With rho_list=None each draw gets one SNR, log-uniform on rho_range
-    (draw order per sample: six exponents, then the SNR); otherwise every
-    draw is evaluated at each listed SNR. Rows are
-    (sample, rho, rate_bits, ub_bits, d_tt, d_ub).
+    (finite, 1 < lo < hi; draw order per sample: six exponents, then the
+    SNR); otherwise every draw is evaluated at each listed SNR. Rows are
+    (sample, rho, rate_bits, ub_bits, d_tt, d_ub). Draws are made and
+    evaluated BLOCK_ROWS at a time; the Philox stream is consumed in the
+    same order as one draw at a time.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n!r}")
-    box = _check_box(box)
+    lo, hi = _check_box(box)
     rhos = _check_rhos(rho_list) if rho_list is not None else None
-    lg_lo, lg_hi = math.log10(rho_range[0]), math.log10(rho_range[1])
+    rho_lo, rho_hi = _check_rho_range(rho_range)
+    lg_lo, lg_hi = math.log10(rho_lo), math.log10(rho_hi)
     rng = _generator(seed)
     rows = []
     max_rate_violation = -math.inf
     max_gdof_violation = -math.inf
-    for idx in range(n):
-        alpha = _draw_alpha(rng, box)
-        sample_rhos = rhos if rhos is not None else (10.0 ** rng.uniform(lg_lo, lg_hi),)
-        d_tt = tdma_tin_gdof(alpha).value
-        d_ub = gdof_ub(alpha).value
-        max_gdof_violation = max(max_gdof_violation, d_tt - d_ub)
-        for rho in sample_rhos:
-            rate = tdma_tin_rate(rho, alpha).value
-            ub = sum_capacity_ub(rho, alpha).value
-            max_rate_violation = max(max_rate_violation, rate - ub)
-            rows.append((idx, rho, rate, ub, d_tt, d_ub))
+    for start in range(0, n, BLOCK_ROWS):
+        m = min(BLOCK_ROWS, n - start)
+        u = rng.random((m, 6 if rhos is not None else 7))
+        grids = hi - (hi - lo) * u[:, :6]
+        if rhos is None:
+            sample_rhos = libm_pow(np.full(m, 10.0), lg_lo + (lg_hi - lg_lo) * u[:, 6:])
+        else:
+            sample_rhos = np.broadcast_to(rhos, (m, len(rhos)))
+        d_tt = _first_max(tdma_tin_gdof_profiles(grids))
+        d_ub = _first_min(gdof_ub_profiles(grids))
+        max_gdof_violation = max(max_gdof_violation, float((d_tt - d_ub).max()))
+        rate, ub = _rates_and_bounds(grids, sample_rhos)
+        max_rate_violation = max(max_rate_violation, float((rate - ub).max()))
+        k = sample_rhos.shape[1]
+        rows.extend(zip([idx for idx in range(start, start + m) for _ in range(k)],
+                        sample_rhos.ravel().tolist(), rate.tolist(), ub.tolist(),
+                        np.repeat(d_tt, k).tolist(), np.repeat(d_ub, k).tolist()))
     report = SandwichReport(
         n_samples=n,
         seed=seed,
         rho_list=rhos,
-        rho_range=(float(rho_range[0]), float(rho_range[1])),
+        rho_range=(rho_lo, rho_hi),
         max_rate_violation_bits=max_rate_violation,
         max_gdof_violation=max_gdof_violation,
     )

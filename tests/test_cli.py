@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -228,7 +229,9 @@ def test_gap_audit_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                         lambda *a, **k: (doctored, [(0, 100.0, 8.5, 10.0, 1.5)]))
     assert main(["gap-audit", "--n", "1"]) == 3
     # the finding is still reported, not swallowed
-    assert "sample,rho" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "sample,rho" in captured.out
+    assert captured.err == "audit failure: max gap 8.5 bits exceeds 7 bits\n"
 
 
 def test_sandwich_audit_cli(capsys):
@@ -293,6 +296,14 @@ BYTE_PINS = [
      "f8aad90bbc19c54d65050ded5bc1332493183c5c3e63fbd1d07d9b856bc4c710", "bacc6f296b7c565518b18348d8367d05cccbfbe194d12baeeaad42930bf6b88f"),
     (("sandwich-audit", "--n", "20", "--seed", "1", "--rho-db", "30,60", "--format", "json"),
      "64f438962589bf464632c859208a9228b1d16376973a7d9951fdca18ffda077a", ""),
+    # Recorded before the audits moved to block kernels; these span several
+    # blocks of experiments.BLOCK_ROWS evaluations (4500, 1800 and 5776).
+    (("sandwich-audit", "--format", "json", "--n", "1500", "--seed", "4", "--rho-db", "10,45,90"),
+     "81152f5fb6c1d5464cbd73e3e8ae51328d12e3cee6dffe5e835f361b2100fd54", ""),
+    (("gap-audit", "--fixed-family", "--n", "600", "--seed", "2"),
+     "a2010aebf98307078f69ff7283095e128715104360c375cafc0a4770e66bf6a5", ""),
+    (("sweep", "--beta", "0.6", "--step", "0.01"),
+     "b45a7a0aaea923b8d040b55dbb627835a5860d873bb07f0bc491282c4248d30f", ""),
 ]
 
 
@@ -394,9 +405,37 @@ def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys
     monkeypatch.setattr(experiments, "classify",
                         lambda alpha, tol: RegimeVerdict(False, True, None, None, None))
     assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--format", "json"]) == 3
-    doc = json.loads(capsys.readouterr().out)
+    captured = capsys.readouterr()
+    doc = json.loads(captured.out)
     assert len(doc["records"]) == doc["summary"]["n_records"] == 16
+    assert captured.err == "audit failure: regime inclusion violated at (0, 0)\n"
     assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--tolerance", "0.1"]) == 3
+
+
+def test_sweep_geometry_audit_failure_names_first_offending_point(monkeypatch, capsys):
+    exact = experiments.classify
+    monkeypatch.setattr(experiments, "classify", lambda alpha, tol: exact(alpha))
+    assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 3
+    # 7*0.05 rounds past 1 - 0.65, so line 7 leaves the regime at (0, 0.35).
+    assert capsys.readouterr().err == "audit failure: regime geometry violated at (0, 0.35)\n"
+
+
+def test_sandwich_and_converge_failures_name_the_bound_on_stderr(monkeypatch, capsys):
+    report, rows = experiments.sandwich_audit_with_rows(3, seed=1)
+    monkeypatch.setattr(cli.experiments, "sandwich_audit_with_rows", lambda *a, **k: (
+        dataclasses.replace(report, max_gdof_violation=0.25), rows))
+    assert main(["sandwich-audit", "--n", "3", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith("sample,rho")
+    assert captured.err == ("audit failure: TIN GDoF exceeds the GDoF bound by 0.25 "
+                            "(tolerance 1e-12)\n")
+    fig = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
+    probe = experiments.gdof_convergence_probe(fig, (1e4, 1e6))
+    monkeypatch.setattr(cli.experiments, "gdof_convergence_probe", lambda *a: [
+        dataclasses.replace(probe[0], ub_norm=probe[0].rate_norm - 0.5), probe[1]])
+    assert main(["converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60"]) == 3
+    assert capsys.readouterr().err == ("audit failure: normalized bound is below the "
+                                       "normalized rate by 0.5 at rho 10000\n")
 
 
 def test_sweep_near_grid_beta_passes_geometry_audit(capsys):

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
+from xctin.bounds import gdof_ub, sum_capacity_ub
 from xctin.channel import AlphaMatrix
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
-from xctin.experiments import (SWEEP_GRID_SLACK, GapReport, gap_audit,
+from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, GapReport, gap_audit,
                                gap_audit_with_rows, gdof_convergence_probe,
                                sample_in_regime, sandwich_audit,
-                               sandwich_audit_with_rows, sweep_audit_holds,
+                               sandwich_audit_with_rows, sweep_audit_failure,
                                sweep_geometry_holds, sweep_regime_plane)
 from xctin.regime import classify, in_extended_regime
 
@@ -109,16 +111,26 @@ def test_sweep_geometry_audit_detects_a_moved_boundary():
 
 def test_sweep_audit_checks_inclusion_and_gdof_equality():
     records = sweep_regime_plane(0.75, 0.25)
-    assert sweep_audit_holds(records, 0.75, 0.25, 0.0)
+    assert sweep_audit_failure(records, 0.75, 0.25, 0.0) is None
     outside = next(i for i, r in enumerate(records) if not r.in_extended)
     inside = next(i for i, r in enumerate(records) if r.in_extended)
-    for idx, change in ((outside, dict(in_gsj=True)),
-                        (inside, dict(gdof_ub=records[inside].d_tt + 1e-11))):
+    for idx, change, failure in (
+            (outside, dict(in_gsj=True), "regime inclusion violated at (0, 0.75)"),
+            (inside, dict(gdof_ub=records[inside].d_tt + 1e-11),
+             "GDoF equality violated at (0, 0): d_tt 2, gdof_ub 2.00000000001")):
         broken = list(records)
         broken[idx] = dataclasses.replace(records[idx], **change)
-        assert not sweep_audit_holds(broken, 0.75, 0.25, 0.0)
+        assert sweep_audit_failure(broken, 0.75, 0.25, 0.0) == failure
         # Tolerance > 0 skips only the geometry, never these two checks.
-        assert not sweep_audit_holds(broken, 0.75, 0.25, 1e-6)
+        assert sweep_audit_failure(broken, 0.75, 0.25, 1e-6) == failure
+
+
+def test_sweep_columns_match_scalar_gdof_across_blocks():
+    records = sweep_regime_plane(0.6, 0.045)  # 17**2 = 289 points, two blocks
+    assert len(records) > BLOCK_ROWS
+    for r in records:
+        alpha = AlphaMatrix(((1.0, r.alpha12, 0.6), (r.alpha21, 1.0, 0.6)))
+        assert (r.d_tt, r.gdof_ub) == (tdma_tin_gdof(alpha).value, gdof_ub(alpha).value)
 
 
 def test_sweep_rejects_bad_parameters():
@@ -181,6 +193,24 @@ def test_gap_audit_small_run():
         assert rho in (1e2, 1e4)
 
 
+def test_gap_audit_matches_scalar_evaluation_across_blocks():
+    n, rhos = BLOCK_ROWS // 3 + 1, (1e2, 1e4, 1e6)  # 258 evaluations, two blocks
+    report, rows = gap_audit_with_rows(n, rhos, seed=5)
+    samples = sample_in_regime(n, np.random.Generator(np.random.Philox(5)))
+    want = []
+    total = 0.0
+    for idx, alpha in enumerate(samples):
+        for rho in rhos:
+            ub = sum_capacity_ub(rho, alpha).value
+            rate = tdma_tin_rate(rho, alpha).value
+            want.append((idx, rho, ub - rate, ub, rate))
+            total += ub - rate
+    assert rows == want
+    gaps = [row[2] for row in want]
+    assert report.mean_gap_bits == total / len(want)
+    assert report.argmax_alpha == samples[gaps.index(max(gaps)) // len(rhos)]
+
+
 def test_gap_audit_deterministic():
     a = gap_audit(25, (1e2,), seed=11)
     b = gap_audit(25, (1e2,), seed=11)
@@ -228,6 +258,46 @@ def test_sandwich_audit_rho_list_mode():
     assert report.rho_list == (1e2, 1e6)
     assert len(rows) == 100
     assert report.max_rate_violation_bits <= 1e-9
+
+
+def _sandwich_reference(n, seed, rho_list=None, rho_range=(10.0, 1e9)):
+    """Rows of the sandwich audit, one draw and one scalar call at a time."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    lg_lo, lg_hi = math.log10(rho_range[0]), math.log10(rho_range[1])
+    rows = []
+    for idx in range(n):
+        v = 2.0 - 2.0 * rng.random(6)
+        alpha = AlphaMatrix(((v[0], v[1], v[2]), (v[3], v[4], v[5])))
+        rhos = rho_list if rho_list is not None else (10.0 ** rng.uniform(lg_lo, lg_hi),)
+        d_tt, d_ub = tdma_tin_gdof(alpha).value, gdof_ub(alpha).value
+        for rho in rhos:
+            rows.append((idx, rho, tdma_tin_rate(rho, alpha).value,
+                         sum_capacity_ub(rho, alpha).value, d_tt, d_ub))
+    return rows
+
+
+@pytest.mark.parametrize("n,rho_list", [
+    (1, None), (BLOCK_ROWS, None), (BLOCK_ROWS + 1, None),
+    (BLOCK_ROWS // 2 + 1, (1e2, 1e5, 1e9)),  # 387 evaluations over 129 draws
+])
+def test_sandwich_audit_matches_scalar_evaluation_across_blocks(n, rho_list):
+    report, rows = sandwich_audit_with_rows(n, rho_list, seed=9)
+    want = _sandwich_reference(n, 9, rho_list)
+    assert rows == want
+    assert report.max_rate_violation_bits == max(rate - ub for _, _, rate, ub, _, _ in want)
+    assert report.max_gdof_violation == max(d_tt - d_ub for *_, d_tt, d_ub in want)
+
+
+@pytest.mark.parametrize("rho_range", [
+    (0.5, 0.9),             # below 1: was evaluated at rho < 1
+    (0.0, 10.0),            # was a math domain error
+    (100.0, 10.0),          # reversed: was stopped only by numpy's uniform
+    (10.0, math.inf),
+    (math.nan, 10.0),
+])
+def test_sandwich_audit_rejects_bad_rho_range(rho_range):
+    with pytest.raises(ValidationError):
+        sandwich_audit(5, seed=1, rho_range=rho_range)
 
 
 def test_sandwich_audit_deterministic():
