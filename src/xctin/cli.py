@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, NamedTuple
 
 from . import experiments
@@ -90,6 +91,23 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
+_CSV_BOOL = {True: "true", False: "false"}
+# Rows transposed at a time by the csv writer, so the column lists it holds
+# stay small whatever the row count.
+CSV_CHUNK_ROWS = 1024
+
+
+def _csv_column(col: tuple) -> list[str]:
+    """The cells of one column, as _csv_cell renders them: an all-float or
+    all-bool column in one pass, any other cell by cell."""
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return list(map(format, col, repeat(".12g")))
+    if kinds == {bool}:
+        return list(map(_CSV_BOOL.__getitem__, col))
+    return list(map(_csv_cell, col))
+
+
 def emit_report(results, format: str) -> bytes:
     """Serialize a results payload to bytes.
 
@@ -104,8 +122,14 @@ def emit_report(results, format: str) -> bytes:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(results["columns"])
-        for row in results["rows"]:
-            writer.writerow([_csv_cell(v) for v in row])
+        rows = iter(results["rows"])
+        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
+            widths = set(map(len, chunk))
+            if len(widths) == 1 and 0 not in widths:
+                writer.writerows(zip(*map(_csv_column, zip(*chunk))))
+            else:
+                # Ragged or empty rows: each written at its own length.
+                writer.writerows([_csv_cell(v) for v in row] for row in chunk)
         return buf.getvalue().encode("utf-8")
     if format == "json":
         return (json.dumps(_jsonify(results), indent=2) + "\n").encode("utf-8")

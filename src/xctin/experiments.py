@@ -18,11 +18,13 @@ import numpy as np
 
 from .achievability import (tdma_tin_gdof, tdma_tin_gdof_profiles,
                             tdma_tin_rate, tdma_tin_rate_profiles)
-from .bounds import (gdof_ub, gdof_ub_profiles, sum_capacity_ub,
-                     sum_capacity_ub_profiles)
-from .channel import AlphaMatrix, libm_pow
+from .bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
+                     sum_capacity_ub, sum_capacity_ub_profiles)
+from .channel import DEFAULT_ALPHA_CAP, AlphaMatrix, libm_pow
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
-from .regime import classify, in_extended_regime
+# classify is no longer called here; it stays a module attribute because the
+# benchmark tracer's BOUNDARIES and tests/test_bench_names.py name it.
+from .regime import classify, in_extended_regime, regime_witnesses  # noqa: F401
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
@@ -48,6 +50,8 @@ SWEEP_RANGE_MAX = 0.75
 # Rows per block-kernel call in the sweep and the audits: enough to spread
 # numpy's per-call cost, few enough that the temporaries stay small whatever n.
 BLOCK_ROWS = 256
+# Witness labels of the sweep records, indexed like PERMUTATIONS.
+_WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS)
 
 
 @dataclass(frozen=True)
@@ -126,6 +130,8 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     k_max = int(span)
     tol_grid = tol + SWEEP_GRID_SLACK
     axis = [k * s for k in range(k_max + 1)]
+    if not all(0.0 <= x < math.inf for x in axis):
+        raise ValidationError(f"sweep grid values must be finite and >= 0, got step {step!r}")
     side = len(axis)
     records: list[SweepRecord] = []
     for start in range(0, side * side, BLOCK_ROWS):
@@ -134,11 +140,10 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
         grids = np.array([(1.0, a12, b, a21, 1.0, b) for a21, a12 in block])
         d_tt = _first_max(tdma_tin_gdof_profiles(grids)).tolist()
         d_ub = _first_min(gdof_ub_profiles(grids)).tolist()
-        for (a21, a12), dt, du in zip(block, d_tt, d_ub):
-            verdict = classify(AlphaMatrix(((1.0, a12, b), (a21, 1.0, b))), tol=tol_grid)
-            witness = verdict.witness_extended.label() if verdict.in_extended else None
-            records.append(SweepRecord(a21, a12, verdict.in_extended, verdict.in_gsj,
-                                       dt, du, witness))
+        ext, gsj = regime_witnesses(grids, tol_grid)
+        for (a21, a12), dt, du, we, wg in zip(block, d_tt, d_ub, ext.tolist(), gsj.tolist()):
+            records.append(SweepRecord(a21, a12, we >= 0, wg >= 0, dt, du,
+                                       _WITNESS_LABELS[we] if we >= 0 else None))
     return records
 
 
@@ -212,6 +217,12 @@ def _rates_and_bounds(grids: np.ndarray, rhos: np.ndarray):
     return np.concatenate(rates), np.concatenate(ubs)
 
 
+def _max_keep_nan(running: float, x: float) -> float:
+    """Builtin max(running, x), except that a NaN x wins: max(-inf, nan)
+    would drop it, and the audit would pass on a NaN violation."""
+    return x if math.isnan(x) else max(running, x)
+
+
 def _check_rhos(rho_list) -> tuple[float, ...]:
     rhos = tuple(float(r) for r in rho_list)
     if not rhos or any(not r > 1.0 for r in rhos):
@@ -221,8 +232,9 @@ def _check_rhos(rho_list) -> tuple[float, ...]:
 
 def _check_box(box) -> tuple[float, float]:
     lo, hi = float(box[0]), float(box[1])
-    if not (0.0 <= lo < hi):
-        raise ValidationError(f"box must satisfy 0 <= lo < hi, got {box!r}")
+    if not (0.0 <= lo < hi <= DEFAULT_ALPHA_CAP):
+        raise ValidationError(
+            f"box must satisfy 0 <= lo < hi <= {DEFAULT_ALPHA_CAP:g}, got {box!r}")
     return lo, hi
 
 
@@ -367,9 +379,9 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
             sample_rhos = np.broadcast_to(rhos, (m, len(rhos)))
         d_tt = _first_max(tdma_tin_gdof_profiles(grids))
         d_ub = _first_min(gdof_ub_profiles(grids))
-        max_gdof_violation = max(max_gdof_violation, float((d_tt - d_ub).max()))
+        max_gdof_violation = _max_keep_nan(max_gdof_violation, float((d_tt - d_ub).max()))
         rate, ub = _rates_and_bounds(grids, sample_rhos)
-        max_rate_violation = max(max_rate_violation, float((rate - ub).max()))
+        max_rate_violation = _max_keep_nan(max_rate_violation, float((rate - ub).max()))
         k = sample_rhos.shape[1]
         rows.extend(zip([idx for idx in range(start, start + m) for _ in range(k)],
                         sample_rhos.ravel().tolist(), rate.tolist(), ub.tolist(),

@@ -25,8 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import _PICKS, TxPermutation, _genie_case, genie_params
-from .channel import AlphaMatrix
+import numpy as np
+
+from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_case, genie_params
+from .channel import AlphaMatrix, link_columns
 from .errors import NotApplicable, ValidationError
 
 
@@ -125,6 +127,32 @@ def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
         u1, u2, _, v1, v2, _ = pe.take(alpha.flat())
         gdof = u1 - v1 + v2 - u2
     return RegimeVerdict(pe is not None, pg is not None, pe, pg, gdof)
+
+
+def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Block form of in_extended_regime and in_gsj_regime over the rows of an
+    (n, 6) row-major exponent array (rows as AlphaMatrix.flat()).
+
+    Returns two (n,) integer arrays: each row's first extended witness and
+    first reference-regime witness as an index into PERMUTATIONS, or -1 for
+    none. Every expression keeps the operand order of _first_witness and
+    there are only subtractions, additions and comparisons, so the verdicts
+    are bit-identical to the scalar loop's.
+    """
+    u1, u2, u3, v1, v2, v3 = link_columns(a, _PERM_LINKS)
+    hi = np.where(v1 > v3, v1, v3)
+    cross = v2 - u2 + tol >= hi
+    direct = u1 - v1 + tol
+    first = np.where(v3 > v1, u3 - (v3 - v1), u3)
+    extended = (direct >= np.where(first > u2, first, u2)) & cross
+    gsj = (direct >= np.where(u3 > u2, u3, u2)) & cross
+    return _first_true(extended), _first_true(gsj)
+
+
+def _first_true(ok: np.ndarray) -> np.ndarray:
+    """Column of each row's first True, or -1 where the row has none."""
+    k = ok.argmax(axis=1)
+    return np.where(ok[np.arange(len(ok)), k], k, -1)
 
 
 def entropy_gap_conditions_hold(pair: AuxChannelPair, rel_tol: float = 0.0) -> bool:

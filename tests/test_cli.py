@@ -7,6 +7,7 @@ import json
 import os
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,6 @@ from xctin.cli import CliInvocation, emit_report, main, run
 from xctin.channel import MAX_RHO_DB, AlphaMatrix
 from xctin.errors import UnsupportedFormat
 from xctin.experiments import GapReport
-from xctin.regime import RegimeVerdict
 
 FIG_SCENARIO = {"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}
 
@@ -46,6 +46,45 @@ def test_emit_report_rounds_to_12_significant_digits():
 def test_emit_report_json_round_trips():
     payload = {"a": [1.5, {"b": False, "c": None}], "s": "text"}
     assert json.loads(emit_report(payload, "json")) == payload
+
+
+def _csv_reference(columns, rows) -> bytes:
+    """The csv bytes of writing every row cell by cell through _csv_cell."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([cli._csv_cell(v) for v in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def test_emit_report_csv_columns_match_cell_by_cell_writing():
+    columns = ("i", "flag", "x", "label", "y")
+    rows = [(0, True, -0.0, "a,b", np.float64(1.0) / 3.0),
+            (1, False, 1.0 / 3.0, None, 2.5),
+            (-2, True, 1e-300, "q\"uote", float("inf")),
+            (3, False, 12345678901234.5, None, 7.0)]
+    assert emit_report({"columns": columns, "rows": rows}, "csv") == _csv_reference(columns, rows)
+    assert emit_report({"columns": columns, "rows": []}, "csv") == b"i,flag,x,label,y\n"
+
+
+def test_emit_report_csv_columns_span_transpose_chunks():
+    # More rows than one chunk, and a column whose type changes in the
+    # last chunk only.
+    n = 2 * cli.CSV_CHUNK_ROWS + 7
+    rows = [(k, k % 3 == 0, k / 7.0, k * 0.1 if k < n - 3 else None) for k in range(n)]
+    data = emit_report({"columns": ("k", "b", "x", "y"), "rows": iter(rows)}, "csv")
+    assert data == _csv_reference(("k", "b", "x", "y"), rows)
+    assert data.count(b"\n") == n + 1
+
+
+def test_emit_report_csv_writes_ragged_rows_whole():
+    rows = [(1.5, True), (2.5, False, "extra"), (), (0.25,)]
+    chunked = [(0.5, 1.5)] * cli.CSV_CHUNK_ROWS + [(0.5, 1.5, 2.5)]
+    for table in (rows, chunked):
+        data = emit_report({"columns": ("a", "b"), "rows": table}, "csv")
+        assert data == _csv_reference(("a", "b"), table)
+    assert b"2.5,false,extra\n" in emit_report({"columns": ("a", "b"), "rows": rows}, "csv")
 
 
 def test_emit_report_unsupported_format():
@@ -304,6 +343,13 @@ BYTE_PINS = [
      "a2010aebf98307078f69ff7283095e128715104360c375cafc0a4770e66bf6a5", ""),
     (("sweep", "--beta", "0.6", "--step", "0.01"),
      "b45a7a0aaea923b8d040b55dbb627835a5860d873bb07f0bc491282c4248d30f", ""),
+    # Recorded before the sweep's regime test moved to the block kernel:
+    # the benchmark's 151**2 half-grid shape (--out first, so its id differs
+    # from the first sweep pin's), and a sweep at tolerance > 0.
+    (("sweep", "--out", "{out}", "--beta", "0.7725", "--step", "0.005"),
+     "09af0721bbba37c1666cbded24d60eeddd0f42c902955122b5afa982afe931dd", "321efbdba722395d62ff92ebf24902b78dd69ea90a5b54747206795acfc976d3"),
+    (("sweep", "--beta", "0.7", "--step", "0.01", "--tolerance", "0.004"),
+     "3207346b314e7a11363a1bb4c218ae58b00272c58b2f12c229276785e3a43ea1", ""),
 ]
 
 
@@ -390,8 +436,8 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
     # summary are still written, then the geometry audit exits 3.
     assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 0
     capsys.readouterr()
-    exact = experiments.classify
-    monkeypatch.setattr(experiments, "classify", lambda alpha, tol: exact(alpha))
+    exact = experiments.regime_witnesses
+    monkeypatch.setattr(experiments, "regime_witnesses", lambda a, tol: exact(a))
     assert main(["sweep", "--beta", "0.65", "--step", "0.05", "--format", "json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["records"]) == doc["summary"]["n_records"] == 16 ** 2
@@ -402,8 +448,8 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
 def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys):
     # A classifier that puts every point in the reference regime but none
     # in the extended one breaks regime inclusion everywhere.
-    monkeypatch.setattr(experiments, "classify",
-                        lambda alpha, tol: RegimeVerdict(False, True, None, None, None))
+    monkeypatch.setattr(experiments, "regime_witnesses", lambda a, tol: (
+        np.full(len(a), -1), np.zeros(len(a), dtype=int)))
     assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--format", "json"]) == 3
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -413,8 +459,8 @@ def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys
 
 
 def test_sweep_geometry_audit_failure_names_first_offending_point(monkeypatch, capsys):
-    exact = experiments.classify
-    monkeypatch.setattr(experiments, "classify", lambda alpha, tol: exact(alpha))
+    exact = experiments.regime_witnesses
+    monkeypatch.setattr(experiments, "regime_witnesses", lambda a, tol: exact(a))
     assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 3
     # 7*0.05 rounds past 1 - 0.65, so line 7 leaves the regime at (0, 0.35).
     assert capsys.readouterr().err == "audit failure: regime geometry violated at (0, 0.35)\n"

@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from xctin import experiments
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
 from xctin.bounds import gdof_ub, sum_capacity_ub
-from xctin.channel import AlphaMatrix
+from xctin.channel import DEFAULT_ALPHA_CAP, AlphaMatrix
+from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, GapReport, gap_audit,
                                gap_audit_with_rows, gdof_convergence_probe,
@@ -131,6 +133,19 @@ def test_sweep_columns_match_scalar_gdof_across_blocks():
     for r in records:
         alpha = AlphaMatrix(((1.0, r.alpha12, 0.6), (r.alpha21, 1.0, 0.6)))
         assert (r.d_tt, r.gdof_ub) == (tdma_tin_gdof(alpha).value, gdof_ub(alpha).value)
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.01])
+@pytest.mark.parametrize("beta", [0.5, 0.6, 0.65, 0.75, 0.7725, 0.95])
+def test_sweep_verdicts_match_scalar_classify(beta, tol):
+    records = sweep_regime_plane(beta, 0.05, tol=tol)
+    assert len(records) == 16 ** 2
+    for r in records:
+        alpha = AlphaMatrix(((1.0, r.alpha12, beta), (r.alpha21, 1.0, beta)))
+        verdict = classify(alpha, tol + SWEEP_GRID_SLACK)
+        witness = verdict.witness_extended
+        assert (r.in_extended, r.in_gsj, r.witness) == (
+            verdict.in_extended, verdict.in_gsj, witness.label() if witness else None)
 
 
 def test_sweep_rejects_bad_parameters():
@@ -298,6 +313,41 @@ def test_sandwich_audit_matches_scalar_evaluation_across_blocks(n, rho_list):
 def test_sandwich_audit_rejects_bad_rho_range(rho_range):
     with pytest.raises(ValidationError):
         sandwich_audit(5, seed=1, rho_range=rho_range)
+
+
+@pytest.mark.parametrize("box", [(0.0, 1000.0), (0.0, math.inf), (0.0, math.nan),
+                                 (1.0, DEFAULT_ALPHA_CAP + 1e-9)])
+def test_audits_reject_box_above_the_exponent_cap(box):
+    # (0, 1000) used to overflow in rho ** a; (0, inf) drew NaN grids and
+    # passed the sandwich audit with both violations at -inf.
+    with pytest.raises(ValidationError):
+        sandwich_audit(5, seed=1, box=box)
+    with pytest.raises(ValidationError):
+        gap_audit(5, (100.0,), seed=1, box=box)
+    assert sandwich_audit(5, seed=1, box=(0.0, DEFAULT_ALPHA_CAP)).n_samples == 5
+
+
+def test_sandwich_audit_keeps_a_nan_violation(monkeypatch, capsys):
+    # A NaN rate in the second block must reach the report and fail the
+    # audit; builtin max(-inf or any number, nan) would drop it.
+    rates_and_bounds = experiments._rates_and_bounds
+    calls = []
+
+    def nan_in_second_block(grids, rhos):
+        rate, ub = rates_and_bounds(grids, rhos)
+        calls.append(len(rate))
+        if len(calls) == 2:
+            rate[3] = math.nan
+        return rate, ub
+
+    monkeypatch.setattr(experiments, "_rates_and_bounds", nan_in_second_block)
+    report = sandwich_audit(BLOCK_ROWS + 5, seed=1)
+    assert math.isnan(report.max_rate_violation_bits)
+    assert report.max_gdof_violation <= 1e-12
+    calls.clear()
+    assert main(["sandwich-audit", "--n", str(BLOCK_ROWS + 5), "--seed", "1"]) == 3
+    assert capsys.readouterr().err == ("audit failure: rate exceeds the bound by nan "
+                                       "bits (tolerance 1e-09)\n")
 
 
 def test_sandwich_audit_deterministic():
