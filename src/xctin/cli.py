@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 from . import experiments
@@ -24,10 +24,8 @@ from .bounds import gdof_ub, sum_capacity_ub
 from .channel import (AlphaMatrix, check_exponent_range, load_scenario,
                       rho_from_db, validate_scenario)
 from .errors import DegenerateSnr, UnsupportedFormat, ValidationError
-from .experiments import (CONVERGE_COLUMNS, GAP_COLUMNS, GENERATOR_ID,
-                          SANDWICH_COLUMNS, SANDWICH_GDOF_TOL,
-                          SANDWICH_RATE_TOL_BITS, SWEEP_COLUMNS,
-                          SWEEP_RANGE_MAX)
+from .experiments import (CONVERGE_COLUMNS, GENERATOR_ID, SANDWICH_GDOF_TOL,
+                          SANDWICH_RATE_TOL_BITS, SWEEP_RANGE_MAX, Table)
 from .regime import classify
 
 
@@ -52,12 +50,11 @@ class CliInvocation:
 
 class Report(NamedTuple):
     """A command's result: head is a point command's JSON document or a table
-    command's summary; columns and rows are the csv records; failure names
-    the audit check that failed, if any."""
+    command's summary; table holds the csv records; failure names the audit
+    check that failed, if any."""
 
     head: dict
-    columns: tuple[str, ...]
-    rows: list
+    table: Table
     failure: str | None = None
 
 
@@ -91,48 +88,123 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-_CSV_BOOL = {True: "true", False: "false"}
-# Rows transposed at a time by the csv writer, so the column lists it holds
-# stay small whatever the row count.
-CSV_CHUNK_ROWS = 1024
+# Per column kind of a Table (see experiments.Table): the csv template field
+# of a column the template formats itself. '%.12g' % x and format(x, '.12g')
+# are one routine, with the same bytes for -0.0, inf and nan, so the typed
+# path writes what _csv_cell writes.
+_CSV_FIELD = {"i": "%d", "f": "%.12g"}
+_CSV_TEXT = {True: "true", False: "false", None: ""}
+_JSON_BOOL = {True: "true", False: "false"}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Values probed to tell whether a float column repeats. The sweep's axes and
+# GDoF columns hold a few hundred distinct values, and formatting each once
+# pays; audit draws are all distinct, and a dict of them costs more than
+# formatting every cell.
+_REPEAT_PROBE = 1024
 
 
-def _csv_column(col: tuple) -> list[str]:
-    """The cells of one column, as _csv_cell renders them: an all-float or
-    all-bool column in one pass, any other cell by cell."""
-    kinds = set(map(type, col))
-    if kinds == {float}:
-        return list(map(format, col, repeat(".12g")))
-    if kinds == {bool}:
-        return list(map(_CSV_BOOL.__getitem__, col))
-    return list(map(_csv_cell, col))
+def _repeats(col) -> bool:
+    head = col[:_REPEAT_PROBE]
+    return 2 * len(set(head)) <= len(head)
+
+
+def _memo_texts(col, texts):
+    """The cells of texts(col), calling texts once on the distinct values of
+    col."""
+    distinct = list(set(col))
+    memo = dict(zip(distinct, texts(distinct)))
+    # 0.0 and -0.0 are one key, so a column holding both is not memoized.
+    if 0.0 in memo and len({math.copysign(1.0, v) for v in col if v == 0.0}) == 2:
+        return texts(col)
+    return map(memo.__getitem__, col)
+
+
+def _csv_floats(col) -> list[str]:
+    return list(map(format, col, repeat(".12g")))
+
+
+def _json_floats(col) -> list[str]:
+    """repr(_round12(x)) of each cell, NaN and Infinity as json.dumps writes them."""
+    texts = list(map(repr, map(float, map(format, col, repeat(".12g")))))
+    return list(map(_JSON_NON_FINITE.get, texts, texts))
+
+
+def _csv_field(kind: str, col):
+    """The csv template field of one typed column and the cells it formats."""
+    if kind == "g":
+        return "%s", map(_csv_cell, col)
+    if kind in "bs":
+        return "%s", map(_CSV_TEXT.get, col, col)
+    if kind == "f" and _repeats(col):
+        return "%s", _memo_texts(col, _csv_floats)
+    return _CSV_FIELD[kind], col
+
+
+def _csv_records(table: Table):
+    """The csv rows of a typed table, one %-template per row."""
+    fields, cells = zip(*map(_csv_field, table.kinds, table.columns))
+    return map((",".join(fields) + "\n").__mod__, zip(*cells))
+
+
+def _json_cells(kind: str, col):
+    """One column's JSON texts, as json.dumps writes _jsonify of each cell."""
+    if kind == "f":
+        return _memo_texts(col, _json_floats) if _repeats(col) else _json_floats(col)
+    if kind == "i":
+        return map(repr, col)
+    if kind == "s":
+        return _memo_texts(col, lambda values: list(map(json.dumps, values)))
+    if kind == "g":
+        return map(json.dumps, map(_jsonify, col))
+    return map(_JSON_BOOL.__getitem__, col)
+
+
+def _json_records(table: Table) -> str:
+    """A typed table as the records list of a top-level JSON document, one
+    %-template per record, laid out as json.dumps(..., indent=2) does."""
+    if not len(table):
+        return "[]"
+    fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in table.names)
+    template = "    {\n" + fields + "\n    }"
+    cells = [_json_cells(kind, col) for kind, col in zip(table.kinds, table.columns)]
+    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n  ]"
+
+
+def _json_text(doc) -> str:
+    """json.dumps(_jsonify(doc), indent=2), except that each Table value of a
+    top-level dict is written as its list of records by _json_records."""
+    if not (isinstance(doc, dict) and any(isinstance(v, Table) for v in doc.values())):
+        return json.dumps(_jsonify(doc), indent=2)
+    items = [f"  {json.dumps(key)}: " + (
+        _json_records(value) if isinstance(value, Table)
+        else json.dumps(_jsonify(value), indent=2).replace("\n", "\n  "))
+        for key, value in doc.items()]
+    return "{\n" + ",\n".join(items) + "\n}"
 
 
 def emit_report(results, format: str) -> bytes:
     """Serialize a results payload to bytes.
 
-    "csv" renders results["columns"] and results["rows"]; "json" renders the
-    whole payload with its construction field order. Reals carry 12
-    significant digits in both formats, so equal results serialize to equal
-    bytes.
+    "csv" renders a Table through one row template, or the "columns" and
+    "rows" of a dict cell by cell; "json" renders the whole payload with its
+    construction field order, a Table value as its list of records. Reals
+    carry 12 significant digits in both formats, so equal results serialize
+    to equal bytes.
     """
     if format == "csv":
-        if not isinstance(results, dict) or "columns" not in results or "rows" not in results:
-            raise UnsupportedFormat("csv serialization needs 'columns' and 'rows'")
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(results["columns"])
-        rows = iter(results["rows"])
-        while chunk := list(islice(rows, CSV_CHUNK_ROWS)):
-            widths = set(map(len, chunk))
-            if len(widths) == 1 and 0 not in widths:
-                writer.writerows(zip(*map(_csv_column, zip(*chunk))))
-            else:
-                # Ragged or empty rows: each written at its own length.
-                writer.writerows([_csv_cell(v) for v in row] for row in chunk)
+        if isinstance(results, Table):
+            writer.writerow(results.names)
+            buf.writelines(_csv_records(results))
+        elif isinstance(results, dict) and "columns" in results and "rows" in results:
+            writer.writerow(results["columns"])
+            writer.writerows([_csv_cell(v) for v in row] for row in results["rows"])
+        else:
+            raise UnsupportedFormat("csv serialization needs a Table, or 'columns' and 'rows'")
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        return (json.dumps(_jsonify(results), indent=2) + "\n").encode("utf-8")
+        return (_json_text(results) + "\n").encode("utf-8")
     raise UnsupportedFormat(f"unsupported format: {format!r}")
 
 
@@ -188,7 +260,7 @@ def _cmd_eval(inv: CliInvocation):
     }
     columns = ("rho", "rate_bits", "rate_argmax", "ub_bits", "ub_argmin", "gap_bits")
     rows = [(rho, rate.value, rate.argmax.label(), ub.value, ub.argmin.label(), gap)]
-    return Report(doc, columns, rows)
+    return Report(doc, Table.from_rows(columns, "ffsfsf", rows))
 
 
 def _cmd_classify(inv: CliInvocation):
@@ -208,7 +280,7 @@ def _cmd_classify(inv: CliInvocation):
     rows = [(verdict.in_extended, verdict.in_gsj, verdict.gdof_value,
              we.label() if we is not None else None,
              wg.label() if wg is not None else None)]
-    return Report(doc, columns, rows)
+    return Report(doc, Table.from_rows(columns, "bbgss", rows))
 
 
 def _cmd_bound(inv: CliInvocation):
@@ -223,9 +295,8 @@ def _cmd_bound(inv: CliInvocation):
         "per_perm": [{"perm": list(p.as_tuple()), "bound_bits": v}
                      for p, v in result.per_perm],
     }
-    columns = ("perm", "bound_bits")
     rows = [(p.label(), v) for p, v in result.per_perm]
-    return Report(doc, columns, rows)
+    return Report(doc, Table.from_rows(("perm", "bound_bits"), "sf", rows))
 
 
 def _cmd_gdof(inv: CliInvocation):
@@ -241,27 +312,25 @@ def _cmd_gdof(inv: CliInvocation):
         "per_perm": [{"perm": list(p.as_tuple()), "gdof_ub": v}
                      for p, v in ub.per_perm],
     }
-    columns = ("perm", "gdof_ub")
     rows = [(p.label(), v) for p, v in ub.per_perm]
-    return Report(doc, columns, rows)
+    return Report(doc, Table.from_rows(("perm", "gdof_ub"), "sf", rows))
 
 
 def _cmd_sweep(inv: CliInvocation):
-    records = experiments.sweep_regime_plane(inv.beta, inv.step, tol=inv.tolerance)
-    rows = [(r.alpha21, r.alpha12, r.in_extended, r.in_gsj, r.d_tt, r.gdof_ub, r.witness)
-            for r in records]
+    table = experiments.sweep_regime_plane(inv.beta, inv.step, tol=inv.tolerance)
+    _, _, extended, gsj, _, _, _ = table.columns
     summary = {
         "command": "sweep",
         "beta": inv.beta,
         "step": inv.step,
         "range_max": SWEEP_RANGE_MAX,
         "tolerance": inv.tolerance,
-        "n_records": len(records),
-        "n_extended": sum(1 for r in records if r.in_extended),
-        "n_gsj": sum(1 for r in records if r.in_gsj),
+        "n_records": len(table),
+        "n_extended": extended.count(True),
+        "n_gsj": gsj.count(True),
     }
-    failure = experiments.sweep_audit_failure(records, inv.beta, inv.step, inv.tolerance)
-    return Report(summary, SWEEP_COLUMNS, rows, failure)
+    failure = experiments.sweep_audit_failure(table, inv.beta, inv.step, inv.tolerance)
+    return Report(summary, table, failure)
 
 
 def _cmd_gap_audit(inv: CliInvocation):
@@ -286,7 +355,7 @@ def _cmd_gap_audit(inv: CliInvocation):
         failure = f"max gap {report.max_gap_bits:.12g} bits exceeds 7 bits"
     elif not report.min_gap_bits > 0.0:
         failure = f"min gap {report.min_gap_bits:.12g} bits is not positive"
-    return Report(summary, GAP_COLUMNS, rows, failure)
+    return Report(summary, rows, failure)
 
 
 def _cmd_sandwich_audit(inv: CliInvocation):
@@ -312,7 +381,7 @@ def _cmd_sandwich_audit(inv: CliInvocation):
     elif not report.max_gdof_violation <= SANDWICH_GDOF_TOL:
         failure = (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation:.12g} "
                    f"(tolerance {SANDWICH_GDOF_TOL:g})")
-    return Report(summary, SANDWICH_COLUMNS, rows, failure)
+    return Report(summary, rows, failure)
 
 
 def _cmd_converge(inv: CliInvocation):
@@ -337,7 +406,7 @@ def _cmd_converge(inv: CliInvocation):
         r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
         failure = (f"normalized bound is below the normalized rate by "
                    f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
-    return Report(summary, CONVERGE_COLUMNS, rows, failure)
+    return Report(summary, Table.from_rows(CONVERGE_COLUMNS, "fffff", rows), failure)
 
 
 @dataclass(frozen=True)
@@ -437,12 +506,10 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
         if fmt == "json":
             doc = report.head
             if command.table:
-                doc = {"summary": doc,
-                       "records": [dict(zip(report.columns, row)) for row in report.rows]}
+                doc = {"summary": doc, "records": report.table}
             _write(emit_report(doc, "json"), inv.out, out_stream)
         elif fmt == "csv":
-            _write(emit_report({"columns": report.columns, "rows": report.rows}, "csv"),
-                   inv.out, out_stream)
+            _write(emit_report(report.table, "csv"), inv.out, out_stream)
             if inv.out is not None and command.table:
                 _write(emit_report(report.head, "json"), None, out_stream)
         else:

@@ -13,6 +13,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +21,8 @@ from .achievability import (tdma_tin_gdof, tdma_tin_gdof_profiles,
                             tdma_tin_rate, tdma_tin_rate_profiles)
 from .bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
                      sum_capacity_ub, sum_capacity_ub_profiles)
-from .channel import DEFAULT_ALPHA_CAP, AlphaMatrix, libm_pow
+from .channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_pow,
+                      rho_from_db)
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # classify is no longer called here; it stays a module attribute because the
 # benchmark tracer's BOUNDARIES and tests/test_bench_names.py name it.
@@ -43,6 +45,9 @@ CONVERGE_COLUMNS = ("rho", "rate_norm", "ub_norm", "d_tt", "d_ub")
 # 0.47500000000000003 > 1 - 0.525) and would leave the regime whole; 1e-12
 # covers that and stays far below any step the grid cap allows.
 SWEEP_GRID_SLACK = 1e-12
+# Largest SNR the audits accept, as for the CLI's --rho-db: above it the rate
+# and the bound overflow for exponents up to DEFAULT_ALPHA_CAP.
+_RHO_CAP = rho_from_db(MAX_RHO_DB)
 # Grid points per axis at most (the acceptance grid has 151).
 SWEEP_MAX_AXIS_POINTS = 1001
 # Largest exponent on each sweep axis.
@@ -50,12 +55,49 @@ SWEEP_RANGE_MAX = 0.75
 # Rows per block-kernel call in the sweep and the audits: enough to spread
 # numpy's per-call cost, few enough that the temporaries stay small whatever n.
 BLOCK_ROWS = 256
-# Witness labels of the sweep records, indexed like PERMUTATIONS.
-_WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS)
+# Witness labels of the sweep records, indexed like PERMUTATIONS; index -1
+# (no witness) gives None.
+_WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS) + (None,)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class Table:
+    """A table command's records as equal-length columns, one kind per column.
+
+    kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
+    digit-only label or None, "g" any other cell (such as a float or None),
+    written one at a time as untyped rows are. len(), iteration and indexing
+    see rows, made on demand: record(*row) when record is given, plain
+    tuples otherwise.
+    """
+
+    __slots__ = ("names", "kinds", "columns", "record")
+
+    def __init__(self, names, kinds: str, columns, record=None):
+        self.names = tuple(names)
+        self.kinds = kinds
+        self.columns = tuple(columns)
+        self.record = record
+
+    @classmethod
+    def from_rows(cls, names, kinds: str, rows, record=None) -> "Table":
+        return cls(names, kinds, [list(c) for c in zip(*rows)] or [[] for _ in names], record)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return zip(*self.columns) if self.record is None else map(self.record, *self.columns)
+
+    def __getitem__(self, i):
+        row = tuple(c[i] for c in self.columns)
+        return row if self.record is None else self.record(*row)
+
+    def __eq__(self, other):
+        return isinstance(other, Table) and (self.names, self.kinds, self.columns) == (
+            other.names, other.kinds, other.columns)
+
+
+class SweepRecord(NamedTuple):
     """One grid point of the symmetric-family regime sweep."""
 
     alpha21: float
@@ -105,7 +147,7 @@ class ConvergenceRow:
 
 
 def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_MAX,
-                       tol: float = 0.0) -> list[SweepRecord]:
+                       tol: float = 0.0) -> Table:
     """Classify the (alpha21, alpha12) plane of the symmetric family
     alpha = [[1, alpha12, beta], [alpha21, 1, beta]].
 
@@ -114,11 +156,16 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     row-major: alpha21 outer, alpha12 inner; at most SWEEP_MAX_AXIS_POINTS
     per axis. beta = 0.5 is accepted for the regime-coincidence check;
     otherwise 0.5 < beta < 1. Points are classified with tolerance
-    tol + SWEEP_GRID_SLACK; `sweep_audit_failure` checks the records.
+    tol + SWEEP_GRID_SLACK (tol finite and >= 0); `sweep_audit_failure`
+    checks the result. Returns a Table of SWEEP_COLUMNS whose rows are
+    SweepRecords.
     """
     b = float(beta)
     if not (0.5 <= b < 1.0):
         raise InvalidBeta(f"beta must satisfy 0.5 <= beta < 1, got {beta!r}")
+    t = float(tol)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     s = float(step)
     rng_max = float(range_max)
     if not (math.isfinite(s) and 0.0 < s <= rng_max):
@@ -127,68 +174,65 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     if not span < SWEEP_MAX_AXIS_POINTS:
         raise ValidationError(
             f"step {step!r} gives more than {SWEEP_MAX_AXIS_POINTS} grid points per axis")
-    k_max = int(span)
-    tol_grid = tol + SWEEP_GRID_SLACK
-    axis = [k * s for k in range(k_max + 1)]
-    if not all(0.0 <= x < math.inf for x in axis):
+    axis = np.arange(int(span) + 1) * s
+    if not np.isfinite(axis).all():
         raise ValidationError(f"sweep grid values must be finite and >= 0, got step {step!r}")
     side = len(axis)
-    records: list[SweepRecord] = []
-    for start in range(0, side * side, BLOCK_ROWS):
-        block = [(axis[k // side], axis[k % side])
-                 for k in range(start, min(start + BLOCK_ROWS, side * side))]
-        grids = np.array([(1.0, a12, b, a21, 1.0, b) for a21, a12 in block])
-        d_tt = _first_max(tdma_tin_gdof_profiles(grids)).tolist()
-        d_ub = _first_min(gdof_ub_profiles(grids)).tolist()
-        ext, gsj = regime_witnesses(grids, tol_grid)
-        for (a21, a12), dt, du, we, wg in zip(block, d_tt, d_ub, ext.tolist(), gsj.tolist()):
-            records.append(SweepRecord(a21, a12, we >= 0, wg >= 0, dt, du,
-                                       _WITNESS_LABELS[we] if we >= 0 else None))
-    return records
+    n = side * side
+    ones, betas = np.ones(BLOCK_ROWS), np.full(BLOCK_ROWS, b)
+    blocks = []
+    for start in range(0, n, BLOCK_ROWS):
+        k = np.arange(start, min(start + BLOCK_ROWS, n))
+        m = len(k)
+        grids = np.column_stack((ones[:m], axis[k % side], betas[:m],
+                                 axis[k // side], ones[:m], betas[:m]))
+        blocks.append((_first_max(tdma_tin_gdof_profiles(grids)),
+                       _first_min(gdof_ub_profiles(grids)),
+                       *regime_witnesses(grids, t + SWEEP_GRID_SLACK)))
+    d_tt, d_ub, ext, gsj = map(np.concatenate, zip(*blocks))
+    # Grid values as Python floats, each shared by the rows that hold it.
+    points = axis.tolist()
+    return Table(SWEEP_COLUMNS, "ffbbffs", (
+        [a21 for a21 in points for _ in points], points * side,
+        (ext >= 0).tolist(), (gsj >= 0).tolist(), d_tt.tolist(), d_ub.tolist(),
+        list(map(_WITNESS_LABELS.__getitem__, ext.tolist()))), SweepRecord)
 
 
-def sweep_audit_failure(records: list[SweepRecord], beta: float, step: float,
-                        tol: float) -> str | None:
-    """The first failed audit of a sweep at tolerance tol, named with the
-    first offending (alpha21, alpha12), or None when all pass: regime
-    inclusion (gsj implies extended), achievable GDoF = GDoF bound within
-    1e-12 inside the extended regime, and at tol 0 the closed-form geometry."""
-    for r in records:
-        if r.in_gsj and not r.in_extended:
-            return f"regime inclusion violated at {_coords(r)}"
-        if r.in_extended and abs(r.d_tt - r.gdof_ub) > 1e-12:
-            return (f"GDoF equality violated at {_coords(r)}: "
-                    f"d_tt {r.d_tt:.12g}, gdof_ub {r.gdof_ub:.12g}")
+def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> str | None:
+    """The first failed audit of a sweep table at tolerance tol, named with
+    the first offending (alpha21, alpha12) in row order, or None when all
+    pass: regime inclusion (gsj implies extended), achievable GDoF = GDoF
+    bound within 1e-12 inside the extended regime, and at tol 0 the
+    closed-form geometry on grid indices: extended = ([0, 0.5] x [0, 1-beta])
+    u ([0, 1-beta] x [0, 0.5]), reference = [0, 1-beta]^2, boundaries moved
+    out by the sweep's SWEEP_GRID_SLACK."""
+    a21, a12, ext, gsj, d_tt, d_ub, _ = table.columns
+    e, g = np.array(ext, dtype=bool), np.array(gsj, dtype=bool)
+    dt, du = np.array(d_tt, dtype=float), np.array(d_ub, dtype=float)
+    inclusion = g & ~e
+    with np.errstate(invalid="ignore"):  # inf - inf is nan and fails no check
+        equality = e & (np.abs(dt - du) > 1e-12)
+    bad = inclusion | equality
+    if bad.any():
+        i = int(bad.argmax())
+        where = f"({a21[i]:.12g}, {a12[i]:.12g})"
+        if inclusion[i]:
+            return f"regime inclusion violated at {where}"
+        return (f"GDoF equality violated at {where}: "
+                f"d_tt {d_tt[i]:.12g}, gdof_ub {d_ub[i]:.12g}")
     if tol > 0.0:
         return None
-    r = _geometry_violation(records, beta, step)
-    return None if r is None else f"regime geometry violated at {_coords(r)}"
-
-
-def sweep_geometry_holds(records: list[SweepRecord], beta: float, step: float) -> bool:
-    """Whether a tol-0 sweep matches the closed-form geometry on grid indices:
-    extended = ([0, 0.5] x [0, 1-beta]) u ([0, 1-beta] x [0, 0.5]), reference
-    = [0, 1-beta]^2, boundaries moved out by the sweep's SWEEP_GRID_SLACK."""
-    return _geometry_violation(records, beta, step) is None
-
-
-def _geometry_violation(records: list[SweepRecord], beta: float,
-                        step: float) -> SweepRecord | None:
-    """The first record off the closed-form geometry of sweep_geometry_holds."""
     s = float(step)
     k_half = int((0.5 + SWEEP_GRID_SLACK) / s)
     k_beta = int((1.0 - float(beta) + SWEEP_GRID_SLACK) / s)
-    for r in records:
-        k21, k12 = round(r.alpha21 / s), round(r.alpha12 / s)
-        if (r.in_extended != ((k21 <= k_half and k12 <= k_beta)
-                              or (k21 <= k_beta and k12 <= k_half))
-                or r.in_gsj != (k21 <= k_beta and k12 <= k_beta)):
-            return r
-    return None
-
-
-def _coords(r: SweepRecord) -> str:
-    return f"({r.alpha21:.12g}, {r.alpha12:.12g})"
+    k21, k12 = np.divmod(np.arange(len(e)), math.isqrt(len(e)))
+    in_beta = (k21 <= k_beta) & (k12 <= k_beta)
+    want_ext = ((k21 <= k_half) & (k12 <= k_beta)) | ((k21 <= k_beta) & (k12 <= k_half))
+    bad = (e != want_ext) | (g != in_beta)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    return f"regime geometry violated at ({a21[i]:.12g}, {a12[i]:.12g})"
 
 
 def _first_min(profiles: np.ndarray) -> np.ndarray:
@@ -225,8 +269,9 @@ def _max_keep_nan(running: float, x: float) -> float:
 
 def _check_rhos(rho_list) -> tuple[float, ...]:
     rhos = tuple(float(r) for r in rho_list)
-    if not rhos or any(not r > 1.0 for r in rhos):
-        raise ValidationError(f"every rho must be > 1, got {rho_list!r}")
+    if not rhos or any(not 1.0 < r <= _RHO_CAP for r in rhos):
+        raise ValidationError(f"every rho must satisfy 1 < rho <= {_RHO_CAP!r} "
+                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_list!r}")
     return rhos
 
 
@@ -240,8 +285,9 @@ def _check_box(box) -> tuple[float, float]:
 
 def _check_rho_range(rho_range) -> tuple[float, float]:
     lo, hi = float(rho_range[0]), float(rho_range[1])
-    if not (1.0 < lo < hi and math.isfinite(hi)):
-        raise ValidationError(f"rho_range must be finite with 1 < lo < hi, got {rho_range!r}")
+    if not (1.0 < lo < hi <= _RHO_CAP):
+        raise ValidationError(f"rho_range must satisfy 1 < lo < hi <= {_RHO_CAP!r} "
+                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_range!r}")
     return lo, hi
 
 
@@ -301,7 +347,7 @@ def sample_in_regime(n: int, rng: np.random.Generator,
 def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
                         box: tuple[float, float] = (0.0, 2.0),
                         exhaustion_window: int = 1_000_000):
-    """Constant-gap audit; returns (GapReport, rows).
+    """Constant-gap audit; returns (GapReport, Table of GAP_COLUMNS).
 
     Draws n exponent grids inside the extended regime (all six entries free
     over the box when beta_free, otherwise the symmetric two-parameter
@@ -321,8 +367,8 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     rate, ub = _rates_and_bounds(np.array([alpha.flat() for alpha in samples]),
                                  np.broadcast_to(rhos, (n, k)))
     gaps = (ub - rate).tolist()
-    rows = list(zip([idx for idx in range(n) for _ in rhos], rhos * n,
-                    gaps, ub.tolist(), rate.tolist()))
+    rows = Table(GAP_COLUMNS, "iffff", ([idx for idx in range(n) for _ in rhos], list(rhos * n),
+                                        gaps, ub.tolist(), rate.tolist()))
     max_gap = max(gaps)
     min_gap = min(gaps)
     report = GapReport(
@@ -349,11 +395,12 @@ def gap_audit(n: int, rho_list, seed: int, beta_free: bool = True,
 def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
                              box: tuple[float, float] = (0.0, 2.0),
                              rho_range: tuple[float, float] = (10.0, 1e9)):
-    """Unconditional achievability-vs-bound audit; returns (SandwichReport, rows).
+    """Unconditional achievability-vs-bound audit; returns (SandwichReport,
+    Table of SANDWICH_COLUMNS).
 
     Exponent grids are drawn uniform on the box with no regime restriction.
     With rho_list=None each draw gets one SNR, log-uniform on rho_range
-    (finite, 1 < lo < hi; draw order per sample: six exponents, then the
+    (1 < lo < hi <= the SNR at MAX_RHO_DB; draw order per sample: six exponents, then the
     SNR); otherwise every draw is evaluated at each listed SNR. Rows are
     (sample, rho, rate_bits, ub_bits, d_tt, d_ub). Draws are made and
     evaluated BLOCK_ROWS at a time; the Philox stream is consumed in the
@@ -366,7 +413,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
     rho_lo, rho_hi = _check_rho_range(rho_range)
     lg_lo, lg_hi = math.log10(rho_lo), math.log10(rho_hi)
     rng = _generator(seed)
-    rows = []
+    columns = ([], [], [], [], [], [])
     max_rate_violation = -math.inf
     max_gdof_violation = -math.inf
     for start in range(0, n, BLOCK_ROWS):
@@ -383,9 +430,10 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         rate, ub = _rates_and_bounds(grids, sample_rhos)
         max_rate_violation = _max_keep_nan(max_rate_violation, float((rate - ub).max()))
         k = sample_rhos.shape[1]
-        rows.extend(zip([idx for idx in range(start, start + m) for _ in range(k)],
-                        sample_rhos.ravel().tolist(), rate.tolist(), ub.tolist(),
-                        np.repeat(d_tt, k).tolist(), np.repeat(d_ub, k).tolist()))
+        for column, values in zip(columns, (
+                np.repeat(np.arange(start, start + m), k), sample_rhos.ravel(), rate, ub,
+                np.repeat(d_tt, k), np.repeat(d_ub, k))):
+            column.extend(values.tolist())
     report = SandwichReport(
         n_samples=n,
         seed=seed,
@@ -394,7 +442,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         max_rate_violation_bits=max_rate_violation,
         max_gdof_violation=max_gdof_violation,
     )
-    return report, rows
+    return report, Table(SANDWICH_COLUMNS, "ifffff", columns)
 
 
 def sandwich_audit(n: int, rho_list=None, seed: int = 0,

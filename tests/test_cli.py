@@ -16,7 +16,7 @@ from xctin import cli, experiments
 from xctin.cli import CliInvocation, emit_report, main, run
 from xctin.channel import MAX_RHO_DB, AlphaMatrix
 from xctin.errors import UnsupportedFormat
-from xctin.experiments import GapReport
+from xctin.experiments import GAP_COLUMNS, GapReport, Table
 
 FIG_SCENARIO = {"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}
 
@@ -69,9 +69,9 @@ def test_emit_report_csv_columns_match_cell_by_cell_writing():
 
 
 def test_emit_report_csv_columns_span_transpose_chunks():
-    # More rows than one chunk, and a column whose type changes in the
-    # last chunk only.
-    n = 2 * cli.CSV_CHUNK_ROWS + 7
+    # Thousands of rows, and a column whose type changes in the last rows
+    # only.
+    n = 2 * 1024 + 7
     rows = [(k, k % 3 == 0, k / 7.0, k * 0.1 if k < n - 3 else None) for k in range(n)]
     data = emit_report({"columns": ("k", "b", "x", "y"), "rows": iter(rows)}, "csv")
     assert data == _csv_reference(("k", "b", "x", "y"), rows)
@@ -80,7 +80,7 @@ def test_emit_report_csv_columns_span_transpose_chunks():
 
 def test_emit_report_csv_writes_ragged_rows_whole():
     rows = [(1.5, True), (2.5, False, "extra"), (), (0.25,)]
-    chunked = [(0.5, 1.5)] * cli.CSV_CHUNK_ROWS + [(0.5, 1.5, 2.5)]
+    chunked = [(0.5, 1.5)] * 1024 + [(0.5, 1.5, 2.5)]
     for table in (rows, chunked):
         data = emit_report({"columns": ("a", "b"), "rows": table}, "csv")
         assert data == _csv_reference(("a", "b"), table)
@@ -265,7 +265,8 @@ def test_gap_audit_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                          mean_gap_bits=8.5, min_gap_bits=8.5, argmax_alpha=alpha,
                          all_within_7=False, seed=0)
     monkeypatch.setattr(cli.experiments, "gap_audit_with_rows",
-                        lambda *a, **k: (doctored, [(0, 100.0, 8.5, 10.0, 1.5)]))
+                        lambda *a, **k: (doctored, Table.from_rows(
+                            GAP_COLUMNS, "iffff", [(0, 100.0, 8.5, 10.0, 1.5)])))
     assert main(["gap-audit", "--n", "1"]) == 3
     # the finding is still reported, not swallowed
     captured = capsys.readouterr()

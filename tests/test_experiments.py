@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +6,14 @@ import pytest
 from xctin import experiments
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
 from xctin.bounds import gdof_ub, sum_capacity_ub
-from xctin.channel import DEFAULT_ALPHA_CAP, AlphaMatrix
+from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, rho_from_db
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
-from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, GapReport, gap_audit,
-                               gap_audit_with_rows, gdof_convergence_probe,
-                               sample_in_regime, sandwich_audit,
-                               sandwich_audit_with_rows, sweep_audit_failure,
-                               sweep_geometry_holds, sweep_regime_plane)
+from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, GapReport, SweepRecord,
+                               Table, gap_audit, gap_audit_with_rows,
+                               gdof_convergence_probe, sample_in_regime,
+                               sandwich_audit, sandwich_audit_with_rows,
+                               sweep_audit_failure, sweep_regime_plane)
 from xctin.regime import classify, in_extended_regime
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
@@ -90,7 +89,7 @@ def test_sweep_boundary_lines_match_geometry_at_aligned_betas():
 
 def test_sweep_at_misrounded_beta_passes_geometry_audit():
     records = sweep_regime_plane(0.525, 0.005)  # 95*0.005 > 1 - 0.525 in doubles
-    assert sweep_geometry_holds(records, 0.525, 0.005)
+    assert sweep_audit_failure(records, 0.525, 0.005, 0.0) is None
     assert sum(r.in_gsj for r in records) == 96 ** 2
     assert sum(r.in_extended for r in records) == 2 * 101 * 96 - 96 ** 2
 
@@ -102,13 +101,14 @@ def test_sweep_geometry_audit_agrees_near_grid_lines(offset):
     for k in range(10):
         beta = float(f"{0.5 + 0.05 * k:.2f}") + offset
         if 0.5 <= beta < 1.0:
-            assert sweep_geometry_holds(sweep_regime_plane(beta, 0.05), beta, 0.05), beta
+            records = sweep_regime_plane(beta, 0.05)
+            assert sweep_audit_failure(records, beta, 0.05, 0.0) is None, beta
 
 
 def test_sweep_geometry_audit_detects_a_moved_boundary():
     records = sweep_regime_plane(0.75, 0.05)
-    assert sweep_geometry_holds(records, 0.75, 0.05)
-    assert not sweep_geometry_holds(records, 0.7, 0.05)
+    assert sweep_audit_failure(records, 0.75, 0.05, 0.0) is None
+    assert sweep_audit_failure(records, 0.7, 0.05, 0.0) is not None
 
 
 def test_sweep_audit_checks_inclusion_and_gdof_equality():
@@ -121,7 +121,8 @@ def test_sweep_audit_checks_inclusion_and_gdof_equality():
             (inside, dict(gdof_ub=records[inside].d_tt + 1e-11),
              "GDoF equality violated at (0, 0): d_tt 2, gdof_ub 2.00000000001")):
         broken = list(records)
-        broken[idx] = dataclasses.replace(records[idx], **change)
+        broken[idx] = records[idx]._replace(**change)
+        broken = Table.from_rows(records.names, records.kinds, broken, SweepRecord)
         assert sweep_audit_failure(broken, 0.75, 0.25, 0.0) == failure
         # Tolerance > 0 skips only the geometry, never these two checks.
         assert sweep_audit_failure(broken, 0.75, 0.25, 1e-6) == failure
@@ -161,6 +162,11 @@ def test_sweep_rejects_bad_parameters():
         sweep_regime_plane(0.75, 0.75 / 1001)
     with pytest.raises(ValidationError):
         sweep_regime_plane(0.75, 5e-324)
+    for tol in (math.nan, -1.0, math.inf):
+        # Each used to return a table whose audit then failed at (0, 0) or
+        # (0, 0.75), as if the regime geometry were wrong.
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            sweep_regime_plane(0.75, 0.25, tol=tol)
 
 
 # ---------------------------------------------------------------- sampling
@@ -220,7 +226,7 @@ def test_gap_audit_matches_scalar_evaluation_across_blocks():
             rate = tdma_tin_rate(rho, alpha).value
             want.append((idx, rho, ub - rate, ub, rate))
             total += ub - rate
-    assert rows == want
+    assert list(rows) == want
     gaps = [row[2] for row in want]
     assert report.mean_gap_bits == total / len(want)
     assert report.argmax_alpha == samples[gaps.index(max(gaps)) // len(rhos)]
@@ -298,7 +304,7 @@ def _sandwich_reference(n, seed, rho_list=None, rho_range=(10.0, 1e9)):
 def test_sandwich_audit_matches_scalar_evaluation_across_blocks(n, rho_list):
     report, rows = sandwich_audit_with_rows(n, rho_list, seed=9)
     want = _sandwich_reference(n, 9, rho_list)
-    assert rows == want
+    assert list(rows) == want
     assert report.max_rate_violation_bits == max(rate - ub for _, _, rate, ub, _, _ in want)
     assert report.max_gdof_violation == max(d_tt - d_ub for *_, d_tt, d_ub in want)
 
@@ -325,6 +331,24 @@ def test_audits_reject_box_above_the_exponent_cap(box):
     with pytest.raises(ValidationError):
         gap_audit(5, (100.0,), seed=1, box=box)
     assert sandwich_audit(5, seed=1, box=(0.0, DEFAULT_ALPHA_CAP)).n_samples == 5
+
+
+def test_audits_reject_snr_above_the_cap():
+    # Both used to end in OverflowError from libm_pow.
+    cap = rho_from_db(MAX_RHO_DB)
+    above = math.nextafter(cap, math.inf)
+    for call in (lambda: gap_audit(5, (1e300,), seed=1),
+                 lambda: gap_audit(5, (1e2, above), seed=1),
+                 lambda: sandwich_audit(200, seed=1, rho_range=(10, 1e300)),
+                 lambda: sandwich_audit(5, (above,), seed=1),
+                 lambda: gdof_convergence_probe(FIG_POINT, (1e2, above))):
+        with pytest.raises(ValidationError, match=f"{MAX_RHO_DB:.6g} dB"):
+            call()
+    box = (0.0, DEFAULT_ALPHA_CAP)
+    assert gap_audit(5, (cap,), seed=1, box=box).max_gap_bits <= 7.0
+    report = sandwich_audit(200, seed=1, box=box, rho_range=(10.0, cap))
+    assert report.max_rate_violation_bits <= 1e-9
+    assert sandwich_audit(5, (cap,), seed=1, box=box).max_rate_violation_bits <= 1e-9
 
 
 def test_sandwich_audit_keeps_a_nan_violation(monkeypatch, capsys):

@@ -1,0 +1,184 @@
+"""Typed tables: the row-template renderers against the generic paths, and
+the array-expression sweep audit against the per-record loop it replaced."""
+
+import functools
+import json
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from xctin import cli
+from xctin.channel import AlphaMatrix
+from xctin.cli import CliInvocation, emit_report
+from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, SweepRecord, Table,
+                               sweep_audit_failure, sweep_regime_plane)
+
+FIG_ALPHA = (1.0, 0.2, 0.75, 0.4, 1.0, 0.75)
+
+# One small invocation of every command; their reports give each table's
+# column names and kinds as the commands declare them.
+_INVOCATIONS = (
+    CliInvocation("eval", alpha=FIG_ALPHA, rho_db=(40.0,)),
+    CliInvocation("classify", alpha=FIG_ALPHA),
+    CliInvocation("bound", alpha=FIG_ALPHA, rho_db=(40.0,)),
+    CliInvocation("gdof", alpha=FIG_ALPHA),
+    CliInvocation("sweep", step=0.25),
+    CliInvocation("gap-audit", n=2, rho_db=(20.0, 40.0)),
+    CliInvocation("sandwich-audit", n=2),
+    CliInvocation("converge", alpha=FIG_ALPHA, rho_db=(40.0, 60.0)),
+)
+SCHEMAS = sorted({(t.names, t.kinds) for t in
+                  (cli.COMMANDS[inv.command].handler(inv).table for inv in _INVOCATIONS)})
+
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                  1.0 / 3.0, 1e308, 12345678901234.5, 1e-300)
+CELLS = {
+    "f": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+    "i": st.one_of(st.integers(-2**70, 2**70), st.sampled_from([0, -1, 2**63])),
+    "b": st.booleans(),
+    "s": st.one_of(st.none(), st.from_regex(r"[0-9]{1,6}", fullmatch=True)),
+    "g": st.one_of(st.none(), st.sampled_from(SPECIAL_FLOATS), st.floats()),
+}
+SUMMARIES = (
+    {},
+    {"command": "sweep", "beta": 0.75, "n_records": 3, "range_max": 1.0 / 3.0},
+    {"rho_list": [1e2, math.inf], "argmax_alpha": AlphaMatrix.from_rows(
+        (FIG_ALPHA[:3], FIG_ALPHA[3:])), "rho_range": None, "ok": True, "text": "a\nb"},
+)
+
+
+@st.composite
+def tables(draw):
+    """A table of one command's schema. Each column either repeats a few
+    drawn cells or, for floats, holds distinct values mixed with them, so
+    both float paths of the renderers run."""
+    names, kinds = draw(st.sampled_from(SCHEMAS))
+    n = draw(st.sampled_from([0, 1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS + 1]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    columns = []
+    for kind in kinds:
+        pool = draw(st.lists(CELLS[kind], min_size=1, max_size=6))
+        if kind == "f" and draw(st.booleans()):
+            col = [rng.choice(pool) if rng.random() < 0.2 else rng.uniform(-1e9, 1e9)
+                   for _ in range(n)]
+        else:
+            col = [rng.choice(pool) for _ in range(n)]
+        columns.append(col)
+    return Table(names, kinds, columns)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=tables())
+def test_csv_row_template_matches_cell_by_cell_path(table):
+    generic = emit_report({"columns": table.names, "rows": list(table)}, "csv")
+    assert emit_report(table, "csv") == generic
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=tables(), head=st.sampled_from(SUMMARIES), records_first=st.booleans())
+def test_json_record_template_matches_json_dumps(table, head, records_first):
+    records = [dict(zip(table.names, row)) for row in table]
+    items = [("summary", head), ("records", table)]
+    want_items = [("summary", head), ("records", records)]
+    if records_first:
+        items.reverse()
+        want_items.reverse()
+    want = json.dumps(cli._jsonify(dict(want_items)), indent=2) + "\n"
+    assert emit_report(dict(items), "json") == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("col", [
+    [0.0, -0.0] * 600,                  # both zeros in a column that repeats
+    [-0.0] * 3 + [0.0] * 1200,
+    [math.nan, 1.5] * 600,
+    [float(k % 7) for k in range(BLOCK_ROWS + 1)],
+])
+def test_repeating_float_columns_keep_every_cell(col):
+    table = Table(("x", "k"), "fi", (col, list(range(len(col)))))
+    assert emit_report(table, "csv") == emit_report(
+        {"columns": table.names, "rows": list(table)}, "csv")
+    want = json.dumps(cli._jsonify({"records": [{"x": x, "k": k} for x, k in table]}), indent=2)
+    assert emit_report({"records": table}, "json") == (want + "\n").encode("utf-8")
+
+
+def test_classify_outside_the_regime_writes_empty_cells(capsys):
+    # The certified GDoF is None outside the regime, so its column is not
+    # all floats.
+    assert cli.main(["classify", "--alpha", "1,1,1,1,1,1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == \
+        "extended,gsj,gdof,witness_extended,witness_gsj\nfalse,false,,,\n"
+
+
+def test_empty_table_renders_header_and_empty_records():
+    table = Table(("a", "b"), "fb", ([], []))
+    assert emit_report(table, "csv") == b"a,b\n"
+    assert emit_report({"summary": {"n": 0}, "records": table}, "json") == \
+        b'{\n  "summary": {\n    "n": 0\n  },\n  "records": []\n}\n'
+
+
+# ---------------------------------------------------------------- sweep audit
+
+def _reference_audit(records, beta, step, tol):
+    """The per-record loop that sweep_audit_failure replaced, as it was."""
+    def coords(r):
+        return f"({r.alpha21:.12g}, {r.alpha12:.12g})"
+
+    for r in records:
+        if r.in_gsj and not r.in_extended:
+            return f"regime inclusion violated at {coords(r)}"
+        if r.in_extended and abs(r.d_tt - r.gdof_ub) > 1e-12:
+            return (f"GDoF equality violated at {coords(r)}: "
+                    f"d_tt {r.d_tt:.12g}, gdof_ub {r.gdof_ub:.12g}")
+    if tol > 0.0:
+        return None
+    s = float(step)
+    k_half = int((0.5 + SWEEP_GRID_SLACK) / s)
+    k_beta = int((1.0 - float(beta) + SWEEP_GRID_SLACK) / s)
+    for r in records:
+        k21, k12 = round(r.alpha21 / s), round(r.alpha12 / s)
+        if (r.in_extended != ((k21 <= k_half and k12 <= k_beta)
+                              or (k21 <= k_beta and k12 <= k_half))
+                or r.in_gsj != (k21 <= k_beta and k12 <= k_beta)):
+            return f"regime geometry violated at {coords(r)}"
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep(beta, step):
+    return sweep_regime_plane(beta, step)
+
+
+# (record index, field, delta): a flag is flipped, a GDoF is moved by delta
+# from d_tt, and "pair" sets d_tt = 0 and gdof_ub = delta, so that a delta
+# of exactly 1e-12 sits on the equality tolerance.
+_BREAKS = st.tuples(
+    st.integers(0, 17 ** 2 - 1),
+    st.sampled_from(["in_extended", "in_gsj", "d_tt", "gdof_ub", "pair"]),
+    st.sampled_from([1e-11, -1e-11, 1e-12, 5e-13, math.nan, math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(beta=st.sampled_from([0.5, 0.6, 0.65, 0.75, 0.9]),
+       step=st.sampled_from([0.25, 0.05, 0.045]),
+       audit_beta=st.sampled_from([None, 0.7]),
+       tol=st.sampled_from([0.0, 1e-6]),
+       breaks=st.lists(_BREAKS, max_size=3))
+def test_sweep_audit_names_the_same_first_offender_as_the_record_loop(
+        beta, step, audit_beta, tol, breaks):
+    records = list(_sweep(beta, step))
+    for idx, field, delta in breaks:
+        r = records[idx % len(records)]
+        if field == "pair":
+            change = {"d_tt": 0.0, "gdof_ub": delta}
+        elif field.startswith("in_"):
+            change = {field: not getattr(r, field)}
+        else:
+            change = {field: r.d_tt + delta}
+        records[idx % len(records)] = r._replace(**change)
+    table = Table.from_rows(_sweep(beta, step).names, "ffbbffs", records, SweepRecord)
+    beta_audited = beta if audit_beta is None else audit_beta
+    assert sweep_audit_failure(table, beta_audited, step, tol) == \
+        _reference_audit(records, beta_audited, step, tol)
