@@ -24,9 +24,11 @@ from .bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
 from .channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_pow,
                       rho_from_db)
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
-# classify is no longer called here; it stays a module attribute because the
-# benchmark tracer's BOUNDARIES and tests/test_bench_names.py name it.
-from .regime import classify, in_extended_regime, regime_witnesses  # noqa: F401
+# classify and in_extended_regime are no longer called here; both stay module
+# attributes because the benchmark tracer's BOUNDARIES and
+# tests/test_bench_names.py name them.
+from .regime import (check_tol, classify, in_extended_regime,  # noqa: F401
+                     regime_witnesses)
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
@@ -55,6 +57,11 @@ SWEEP_RANGE_MAX = 0.75
 # Rows per block-kernel call in the sweep and the audits: enough to spread
 # numpy's per-call cost, few enough that the temporaries stay small whatever n.
 BLOCK_ROWS = 256
+# Candidate draws per regime_witnesses call in the rejection sampler. At
+# about 18% acceptance a block of 1024 gives some 180 samples; 256 rows paid
+# numpy's per-call cost too often at n = 10^4, and 4096 drew too far past
+# the stop row at n = 750 (the unused tail is drawn again after a rewind).
+SAMPLER_BLOCK_ROWS = 1024
 # Witness labels of the sweep records, indexed like PERMUTATIONS; index -1
 # (no witness) gives None.
 _WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS) + (None,)
@@ -163,9 +170,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     b = float(beta)
     if not (0.5 <= b < 1.0):
         raise InvalidBeta(f"beta must satisfy 0.5 <= beta < 1, got {beta!r}")
-    t = float(tol)
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    t = check_tol(tol)
     s = float(step)
     rng_max = float(range_max)
     if not (math.isfinite(s) and 0.0 < s <= rng_max):
@@ -297,51 +302,68 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _draw_alpha(rng: np.random.Generator, box: tuple[float, float]) -> AlphaMatrix:
-    """One exponent grid with entries uniform on (lo, hi], drawn row-major."""
-    lo, hi = box
-    v = hi - (hi - lo) * rng.random(6)
-    return AlphaMatrix(((v[0], v[1], v[2]), (v[3], v[4], v[5])))
-
-
-def _draw_symmetric(rng: np.random.Generator) -> AlphaMatrix:
-    """One grid of the symmetric sweep family alpha = [[1, a12, beta],
-    [a21, 1, beta]] with beta in [0.5, 1) and a21, a12 in [0, 0.75).
-    Draw order: beta, a21, a12."""
-    b = 0.5 + 0.5 * rng.random()
-    a21 = 0.75 * rng.random()
-    a12 = 0.75 * rng.random()
-    return AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
-
-
-def _rejection_sample(n: int, draw, exhaustion_window: int) -> list[AlphaMatrix]:
-    """The first n results of draw() inside the extended regime, so exactly
-    draw()'s distribution restricted to the regime. Raises SamplerExhausted
-    once acceptance drops below 0.1% over the exhaustion window, which flags
-    a misconfigured draw instead of hanging."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    out: list[AlphaMatrix] = []
-    trials = 0
-    while len(out) < n:
-        trials += 1
-        alpha = draw()
-        if in_extended_regime(alpha) is not None:
-            out.append(alpha)
-        elif trials >= exhaustion_window and len(out) < 0.001 * trials:
-            raise SamplerExhausted(
-                f"acceptance {len(out)}/{trials} is below 0.1%; the draws "
-                "barely intersect the extended regime")
-    return out
-
-
 def sample_in_regime(n: int, rng: np.random.Generator,
                      box: tuple[float, float] = (0.0, 2.0),
                      exhaustion_window: int = 1_000_000) -> list[AlphaMatrix]:
-    """Rejection-sample n grids uniform on the box and inside the extended
-    regime (see _rejection_sample)."""
-    return _rejection_sample(n, functools.partial(_draw_alpha, rng, _check_box(box)),
-                             exhaustion_window)
+    """The first n grids inside the extended regime among draws uniform on
+    the box, so exactly that distribution restricted to the regime.
+
+    Each draw takes six doubles from rng, row-major entries hi - (hi - lo)*u
+    on (lo, hi]. Draws are tested SAMPLER_BLOCK_ROWS at a time, and rng is
+    left exactly where drawing and testing one grid at a time leaves it:
+    just after the draw that gives the n-th sample. Raises SamplerExhausted
+    once acceptance drops below 0.1% over the exhaustion window, at the same
+    draw and with the same message as one draw at a time, which flags a
+    misconfigured box instead of hanging.
+    """
+    lo, hi = _check_box(box)
+    return _sample_blocks(n, rng, 6, lambda u: hi - (hi - lo) * u, exhaustion_window)
+
+
+def _symmetric_grids(u: np.ndarray) -> np.ndarray:
+    """Grids of the symmetric sweep family alpha = [[1, a12, beta],
+    [a21, 1, beta]] with beta in [0.5, 1) and a21, a12 in [0, 0.75), from
+    (m, 3) uniform draws in the order beta, a21, a12."""
+    ones, b = np.ones(len(u)), 0.5 + 0.5 * u[:, 0]
+    return np.column_stack((ones, 0.75 * u[:, 2], b, 0.75 * u[:, 1], ones, b))
+
+
+def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
+                   exhaustion_window: int) -> list[AlphaMatrix]:
+    """The first n grids inside the extended regime among to_grids(u) of
+    successive rows u of width uniform draws; see sample_in_regime.
+
+    Each block draws SAMPLER_BLOCK_ROWS rows and tests them with one
+    regime_witnesses call. The block's stop row is the one that gives the
+    n-th sample, or the first rejected one past the exhaustion window with
+    acceptance below 0.1%. A block not used in full is drawn again up to
+    its stop row from the saved generator state, so rng ends where one
+    draw at a time ends.
+    """
+    if n < 1:
+        raise ValidationError(f"n must be >= 1, got {n!r}")
+    kept = []
+    accepted = trials = 0
+    while accepted < n:
+        state = rng.bit_generator.state
+        grids = to_grids(rng.random((SAMPLER_BLOCK_ROWS, width)))
+        ok = regime_witnesses(grids, 0.0)[0] >= 0
+        count = accepted + np.cumsum(ok)
+        tried = trials + np.arange(1, SAMPLER_BLOCK_ROWS + 1)
+        stop = (ok & (count == n)) | (
+            ~ok & (tried >= exhaustion_window) & (count < 0.001 * tried))
+        hit = bool(stop.any())
+        used = int(stop.argmax()) + 1 if hit else SAMPLER_BLOCK_ROWS
+        if used < SAMPLER_BLOCK_ROWS:
+            rng.bit_generator.state = state
+            rng.random((used, width))
+        kept.append(grids[:used][ok[:used]])
+        accepted, trials = int(count[used - 1]), int(tried[used - 1])
+        if hit and accepted < n:
+            raise SamplerExhausted(
+                f"acceptance {accepted}/{trials} is below 0.1%; the draws "
+                "barely intersect the extended regime")
+    return [AlphaMatrix((row[:3], row[3:])) for row in np.concatenate(kept).tolist()]
 
 
 def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
@@ -361,8 +383,7 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     if beta_free:
         samples = sample_in_regime(n, rng, box, exhaustion_window)
     else:
-        samples = _rejection_sample(n, functools.partial(_draw_symmetric, rng),
-                                    exhaustion_window)
+        samples = _sample_blocks(n, rng, 3, _symmetric_grids, exhaustion_window)
     k = len(rhos)
     rate, ub = _rates_and_bounds(np.array([alpha.flat() for alpha in samples]),
                                  np.broadcast_to(rhos, (n, k)))

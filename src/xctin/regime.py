@@ -83,12 +83,22 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
     return first if first > u2 else u2
 
 
+def check_tol(tol: float) -> float:
+    """tol as a float when it is finite and >= 0; a NaN, negative or infinite
+    slack would silently put every grid outside or inside the regimes."""
+    t = float(tol)
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    return t
+
+
 def _first_witness(alpha: AlphaMatrix, tol: float, reduced: bool) -> TxPermutation | None:
     """First ordering (lexicographic) meeting both regime conditions, or None.
 
     The threshold is psi when reduced, else max{a[j1][i3], a[j1][i2]}: the
     two regimes differ only in the (a[j2][i3] - a[j2][i1])^+ reduction.
     """
+    tol = check_tol(tol)
     a = alpha.flat()
     for p, take in _PICKS:
         u1, u2, u3, v1, v2, v3 = take(a)
@@ -107,7 +117,7 @@ def in_extended_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | 
 
     Boundaries are closed (>=); tol adds slack for classifying near-boundary
     floating-point points consistently (default 0: take the conditions
-    literally).
+    literally); it must be finite and >= 0.
     """
     return _first_witness(alpha, tol, True)
 
@@ -137,8 +147,10 @@ def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.nd
     first reference-regime witness as an index into PERMUTATIONS, or -1 for
     none. Every expression keeps the operand order of _first_witness and
     there are only subtractions, additions and comparisons, so the verdicts
-    are bit-identical to the scalar loop's.
+    are bit-identical to the scalar loop's. tol is checked as in
+    in_extended_regime.
     """
+    tol = check_tol(tol)
     u1, u2, u3, v1, v2, v3 = link_columns(a, _PERM_LINKS)
     hi = np.where(v1 > v3, v1, v3)
     cross = v2 - u2 + tol >= hi

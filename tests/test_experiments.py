@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xctin import experiments
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
@@ -9,7 +11,8 @@ from xctin.bounds import gdof_ub, sum_capacity_ub
 from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, rho_from_db
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
-from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, GapReport, SweepRecord,
+from xctin.experiments import (BLOCK_ROWS, SAMPLER_BLOCK_ROWS, SWEEP_GRID_SLACK,
+                               GapReport, SweepRecord,
                                Table, gap_audit, gap_audit_with_rows,
                                gdof_convergence_probe, sample_in_regime,
                                sandwich_audit, sandwich_audit_with_rows,
@@ -187,6 +190,98 @@ def test_sample_in_regime_exhaustion_guard():
         sample_in_regime(5, rng, box=(1.9, 2.0), exhaustion_window=2000)
 
 
+def _draw_alpha(rng, box):
+    """One exponent grid with entries uniform on (lo, hi], drawn row-major."""
+    lo, hi = box
+    v = hi - (hi - lo) * rng.random(6)
+    return AlphaMatrix(((v[0], v[1], v[2]), (v[3], v[4], v[5])))
+
+
+def _draw_symmetric(rng):
+    """One grid of the symmetric sweep family; draw order beta, a21, a12."""
+    b = 0.5 + 0.5 * rng.random()
+    a21 = 0.75 * rng.random()
+    a12 = 0.75 * rng.random()
+    return AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
+
+
+def _scalar_sample(n, draw, exhaustion_window=1_000_000):
+    """The rejection sampler one draw and one in_extended_regime call at a
+    time: the reference the block sampler must reproduce."""
+    out = []
+    trials = 0
+    while len(out) < n:
+        trials += 1
+        alpha = draw()
+        if in_extended_regime(alpha) is not None:
+            out.append(alpha)
+        elif trials >= exhaustion_window and len(out) < 0.001 * trials:
+            raise SamplerExhausted(
+                f"acceptance {len(out)}/{trials} is below 0.1%; the draws "
+                "barely intersect the extended regime")
+    return out
+
+
+def _outcome(sample, seed):
+    """(samples or the SamplerExhausted message, the next draw after it)
+    of sample(rng) on a fresh generator."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    try:
+        result = sample(rng)
+    except SamplerExhausted as exc:
+        result = str(exc)
+    return result, rng.random()
+
+
+def _box_outcomes(n, seed, box=(0.0, 2.0), window=1_000_000):
+    return (_outcome(lambda rng: sample_in_regime(n, rng, box, window), seed),
+            _outcome(lambda rng: _scalar_sample(n, lambda: _draw_alpha(rng, box), window), seed))
+
+
+def _symmetric_outcomes(n, seed):
+    return (_outcome(lambda rng: experiments._sample_blocks(
+                n, rng, 3, experiments._symmetric_grids, 1_000_000), seed),
+            _outcome(lambda rng: _scalar_sample(n, lambda: _draw_symmetric(rng)), seed))
+
+
+@pytest.mark.parametrize("n", [1, SAMPLER_BLOCK_ROWS - 1, SAMPLER_BLOCK_ROWS,
+                               SAMPLER_BLOCK_ROWS + 1, 10_000])
+def test_block_sampler_matches_scalar_loop(n):
+    # Equal samples, and the caller's generator left at the same draw.
+    block, scalar = _box_outcomes(n, seed=7)
+    assert len(block[0]) == n
+    assert block == scalar
+    block, scalar = _symmetric_outcomes(n, seed=7)
+    assert len(block[0]) == n
+    assert block == scalar
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 600),
+       lo=st.floats(0.0, 2.0, exclude_max=True), width=st.floats(0.0, 1.0, exclude_min=True),
+       window=st.integers(1, 3000))
+def test_block_sampler_matches_scalar_loop_on_any_box(seed, n, lo, width, window):
+    box = (lo, lo + (2.0 - lo) * width)
+    if box[1] > box[0]:
+        block, scalar = _box_outcomes(n, seed, box, window)
+        assert block == scalar
+
+
+@pytest.mark.parametrize("box,seed,window,acceptance", [
+    ((1.9, 2.0), 3, 1, "0/1"),
+    ((1.9, 2.0), 3, 2000, "0/2000"),
+    # A few accepted draws, then exhaustion in a later block.
+    ((0.75, 2.0), 2, 1000, "2/2001"),
+    ((0.75, 2.0), 2, 5000, "5/5001"),
+    ((0.5, 1.5), 3, 5000, "6/6001"),
+])
+def test_block_sampler_exhausts_at_the_scalar_trial(box, seed, window, acceptance):
+    block, scalar = _box_outcomes(400, seed, box, window)
+    assert block == scalar
+    assert block[0] == (f"acceptance {acceptance} is below 0.1%; "
+                        "the draws barely intersect the extended regime")
+
+
 def test_sample_in_regime_rejects_bad_arguments():
     rng = np.random.Generator(np.random.Philox(3))
     with pytest.raises(ValidationError):
@@ -230,6 +325,19 @@ def test_gap_audit_matches_scalar_evaluation_across_blocks():
     gaps = [row[2] for row in want]
     assert report.mean_gap_bits == total / len(want)
     assert report.argmax_alpha == samples[gaps.index(max(gaps)) // len(rhos)]
+
+
+def test_gap_audit_symmetric_family_matches_scalar_sampler():
+    n, rhos = 300, (1e2, 1e5)
+    _, rows = gap_audit_with_rows(n, rhos, seed=4, beta_free=False)
+    rng = np.random.Generator(np.random.Philox(4))
+    want = []
+    for idx, alpha in enumerate(_scalar_sample(n, lambda: _draw_symmetric(rng))):
+        for rho in rhos:
+            ub = sum_capacity_ub(rho, alpha).value
+            rate = tdma_tin_rate(rho, alpha).value
+            want.append((idx, rho, ub - rate, ub, rate))
+    assert list(rows) == want
 
 
 def test_gap_audit_deterministic():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,7 @@ from xctin.errors import NotApplicable, ValidationError
 from xctin.regime import (AuxChannelPair, classify,
                           entropy_gap_conditions_hold, genie_aux_pair,
                           genie_satisfies_entropy_gap, in_extended_regime,
-                          in_gsj_regime, psi)
+                          in_gsj_regime, psi, regime_witnesses)
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
 P0 = TxPermutation(1, 2, 3, 1, 2)
@@ -88,6 +90,17 @@ def test_classify_fig_points():
     v = classify(_fig_alpha(0.6, 0.6))
     assert not v.in_extended and not v.in_gsj
     assert v.gdof_value is None and v.witness_extended is None
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_regime_functions_reject_bad_tol(tol):
+    # Each used to answer "neither" (nan, -1.0) or "both" (inf) without error.
+    for check in (lambda: classify(FIG_POINT, tol),
+                  lambda: in_extended_regime(FIG_POINT, tol),
+                  lambda: in_gsj_regime(FIG_POINT, tol),
+                  lambda: regime_witnesses(np.array([FIG_POINT.flat()]), tol)):
+        with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
+            check()
 
 
 def _first_witness_reference(alpha, threshold, tol):
