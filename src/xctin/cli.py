@@ -338,18 +338,7 @@ def _cmd_gap_audit(inv: CliInvocation):
     rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (20.0, 40.0, 60.0))
     report, rows = experiments.gap_audit_with_rows(n, rhos, inv.seed,
                                                    beta_free=not inv.fixed_family)
-    summary = {
-        "command": "gap-audit",
-        "generator": GENERATOR_ID,
-        "n_samples": report.n_samples,
-        "rho_list": list(report.rho_list),
-        "seed": report.seed,
-        "max_gap_bits": report.max_gap_bits,
-        "mean_gap_bits": report.mean_gap_bits,
-        "min_gap_bits": report.min_gap_bits,
-        "all_within_7": report.all_within_7,
-        "argmax_alpha": report.argmax_alpha,
-    }
+    summary = {"command": "gap-audit", "generator": GENERATOR_ID, **vars(report)}
     failure = None
     if not report.all_within_7:
         failure = f"max gap {report.max_gap_bits:.12g} bits exceeds 7 bits"
@@ -365,12 +354,7 @@ def _cmd_sandwich_audit(inv: CliInvocation):
     summary = {
         "command": "sandwich-audit",
         "generator": GENERATOR_ID,
-        "n_samples": report.n_samples,
-        "seed": report.seed,
-        "rho_list": list(report.rho_list) if report.rho_list is not None else None,
-        "rho_range": list(report.rho_range),
-        "max_rate_violation_bits": report.max_rate_violation_bits,
-        "max_gdof_violation": report.max_gdof_violation,
+        **vars(report),
         "rate_tol_bits": SANDWICH_RATE_TOL_BITS,
         "gdof_tol": SANDWICH_GDOF_TOL,
     }

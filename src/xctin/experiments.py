@@ -122,12 +122,12 @@ class GapReport:
 
     n_samples: int
     rho_list: tuple[float, ...]
+    seed: int
     max_gap_bits: float
     mean_gap_bits: float
     min_gap_bits: float
-    argmax_alpha: AlphaMatrix
     all_within_7: bool
-    seed: int
+    argmax_alpha: AlphaMatrix
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,13 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     if not np.isfinite(axis).all():
         raise ValidationError(f"sweep grid values must be finite and >= 0, got step {step!r}")
     side = len(axis)
-    n = side * side
-    ones, betas = np.ones(BLOCK_ROWS), np.full(BLOCK_ROWS, b)
-    blocks = []
-    for start in range(0, n, BLOCK_ROWS):
-        k = np.arange(start, min(start + BLOCK_ROWS, n))
-        m = len(k)
-        grids = np.column_stack((ones[:m], axis[k % side], betas[:m],
-                                 axis[k // side], ones[:m], betas[:m]))
-        blocks.append((_first_max(tdma_tin_gdof_profiles(grids)),
-                       _first_min(gdof_ub_profiles(grids)),
-                       *regime_witnesses(grids, t + SWEEP_GRID_SLACK)))
-    d_tt, d_ub, ext, gsj = map(np.concatenate, zip(*blocks))
+
+    def evaluate(k):
+        grids = _family_grids(axis[k // side], axis[k % side], b)
+        return (_first_max(tdma_tin_gdof_profiles(grids)), _first_min(gdof_ub_profiles(grids)),
+                *regime_witnesses(grids, t + SWEEP_GRID_SLACK))
+
+    d_tt, d_ub, ext, gsj = _in_blocks(side * side, evaluate)
     # Grid values as Python floats, each shared by the rows that hold it.
     points = axis.tolist()
     return Table(SWEEP_COLUMNS, "ffbbffs", (
@@ -250,26 +245,45 @@ def _first_max(profiles: np.ndarray) -> np.ndarray:
     return np.take_along_axis(profiles, profiles.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
+def _in_blocks(n: int, evaluate) -> tuple[np.ndarray, ...]:
+    """evaluate(rows) for rows = np.arange(start, stop) over range(n), n >= 1,
+    in BLOCK_ROWS slices and in order; each of its arrays concatenated."""
+    blocks = [evaluate(np.arange(start, min(start + BLOCK_ROWS, n)))
+              for start in range(0, n, BLOCK_ROWS)]
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
 def _rates_and_bounds(grids: np.ndarray, rhos: np.ndarray):
     """TDMA-TIN rate and min_p B(p) of grid i at SNR rhos[i, j] for every
     pair (i, j), grid-major, as two flat arrays; BLOCK_ROWS pairs per kernel
     call."""
     k = rhos.shape[1]
-    n_pairs = len(grids) * k
-    rates, ubs = [], []
-    for start in range(0, n_pairs, BLOCK_ROWS):
-        pair = np.arange(start, min(start + BLOCK_ROWS, n_pairs))
-        a = grids[pair // k]
-        rho = rhos[pair // k, pair % k]
-        rates.append(_first_max(tdma_tin_rate_profiles(a, rho)))
-        ubs.append(_first_min(sum_capacity_ub_profiles(a, rho)))
-    return np.concatenate(rates), np.concatenate(ubs)
+
+    def evaluate(pair):
+        a, rho = grids[pair // k], rhos[pair // k, pair % k]
+        return _first_max(tdma_tin_rate_profiles(a, rho)), _first_min(sum_capacity_ub_profiles(a, rho))
+
+    return _in_blocks(len(grids) * k, evaluate)
 
 
-def _max_keep_nan(running: float, x: float) -> float:
-    """Builtin max(running, x), except that a NaN x wins: max(-inf, nan)
-    would drop it, and the audit would pass on a NaN violation."""
-    return x if math.isnan(x) else max(running, x)
+def _family_grids(a21, a12, beta) -> np.ndarray:
+    """Grids of the symmetric family alpha = [[1, a12, beta], [a21, 1, beta]],
+    one per entry of a21 and a12; beta is one value or one per grid."""
+    ones = np.ones(len(a21))
+    b = np.broadcast_to(beta, ones.shape)
+    return np.column_stack((ones, a12, b, a21, ones, b))
+
+
+def _check_n(n) -> int:
+    """n as an int >= 1; a float, a string or a smaller count raises
+    ValidationError."""
+    try:
+        count = operator.index(n)
+    except TypeError:
+        count = 0
+    if count < 1:
+        raise ValidationError(f"n must be an integer >= 1, got {n!r}")
+    return count
 
 
 def _check_rhos(rho_list) -> tuple[float, ...]:
@@ -280,12 +294,14 @@ def _check_rhos(rho_list) -> tuple[float, ...]:
     return rhos
 
 
-def _check_box(box) -> tuple[float, float]:
+def _box_grids(box):
+    """The map from (m, 6) uniform draws u on [0, 1) to grids with entries
+    hi - (hi - lo)*u on (lo, hi], after checking the box."""
     lo, hi = float(box[0]), float(box[1])
     if not (0.0 <= lo < hi <= DEFAULT_ALPHA_CAP):
         raise ValidationError(
             f"box must satisfy 0 <= lo < hi <= {DEFAULT_ALPHA_CAP:g}, got {box!r}")
-    return lo, hi
+    return lambda u: hi - (hi - lo) * u
 
 
 def _check_rho_range(rho_range) -> tuple[float, float]:
@@ -316,22 +332,21 @@ def sample_in_regime(n: int, rng: np.random.Generator,
     draw and with the same message as one draw at a time, which flags a
     misconfigured box instead of hanging.
     """
-    lo, hi = _check_box(box)
-    return _sample_blocks(n, rng, 6, lambda u: hi - (hi - lo) * u, exhaustion_window)
+    grids = _sample_blocks(n, rng, 6, _box_grids(box), exhaustion_window)
+    return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
 
 def _symmetric_grids(u: np.ndarray) -> np.ndarray:
-    """Grids of the symmetric sweep family alpha = [[1, a12, beta],
-    [a21, 1, beta]] with beta in [0.5, 1) and a21, a12 in [0, 0.75), from
-    (m, 3) uniform draws in the order beta, a21, a12."""
-    ones, b = np.ones(len(u)), 0.5 + 0.5 * u[:, 0]
-    return np.column_stack((ones, 0.75 * u[:, 2], b, 0.75 * u[:, 1], ones, b))
+    """Grids of the symmetric sweep family with beta in [0.5, 1) and a21, a12
+    in [0, 0.75), from (m, 3) uniform draws in the order beta, a21, a12."""
+    return _family_grids(0.75 * u[:, 1], 0.75 * u[:, 2], 0.5 + 0.5 * u[:, 0])
 
 
 def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
-                   exhaustion_window: int) -> list[AlphaMatrix]:
+                   exhaustion_window: int) -> np.ndarray:
     """The first n grids inside the extended regime among to_grids(u) of
-    successive rows u of width uniform draws; see sample_in_regime.
+    successive rows u of width uniform draws, as an (n, 6) array; see
+    sample_in_regime.
 
     Each block draws SAMPLER_BLOCK_ROWS rows and tests them with one
     regime_witnesses call. The block's stop row is the one that gives the
@@ -340,8 +355,7 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
     its stop row from the saved generator state, so rng ends where one
     draw at a time ends.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
+    n = _check_n(n)
     kept = []
     accepted = trials = 0
     while accepted < n:
@@ -363,7 +377,7 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
             raise SamplerExhausted(
                 f"acceptance {accepted}/{trials} is below 0.1%; the draws "
                 "barely intersect the extended regime")
-    return [AlphaMatrix((row[:3], row[3:])) for row in np.concatenate(kept).tolist()]
+    return np.concatenate(kept)
 
 
 def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
@@ -381,27 +395,26 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     rhos = _check_rhos(rho_list)
     rng = _generator(seed)
     if beta_free:
-        samples = sample_in_regime(n, rng, box, exhaustion_window)
+        grids = _sample_blocks(n, rng, 6, _box_grids(box), exhaustion_window)
     else:
-        samples = _sample_blocks(n, rng, 3, _symmetric_grids, exhaustion_window)
-    k = len(rhos)
-    rate, ub = _rates_and_bounds(np.array([alpha.flat() for alpha in samples]),
-                                 np.broadcast_to(rhos, (n, k)))
+        grids = _sample_blocks(n, rng, 3, _symmetric_grids, exhaustion_window)
+    n, k = len(grids), len(rhos)
+    rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gaps = (ub - rate).tolist()
     rows = Table(GAP_COLUMNS, "iffff", ([idx for idx in range(n) for _ in rhos], list(rhos * n),
                                         gaps, ub.tolist(), rate.tolist()))
     max_gap = max(gaps)
-    min_gap = min(gaps)
+    worst = grids[gaps.index(max_gap) // k].tolist()
     report = GapReport(
         n_samples=n,
         rho_list=rhos,
+        seed=seed,
         max_gap_bits=max_gap,
         # Summed in row order, one addition at a time, as a running total.
         mean_gap_bits=functools.reduce(operator.add, gaps, 0.0) / len(rows),
-        min_gap_bits=min_gap,
-        argmax_alpha=samples[gaps.index(max_gap) // k],
+        min_gap_bits=min(gaps),
         all_within_7=max_gap <= 7.0,
-        seed=seed,
+        argmax_alpha=AlphaMatrix((worst[:3], worst[3:])),
     )
     return report, rows
 
@@ -427,43 +440,39 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
     evaluated BLOCK_ROWS at a time; the Philox stream is consumed in the
     same order as one draw at a time.
     """
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n!r}")
-    lo, hi = _check_box(box)
+    n = _check_n(n)
+    to_grids = _box_grids(box)
     rhos = _check_rhos(rho_list) if rho_list is not None else None
     rho_lo, rho_hi = _check_rho_range(rho_range)
     lg_lo, lg_hi = math.log10(rho_lo), math.log10(rho_hi)
     rng = _generator(seed)
-    columns = ([], [], [], [], [], [])
-    max_rate_violation = -math.inf
-    max_gdof_violation = -math.inf
-    for start in range(0, n, BLOCK_ROWS):
-        m = min(BLOCK_ROWS, n - start)
+
+    def evaluate(sample):
+        m = len(sample)
         u = rng.random((m, 6 if rhos is not None else 7))
-        grids = hi - (hi - lo) * u[:, :6]
+        grids = to_grids(u[:, :6])
         if rhos is None:
             sample_rhos = libm_pow(np.full(m, 10.0), lg_lo + (lg_hi - lg_lo) * u[:, 6:])
         else:
             sample_rhos = np.broadcast_to(rhos, (m, len(rhos)))
+        k = sample_rhos.shape[1]
         d_tt = _first_max(tdma_tin_gdof_profiles(grids))
         d_ub = _first_min(gdof_ub_profiles(grids))
-        max_gdof_violation = _max_keep_nan(max_gdof_violation, float((d_tt - d_ub).max()))
-        rate, ub = _rates_and_bounds(grids, sample_rhos)
-        max_rate_violation = _max_keep_nan(max_rate_violation, float((rate - ub).max()))
-        k = sample_rhos.shape[1]
-        for column, values in zip(columns, (
-                np.repeat(np.arange(start, start + m), k), sample_rhos.ravel(), rate, ub,
-                np.repeat(d_tt, k), np.repeat(d_ub, k))):
-            column.extend(values.tolist())
+        return (np.repeat(sample, k), sample_rhos.ravel(), *_rates_and_bounds(grids, sample_rhos),
+                np.repeat(d_tt, k), np.repeat(d_ub, k))
+
+    columns = _in_blocks(n, evaluate)
+    _, _, rate, ub, d_tt, d_ub = columns
+    # ndarray.max is NaN when any difference is, so a NaN fails the audit.
     report = SandwichReport(
         n_samples=n,
         seed=seed,
         rho_list=rhos,
         rho_range=(rho_lo, rho_hi),
-        max_rate_violation_bits=max_rate_violation,
-        max_gdof_violation=max_gdof_violation,
+        max_rate_violation_bits=float((rate - ub).max()),
+        max_gdof_violation=float((d_tt - d_ub).max()),
     )
-    return report, Table(SANDWICH_COLUMNS, "ifffff", columns)
+    return report, Table(SANDWICH_COLUMNS, "ifffff", [c.tolist() for c in columns])
 
 
 def sandwich_audit(n: int, rho_list=None, seed: int = 0,

@@ -239,8 +239,12 @@ def _box_outcomes(n, seed, box=(0.0, 2.0), window=1_000_000):
 
 
 def _symmetric_outcomes(n, seed):
-    return (_outcome(lambda rng: experiments._sample_blocks(
-                n, rng, 3, experiments._symmetric_grids, 1_000_000), seed),
+    def block_sample(rng):
+        grids = experiments._sample_blocks(n, rng, 3, experiments._symmetric_grids, 1_000_000)
+        assert grids.shape == (n, 6)
+        return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
+
+    return (_outcome(block_sample, seed),
             _outcome(lambda rng: _scalar_sample(n, lambda: _draw_symmetric(rng)), seed))
 
 
@@ -280,6 +284,21 @@ def test_block_sampler_exhausts_at_the_scalar_trial(box, seed, window, acceptanc
     assert block == scalar
     assert block[0] == (f"acceptance {acceptance} is below 0.1%; "
                         "the draws barely intersect the extended regime")
+
+
+BAD_COUNTS = [0, -1, 2.5, math.inf, math.nan, "3"]
+
+
+@pytest.mark.parametrize("n", BAD_COUNTS)
+def test_sample_counts_must_be_integers_of_at_least_one(n):
+    # 2.5 used to give 176 samples, inf never returned from the gap audit,
+    # and the sandwich audit raised TypeError on 2.5.
+    for call in (lambda: sample_in_regime(n, np.random.Generator(np.random.Philox(1))),
+                 lambda: gap_audit(n, (100.0,), seed=1),
+                 lambda: gap_audit(n, (100.0,), seed=1, beta_free=False),
+                 lambda: sandwich_audit(n, seed=1)):
+        with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+            call()
 
 
 def test_sample_in_regime_rejects_bad_arguments():
@@ -338,6 +357,22 @@ def test_gap_audit_symmetric_family_matches_scalar_sampler():
             rate = tdma_tin_rate(rho, alpha).value
             want.append((idx, rho, ub - rate, ub, rate))
     assert list(rows) == want
+
+
+@pytest.mark.parametrize("beta_free", [True, False])
+def test_gap_audit_builds_one_alpha_matrix(monkeypatch, beta_free):
+    # The samples stay one array; only the reported argmax becomes an
+    # AlphaMatrix. Wrapped in a plain function, as the benchmark tracer does.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return AlphaMatrix(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "AlphaMatrix", counted)
+    report = gap_audit(750, (1e2, 1e4, 1e6), seed=3, beta_free=beta_free)
+    assert len(calls) == 1
+    assert isinstance(report.argmax_alpha, AlphaMatrix)
 
 
 def test_gap_audit_deterministic():
@@ -480,6 +515,29 @@ def test_sandwich_audit_keeps_a_nan_violation(monkeypatch, capsys):
     assert main(["sandwich-audit", "--n", str(BLOCK_ROWS + 5), "--seed", "1"]) == 3
     assert capsys.readouterr().err == ("audit failure: rate exceeds the bound by nan "
                                        "bits (tolerance 1e-09)\n")
+
+
+def test_sandwich_audit_keeps_a_nan_gdof_violation(monkeypatch, capsys):
+    # A NaN GDoF bound in the second block must reach the report and fail
+    # the audit on the GDoF check.
+    gdof_ub_profiles = experiments.gdof_ub_profiles
+    calls = []
+
+    def nan_in_second_block(grids):
+        profiles = gdof_ub_profiles(grids)
+        calls.append(len(profiles))
+        if len(calls) == 2:
+            profiles[3] = math.nan
+        return profiles
+
+    monkeypatch.setattr(experiments, "gdof_ub_profiles", nan_in_second_block)
+    report = sandwich_audit(BLOCK_ROWS + 5, seed=1)
+    assert math.isnan(report.max_gdof_violation)
+    assert report.max_rate_violation_bits <= 1e-9
+    calls.clear()
+    assert main(["sandwich-audit", "--n", str(BLOCK_ROWS + 5), "--seed", "1"]) == 3
+    assert capsys.readouterr().err == ("audit failure: TIN GDoF exceeds the GDoF bound by nan "
+                                       "(tolerance 1e-12)\n")
 
 
 def test_sandwich_audit_deterministic():
