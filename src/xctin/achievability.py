@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
-                      link_picker, link_table)
+                      link_entries, link_picker, link_table, screened_first)
 from .errors import ValidationError
 
 
@@ -133,16 +133,35 @@ def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
 #
 # The same formulas over many exponent grids per call: a is an (n, 6)
 # row-major exponent array (rows as AlphaMatrix.flat()), and column k of a
-# returned (n, 6) profile belongs to IC_CONFIGS[k]. Operand order and libm
-# transcendentals match _tin_rate/_tin_gdof bit for bit; argmax along a row
-# gives the first maximum, as _first_max does.
+# returned (n, 6) profile belongs to IC_CONFIGS[k]. Operand order and the
+# libm transcendentals of every returned value (numpy's only screen, see
+# channel.screened_first) match _tin_rate/_tin_gdof bit for bit; argmax
+# along a row gives the first maximum, as _first_max does.
+
+
+def _tin_rate_links(powers, log2):
+    """TIN sum rate from the gathered powers rho**a of each receiver's
+    desired and cross link, (j1, i1), (j1, i2), (j2, i2), (j2, i1); log2
+    takes the logs."""
+    des1, cross1, des2, cross2 = powers
+    return log2(1.0 + des1 / (1.0 + cross1)) + log2(1.0 + des2 / (1.0 + cross2))
 
 
 def tdma_tin_rate_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """TIN sum rate in bits of every pairing and every row of a at the SNRs
     rho (shape (n,)); returns (n, 6)."""
-    des1, cross1, des2, cross2 = link_columns(libm_pow(rho, a), _CONFIG_LINKS)
-    return libm_log2(1.0 + des1 / (1.0 + cross1)) + libm_log2(1.0 + des2 / (1.0 + cross2))
+    return _tin_rate_links(link_columns(libm_pow(rho[:, None], a), _CONFIG_LINKS), libm_log2)
+
+
+def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
+    """TDMA-TIN rate of every row of the powers r = libm_pow(rho[:, None], a);
+    bit-identical to the first maximum of tdma_tin_rate_profiles(a, rho).
+    numpy screens the six pairings and libm evaluates only those that can be
+    the maximum (see channel.screened_first)."""
+    return screened_first(
+        _tin_rate_links(link_columns(r, _CONFIG_LINKS), np.log2),
+        lambda rows, cfgs: _tin_rate_links(link_entries(r, _CONFIG_LINKS, rows, cfgs), libm_log2),
+        lowest=False)
 
 
 def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:

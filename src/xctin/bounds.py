@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
-                      link_picker, link_table)
+                      link_entries, link_picker, link_table, screened_first)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -239,9 +239,10 @@ def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
 # The same formulas over many exponent grids per call: a is an (n, 6)
 # row-major exponent array (rows as AlphaMatrix.flat()), and column k of a
 # returned (n, 12) profile belongs to PERMUTATIONS[k]. Every expression keeps
-# the scalar operand order and the transcendentals go through libm, so each
-# entry is bit-identical to _bound/_gdof; argmin along a row gives the first
-# minimum, as _first_min does.
+# the scalar operand order and every returned value takes its
+# transcendentals from libm (numpy's only screen, see
+# channel.screened_first), so each entry is bit-identical to _bound/_gdof;
+# argmin along a row gives the first minimum, as _first_min does.
 
 
 def _max3(x, y, z):
@@ -251,21 +252,43 @@ def _max3(x, y, z):
     return np.where(z > m, z, m)
 
 
-def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """B(p) in bits for every ordering and every row of a at the SNRs rho
-    (shape (n,)); returns (n, 12)."""
-    u1, _, u3, v1, _, v3 = link_columns(a, _PERM_LINKS)
+def _bound_links(links, powers, rho, power, log2):
+    """B(p) from gathered link columns: the exponents links and the powers
+    rho**a of (j1, i1), (j1, i2), (j1, i3), (j2, i1), (j2, i2), (j2, i3),
+    with rho broadcastable to them; power and log2 take c^2 and the logs."""
+    u1, _, u3, v1, _, v3 = links
     case1 = v3 <= v1
     # Cases 1 and 2 scale the genie at i1, case 3 at i3 (see _genie_case).
     at_i1 = case1 | (v1 - u1 <= v3 - u3 - v1)
-    c_sq = libm_pow(rho, np.where(at_i1, v1 - u1, v3 - v1 - u3))
+    c_sq = power(rho, np.where(at_i1, v1 - u1, v3 - v1 - u3))
     d = np.where(case1, 0.0, 1.0)
-    r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = link_columns(libm_pow(rho, a), _PERM_LINKS)
+    r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = powers
     genie_power = r_j1i1 + d * r_j1i3
-    term1 = libm_log2(1.0 + r_j1i2 + (1.0 - d) * r_j1i3
-                      + genie_power / (1.0 + c_sq * genie_power))
-    term2 = libm_log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
+    term1 = log2(1.0 + r_j1i2 + (1.0 - d) * r_j1i3
+                 + genie_power / (1.0 + c_sq * genie_power))
+    term2 = log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
     return term1 + term2 + 1.0
+
+
+def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """B(p) in bits for every ordering and every row of a at the SNRs rho
+    (shape (n,)); returns (n, 12)."""
+    r = libm_pow(rho[:, None], a)
+    return _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
+                        rho[:, None], libm_pow, libm_log2)
+
+
+def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """min_p B(p) of every row of a at the SNRs rho (shape (n,)), given its
+    powers r = libm_pow(rho[:, None], a); bit-identical to the first minimum
+    of sum_capacity_ub_profiles(a, rho). numpy screens the twelve orderings
+    and libm evaluates only those that can be the minimum (see
+    channel.screened_first)."""
+    screened = _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
+                            rho[:, None], np.power, np.log2)
+    return screened_first(screened, lambda rows, perms: _bound_links(
+        link_entries(a, _PERM_LINKS, rows, perms), link_entries(r, _PERM_LINKS, rows, perms),
+        rho[rows], libm_pow, libm_log2), lowest=True)
 
 
 def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:

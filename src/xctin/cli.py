@@ -125,7 +125,16 @@ def _csv_floats(col) -> list[str]:
 
 def _json_floats(col) -> list[str]:
     """repr(_round12(x)) of each cell, NaN and Infinity as json.dumps writes them."""
-    texts = list(map(repr, map(float, map(format, col, repeat(".12g")))))
+    texts = _csv_floats(col)
+    joined = "".join(texts)
+    # A positional decimal with a point and at most 12 significant digits is
+    # already the shortest repr of its nearest double. When every text has
+    # its point and no exponent, the column is returned as it is; otherwise
+    # (an integral value, an exponent, nan or inf, which have no point) it
+    # is parsed and written again.
+    if joined.count(".") == len(texts) and "e" not in joined:
+        return texts
+    texts = list(map(repr, map(float, texts)))
     return list(map(_JSON_NON_FINITE.get, texts, texts))
 
 

@@ -18,9 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .achievability import (tdma_tin_gdof, tdma_tin_gdof_profiles,
-                            tdma_tin_rate, tdma_tin_rate_profiles)
+                            tdma_tin_rate, tdma_tin_rate_max)
 from .bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
-                     sum_capacity_ub, sum_capacity_ub_profiles)
+                     sum_capacity_ub, sum_capacity_ub_min)
 from .channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_pow,
                       rho_from_db)
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
@@ -256,12 +256,13 @@ def _in_blocks(n: int, evaluate) -> tuple[np.ndarray, ...]:
 def _rates_and_bounds(grids: np.ndarray, rhos: np.ndarray):
     """TDMA-TIN rate and min_p B(p) of grid i at SNR rhos[i, j] for every
     pair (i, j), grid-major, as two flat arrays; BLOCK_ROWS pairs per kernel
-    call."""
+    call, whose powers rho**a both kernels share."""
     k = rhos.shape[1]
 
     def evaluate(pair):
         a, rho = grids[pair // k], rhos[pair // k, pair % k]
-        return _first_max(tdma_tin_rate_profiles(a, rho)), _first_min(sum_capacity_ub_profiles(a, rho))
+        r = libm_pow(rho[:, None], a)
+        return tdma_tin_rate_max(r), sum_capacity_ub_min(a, rho, r)
 
     return _in_blocks(len(grids) * k, evaluate)
 
@@ -393,9 +394,10 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     7-bit claim is exactly what the audit is for.
     """
     rhos = _check_rhos(rho_list)
+    to_grids = _box_grids(box)  # checked for the symmetric family too
     rng = _generator(seed)
     if beta_free:
-        grids = _sample_blocks(n, rng, 6, _box_grids(box), exhaustion_window)
+        grids = _sample_blocks(n, rng, 6, to_grids, exhaustion_window)
     else:
         grids = _sample_blocks(n, rng, 3, _symmetric_grids, exhaustion_window)
     n, k = len(grids), len(rhos)
@@ -452,7 +454,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         u = rng.random((m, 6 if rhos is not None else 7))
         grids = to_grids(u[:, :6])
         if rhos is None:
-            sample_rhos = libm_pow(np.full(m, 10.0), lg_lo + (lg_hi - lg_lo) * u[:, 6:])
+            sample_rhos = libm_pow(10.0, lg_lo + (lg_hi - lg_lo) * u[:, 6:])
         else:
             sample_rhos = np.broadcast_to(rhos, (m, len(rhos)))
         k = sample_rhos.shape[1]

@@ -7,21 +7,30 @@ v1 - u1 == v3 - u3 - v1, on multiples of 1/8 so the arithmetic is exact),
 and row counts sit on both sides of the audits' block size. A kernel that
 used numpy's own power or log2 instead of libm's would fail here. The regime
 kernel's witnesses must be the scalar witnesses, also on grids sitting
-exactly on a regime boundary and on points of the sweep family.
+exactly on a regime boundary and on points of the sweep family. The audits'
+screened kernels must return the first extremum of the libm profiles, bit
+for bit, also on exact ties, at the largest SNR and on non-finite rows.
 """
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from xctin import achievability, bounds
 from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof,
                                  tdma_tin_gdof_config, tdma_tin_gdof_profiles,
-                                 tdma_tin_rate, tdma_tin_rate_profiles,
-                                 tin_sum_rate)
+                                 tdma_tin_rate, tdma_tin_rate_max,
+                                 tdma_tin_rate_profiles, tin_sum_rate)
 from xctin.bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
-                          sum_capacity_ub, sum_capacity_ub_profiles)
-from xctin.channel import AlphaMatrix
-from xctin.experiments import BLOCK_ROWS, SWEEP_GRID_SLACK
+                          sum_capacity_ub, sum_capacity_ub_min,
+                          sum_capacity_ub_profiles)
+from xctin.channel import (DEFAULT_ALPHA_CAP, SCREEN_MARGIN, AlphaMatrix,
+                           libm_pow, link_columns)
+from xctin.experiments import (_RHO_CAP, BLOCK_ROWS, SWEEP_GRID_SLACK,
+                               _first_max, _first_min)
 from xctin.regime import in_extended_regime, in_gsj_regime, regime_witnesses
 
 EIGHTHS = [k / 8 for k in range(17)]
@@ -146,3 +155,65 @@ def test_regime_witnesses_match_scalar_witnesses(case, tol):
         alpha = _alpha(row)
         assert we == _index(in_extended_regime(alpha, tol))
         assert wg == _index(in_gsj_regime(alpha, tol))
+
+
+# Exponents at the edges of the audits' boxes and of the input cap.
+EDGES = [0.0, 2.0, DEFAULT_ALPHA_CAP]
+
+
+@st.composite
+def tied_grids(draw):
+    """A grid on which several orderings and pairings tie exactly: all six
+    entries equal, or the family [[1, x, y], [x, 1, y]] with repeated
+    entries."""
+    x = draw(st.sampled_from(EIGHTHS + EDGES))
+    if draw(st.booleans()):
+        return [x] * 6
+    y = draw(st.sampled_from([x, 1.0, 0.5]))
+    return [1.0, x, y, x, 1.0, y]
+
+
+@st.composite
+def screen_blocks(draw):
+    """blocks() with tied grids and grids on the EDGES, a quarter of the rows
+    at the largest SNR the audits accept (where no exponent exceeds
+    DEFAULT_ALPHA_CAP, the cap that SNR is derived for) and, in half the
+    blocks, one NaN or infinite exponent."""
+    a, rho = draw(blocks(tied_grids(), st.lists(st.sampled_from(EDGES), min_size=6,
+                                                max_size=6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho[(rng.random(len(rho)) < 0.25) & (a.max(axis=1) <= DEFAULT_ALPHA_CAP)] = _RHO_CAP
+    if rng.random() < 0.5:
+        a[rng.integers(len(a)), rng.integers(6)] = (math.nan, math.inf)[rng.integers(2)]
+    return a, rho
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=screen_blocks())
+def test_screened_extrema_equal_the_libm_profiles(case):
+    a, rho = case
+    r = libm_pow(rho[:, None], a)
+    with np.errstate(invalid="ignore"):  # inf * 0 on an infinite exponent
+        ub, want_ub = sum_capacity_ub_min(a, rho, r), _first_min(sum_capacity_ub_profiles(a, rho))
+        rate, want_rate = tdma_tin_rate_max(r), _first_max(tdma_tin_rate_profiles(a, rho))
+    # Exact equality, with NaN equal to NaN.
+    np.testing.assert_array_equal(ub, want_ub, strict=True)
+    np.testing.assert_array_equal(rate, want_rate, strict=True)
+
+
+@pytest.mark.parametrize("box", [2.0, DEFAULT_ALPHA_CAP])
+def test_screen_misses_libm_by_far_less_than_its_margin(box):
+    rng = np.random.default_rng(7)
+    a = box * rng.random((4096, 6))
+    rho = 10.0 ** rng.uniform(0.01, math.log10(_RHO_CAP), len(a))
+    rho[:256] = _RHO_CAP
+    r = libm_pow(rho[:, None], a)
+    screened_ub = bounds._bound_links(
+        link_columns(a, bounds._PERM_LINKS), link_columns(r, bounds._PERM_LINKS),
+        rho[:, None], np.power, np.log2)
+    ub = sum_capacity_ub_profiles(a, rho)
+    screened_rate = achievability._tin_rate_links(
+        link_columns(r, achievability._CONFIG_LINKS), np.log2)
+    for screened, exact in ((screened_ub, ub), (screened_rate, tdma_tin_rate_profiles(a, rho))):
+        # A thousandth of the margin screened_first gives each extremum.
+        assert (np.abs(screened - exact) < SCREEN_MARGIN / 1000 * (1.0 + np.abs(exact))).all()

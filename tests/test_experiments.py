@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xctin import experiments
+from xctin import achievability, bounds, experiments
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
 from xctin.bounds import gdof_ub, sum_capacity_ub
-from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, rho_from_db
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_log2,
+                           libm_pow, rho_from_db)
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (BLOCK_ROWS, SAMPLER_BLOCK_ROWS, SWEEP_GRID_SLACK,
@@ -375,6 +376,30 @@ def test_gap_audit_builds_one_alpha_matrix(monkeypatch, beta_free):
     assert isinstance(report.argmax_alpha, AlphaMatrix)
 
 
+def test_gap_audit_takes_libm_only_for_the_candidates(monkeypatch):
+    # The powers rho**a are taken once per (draw, SNR) pair, 6 pow; numpy
+    # screens the orderings and pairings, and libm evaluates only the
+    # candidates, about one ordering (one c^2, two logs) and one pairing
+    # (two logs) per pair. Every entry of both profiles through libm took
+    # 24 pow and 36 log2 per pair.
+    counts = {libm_pow: 0, libm_log2: 0}
+
+    def counted(f):
+        def call(*args):
+            out = f(*args)
+            counts[f] += out.size
+            return out
+        return call
+
+    for module, f in ((bounds, libm_pow), (bounds, libm_log2), (achievability, libm_pow),
+                      (achievability, libm_log2), (experiments, libm_pow)):
+        monkeypatch.setattr(module, f.__name__, counted(f))
+    gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
+    pairs = 750 * 3
+    assert counts[libm_pow] <= 8 * pairs
+    assert counts[libm_log2] <= 6 * pairs
+
+
 def test_gap_audit_deterministic():
     a = gap_audit(25, (1e2,), seed=11)
     b = gap_audit(25, (1e2,), seed=11)
@@ -471,8 +496,10 @@ def test_audits_reject_box_above_the_exponent_cap(box):
     # passed the sandwich audit with both violations at -inf.
     with pytest.raises(ValidationError):
         sandwich_audit(5, seed=1, box=box)
-    with pytest.raises(ValidationError):
-        gap_audit(5, (100.0,), seed=1, box=box)
+    for beta_free in (True, False):
+        # The symmetric family ignores the box but checks it all the same.
+        with pytest.raises(ValidationError):
+            gap_audit(5, (100.0,), seed=1, beta_free=beta_free, box=box)
     assert sandwich_audit(5, seed=1, box=(0.0, DEFAULT_ALPHA_CAP)).n_samples == 5
 
 

@@ -90,6 +90,27 @@ def test_json_record_template_matches_json_dumps(table, head, records_first):
     assert emit_report(dict(items), "json") == want.encode("utf-8")
 
 
+# Float cells that .12g mostly writes with a point and no exponent, whose
+# texts _json_floats keeps as they are, and cells it must parse and write
+# again: integral values and zeros (no point), exponents (from 1e12 up, below
+# 1e-4, subnormals), nan and inf.
+POSITIONAL = st.builds(math.copysign, st.floats(1e-4, 1e10), st.sampled_from([1.0, -1.0]))
+REWRITTEN = st.one_of(
+    st.integers(-10**15, 10**15).map(float),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.floats(1e12, 1e16, exclude_max=True),
+    st.floats(-1e-4, 1e-4, exclude_min=True, exclude_max=True),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), cells=st.lists(POSITIONAL, max_size=40),
+       rewritten=st.lists(REWRITTEN, max_size=3))
+def test_json_floats_match_the_three_call_path(data, cells, rewritten):
+    col = data.draw(st.permutations(cells + rewritten))
+    assert cli._json_floats(col) == [json.dumps(float(format(x, ".12g"))) for x in col]
+
+
 @pytest.mark.parametrize("col", [
     [0.0, -0.0] * 600,                  # both zeros in a column that repeats
     [-0.0] * 3 + [0.0] * 1200,
