@@ -164,9 +164,16 @@ def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
         lowest=False)
 
 
-def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
-    """TIN GDoF of every pairing and every row of a; returns (n, 6)."""
-    des1, cross1, des2, cross2 = link_columns(a, _CONFIG_LINKS)
+def _tin_gdof_links(links):
+    """TIN GDoF from the exponents of each receiver's desired and cross link,
+    (j1, i1), (j1, i2), (j2, i2), (j2, i1), as gathered columns or any
+    broadcastable operands."""
+    des1, cross1, des2, cross2 = links
     x = des1 - cross1
     y = des2 - cross2
     return np.where(x > 0.0, x, 0.0) + np.where(y > 0.0, y, 0.0)
+
+
+def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
+    """TIN GDoF of every pairing and every row of a; returns (n, 6)."""
+    return _tin_gdof_links(link_columns(a, _CONFIG_LINKS))

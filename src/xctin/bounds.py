@@ -291,8 +291,14 @@ def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.nda
         rho[rows], libm_pow, libm_log2), lowest=True)
 
 
-def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
-    """D(p) for every ordering and every row of a; returns (n, 12)."""
-    u1, u2, u3, v1, v2, v3 = link_columns(a, _PERM_LINKS)
+def _gdof_links(links):
+    """D(p) from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
+    (j2, i2), (j2, i3), as gathered columns or any broadcastable operands."""
+    u1, u2, u3, v1, v2, v3 = links
     diff = v3 - v1
     return _max3(v1, v3, v2 - u2) + _max3(u2, u1 - v1, u3 - np.where(diff > 0.0, diff, 0.0))
+
+
+def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
+    """D(p) for every ordering and every row of a; returns (n, 12)."""
+    return _gdof_links(link_columns(a, _PERM_LINKS))

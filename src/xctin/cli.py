@@ -15,8 +15,10 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, islice, repeat
 from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import experiments
 from .achievability import tdma_tin_gdof, tdma_tin_rate
@@ -98,9 +100,11 @@ _JSON_BOOL = {True: "true", False: "false"}
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Values probed to tell whether a float column repeats. The sweep's axes and
 # GDoF columns hold a few hundred distinct values, and formatting each once
-# pays; audit draws are all distinct, and a dict of them costs more than
+# pays; audit draws are all distinct, and sorting them costs more than
 # formatting every cell.
 _REPEAT_PROBE = 1024
+# Rows per piece of a table's csv text.
+_JOIN_ROWS = 1024
 
 
 def _repeats(col) -> bool:
@@ -108,15 +112,18 @@ def _repeats(col) -> bool:
     return 2 * len(set(head)) <= len(head)
 
 
-def _memo_texts(col, texts):
+def _memo_texts(col, texts) -> list[str]:
     """The cells of texts(col), calling texts once on the distinct values of
-    col."""
-    distinct = list(set(col))
-    memo = dict(zip(distinct, texts(distinct)))
-    # 0.0 and -0.0 are one key, so a column holding both is not memoized.
-    if 0.0 in memo and len({math.copysign(1.0, v) for v in col if v == 0.0}) == 2:
-        return texts(col)
-    return map(memo.__getitem__, col)
+    the float column col, which one sort finds."""
+    x = np.asarray(col, dtype=float)
+    values, inverse = np.unique(x, return_inverse=True)
+    # 0.0 and -0.0 sort as one value, so a column holding both is not
+    # memoized; every NaN is one value too, and each writes "nan".
+    if (values == 0.0).any():
+        signs = np.signbit(x[x == 0.0])
+        if signs.any() and not signs.all():
+            return texts(col)
+    return np.array(texts(values.tolist()), dtype=object)[inverse].tolist()
 
 
 def _csv_floats(col) -> list[str]:
@@ -139,7 +146,8 @@ def _json_floats(col) -> list[str]:
 
 
 def _csv_field(kind: str, col):
-    """The csv template field of one typed column and the cells it formats."""
+    """The csv template field of one typed column and the cells it formats;
+    "%s" marks cells that are already their texts."""
     if kind == "g":
         return "%s", map(_csv_cell, col)
     if kind in "bs":
@@ -150,9 +158,15 @@ def _csv_field(kind: str, col):
 
 
 def _csv_records(table: Table):
-    """The csv rows of a typed table, one %-template per row."""
+    """The csv rows of a typed table as pieces of text, _JOIN_ROWS rows
+    each. When every column is texts already, as in the sweep, each row is
+    joined; otherwise each goes through one %-template, which is faster on
+    columns of distinct floats than formatting them to texts first."""
     fields, cells = zip(*map(_csv_field, table.kinds, table.columns))
-    return map((",".join(fields) + "\n").__mod__, zip(*cells))
+    rows = zip(*cells)
+    lines = (map(",".join, rows) if set(fields) == {"%s"}
+             else map(",".join(fields).__mod__, rows))
+    return ("\n".join(chunk) + "\n" for chunk in iter(lambda: list(islice(lines, _JOIN_ROWS)), []))
 
 
 def _json_cells(kind: str, col):
@@ -162,7 +176,8 @@ def _json_cells(kind: str, col):
     if kind == "i":
         return map(repr, col)
     if kind == "s":
-        return _memo_texts(col, lambda values: list(map(json.dumps, values)))
+        labels = set(col)
+        return map(dict(zip(labels, map(json.dumps, labels))).__getitem__, col)
     if kind == "g":
         return map(json.dumps, map(_jsonify, col))
     return map(_JSON_BOOL.__getitem__, col)
@@ -205,8 +220,13 @@ def emit_report(results, format: str) -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         if isinstance(results, Table):
             writer.writerow(results.names)
-            buf.writelines(_csv_records(results))
-        elif isinstance(results, dict) and "columns" in results and "rows" in results:
+            # Encoded a piece at a time, so the whole text is never held
+            # next to its bytes.
+            out = io.BytesIO()
+            for piece in chain((buf.getvalue(),), _csv_records(results)):
+                out.write(piece.encode("utf-8"))
+            return out.getvalue()
+        if isinstance(results, dict) and "columns" in results and "rows" in results:
             writer.writerow(results["columns"])
             writer.writerows([_csv_cell(v) for v in row] for row in results["rows"])
         else:

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .achievability import (tdma_tin_gdof, tdma_tin_gdof_profiles,
-                            tdma_tin_rate, tdma_tin_rate_max)
-from .bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
+from .achievability import (IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof,
+                            tdma_tin_gdof_profiles, tdma_tin_rate, tdma_tin_rate_max)
+from .bounds import (PERMUTATIONS, _gdof_links, gdof_ub, gdof_ub_profiles,
                      sum_capacity_ub, sum_capacity_ub_min)
 from .channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_pow,
                       rho_from_db)
@@ -27,8 +27,8 @@ from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
 # tests/test_bench_names.py name them.
-from .regime import (check_tol, classify, in_extended_regime,  # noqa: F401
-                     regime_witnesses)
+from .regime import (_first_true, _witness_links, check_tol, classify,  # noqa: F401
+                     in_extended_regime, regime_witnesses)
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
@@ -54,8 +54,9 @@ _RHO_CAP = rho_from_db(MAX_RHO_DB)
 SWEEP_MAX_AXIS_POINTS = 1001
 # Largest exponent on each sweep axis.
 SWEEP_RANGE_MAX = 0.75
-# Rows per block-kernel call in the sweep and the audits: enough to spread
-# numpy's per-call cost, few enough that the temporaries stay small whatever n.
+# Rows per block-kernel call in the audits (the sweep is one broadcast over
+# its axes): enough to spread numpy's per-call cost, few enough that the
+# temporaries stay small whatever n.
 BLOCK_ROWS = 256
 # Candidate draws per regime_witnesses call in the rejection sampler. At
 # about 18% acceptance a block of 1024 gives some 180 samples; 256 rows paid
@@ -183,18 +184,29 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     if not np.isfinite(axis).all():
         raise ValidationError(f"sweep grid values must be finite and >= 0, got step {step!r}")
     side = len(axis)
-
-    def evaluate(k):
-        grids = _family_grids(axis[k // side], axis[k % side], b)
-        return (_first_max(tdma_tin_gdof_profiles(grids)), _first_min(gdof_ub_profiles(grids)),
-                *regime_witnesses(grids, t + SWEEP_GRID_SLACK))
-
-    d_tt, d_ub, ext, gsj = _in_blocks(side * side, evaluate)
-    # Grid values as Python floats, each shared by the rows that hold it.
+    t += SWEEP_GRID_SLACK
+    # Each link of the family is 1, beta, alpha12 (a row of the plane) or
+    # alpha21 (a column), so every formula runs on these operands and only
+    # its result is broadcast to the plane: one profile column per item.
+    grid = (1.0, axis[None, :], b, axis[:, None], 1.0, b)
+    d_tt = np.empty((side, side, len(IC_CONFIGS)))
+    for k, cfg in enumerate(IC_CONFIGS):
+        d_tt[..., k] = _tin_gdof_links(cfg.take(grid))
+    d_tt = _first_max(d_tt.reshape(side * side, -1))
+    d_ub = np.empty((side, side, len(PERMUTATIONS)))
+    ext, gsj = np.empty((2, side, side, len(PERMUTATIONS)), dtype=bool)
+    for k, p in enumerate(PERMUTATIONS):
+        links = p.take(grid)
+        d_ub[..., k] = _gdof_links(links)
+        ext[..., k], gsj[..., k] = _witness_links(links, t)
+    d_ub = _first_min(d_ub.reshape(side * side, -1))
+    ext, gsj = (_first_true(w.reshape(side * side, -1)) for w in (ext, gsj))
+    # Grid and GDoF values as Python floats, each shared by the rows that
+    # hold it.
     points = axis.tolist()
     return Table(SWEEP_COLUMNS, "ffbbffs", (
         [a21 for a21 in points for _ in points], points * side,
-        (ext >= 0).tolist(), (gsj >= 0).tolist(), d_tt.tolist(), d_ub.tolist(),
+        (ext >= 0).tolist(), (gsj >= 0).tolist(), _shared_floats(d_tt), _shared_floats(d_ub),
         list(map(_WITNESS_LABELS.__getitem__, ext.tolist()))), SweepRecord)
 
 
@@ -243,6 +255,12 @@ def _first_min(profiles: np.ndarray) -> np.ndarray:
 def _first_max(profiles: np.ndarray) -> np.ndarray:
     """Each row's first maximum, as achievability._first_max picks it."""
     return np.take_along_axis(profiles, profiles.argmax(axis=1)[:, None], axis=1)[:, 0]
+
+
+def _shared_floats(x: np.ndarray) -> list[float]:
+    """x.tolist() with one float object per distinct bit pattern of x."""
+    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    return np.array(bits.view(float).tolist(), dtype=object)[inverse].tolist()
 
 
 def _in_blocks(n: int, evaluate) -> tuple[np.ndarray, ...]:

@@ -150,15 +150,22 @@ def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.nd
     are bit-identical to the scalar loop's. tol is checked as in
     in_extended_regime.
     """
-    tol = check_tol(tol)
-    u1, u2, u3, v1, v2, v3 = link_columns(a, _PERM_LINKS)
+    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol))
+    return _first_true(extended), _first_true(gsj)
+
+
+def _witness_links(links, tol: float):
+    """Whether the extended and the reference regime conditions hold at
+    slack tol, from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
+    (j2, i2), (j2, i3), as gathered columns or any broadcastable operands."""
+    u1, u2, u3, v1, v2, v3 = links
     hi = np.where(v1 > v3, v1, v3)
     cross = v2 - u2 + tol >= hi
     direct = u1 - v1 + tol
     first = np.where(v3 > v1, u3 - (v3 - v1), u3)
     extended = (direct >= np.where(first > u2, first, u2)) & cross
     gsj = (direct >= np.where(u3 > u2, u3, u2)) & cross
-    return _first_true(extended), _first_true(gsj)
+    return extended, gsj
 
 
 def _first_true(ok: np.ndarray) -> np.ndarray:

@@ -351,6 +351,10 @@ BYTE_PINS = [
      "09af0721bbba37c1666cbded24d60eeddd0f42c902955122b5afa982afe931dd", "321efbdba722395d62ff92ebf24902b78dd69ea90a5b54747206795acfc976d3"),
     (("sweep", "--beta", "0.7", "--step", "0.01", "--tolerance", "0.004"),
      "3207346b314e7a11363a1bb4c218ae58b00272c58b2f12c229276785e3a43ea1", ""),
+    # Recorded before the sweep moved from grid-row blocks to one broadcast
+    # over its axes: the largest grid, SWEEP_MAX_AXIS_POINTS per axis.
+    (("sweep", "--out", "{out}", "--beta", "0.7", "--step", "0.00075"),
+     "f8288e5bfd28328d1d25b6d8a00795dec6a126ae231e99e54838c598c1e8ee5b", "1a9604ca8299f504bdf00f4b6065979dfa0349d08773978eca5697059fd22fef"),
 ]
 
 
@@ -437,8 +441,8 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
     # summary are still written, then the geometry audit exits 3.
     assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 0
     capsys.readouterr()
-    exact = experiments.regime_witnesses
-    monkeypatch.setattr(experiments, "regime_witnesses", lambda a, tol: exact(a))
+    exact = experiments._witness_links
+    monkeypatch.setattr(experiments, "_witness_links", lambda links, tol: exact(links, 0.0))
     assert main(["sweep", "--beta", "0.65", "--step", "0.05", "--format", "json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["records"]) == doc["summary"]["n_records"] == 16 ** 2
@@ -449,8 +453,7 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
 def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys):
     # A classifier that puts every point in the reference regime but none
     # in the extended one breaks regime inclusion everywhere.
-    monkeypatch.setattr(experiments, "regime_witnesses", lambda a, tol: (
-        np.full(len(a), -1), np.zeros(len(a), dtype=int)))
+    monkeypatch.setattr(experiments, "_witness_links", lambda links, tol: (False, True))
     assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--format", "json"]) == 3
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -460,8 +463,8 @@ def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys
 
 
 def test_sweep_geometry_audit_failure_names_first_offending_point(monkeypatch, capsys):
-    exact = experiments.regime_witnesses
-    monkeypatch.setattr(experiments, "regime_witnesses", lambda a, tol: exact(a))
+    exact = experiments._witness_links
+    monkeypatch.setattr(experiments, "_witness_links", lambda links, tol: exact(links, 0.0))
     assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 3
     # 7*0.05 rounds past 1 - 0.65, so line 7 leaves the regime at (0, 0.35).
     assert capsys.readouterr().err == "audit failure: regime geometry violated at (0, 0.35)\n"

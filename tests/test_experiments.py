@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xctin import achievability, bounds, experiments
@@ -132,12 +132,38 @@ def test_sweep_audit_checks_inclusion_and_gdof_equality():
         assert sweep_audit_failure(broken, 0.75, 0.25, 1e-6) == failure
 
 
-def test_sweep_columns_match_scalar_gdof_across_blocks():
-    records = sweep_regime_plane(0.6, 0.045)  # 17**2 = 289 points, two blocks
+def test_sweep_columns_match_scalar_gdof_on_a_289_point_plane():
+    records = sweep_regime_plane(0.6, 0.045)  # 17**2 = 289 points, more than BLOCK_ROWS
     assert len(records) > BLOCK_ROWS
     for r in records:
         alpha = AlphaMatrix(((1.0, r.alpha12, 0.6), (r.alpha21, 1.0, 0.6)))
         assert (r.d_tt, r.gdof_ub) == (tdma_tin_gdof(alpha).value, gdof_ub(alpha).value)
+
+
+def _signed(values):
+    """Each value with its sign, so that 0.0 and -0.0 compare unequal."""
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+@settings(max_examples=40, deadline=None)
+@given(beta=st.one_of(st.sampled_from([0.5, 0.65, 0.7725, 1.0 - 2.0 ** -53]),
+                      st.integers(0, 99).map(lambda k: 1.0 - 0.005 * (k + 0.5))),
+       step=st.sampled_from([0.75, 0.05, 0.005]),  # 2, 16 and 151 points per axis
+       tol=st.sampled_from([0.0, 0.004, 0.01]))
+@example(beta=0.65, step=0.05, tol=0.0)  # a grid line that misses 1 - beta by rounding
+@example(beta=1.0 - 2.0 ** -53, step=0.005, tol=0.004)
+def test_sweep_broadcast_matches_the_block_kernels_on_grid_rows(beta, step, tol):
+    table = sweep_regime_plane(beta, step, tol=tol)
+    a21, a12, ext, gsj, d_tt, d_ub, witness = table.columns
+    grids = experiments._family_grids(np.array(a21), np.array(a12), beta)
+    want_ext, want_gsj = experiments.regime_witnesses(grids, tol + SWEEP_GRID_SLACK)
+    assert _signed(a21) == _signed(grids[:, 3].tolist())
+    assert _signed(a12) == _signed(grids[:, 1].tolist())
+    assert _signed(d_tt) == _signed(
+        experiments._first_max(achievability.tdma_tin_gdof_profiles(grids)).tolist())
+    assert _signed(d_ub) == _signed(experiments._first_min(bounds.gdof_ub_profiles(grids)).tolist())
+    assert (ext, gsj) == ((want_ext >= 0).tolist(), (want_gsj >= 0).tolist())
+    assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.01])

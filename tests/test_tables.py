@@ -33,7 +33,7 @@ _INVOCATIONS = (
 SCHEMAS = sorted({(t.names, t.kinds) for t in
                   (cli.COMMANDS[inv.command].handler(inv).table for inv in _INVOCATIONS)})
 
-SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
                   1.0 / 3.0, 1e308, 12345678901234.5, 1e-300)
 CELLS = {
     "f": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
@@ -70,15 +70,30 @@ def tables(draw):
     return Table(names, kinds, columns)
 
 
+@st.composite
+def all_text_tables(draw):
+    """A table whose every column the csv writer turns into texts before it
+    joins the rows: bools, labels with None, and floats repeating a few
+    drawn cells (memoized from two rows on), up to more than two pieces of
+    cli._JOIN_ROWS rows."""
+    n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * cli._JOIN_ROWS + 1]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kinds = "bsff"
+    pools = [draw(st.lists(CELLS[kind], min_size=1, max_size=6)) for kind in kinds]
+    return Table(("flag", "label", "x", "y"), kinds,
+                 [[rng.choice(pool) for _ in range(n)] for pool in pools])
+
+
 @settings(max_examples=150, deadline=None)
-@given(table=tables())
+@given(table=st.one_of(tables(), all_text_tables()))
 def test_csv_row_template_matches_cell_by_cell_path(table):
     generic = emit_report({"columns": table.names, "rows": list(table)}, "csv")
     assert emit_report(table, "csv") == generic
 
 
 @settings(max_examples=150, deadline=None)
-@given(table=tables(), head=st.sampled_from(SUMMARIES), records_first=st.booleans())
+@given(table=st.one_of(tables(), all_text_tables()), head=st.sampled_from(SUMMARIES),
+       records_first=st.booleans())
 def test_json_record_template_matches_json_dumps(table, head, records_first):
     records = [dict(zip(table.names, row)) for row in table]
     items = [("summary", head), ("records", table)]
@@ -111,16 +126,28 @@ def test_json_floats_match_the_three_call_path(data, cells, rewritten):
     assert cli._json_floats(col) == [json.dumps(float(format(x, ".12g"))) for x in col]
 
 
-@pytest.mark.parametrize("col", [
-    [0.0, -0.0] * 600,                  # both zeros in a column that repeats
-    [-0.0] * 3 + [0.0] * 1200,
-    [math.nan, 1.5] * 600,
-    [float(k % 7) for k in range(BLOCK_ROWS + 1)],
-])
-def test_repeating_float_columns_keep_every_cell(col):
+# Each column with the number of cells the csv writer formats: its distinct
+# values when it memoizes the column, all of its cells when not.
+_REPEATING_COLUMNS = [
+    ([0.0, -0.0] * 600, 1200),          # both zeros in a column that repeats
+    ([-0.0] * 3 + [0.0] * 1200, 1203),
+    ([math.nan, 1.5] * 600, 2),
+    ([float(k % 7) for k in range(BLOCK_ROWS + 1)], 7),
+    ([-0.0] * 1200, 1),
+    ([math.nan, -math.nan, math.inf, -math.inf, 5e-324] * 300, 4),  # one nan
+]
+
+
+@pytest.mark.parametrize("col,formatted", _REPEATING_COLUMNS,
+                         ids=[f"col{k}" for k in range(len(_REPEATING_COLUMNS))])
+def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
     table = Table(("x", "k"), "fi", (col, list(range(len(col)))))
-    assert emit_report(table, "csv") == emit_report(
-        {"columns": table.names, "rows": list(table)}, "csv")
+    want_csv = emit_report({"columns": table.names, "rows": list(table)}, "csv")
+    csv_floats = cli._csv_floats
+    counts = []
+    monkeypatch.setattr(cli, "_csv_floats", lambda c: counts.append(len(c)) or csv_floats(c))
+    assert emit_report(table, "csv") == want_csv
+    assert counts == [formatted]
     want = json.dumps(cli._jsonify({"records": [{"x": x, "k": k} for x, k in table]}), indent=2)
     assert emit_report({"records": table}, "json") == (want + "\n").encode("utf-8")
 
