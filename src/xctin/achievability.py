@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
-                      link_entries, link_picker, link_table, screened_first)
+                      link_entries, link_picker, link_table, scalar_where,
+                      screened_first)
 from .errors import ValidationError
 
 
@@ -92,23 +93,9 @@ def _first_max(kernel, grid) -> AchievabilityResult:
     return AchievabilityResult(best, best_cfg)
 
 
-def _tin_rate(powers) -> float:
-    """TIN sum rate from the pairing's picked powers rho**a."""
-    des1, cross1, des2, cross2 = powers
-    return math.log2(1.0 + des1 / (1.0 + cross1)) + math.log2(1.0 + des2 / (1.0 + cross2))
-
-
-def _tin_gdof(links) -> float:
-    """(a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+ from the picked links."""
-    des1, cross1, des2, cross2 = links
-    x = des1 - cross1
-    y = des2 - cross2
-    return (x if x > 0.0 else 0.0) + (y if y > 0.0 else 0.0)
-
-
 def tin_sum_rate(rho: float, alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """Sum rate in bits of one pairing with interference treated as noise."""
-    return _tin_rate([rho ** x for x in cfg.take(alpha.flat())])
+    return _tin_rate_links([rho ** x for x in cfg.take(alpha.flat())], math.log2)
 
 
 def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
@@ -116,33 +103,37 @@ def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
 
     Ties break to the lexicographically first (i1, i2).
     """
-    return _first_max(_tin_rate, [rho ** x for x in alpha.flat()])
+    return _first_max(lambda pw: _tin_rate_links(pw, math.log2),
+                      [rho ** x for x in alpha.flat()])
 
 
 def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """GDoF of one pairing: (a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+."""
-    return _tin_gdof(cfg.take(alpha.flat()))
+    return _tin_gdof_links(cfg.take(alpha.flat()), scalar_where)
 
 
 def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
     """Best pairing GDoF; ties break to the lexicographically first (i1, i2)."""
-    return _first_max(_tin_gdof, alpha.flat())
+    return _first_max(lambda links: _tin_gdof_links(links, scalar_where), alpha.flat())
 
 
-# ---------------------------------------------------------------- block kernels
+# ------------------------------------------- link-level formulas, block kernels
 #
-# The same formulas over many exponent grids per call: a is an (n, 6)
-# row-major exponent array (rows as AlphaMatrix.flat()), and column k of a
-# returned (n, 6) profile belongs to IC_CONFIGS[k]. Operand order and the
-# libm transcendentals of every returned value (numpy's only screen, see
-# channel.screened_first) match _tin_rate/_tin_gdof bit for bit; argmax
-# along a row gives the first maximum, as _first_max does.
+# Each formula is written once, on the links of one pairing, with its
+# selections and logarithms taken as arguments. The scalar API passes
+# Python floats with channel.scalar_where and math.log2; the block kernels
+# pass the gathered link columns of an (n, 6) row-major exponent array a
+# (rows as AlphaMatrix.flat()) with np.where and libm's logarithm (numpy's
+# only in the audits' screen, see channel.screened_first), so every entry
+# is bit-identical to the scalar value. Column k of a returned (n, 6)
+# profile belongs to IC_CONFIGS[k]; argmax along a row gives the first
+# maximum, as _first_max does.
 
 
 def _tin_rate_links(powers, log2):
-    """TIN sum rate from the gathered powers rho**a of each receiver's
-    desired and cross link, (j1, i1), (j1, i2), (j2, i2), (j2, i1); log2
-    takes the logs."""
+    """TIN sum rate from the powers rho**a of each receiver's desired and
+    cross link, (j1, i1), (j1, i2), (j2, i2), (j2, i1); log2 takes the
+    logs."""
     des1, cross1, des2, cross2 = powers
     return log2(1.0 + des1 / (1.0 + cross1)) + log2(1.0 + des2 / (1.0 + cross2))
 
@@ -164,14 +155,14 @@ def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
         lowest=False)
 
 
-def _tin_gdof_links(links):
+def _tin_gdof_links(links, where=np.where):
     """TIN GDoF from the exponents of each receiver's desired and cross link,
-    (j1, i1), (j1, i2), (j2, i2), (j2, i1), as gathered columns or any
-    broadcastable operands."""
+    (j1, i1), (j1, i2), (j2, i2), (j2, i1), as floats, gathered columns or
+    any broadcastable operands."""
     des1, cross1, des2, cross2 = links
     x = des1 - cross1
     y = des2 - cross2
-    return np.where(x > 0.0, x, 0.0) + np.where(y > 0.0, y, 0.0)
+    return where(x > 0.0, x, 0.0) + where(y > 0.0, y, 0.0)
 
 
 def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:

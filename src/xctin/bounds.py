@@ -35,7 +35,8 @@ from typing import Callable
 import numpy as np
 
 from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
-                      link_entries, link_picker, link_table, screened_first)
+                      link_entries, link_picker, link_table, scalar_where,
+                      screened_first)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -111,15 +112,6 @@ def enumerate_permutations() -> tuple[TxPermutation, ...]:
     return PERMUTATIONS
 
 
-def _genie_case(rho: float, u1: float, u3: float, v1: float, v3: float):
-    """(c^2, d, case) from the links u = a[j1][i1, i3], v = a[j2][i1, i3]."""
-    if v3 <= v1:
-        return rho ** (v1 - u1), 0, 1
-    if v1 - u1 <= v3 - u3 - v1:
-        return rho ** (v1 - u1), 1, 2
-    return rho ** (v3 - v1 - u3), 1, 3
-
-
 def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParams:
     """Pick the side-information parameters (c^2, d) for ordering p.
 
@@ -133,8 +125,8 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     Boundary ties resolve in this order (both comparisons are <=); at the
     case-2/case-3 tie the two exponents coincide anyway.
     """
-    u1, _, u3, v1, _, v3 = p.take(alpha.flat())
-    return GenieParams(*_genie_case(rho, u1, u3, v1, v3))
+    c_sq, case1, at_i1 = _genie_links(p.take(alpha.flat()), rho, pow, scalar_where)
+    return GenieParams(c_sq, 1 - case1, 3 - case1 - at_i1)
 
 
 def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
@@ -160,19 +152,6 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     return GenieParams(h_j2i3_sq / (rho * h_j2i1_sq * h_j1i3_sq), 1, 3)
 
 
-def _bound(rho: float, a, pw, take) -> float:
-    """B(p) from the row-major exponents a and powers pw = rho**a, picked by
-    the ordering's take."""
-    u1, _, u3, v1, _, v3 = take(a)
-    c_sq, d, _ = _genie_case(rho, u1, u3, v1, v3)
-    r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = take(pw)
-    genie_power = r_j1i1 + d * r_j1i3
-    term1 = math.log2(1.0 + r_j1i2 + (1 - d) * r_j1i3
-                      + genie_power / (1.0 + c_sq * genie_power))
-    term2 = math.log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
-    return term1 + term2 + 1.0
-
-
 def _first_min(per_perm) -> BoundResult:
     """The profile with its first (lexicographic) minimum."""
     best_p, best = per_perm[0]
@@ -185,7 +164,8 @@ def _first_min(per_perm) -> BoundResult:
 def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
     a = alpha.flat()
-    return _bound(rho, a, [rho ** x for x in a], p.take)
+    return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, pow, math.log2,
+                        scalar_where)
 
 
 def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
@@ -196,7 +176,8 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
     """
     a = alpha.flat()
     pw = [rho ** x for x in a]
-    return _first_min(tuple([(p, _bound(rho, a, pw, take)) for p, take in _PICKS]))
+    return _first_min(tuple([(p, _bound_links(take(a), take(pw), rho, pow, math.log2,
+                                              scalar_where)) for p, take in _PICKS]))
 
 
 def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
@@ -215,53 +196,55 @@ def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
     return max(v1, v3, v2 - u2) + max(u2, u3, u1 - v1)
 
 
-def _gdof(a, take) -> float:
-    """D(p) from the row-major exponents a, picked by the ordering's take;
-    the positive part unifies the two branches."""
-    u1, u2, u3, v1, v2, v3 = take(a)
-    diff = v3 - v1
-    return max(v1, v3, v2 - u2) + max(u2, u1 - v1, u3 - (diff if diff > 0.0 else 0.0))
-
-
 def gdof_ub_single(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Combined GDoF bound D(p); the positive part unifies the two branches."""
-    return _gdof(alpha.flat(), p.take)
+    return _gdof_links(p.take(alpha.flat()), scalar_where)
 
 
 def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     """min_p D(p) with the full profile; ties break lexicographically."""
     a = alpha.flat()
-    return _first_min(tuple([(p, _gdof(a, take)) for p, take in _PICKS]))
+    return _first_min(tuple([(p, _gdof_links(take(a), scalar_where)) for p, take in _PICKS]))
 
 
-# ---------------------------------------------------------------- block kernels
+# ------------------------------------------- link-level formulas, block kernels
 #
-# The same formulas over many exponent grids per call: a is an (n, 6)
-# row-major exponent array (rows as AlphaMatrix.flat()), and column k of a
-# returned (n, 12) profile belongs to PERMUTATIONS[k]. Every expression keeps
-# the scalar operand order and every returned value takes its
-# transcendentals from libm (numpy's only screen, see
-# channel.screened_first), so each entry is bit-identical to _bound/_gdof;
+# Each formula is written once, on the links of one ordering, with its
+# selections, powers and logarithms taken as arguments. The scalar API
+# passes Python floats with channel.scalar_where, pow and math.log2; the
+# block kernels pass the gathered link columns of an (n, 6) row-major
+# exponent array a (rows as AlphaMatrix.flat()) with np.where and libm's
+# transcendentals (numpy's only in the audits' screen, see
+# channel.screened_first), so every entry is bit-identical to the scalar
+# value. Column k of a returned (n, 12) profile belongs to PERMUTATIONS[k];
 # argmin along a row gives the first minimum, as _first_min does.
 
 
-def _max3(x, y, z):
+def _max3(x, y, z, where=np.where):
     """Elementwise builtin max(x, y, z): the first of equal values wins, so
-    signed zeros come out as in the scalar code (np.maximum keeps the last)."""
-    m = np.where(y > x, y, x)
-    return np.where(z > m, z, m)
+    signed zeros come out as builtin max gives them (np.maximum keeps the
+    last)."""
+    m = where(y > x, y, x)
+    return where(z > m, z, m)
 
 
-def _bound_links(links, powers, rho, power, log2):
-    """B(p) from gathered link columns: the exponents links and the powers
-    rho**a of (j1, i1), (j1, i2), (j1, i3), (j2, i1), (j2, i2), (j2, i3),
-    with rho broadcastable to them; power and log2 take c^2 and the logs."""
+def _genie_links(links, rho, power, where=np.where):
+    """The genie rule of genie_params on the exponents of (j1, i1), (j1, i2),
+    (j1, i3), (j2, i1), (j2, i2), (j2, i3): returns c^2, whether case 1
+    holds (d = 0) and whether c^2 is scaled at i1 (cases 1 and 2; case 3
+    scales it at i3)."""
     u1, _, u3, v1, _, v3 = links
     case1 = v3 <= v1
-    # Cases 1 and 2 scale the genie at i1, case 3 at i3 (see _genie_case).
     at_i1 = case1 | (v1 - u1 <= v3 - u3 - v1)
-    c_sq = power(rho, np.where(at_i1, v1 - u1, v3 - v1 - u3))
-    d = np.where(case1, 0.0, 1.0)
+    return power(rho, where(at_i1, v1 - u1, v3 - v1 - u3)), case1, at_i1
+
+
+def _bound_links(links, powers, rho, power, log2, where=np.where):
+    """B(p) from the links' exponents and their powers rho**a, in
+    _genie_links order, with rho broadcastable to them; power and log2 take
+    c^2 and the logs."""
+    c_sq, case1, _ = _genie_links(links, rho, power, where)
+    d = where(case1, 0.0, 1.0)
     r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = powers
     genie_power = r_j1i1 + d * r_j1i3
     term1 = log2(1.0 + r_j1i2 + (1.0 - d) * r_j1i3
@@ -291,12 +274,14 @@ def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.nda
         rho[rows], libm_pow, libm_log2), lowest=True)
 
 
-def _gdof_links(links):
+def _gdof_links(links, where=np.where):
     """D(p) from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
-    (j2, i2), (j2, i3), as gathered columns or any broadcastable operands."""
+    (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
+    operands; the positive part unifies the two case forms."""
     u1, u2, u3, v1, v2, v3 = links
     diff = v3 - v1
-    return _max3(v1, v3, v2 - u2) + _max3(u2, u1 - v1, u3 - np.where(diff > 0.0, diff, 0.0))
+    return (_max3(v1, v3, v2 - u2, where)
+            + _max3(u2, u1 - v1, u3 - where(diff > 0.0, diff, 0.0), where))
 
 
 def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:

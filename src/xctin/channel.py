@@ -116,9 +116,16 @@ def link_entries(x: np.ndarray, table: np.ndarray, rows: np.ndarray,
 
 # numpy's vectorized power and log2 round differently from libm on some
 # inputs, which shows at 12 printed digits. The block kernels therefore map
-# Python's own pow and math.log2 over the elements, so every transcendental
-# in a returned value is bit-identical to the scalar code; + - * / and
-# comparisons are exact in numpy already.
+# Python's own pow and math.log2 over the elements, the routines the scalar
+# API passes to the same link-level formulas, so every transcendental in a
+# returned value is bit-identical on both paths; + - * / and comparisons
+# are exact in numpy already.
+
+def scalar_where(cond, x, y):
+    """np.where for one Python condition: x if cond else y. The scalar API
+    passes it to the link-level formulas in place of np.where."""
+    return x if cond else y
+
 
 def libm_pow(base, expo: np.ndarray) -> np.ndarray:
     """base ** expo elementwise, base broadcast to the shape of expo, each

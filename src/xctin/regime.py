@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_case, genie_params
-from .channel import AlphaMatrix, link_columns
+from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_links, genie_params
+from .channel import AlphaMatrix, link_columns, scalar_where
 from .errors import NotApplicable, ValidationError
 
 
@@ -92,22 +92,13 @@ def check_tol(tol: float) -> float:
     return t
 
 
-def _first_witness(alpha: AlphaMatrix, tol: float, reduced: bool) -> TxPermutation | None:
-    """First ordering (lexicographic) meeting both regime conditions, or None.
-
-    The threshold is psi when reduced, else max{a[j1][i3], a[j1][i2]}: the
-    two regimes differ only in the (a[j2][i3] - a[j2][i1])^+ reduction.
-    """
+def _first_witness(alpha: AlphaMatrix, tol: float, which: int) -> TxPermutation | None:
+    """First ordering (lexicographic) meeting both conditions of the
+    extended (which = 0) or the reference regime (which = 1), or None."""
     tol = check_tol(tol)
     a = alpha.flat()
     for p, take in _PICKS:
-        u1, u2, u3, v1, v2, v3 = take(a)
-        first = u3
-        if reduced and v3 > v1:
-            first -= v3 - v1
-        thr = first if first > u2 else u2
-        hi = v1 if v1 > v3 else v3
-        if u1 - v1 + tol >= thr and v2 - u2 + tol >= hi:
+        if _witness_links(take(a), tol, scalar_where)[which]:
             return p
     return None
 
@@ -119,13 +110,13 @@ def in_extended_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | 
     floating-point points consistently (default 0: take the conditions
     literally); it must be finite and >= 0.
     """
-    return _first_witness(alpha, tol, True)
+    return _first_witness(alpha, tol, 0)
 
 
 def in_gsj_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | None:
     """Witness for the stricter reference regime (threshold without the
     positive-part reduction), or None."""
-    return _first_witness(alpha, tol, False)
+    return _first_witness(alpha, tol, 1)
 
 
 def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
@@ -145,26 +136,26 @@ def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.nd
 
     Returns two (n,) integer arrays: each row's first extended witness and
     first reference-regime witness as an index into PERMUTATIONS, or -1 for
-    none. Every expression keeps the operand order of _first_witness and
-    there are only subtractions, additions and comparisons, so the verdicts
-    are bit-identical to the scalar loop's. tol is checked as in
-    in_extended_regime.
+    none. The scalar loop runs the same link-level test, which has only
+    subtractions, additions and comparisons, so the verdicts are those of
+    in_extended_regime and in_gsj_regime. tol is checked as there.
     """
     extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol))
     return _first_true(extended), _first_true(gsj)
 
 
-def _witness_links(links, tol: float):
+def _witness_links(links, tol: float, where=np.where):
     """Whether the extended and the reference regime conditions hold at
     slack tol, from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
-    (j2, i2), (j2, i3), as gathered columns or any broadcastable operands."""
+    (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
+    operands. The two thresholds differ only in the (v3 - v1)^+ reduction."""
     u1, u2, u3, v1, v2, v3 = links
-    hi = np.where(v1 > v3, v1, v3)
+    hi = where(v1 > v3, v1, v3)
     cross = v2 - u2 + tol >= hi
     direct = u1 - v1 + tol
-    first = np.where(v3 > v1, u3 - (v3 - v1), u3)
-    extended = (direct >= np.where(first > u2, first, u2)) & cross
-    gsj = (direct >= np.where(u3 > u2, u3, u2)) & cross
+    first = where(v3 > v1, u3 - (v3 - v1), u3)
+    extended = (direct >= where(first > u2, first, u2)) & cross
+    gsj = (direct >= where(u3 > u2, u3, u2)) & cross
     return extended, gsj
 
 
@@ -199,8 +190,9 @@ def genie_aux_pair(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> AuxChann
     h1 = c*h[j1][i1], h2 = c*h[j1][i3], h3 = h[j2][i1], h4 = h[j2][i3] with
     |h[j][i]|^2 = rho**(a[j][i] - 1).
     """
-    u1, _, u3, v1, _, v3 = p.take(alpha.flat())
-    c_sq, _, _ = _genie_case(rho, u1, u3, v1, v3)
+    links = p.take(alpha.flat())
+    u1, _, u3, v1, _, v3 = links
+    c_sq, _, _ = _genie_links(links, rho, pow, scalar_where)
     return AuxChannelPair(
         h1_sq=c_sq * rho ** (u1 - 1.0),
         h2_sq=c_sq * rho ** (u3 - 1.0),

@@ -1,5 +1,11 @@
 """The block kernels against the scalar API, entry for entry with exact ==.
 
+Both run the same link-level formula bodies, the scalar API on Python
+floats with channel.scalar_where, pow and math.log2, the kernels on link
+columns with np.where, libm_pow and libm_log2. These tests pin the two op
+sets against each other; tests/test_oracle.py checks the formulas against
+independent references.
+
 Each profile row must equal the scalar profile of the same grid, and its
 first argmin/argmax must be the scalar argmin/argmax. Grids include ties,
 zero entries and exact genie-case boundaries (v3 == v1 and
