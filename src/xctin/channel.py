@@ -41,7 +41,10 @@ MAX_RHO_DB = 10.0 * math.log10(sys.float_info.max / 4.0) / DEFAULT_ALPHA_CAP
 def rho_from_db(rho_db: float) -> float:
     """Convert an SNR in dB, finite and at most MAX_RHO_DB, to linear scale:
     rho = 10**(dB/10)."""
-    db = float(rho_db)
+    try:
+        db = float(rho_db)
+    except OverflowError:
+        db = math.inf
     if not (math.isfinite(db) and db <= MAX_RHO_DB):
         raise ValidationError(
             f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got {rho_db!r}")
@@ -63,7 +66,7 @@ class AlphaMatrix:
     def __post_init__(self):
         try:
             rows = tuple(tuple(float(x) for x in row) for row in self.a)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"alpha entries must be numbers: {exc}") from None
         if len(rows) != N_RX or any(len(row) != N_TX for row in rows):
             raise ValidationError(f"alpha must be a {N_RX}x{N_TX} grid")
@@ -193,7 +196,7 @@ class ChannelScenario:
     def __post_init__(self):
         try:
             rho = float(self.rho)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"rho must be a number: {exc}") from None
         if not math.isfinite(rho) or rho <= 1.0:
             raise DegenerateSnr(f"rho must be finite and > 1, got {self.rho!r}")
@@ -203,7 +206,7 @@ class ChannelScenario:
         if self.gains is not None:
             try:
                 g = tuple(tuple(complex(h) for h in row) for row in self.gains)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"gain entries must be complex numbers: {exc}") from None
             if len(g) != N_RX or any(len(row) != N_TX for row in g):
                 raise ValidationError(f"gains must be a {N_RX}x{N_TX} grid")
@@ -223,7 +226,7 @@ def alpha_from_gain(h: complex, rho: float) -> float:
     try:
         rho = float(rho)
         h = complex(h)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad gain/SNR: {exc}") from None
     if not math.isfinite(rho) or rho <= 1.0:
         raise DegenerateSnr(f"rho must be finite and > 1, got {rho!r}")
@@ -300,7 +303,7 @@ def scenario_from_dict(payload) -> ChannelScenario:
         raise ValidationError("scenario is missing rho_db")
     try:
         rho = rho_from_db(float(payload["rho_db"]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad rho_db: {exc}") from None
     has_gains = "gains" in payload
     has_alpha = "alpha" in payload
@@ -312,7 +315,7 @@ def scenario_from_dict(payload) -> ChannelScenario:
                 tuple(complex(float(re), float(im)) for (re, im) in row)
                 for row in payload["gains"]
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed gains grid: {exc}") from None
         return ChannelScenario(rho=rho, gains=gains)
     try:

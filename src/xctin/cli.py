@@ -27,7 +27,7 @@ from .channel import (AlphaMatrix, check_exponent_range, load_scenario,
                       rho_from_db, validate_scenario)
 from .errors import DegenerateSnr, UnsupportedFormat, ValidationError
 from .experiments import (CONVERGE_COLUMNS, GENERATOR_ID, SANDWICH_GDOF_TOL,
-                          SANDWICH_RATE_TOL_BITS, SWEEP_RANGE_MAX, Table)
+                          SANDWICH_RATE_TOL_BITS, SWEEP_RANGE_MAX, Coded, Table)
 from .regime import classify
 
 
@@ -91,48 +91,30 @@ def _csv_cell(v) -> str:
 
 
 # Per column kind of a Table (see experiments.Table): the csv template field
-# of a column the template formats itself. '%.12g' % x and format(x, '.12g')
-# are one routine, with the same bytes for -0.0, inf and nan, so the typed
-# path writes what _csv_cell writes.
+# of a plain int or float column. '%.12g' % x and format(x, '.12g') are one
+# routine, with the same bytes for -0.0, inf and nan, so the template writes
+# what _csv_cell writes.
 _CSV_FIELD = {"i": "%d", "f": "%.12g"}
-_CSV_TEXT = {True: "true", False: "false", None: ""}
-_JSON_BOOL = {True: "true", False: "false"}
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Values probed to tell whether a float column repeats. The sweep's axes and
-# GDoF columns hold a few hundred distinct values, and formatting each once
-# pays; audit draws are all distinct, and sorting them costs more than
-# formatting every cell.
-_REPEAT_PROBE = 1024
-# Rows per piece of a table's csv text.
+# Rows per piece of a table's csv text, and cells per take of a Coded
+# column's texts.
 _JOIN_ROWS = 1024
 
 
-def _repeats(col) -> bool:
-    head = col[:_REPEAT_PROBE]
-    return 2 * len(set(head)) <= len(head)
-
-
-def _memo_texts(col, texts) -> list[str]:
-    """The cells of texts(col), calling texts once on the distinct values of
-    the float column col, which one sort finds."""
-    x = np.asarray(col, dtype=float)
-    values, inverse = np.unique(x, return_inverse=True)
-    # 0.0 and -0.0 sort as one value, so a column holding both is not
-    # memoized; every NaN is one value too, and each writes "nan".
-    if (values == 0.0).any():
-        signs = np.signbit(x[x == 0.0])
-        if signs.any() and not signs.all():
-            return texts(col)
-    return np.array(texts(values.tolist()), dtype=object)[inverse].tolist()
-
-
-def _csv_floats(col) -> list[str]:
-    return list(map(format, col, repeat(".12g")))
+def _texts(col, text):
+    """text(cell) of each cell of col. A Coded column's values are formatted
+    once each and taken by its codes _JOIN_ROWS cells at a time, so no text
+    list of the whole column is held."""
+    if not isinstance(col, Coded):
+        return map(text, col)
+    texts, codes = np.array(list(map(text, col.values)), dtype=object), col.codes
+    return chain.from_iterable(texts[codes[start:start + _JOIN_ROWS]].tolist()
+                               for start in range(0, len(codes), _JOIN_ROWS))
 
 
 def _json_floats(col) -> list[str]:
     """repr(_round12(x)) of each cell, NaN and Infinity as json.dumps writes them."""
-    texts = _csv_floats(col)
+    texts = list(map(format, col, repeat(".12g")))
     joined = "".join(texts)
     # A positional decimal with a point and at most 12 significant digits is
     # already the shortest repr of its nearest double. When every text has
@@ -148,20 +130,15 @@ def _json_floats(col) -> list[str]:
 def _csv_field(kind: str, col):
     """The csv template field of one typed column and the cells it formats;
     "%s" marks cells that are already their texts."""
-    if kind == "g":
-        return "%s", map(_csv_cell, col)
-    if kind in "bs":
-        return "%s", map(_CSV_TEXT.get, col, col)
-    if kind == "f" and _repeats(col):
-        return "%s", _memo_texts(col, _csv_floats)
+    if isinstance(col, Coded) or kind in "bsg":
+        return "%s", _texts(col, _csv_cell)
     return _CSV_FIELD[kind], col
 
 
 def _csv_records(table: Table):
     """The csv rows of a typed table as pieces of text, _JOIN_ROWS rows
-    each. When every column is texts already, as in the sweep, each row is
-    joined; otherwise each goes through one %-template, which is faster on
-    columns of distinct floats than formatting them to texts first."""
+    each: joined when every column is texts already, as in the sweep,
+    otherwise put through one %-template."""
     fields, cells = zip(*map(_csv_field, table.kinds, table.columns))
     rows = zip(*cells)
     lines = (map(",".join, rows) if set(fields) == {"%s"}
@@ -171,16 +148,9 @@ def _csv_records(table: Table):
 
 def _json_cells(kind: str, col):
     """One column's JSON texts, as json.dumps writes _jsonify of each cell."""
-    if kind == "f":
-        return _memo_texts(col, _json_floats) if _repeats(col) else _json_floats(col)
-    if kind == "i":
-        return map(repr, col)
-    if kind == "s":
-        labels = set(col)
-        return map(dict(zip(labels, map(json.dumps, labels))).__getitem__, col)
-    if kind == "g":
-        return map(json.dumps, map(_jsonify, col))
-    return map(_JSON_BOOL.__getitem__, col)
+    if isinstance(col, Coded) or kind in "bsg":
+        return _texts(col, lambda v: json.dumps(_jsonify(v)))
+    return _json_floats(col) if kind == "f" else map(repr, col)
 
 
 def _json_records(table: Table) -> str:

@@ -68,14 +68,33 @@ SAMPLER_BLOCK_ROWS = 1024
 _WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS) + (None,)
 
 
+class Coded(list):
+    """A column that repeats a few values: the list of its cells, which also
+    keeps the distinct values and an integer array of codes, cell i being
+    values[codes[i]]. np.asarray takes the values by the codes. Writers read
+    the values and codes, so the list is not to be changed in place."""
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values, codes: np.ndarray):
+        super().__init__(np.array(values, dtype=object)[codes].tolist())
+        self.values = values
+        self.codes = codes
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.values, dtype=dtype)[self.codes]
+
+
 class Table:
     """A table command's records as equal-length columns, one kind per column.
 
     kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
     digit-only label or None, "g" any other cell (such as a float or None),
-    written one at a time as untyped rows are. len(), iteration and indexing
-    see rows, made on demand: record(*row) when record is given, plain
-    tuples otherwise.
+    written one at a time as untyped rows are. A column is a list, or a
+    Coded list when its producer knows that it repeats a few values, which
+    the writer then formats once each. len(), iteration and indexing see
+    rows, made on demand: record(*row) when record is given, plain tuples
+    otherwise.
     """
 
     __slots__ = ("names", "kinds", "columns", "record")
@@ -201,13 +220,13 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
         ext[..., k], gsj[..., k] = _witness_links(links, t)
     d_ub = _first_min(d_ub.reshape(side * side, -1))
     ext, gsj = (_first_true(w.reshape(side * side, -1)) for w in (ext, gsj))
-    # Grid and GDoF values as Python floats, each shared by the rows that
-    # hold it.
-    points = axis.tolist()
+    # All columns coded; the witness code -1 (no witness) takes the last label.
+    points, index = axis.tolist(), np.arange(side, dtype=np.uint16)
+    flags = (Coded((False, True), (w >= 0).view(np.int8)) for w in (ext, gsj))
     return Table(SWEEP_COLUMNS, "ffbbffs", (
-        [a21 for a21 in points for _ in points], points * side,
-        (ext >= 0).tolist(), (gsj >= 0).tolist(), _shared_floats(d_tt), _shared_floats(d_ub),
-        list(map(_WITNESS_LABELS.__getitem__, ext.tolist()))), SweepRecord)
+        Coded(points, np.repeat(index, side)), Coded(points, np.tile(index, side)), *flags,
+        _coded_floats(d_tt), _coded_floats(d_ub), Coded(_WITNESS_LABELS, ext.astype(np.int8))),
+        SweepRecord)
 
 
 def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> str | None:
@@ -257,10 +276,11 @@ def _first_max(profiles: np.ndarray) -> np.ndarray:
     return np.take_along_axis(profiles, profiles.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
-def _shared_floats(x: np.ndarray) -> list[float]:
-    """x.tolist() with one float object per distinct bit pattern of x."""
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
-    return np.array(bits.view(float).tolist(), dtype=object)[inverse].tolist()
+def _coded_floats(x: np.ndarray) -> Coded:
+    """The cells of x as a Coded column of one value per distinct bit
+    pattern, so signed zeros and NaN payloads stay apart."""
+    bits, codes = np.unique(x.view(np.int64), return_inverse=True)
+    return Coded(bits.view(float).tolist(), codes.astype(np.min_scalar_type(len(bits))))
 
 
 def _in_blocks(n: int, evaluate) -> tuple[np.ndarray, ...]:
@@ -421,7 +441,8 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gaps = (ub - rate).tolist()
-    rows = Table(GAP_COLUMNS, "iffff", ([idx for idx in range(n) for _ in rhos], list(rhos * n),
+    rows = Table(GAP_COLUMNS, "iffff", ([idx for idx in range(n) for _ in rhos],
+                                        Coded(rhos, np.tile(np.arange(k), n)),
                                         gaps, ub.tolist(), rate.tolist()))
     max_gap = max(gaps)
     worst = grids[gaps.index(max_gap) // k].tolist()
@@ -481,8 +502,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         return (np.repeat(sample, k), sample_rhos.ravel(), *_rates_and_bounds(grids, sample_rhos),
                 np.repeat(d_tt, k), np.repeat(d_ub, k))
 
-    columns = _in_blocks(n, evaluate)
-    _, _, rate, ub, d_tt, d_ub = columns
+    sample, rho, rate, ub, d_tt, d_ub = _in_blocks(n, evaluate)
     # ndarray.max is NaN when any difference is, so a NaN fails the audit.
     report = SandwichReport(
         n_samples=n,
@@ -492,7 +512,9 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         max_rate_violation_bits=float((rate - ub).max()),
         max_gdof_violation=float((d_tt - d_ub).max()),
     )
-    return report, Table(SANDWICH_COLUMNS, "ifffff", [c.tolist() for c in columns])
+    rho = rho.tolist() if rhos is None else Coded(rhos, np.tile(np.arange(len(rhos)), n))
+    return report, Table(SANDWICH_COLUMNS, "ifffff", (
+        sample.tolist(), rho, *(c.tolist() for c in (rate, ub, d_tt, d_ub))))
 
 
 def sandwich_audit(n: int, rho_list=None, seed: int = 0,

@@ -92,15 +92,20 @@ def check_tol(tol: float) -> float:
     return t
 
 
-def _first_witness(alpha: AlphaMatrix, tol: float, which: int) -> TxPermutation | None:
-    """First ordering (lexicographic) meeting both conditions of the
-    extended (which = 0) or the reference regime (which = 1), or None."""
+def _first_witnesses(alpha: AlphaMatrix, tol: float) -> tuple[TxPermutation | None, ...]:
+    """First orderings (lexicographic) meeting both conditions of the
+    extended and of the reference regime, each or None, in one pass that
+    ends at the first reference witness, which is an extended one too."""
     tol = check_tol(tol)
     a = alpha.flat()
+    pe = None
     for p, take in _PICKS:
-        if _witness_links(take(a), tol, scalar_where)[which]:
-            return p
-    return None
+        extended, gsj = _witness_links(take(a), tol, scalar_where)
+        if extended and pe is None:
+            pe = p
+        if gsj:
+            return pe, p
+    return pe, None
 
 
 def in_extended_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | None:
@@ -110,19 +115,18 @@ def in_extended_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | 
     floating-point points consistently (default 0: take the conditions
     literally); it must be finite and >= 0.
     """
-    return _first_witness(alpha, tol, 0)
+    return _first_witnesses(alpha, tol)[0]
 
 
 def in_gsj_regime(alpha: AlphaMatrix, tol: float = 0.0) -> TxPermutation | None:
     """Witness for the stricter reference regime (threshold without the
     positive-part reduction), or None."""
-    return _first_witness(alpha, tol, 1)
+    return _first_witnesses(alpha, tol)[1]
 
 
 def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
     """Full verdict: both memberships, witnesses, and the certified GDoF."""
-    pe = in_extended_regime(alpha, tol)
-    pg = in_gsj_regime(alpha, tol)
+    pe, pg = _first_witnesses(alpha, tol)
     gdof = None
     if pe is not None:
         u1, u2, _, v1, v2, _ = pe.take(alpha.flat())

@@ -256,6 +256,13 @@ def test_scenario_from_dict_rejects_malformed(tmp_path):
         scenario_from_dict({"rho_db": 20, "gains": [[1, 2, 3], [4, 5, 6]]})
     with pytest.raises(ValidationError):
         scenario_from_dict([1, 2, 3])
+    # Integers too large for a float, wherever a number is read.
+    big = 10 ** 400
+    for payload in ({"rho_db": big, "alpha": [[1] * 3] * 2},
+                    {"rho_db": 20, "alpha": [[1, big, 1], [1] * 3]},
+                    {"rho_db": 20, "gains": [[[1, 0]] * 3, [[big, 0]] * 3]}):
+        with pytest.raises(ValidationError):
+            scenario_from_dict(payload)
 
 
 def test_load_scenario_round_trip(tmp_path):

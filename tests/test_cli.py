@@ -167,6 +167,18 @@ def test_malformed_scenario_exits_2_with_clean_stdout(tmp_path, capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize("payload", [
+    {"rho_db": 10 ** 400, "alpha": [[1] * 3] * 2},
+    {"rho_db": 20, "alpha": [[1, 10 ** 400, 1], [1] * 3]},
+    {"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, 10 ** 400]] * 3]},
+], ids=["rho_db", "alpha", "gain"])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, payload):
+    assert main(["eval", "--scenario", _write_scenario(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_scenario_with_both_grids_exits_2(tmp_path, capsys):
     payload = {"rho_db": 20, "alpha": [[1] * 3] * 2, "gains": [[[1, 0]] * 3] * 2}
     assert main(["classify", "--scenario", _write_scenario(tmp_path, payload)]) == 2
@@ -355,6 +367,13 @@ BYTE_PINS = [
     # over its axes: the largest grid, SWEEP_MAX_AXIS_POINTS per axis.
     (("sweep", "--out", "{out}", "--beta", "0.7", "--step", "0.00075"),
      "f8288e5bfd28328d1d25b6d8a00795dec6a126ae231e99e54838c598c1e8ee5b", "1a9604ca8299f504bdf00f4b6065979dfa0349d08773978eca5697059fd22fef"),
+    # Recorded before the sweep and audits handed repeating columns over
+    # coded: the sweep's JSON at the acceptance size, and a sandwich with an
+    # SNR list, whose rho column repeats (flags ordered for distinct ids).
+    (("sweep", "--step", "0.005", "--format", "json", "--beta", "0.75"),
+     "9516c5b5728289518ef319fc90bcede4095fd90ee963bcb105ee5c0228ea2093", ""),
+    (("sandwich-audit", "--n", "300", "--seed", "2", "--out", "{out}", "--rho-db", "20,40"),
+     "cbb0ccf706fd5c7a0f22332b745ef4eb917154dd59acec67e1ec5e3d9a688af4", "802c9a8b0988d92945039ea0f68146d8ac78dd90228b573f059936f5cd827139"),
 ]
 
 
@@ -505,6 +524,10 @@ def contract_files(tmp_path_factory):
         "loud": json.dumps({"rho_db": 5000, "alpha": [[1] * 3] * 2}).encode(),
         "huge": json.dumps({"rho_db": 20, "gains": [[[1e200, 0]] * 3] * 2}).encode(),
         "zero": json.dumps({"rho_db": 20, "alpha": [[0] * 3] * 2}).encode(),
+        "bigint-rho": json.dumps({"rho_db": 10 ** 400, "alpha": [[1] * 3] * 2}).encode(),
+        "bigint-alpha": json.dumps({"rho_db": 20, "alpha": [[1, 10 ** 400, 1], [1] * 3]}).encode(),
+        "bigint-gain": json.dumps({"rho_db": 20, "gains": [[[1, 0]] * 3,
+                                                          [[0, 10 ** 400]] * 3]}).encode(),
         "broken": b"{oops",
         "binary": b"\xff\xfe\x00",
         "deep": b"[" * 100_000,

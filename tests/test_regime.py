@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from xctin import regime
 from xctin.achievability import tdma_tin_gdof
 from xctin.bounds import PERMUTATIONS, TxPermutation, gdof_ub, genie_params
 from xctin.channel import AlphaMatrix
@@ -119,6 +120,24 @@ def test_regime_witnesses_match_reference(alpha, tol):
         alpha, lambda a, p: psi(alpha, p), tol)
     assert in_gsj_regime(alpha, tol) == _first_witness_reference(
         alpha, lambda a, p: max(a[p.j1 - 1][p.i3 - 1], a[p.j1 - 1][p.i2 - 1]), tol)
+
+
+def test_classify_tests_each_ordering_once(monkeypatch):
+    # Both witnesses come from one pass over the 12 orderings; grids in
+    # neither regime, in one, and in both.
+    rng = np.random.default_rng(11)
+    grids = [FIG_POINT, _fig_alpha(0.2, 0.2), _fig_alpha(0.6, 0.6)] + [
+        AlphaMatrix((tuple(v[:3]), tuple(v[3:]))) for v in rng.uniform(0.0, 2.0, (300, 6))]
+    calls = []
+    exact = regime._witness_links
+    monkeypatch.setattr(regime, "_witness_links",
+                        lambda *args: calls.append(1) or exact(*args))
+    for alpha in grids:
+        del calls[:]
+        v = classify(alpha)
+        assert len(calls) <= len(PERMUTATIONS)
+        assert (v.witness_extended, v.witness_gsj) == (
+            in_extended_regime(alpha), in_gsj_regime(alpha))
 
 
 @given(alpha=alpha_grids)

@@ -6,6 +6,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,8 @@ from hypothesis import strategies as st
 from xctin import cli
 from xctin.channel import AlphaMatrix
 from xctin.cli import CliInvocation, emit_report
-from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, SweepRecord, Table,
-                               sweep_audit_failure, sweep_regime_plane)
+from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, Coded, SweepRecord, Table,
+                               _coded_floats, sweep_audit_failure, sweep_regime_plane)
 
 FIG_ALPHA = (1.0, 0.2, 0.75, 0.4, 1.0, 0.75)
 
@@ -52,9 +53,9 @@ SUMMARIES = (
 
 @st.composite
 def tables(draw):
-    """A table of one command's schema. Each column either repeats a few
-    drawn cells or, for floats, holds distinct values mixed with them, so
-    both float paths of the renderers run."""
+    """A table of one command's schema, of plain list columns. Each column
+    either repeats a few drawn cells or, for floats, holds distinct values
+    mixed with them."""
     names, kinds = draw(st.sampled_from(SCHEMAS))
     n = draw(st.sampled_from([0, 1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS + 1]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -73,15 +74,18 @@ def tables(draw):
 @st.composite
 def all_text_tables(draw):
     """A table whose every column the csv writer turns into texts before it
-    joins the rows: bools, labels with None, and floats repeating a few
-    drawn cells (memoized from two rows on), up to more than two pieces of
-    cli._JOIN_ROWS rows."""
+    joins the rows: bools and labels, plain or Coded, and Coded floats. The
+    values of each column are a few drawn cells, None among them, and the
+    float cells include signed zeros, NaNs, infinities and subnormals; up to
+    more than two pieces of cli._JOIN_ROWS rows."""
     n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * cli._JOIN_ROWS + 1]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
-    kinds = "bsff"
-    pools = [draw(st.lists(CELLS[kind], min_size=1, max_size=6)) for kind in kinds]
-    return Table(("flag", "label", "x", "y"), kinds,
-                 [[rng.choice(pool) for _ in range(n)] for pool in pools])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    columns = []
+    for kind in "bsff":
+        pool = draw(st.lists(st.one_of(st.none(), CELLS[kind]), min_size=1, max_size=6))
+        col = Coded(pool, rng.integers(len(pool), size=n))
+        columns.append(col if kind == "f" or draw(st.booleans()) else list(col))
+    return Table(("flag", "label", "x", "y"), "bsff", columns)
 
 
 @settings(max_examples=150, deadline=None)
@@ -126,29 +130,52 @@ def test_json_floats_match_the_three_call_path(data, cells, rewritten):
     assert cli._json_floats(col) == [json.dumps(float(format(x, ".12g"))) for x in col]
 
 
-# Each column with the number of cells the csv writer formats: its distinct
-# values when it memoizes the column, all of its cells when not.
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from("fbs"), data=st.data(), seed=st.integers(0, 2**32),
+       n=st.sampled_from([0, 1, 5, 300]))
+def test_coded_column_acts_as_its_list(kind, data, seed, n):
+    pool = data.draw(st.lists(CELLS[kind], min_size=1, max_size=6))
+    codes = np.random.default_rng(seed).integers(len(pool), size=n).astype(np.int8)
+    col, plain = Coded(pool, codes), [pool[c] for c in codes]
+    assert col == plain and len(col) == len(plain) and col[-1:] == plain[-1:]
+    assert all(a is b for a, b in zip(col, plain))
+    assert [col.count(v) for v in pool] == [plain.count(v) for v in pool]
+    want = np.array(plain, dtype=object if kind == "s" else None)
+    got = np.asarray(col)
+    assert got.shape == (n,)
+    if kind == "f":
+        assert got.dtype == float and (got.view(np.int64) == want.view(np.int64)).all()
+    else:
+        assert got.tolist() == want.tolist()
+
+
+# Each column with the number of values the csv writer formats: one per
+# distinct bit pattern, as the sweep codes its GDoF columns.
 _REPEATING_COLUMNS = [
-    ([0.0, -0.0] * 600, 1200),          # both zeros in a column that repeats
-    ([-0.0] * 3 + [0.0] * 1200, 1203),
+    ([0.0, -0.0] * 600, 2),             # both zeros in a column that repeats
+    ([-0.0] * 3 + [0.0] * 1200, 2),
     ([math.nan, 1.5] * 600, 2),
     ([float(k % 7) for k in range(BLOCK_ROWS + 1)], 7),
     ([-0.0] * 1200, 1),
-    ([math.nan, -math.nan, math.inf, -math.inf, 5e-324] * 300, 4),  # one nan
+    ([math.nan, -math.nan, math.inf, -math.inf, 5e-324] * 300, 5),  # nan and -nan
 ]
 
 
 @pytest.mark.parametrize("col,formatted", _REPEATING_COLUMNS,
                          ids=[f"col{k}" for k in range(len(_REPEATING_COLUMNS))])
 def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
-    table = Table(("x", "k"), "fi", (col, list(range(len(col)))))
-    want_csv = emit_report({"columns": table.names, "rows": list(table)}, "csv")
-    csv_floats = cli._csv_floats
+    coded = _coded_floats(np.array(col))
+    assert len(coded.values) == formatted
+    table = Table(("x", "k"), "fi", (coded, list(range(len(col)))))
+    want_csv = emit_report({"columns": table.names, "rows": list(zip(col, table.columns[1]))},
+                           "csv")
+    csv_cell = cli._csv_cell
     counts = []
-    monkeypatch.setattr(cli, "_csv_floats", lambda c: counts.append(len(c)) or csv_floats(c))
+    monkeypatch.setattr(cli, "_csv_cell", lambda v: counts.append(v) or csv_cell(v))
     assert emit_report(table, "csv") == want_csv
-    assert counts == [formatted]
-    want = json.dumps(cli._jsonify({"records": [{"x": x, "k": k} for x, k in table]}), indent=2)
+    assert len(counts) == formatted
+    want = json.dumps(cli._jsonify({"records": [{"x": x, "k": k} for k, x in enumerate(col)]}),
+                      indent=2)
     assert emit_report({"records": table}, "json") == (want + "\n").encode("utf-8")
 
 
