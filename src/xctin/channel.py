@@ -103,10 +103,11 @@ def link_table(items) -> np.ndarray:
     return np.array([item.take(range(N_RX * N_TX)) for item in items])
 
 
-def link_columns(x: np.ndarray, table: np.ndarray) -> list[np.ndarray]:
+def link_columns(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """For each link column of an index table, the (n, len(table)) array of
-    that link gathered from every row of the (n, 6) row-major array x."""
-    return [x[:, col] for col in table.T]
+    that link gathered from every row of the (n, 6) row-major array x, as
+    the items of one take from the transpose of x."""
+    return np.ascontiguousarray(x.T)[table.T].transpose(0, 2, 1)
 
 
 def link_entries(x: np.ndarray, table: np.ndarray, rows: np.ndarray,

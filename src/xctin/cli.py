@@ -96,20 +96,8 @@ def _csv_cell(v) -> str:
 # what _csv_cell writes.
 _CSV_FIELD = {"i": "%d", "f": "%.12g"}
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Rows per piece of a table's csv text, and cells per take of a Coded
-# column's texts.
+# Rows per piece of a table's text.
 _JOIN_ROWS = 1024
-
-
-def _texts(col, text):
-    """text(cell) of each cell of col. A Coded column's values are formatted
-    once each and taken by its codes _JOIN_ROWS cells at a time, so no text
-    list of the whole column is held."""
-    if not isinstance(col, Coded):
-        return map(text, col)
-    texts, codes = np.array(list(map(text, col.values)), dtype=object), col.codes
-    return chain.from_iterable(texts[codes[start:start + _JOIN_ROWS]].tolist()
-                               for start in range(0, len(codes), _JOIN_ROWS))
 
 
 def _json_floats(col) -> list[str]:
@@ -129,57 +117,88 @@ def _json_floats(col) -> list[str]:
 
 def _csv_field(kind: str, col):
     """The csv template field of one typed column and the cells it formats;
-    "%s" marks cells that are already their texts."""
-    if isinstance(col, Coded) or kind in "bsg":
-        return "%s", _texts(col, _csv_cell)
+    "%s" marks texts, of which a Coded column's values are formatted once."""
+    if isinstance(col, Coded):
+        return "%s", map(list(map(_csv_cell, col.values)).__getitem__, col.codes.tolist())
+    if kind in "bsg":
+        return "%s", map(_csv_cell, col)
     return _CSV_FIELD[kind], col
 
 
-def _csv_records(table: Table):
-    """The csv rows of a typed table as pieces of text, _JOIN_ROWS rows
-    each: joined when every column is texts already, as in the sweep,
-    otherwise put through one %-template."""
-    fields, cells = zip(*map(_csv_field, table.kinds, table.columns))
-    rows = zip(*cells)
-    lines = (map(",".join, rows) if set(fields) == {"%s"}
-             else map(",".join(fields).__mod__, rows))
-    return ("\n".join(chunk) + "\n" for chunk in iter(lambda: list(islice(lines, _JOIN_ROWS)), []))
+def _coded_rows(columns, text, leads, close: str):
+    """Rows of text(cell) after each column's lead, each ending in close, as
+    bytes pieces of _JOIN_ROWS rows. Plain columns are coded one value per
+    cell. Each column's values are formatted once into a fixed-width S array;
+    a piece is one structured array of the texts taken by the codes, less
+    its NUL padding, so no text may hold a NUL (JSON texts never do, nor do
+    the bools, digit labels and numbers of an all-text csv table)."""
+    coded = [c if isinstance(c, Coded) else Coded(c, np.arange(len(c))) for c in columns]
+    ends = [""] * (len(coded) - 1) + [close]
+    texts = [np.array([f"{lead}{text(v)}{end}".encode() for v in col.values], dtype=bytes)
+             for col, lead, end in zip(coded, leads, ends)]
+    rows = np.empty(_JOIN_ROWS, dtype=[(f"f{j}", t.dtype) for j, t in enumerate(texts)])
+    for start in range(0, len(coded[0]), _JOIN_ROWS):
+        stop = min(start + _JOIN_ROWS, len(coded[0]))
+        for j, (col, t) in enumerate(zip(coded, texts)):
+            rows[f"f{j}"][:stop - start] = np.take(t, col.codes[start:stop])
+        yield rows[:stop - start].tobytes().translate(None, b"\0")
+
+
+def _records(table: Table, leads, close: str, text, field):
+    """The rows of a typed table as bytes pieces of _JOIN_ROWS rows, each
+    cell after its column's lead and each row ending in close. When every
+    column is texts (Coded, or of kind b, s or g), as in the sweep, by
+    _coded_rows with text; otherwise by one %-template whose field and cells
+    per column field(kind, col) gives."""
+    if all(isinstance(col, Coded) or kind in "bsg"
+           for kind, col in zip(table.kinds, table.columns)):
+        return _coded_rows(table.columns, text, leads, close)
+    fields, cells = zip(*map(field, table.kinds, table.columns))
+    template = "".join(lead.replace("%", "%%") + f for lead, f in zip(leads, fields)) + close
+    lines = map(template.__mod__, zip(*cells))
+    return ("".join(chunk).encode("utf-8")
+            for chunk in iter(lambda: list(islice(lines, _JOIN_ROWS)), []))
 
 
 def _json_cells(kind: str, col):
-    """One column's JSON texts, as json.dumps writes _jsonify of each cell."""
-    if isinstance(col, Coded) or kind in "bsg":
-        return _texts(col, lambda v: json.dumps(_jsonify(v)))
+    """One column's JSON texts, as json.dumps writes _jsonify of each cell; a
+    Coded column's values are formatted once each."""
+    if isinstance(col, Coded):
+        return map(list(_json_cells(kind, col.values)).__getitem__, col.codes.tolist())
+    if kind in "bsg":
+        return map(lambda v: json.dumps(_jsonify(v)), col)
     return _json_floats(col) if kind == "f" else map(repr, col)
 
 
-def _json_records(table: Table) -> str:
-    """A typed table as the records list of a top-level JSON document, one
-    %-template per record, laid out as json.dumps(..., indent=2) does."""
+def _json_records(table: Table) -> list[bytes]:
+    """A typed table as bytes pieces of the records list of a top-level JSON
+    document, in the indent=2 layout."""
     if not len(table):
-        return "[]"
-    fields = ",\n".join(f"      {json.dumps(name).replace('%', '%%')}: %s" for name in table.names)
-    template = "    {\n" + fields + "\n    }"
-    cells = [_json_cells(kind, col) for kind, col in zip(table.kinds, table.columns)]
-    return "[\n" + ",\n".join(map(template.__mod__, zip(*cells))) + "\n  ]"
+        return [b"[]"]
+    leads = [f"{',' if k else '    {'}\n      {json.dumps(name)}: "
+             for k, name in enumerate(table.names)]
+    *pieces, last = _records(table, leads, "\n    },\n", lambda v: json.dumps(_jsonify(v)),
+                             lambda kind, col: ("%s", _json_cells(kind, col)))
+    return [b"[\n", *pieces, last[:-2], b"\n  ]"]  # no ",\n" after the last record
 
 
-def _json_text(doc) -> str:
-    """json.dumps(_jsonify(doc), indent=2), except that each Table value of a
-    top-level dict is written as its list of records by _json_records."""
+def _json_bytes(doc) -> bytes:
+    """json.dumps(_jsonify(doc), indent=2) and a newline in UTF-8, each
+    Table value of a top-level dict written by _json_records."""
     if not (isinstance(doc, dict) and any(isinstance(v, Table) for v in doc.values())):
-        return json.dumps(_jsonify(doc), indent=2)
-    items = [f"  {json.dumps(key)}: " + (
-        _json_records(value) if isinstance(value, Table)
-        else json.dumps(_jsonify(value), indent=2).replace("\n", "\n  "))
-        for key, value in doc.items()]
-    return "{\n" + ",\n".join(items) + "\n}"
+        return (json.dumps(_jsonify(doc), indent=2) + "\n").encode("utf-8")
+    pieces = []
+    for key, value in doc.items():
+        pieces.append(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ".encode("utf-8"))
+        pieces += _json_records(value) if isinstance(value, Table) else [
+            json.dumps(_jsonify(value), indent=2).replace("\n", "\n  ").encode("utf-8")]
+    return b"".join(pieces + [b"\n}\n"])
 
 
 def emit_report(results, format: str) -> bytes:
     """Serialize a results payload to bytes.
 
-    "csv" renders a Table through one row template, or the "columns" and
+    "csv" renders a Table row by row (see _records), or the "columns" and
     "rows" of a dict cell by cell; "json" renders the whole payload with its
     construction field order, a Table value as its list of records. Reals
     carry 12 significant digits in both formats, so equal results serialize
@@ -190,11 +209,11 @@ def emit_report(results, format: str) -> bytes:
         writer = csv.writer(buf, lineterminator="\n")
         if isinstance(results, Table):
             writer.writerow(results.names)
-            # Encoded a piece at a time, so the whole text is never held
-            # next to its bytes.
+            # Written a piece at a time, so no list of pieces is held.
             out = io.BytesIO()
-            for piece in chain((buf.getvalue(),), _csv_records(results)):
-                out.write(piece.encode("utf-8"))
+            leads = [""] + [","] * (len(results.names) - 1)
+            out.writelines(chain((buf.getvalue().encode("utf-8"),),
+                                 _records(results, leads, "\n", _csv_cell, _csv_field)))
             return out.getvalue()
         if isinstance(results, dict) and "columns" in results and "rows" in results:
             writer.writerow(results["columns"])
@@ -203,7 +222,7 @@ def emit_report(results, format: str) -> bytes:
             raise UnsupportedFormat("csv serialization needs a Table, or 'columns' and 'rows'")
         return buf.getvalue().encode("utf-8")
     if format == "json":
-        return (_json_text(results) + "\n").encode("utf-8")
+        return _json_bytes(results)
     raise UnsupportedFormat(f"unsupported format: {format!r}")
 
 

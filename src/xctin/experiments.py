@@ -27,8 +27,8 @@ from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
 # tests/test_bench_names.py name them.
-from .regime import (_first_true, _witness_links, check_tol, classify,  # noqa: F401
-                     in_extended_regime, regime_witnesses)
+from .regime import (_witness_links, check_tol, classify, in_extended_regime,  # noqa: F401
+                     regime_witnesses)
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
@@ -63,26 +63,41 @@ BLOCK_ROWS = 256
 # numpy's per-call cost too often at n = 10^4, and 4096 drew too far past
 # the stop row at n = 750 (the unused tail is drawn again after a rewind).
 SAMPLER_BLOCK_ROWS = 1024
-# Witness labels of the sweep records, indexed like PERMUTATIONS; index -1
-# (no witness) gives None.
+# Witness labels of the sweep records, indexed like PERMUTATIONS; the index
+# len(PERMUTATIONS) (no witness) gives None.
 _WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS) + (None,)
 
 
-class Coded(list):
-    """A column that repeats a few values: the list of its cells, which also
-    keeps the distinct values and an integer array of codes, cell i being
-    values[codes[i]]. np.asarray takes the values by the codes. Writers read
-    the values and codes, so the list is not to be changed in place."""
+class Coded:
+    """A column that repeats a few values: its distinct values and an array of
+    non-negative integer codes, cell i being values[codes[i]]. It acts as the
+    list of its cells without building it (len, indexing, iteration over the
+    very value objects, ==, count); np.asarray takes the values by the codes."""
 
     __slots__ = ("values", "codes")
 
     def __init__(self, values, codes: np.ndarray):
-        super().__init__(np.array(values, dtype=object)[codes].tolist())
-        self.values = values
-        self.codes = codes
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        codes = self.codes[i]
+        return Coded(self.values, codes) if isinstance(i, slice) else self.values[codes]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Coded)) else NotImplemented
+
+    def count(self, v) -> int:
+        counts = np.bincount(self.codes, minlength=len(self.values)).tolist()
+        return sum(n for x, n in zip(self.values, counts) if x is v or x == v)
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)[self.codes]
+        return np.take(np.asarray(self.values, dtype=dtype), self.codes)
 
 
 class Table:
@@ -91,10 +106,10 @@ class Table:
     kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
     digit-only label or None, "g" any other cell (such as a float or None),
     written one at a time as untyped rows are. A column is a list, or a
-    Coded list when its producer knows that it repeats a few values, which
-    the writer then formats once each. len(), iteration and indexing see
-    rows, made on demand: record(*row) when record is given, plain tuples
-    otherwise.
+    Coded column when its producer knows that it repeats a few values,
+    which the writer then formats once each. len(), iteration and indexing
+    see rows, made on demand: record(*row) when record is given, plain
+    tuples otherwise.
     """
 
     __slots__ = ("names", "kinds", "columns", "record")
@@ -206,27 +221,31 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     t += SWEEP_GRID_SLACK
     # Each link of the family is 1, beta, alpha12 (a row of the plane) or
     # alpha21 (a column), so every formula runs on these operands and only
-    # its result is broadcast to the plane: one profile column per item.
+    # its result is broadcast to the plane, folded at once into a running
+    # extremum whose strict comparison keeps the first of equal values, signed
+    # zeros included, as _first_max and _first_min do (grids are finite).
     grid = (1.0, axis[None, :], b, axis[:, None], 1.0, b)
-    d_tt = np.empty((side, side, len(IC_CONFIGS)))
-    for k, cfg in enumerate(IC_CONFIGS):
-        d_tt[..., k] = _tin_gdof_links(cfg.take(grid))
-    d_tt = _first_max(d_tt.reshape(side * side, -1))
-    d_ub = np.empty((side, side, len(PERMUTATIONS)))
-    ext, gsj = np.empty((2, side, side, len(PERMUTATIONS)), dtype=bool)
+    d_tt = np.full((side, side), -np.inf)
+    for cfg in IC_CONFIGS:
+        v = _tin_gdof_links(cfg.take(grid))
+        d_tt = np.where(v > d_tt, v, d_tt)
+    d_tt = _coded_floats(d_tt.ravel())  # so its floats are freed before the next loop
+    none = len(PERMUTATIONS)  # the witness code of no witness yet
+    d_ub, ext = np.full((side, side), np.inf), np.full((side, side), none, dtype=np.int8)
+    gsj = np.zeros((side, side), dtype=bool)
     for k, p in enumerate(PERMUTATIONS):
         links = p.take(grid)
-        d_ub[..., k] = _gdof_links(links)
-        ext[..., k], gsj[..., k] = _witness_links(links, t)
-    d_ub = _first_min(d_ub.reshape(side * side, -1))
-    ext, gsj = (_first_true(w.reshape(side * side, -1)) for w in (ext, gsj))
-    # All columns coded; the witness code -1 (no witness) takes the last label.
+        v = _gdof_links(links)
+        d_ub = np.where(v < d_ub, v, d_ub)
+        e, g = _witness_links(links, t)
+        ext = np.where((ext == none) & e, k, ext)
+        gsj |= g
     points, index = axis.tolist(), np.arange(side, dtype=np.uint16)
-    flags = (Coded((False, True), (w >= 0).view(np.int8)) for w in (ext, gsj))
+    flags = (Coded((False, True), w.ravel().view(np.int8)) for w in (ext < none, gsj))
     return Table(SWEEP_COLUMNS, "ffbbffs", (
         Coded(points, np.repeat(index, side)), Coded(points, np.tile(index, side)), *flags,
-        _coded_floats(d_tt), _coded_floats(d_ub), Coded(_WITNESS_LABELS, ext.astype(np.int8))),
-        SweepRecord)
+        d_tt, _coded_floats(d_ub.ravel()),
+        Coded(_WITNESS_LABELS, ext.ravel())), SweepRecord)
 
 
 def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> str | None:

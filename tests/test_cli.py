@@ -374,15 +374,26 @@ BYTE_PINS = [
      "9516c5b5728289518ef319fc90bcede4095fd90ee963bcb105ee5c0228ea2093", ""),
     (("sandwich-audit", "--n", "300", "--seed", "2", "--out", "{out}", "--rho-db", "20,40"),
      "cbb0ccf706fd5c7a0f22332b745ef4eb917154dd59acec67e1ec5e3d9a688af4", "802c9a8b0988d92945039ea0f68146d8ac78dd90228b573f059936f5cd827139"),
+    # Recorded before the writer took all-text tables as coded rows: the
+    # sweep's JSON to a file at tolerance > 0.
+    (("sweep", "--format", "json", "--out", "{out}", "--step", "0.01", "--tolerance", "0.004",
+      "--beta", "0.9"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3fd1d547a9be33f49297d728f51604d03b4c1eb5bfdbddcbd2a90d481804ff7f"),
 ]
+# Each pin's test id is its command and last two args; pytest would rename
+# colliding ids silently, so a new pin orders its flags to make its id new.
+_PIN_IDS = [" ".join(p[0][:1] + p[0][-2:]) for p in BYTE_PINS]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("argv,stdout_sha,out_sha", BYTE_PINS,
-                         ids=[" ".join(p[0][:1] + p[0][-2:]) for p in BYTE_PINS])
+def test_byte_pin_ids_are_unique():
+    assert len(set(_PIN_IDS)) == len(BYTE_PINS)
+
+
+@pytest.mark.parametrize("argv,stdout_sha,out_sha", BYTE_PINS, ids=_PIN_IDS)
 def test_outputs_match_pinned_hashes(tmp_path, capsys, argv, stdout_sha, out_sha):
     scenario = _write_scenario(tmp_path, FIG_SCENARIO)
     out = tmp_path / "out.dat"
@@ -515,25 +526,30 @@ def test_sweep_near_grid_beta_passes_geometry_audit(capsys):
 
 # ---------------------------------------------------------------- main(argv) contract
 
+# Scenario files of the contract tests, one per kind of input: good grids,
+# SNRs and gains out of range, integers too large for a float, and files
+# that are no JSON object at all; "missing" names a file that is not there.
+CONTRACT_SCENARIOS = {
+    "alpha": json.dumps(FIG_SCENARIO).encode(),
+    "gains": json.dumps({"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, 1]] * 3]}).encode(),
+    "loud": json.dumps({"rho_db": 5000, "alpha": [[1] * 3] * 2}).encode(),
+    "huge": json.dumps({"rho_db": 20, "gains": [[[1e200, 0]] * 3] * 2}).encode(),
+    "zero": json.dumps({"rho_db": 20, "alpha": [[0] * 3] * 2}).encode(),
+    "bigint-rho": json.dumps({"rho_db": 10 ** 400, "alpha": [[1] * 3] * 2}).encode(),
+    "bigint-alpha": json.dumps({"rho_db": 20, "alpha": [[1, 10 ** 400, 1], [1] * 3]}).encode(),
+    "bigint-gain": json.dumps({"rho_db": 20, "gains": [[[1, 0]] * 3,
+                                                      [[0, 10 ** 400]] * 3]}).encode(),
+    "broken": b"{oops",
+    "binary": b"\xff\xfe\x00",
+    "deep": b"[" * 100_000,
+}
+
+
 @pytest.fixture(scope="module")
 def contract_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("contract")
-    files = {
-        "alpha": json.dumps(FIG_SCENARIO).encode(),
-        "gains": json.dumps({"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, 1]] * 3]}).encode(),
-        "loud": json.dumps({"rho_db": 5000, "alpha": [[1] * 3] * 2}).encode(),
-        "huge": json.dumps({"rho_db": 20, "gains": [[[1e200, 0]] * 3] * 2}).encode(),
-        "zero": json.dumps({"rho_db": 20, "alpha": [[0] * 3] * 2}).encode(),
-        "bigint-rho": json.dumps({"rho_db": 10 ** 400, "alpha": [[1] * 3] * 2}).encode(),
-        "bigint-alpha": json.dumps({"rho_db": 20, "alpha": [[1, 10 ** 400, 1], [1] * 3]}).encode(),
-        "bigint-gain": json.dumps({"rho_db": 20, "gains": [[[1, 0]] * 3,
-                                                          [[0, 10 ** 400]] * 3]}).encode(),
-        "broken": b"{oops",
-        "binary": b"\xff\xfe\x00",
-        "deep": b"[" * 100_000,
-    }
     paths = []
-    for name, data in files.items():
+    for name, data in CONTRACT_SCENARIOS.items():
         (d / f"{name}.json").write_bytes(data)
         paths.append(str(d / f"{name}.json"))
     paths.append(str(d / "missing.json"))
@@ -574,8 +590,15 @@ def test_main_contract(contract_files, data):
             argv.append(data.draw(st.sampled_from(contract_files["outs"])))
         elif flag != "--fixed-family":
             argv.append(data.draw(_VALUES[flag]))
+    _check_contract(argv, contract_files["outs"][0])
+
+
+def _check_contract(argv, out):
+    """main(argv) exits 0, 1, 2 or 3 with no traceback, writes nothing to
+    stdout on exit 1 or 2, and writes no non-finite number to stdout or to
+    out, the path of its --out file if it has one there."""
     with contextlib.suppress(FileNotFoundError):
-        os.remove(contract_files["outs"][0])
+        os.remove(out)
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -586,7 +609,15 @@ def test_main_contract(contract_files, data):
     if code in (1, 2):
         assert stdout.getvalue() == "", argv
     outputs = [stdout.getvalue()]
-    if "--out" in flags and argv[argv.index("--out") + 1] == contract_files["outs"][0]:
-        with contextlib.suppress(FileNotFoundError), open(contract_files["outs"][0]) as fh:
+    if "--out" in argv and argv[argv.index("--out") + 1] == out:
+        with contextlib.suppress(FileNotFoundError), open(out) as fh:
             outputs.append(fh.read())
     assert not any(_NON_FINITE.search(text) for text in outputs), argv
+
+
+@pytest.mark.parametrize("name", [*CONTRACT_SCENARIOS, "missing"])
+@pytest.mark.parametrize("command", ["eval", "classify", "bound", "gdof", "converge"])
+def test_every_scenario_file_meets_the_contract(contract_files, command, name):
+    scenario, = (path for path in contract_files["scenarios"]
+                 if os.path.basename(path) == f"{name}.json")
+    _check_contract([command, "--scenario", scenario], contract_files["outs"][0])

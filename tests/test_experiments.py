@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xctin import achievability, bounds, experiments
+from xctin import achievability, bounds, experiments, regime
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
 from xctin.bounds import gdof_ub, sum_capacity_ub
 from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_log2,
@@ -13,7 +13,7 @@ from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_log2
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (BLOCK_ROWS, SAMPLER_BLOCK_ROWS, SWEEP_GRID_SLACK,
-                               GapReport, SweepRecord,
+                               SWEEP_RANGE_MAX, GapReport, SweepRecord,
                                Table, gap_audit, gap_audit_with_rows,
                                gdof_convergence_probe, sample_in_regime,
                                sandwich_audit, sandwich_audit_with_rows,
@@ -162,6 +162,44 @@ def test_sweep_broadcast_matches_the_block_kernels_on_grid_rows(beta, step, tol)
     assert _signed(d_tt) == _signed(
         experiments._first_max(achievability.tdma_tin_gdof_profiles(grids)).tolist())
     assert _signed(d_ub) == _signed(experiments._first_min(bounds.gdof_ub_profiles(grids)).tolist())
+    assert (ext, gsj) == ((want_ext >= 0).tolist(), (want_gsj >= 0).tolist())
+    assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
+
+
+def _profile_reduction(axis, beta, tol):
+    """d_tt, gdof_ub and the first extended and reference witnesses (-1 for
+    none) of the sweep plane over axis, the reference for the sweep's running
+    folds: filled (side, side, k) profiles of every pairing and ordering,
+    reduced row by row."""
+    side = len(axis)
+    grid = (1.0, axis[None, :], beta, axis[:, None], 1.0, beta)
+    d_tt = np.empty((side, side, len(achievability.IC_CONFIGS)))
+    for k, cfg in enumerate(achievability.IC_CONFIGS):
+        d_tt[..., k] = achievability._tin_gdof_links(cfg.take(grid))
+    d_ub = np.empty((side, side, len(bounds.PERMUTATIONS)))
+    ext, gsj = np.empty((2, side, side, len(bounds.PERMUTATIONS)), dtype=bool)
+    for k, p in enumerate(bounds.PERMUTATIONS):
+        links = p.take(grid)
+        d_ub[..., k] = bounds._gdof_links(links)
+        ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK)
+    rows = side * side
+    return (experiments._first_max(d_tt.reshape(rows, -1)),
+            experiments._first_min(d_ub.reshape(rows, -1)),
+            regime._first_true(ext.reshape(rows, -1)), regime._first_true(gsj.reshape(rows, -1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(beta=st.one_of(st.floats(0.5, 1.0, exclude_max=True), st.just(0.75000000003)),
+       points=st.integers(2, 200),
+       tol=st.one_of(st.just(0.0), st.floats(0.0, 0.01)))
+@example(beta=0.75000000003, points=16, tol=0.0)
+def test_sweep_folds_match_the_profile_reductions(beta, points, tol):
+    table = sweep_regime_plane(beta, SWEEP_RANGE_MAX / (points - 1), tol=tol)
+    _, a12, ext, gsj, d_tt, d_ub, witness = table.columns
+    side = math.isqrt(len(table))
+    want_tt, want_ub, want_ext, want_gsj = _profile_reduction(np.array(a12[:side]), beta, tol)
+    assert (np.array(d_tt).view(np.int64) == want_tt.view(np.int64)).all()
+    assert (np.array(d_ub).view(np.int64) == want_ub.view(np.int64)).all()
     assert (ext, gsj) == ((want_ext >= 0).tolist(), (want_gsj >= 0).tolist())
     assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
 

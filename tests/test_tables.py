@@ -5,6 +5,7 @@ import functools
 import json
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,14 +78,16 @@ def all_text_tables(draw):
     joins the rows: bools and labels, plain or Coded, and Coded floats. The
     values of each column are a few drawn cells, None among them, and the
     float cells include signed zeros, NaNs, infinities and subnormals; up to
-    more than two pieces of cli._JOIN_ROWS rows."""
+    more than two pieces of cli._JOIN_ROWS rows, all columns Coded in some
+    tables of that size, as in the sweep."""
     n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * cli._JOIN_ROWS + 1]))
+    all_coded = n > 2 * cli._JOIN_ROWS and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     columns = []
     for kind in "bsff":
         pool = draw(st.lists(st.one_of(st.none(), CELLS[kind]), min_size=1, max_size=6))
         col = Coded(pool, rng.integers(len(pool), size=n))
-        columns.append(col if kind == "f" or draw(st.booleans()) else list(col))
+        columns.append(col if kind == "f" or all_coded or draw(st.booleans()) else list(col))
     return Table(("flag", "label", "x", "y"), "bsff", columns)
 
 
@@ -130,16 +133,32 @@ def test_json_floats_match_the_three_call_path(data, cells, rewritten):
     assert cli._json_floats(col) == [json.dumps(float(format(x, ".12g"))) for x in col]
 
 
+# Cells whose list.count goes by identity or by an equality across types:
+# a NaN equals only itself, 0.0 == -0.0, True == 1 == 1.0, and None.
+_COUNTED = (math.nan, 0.0, -0.0, None, True, 1, 1.0)
+_SLICES = (slice(-1, None), slice(None, None, -1), slice(1, None, 2), slice(-2, -9, -3),
+           slice(3, 1), slice(-400, 400, 7))
+
+
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from("fbs"), data=st.data(), seed=st.integers(0, 2**32),
        n=st.sampled_from([0, 1, 5, 300]))
 def test_coded_column_acts_as_its_list(kind, data, seed, n):
     pool = data.draw(st.lists(CELLS[kind], min_size=1, max_size=6))
-    codes = np.random.default_rng(seed).integers(len(pool), size=n).astype(np.int8)
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(len(pool), size=n).astype(np.int8)
     col, plain = Coded(pool, codes), [pool[c] for c in codes]
-    assert col == plain and len(col) == len(plain) and col[-1:] == plain[-1:]
+    assert col == plain and plain == col and len(col) == len(plain)
+    assert col == Coded(pool, codes.astype(np.uint16)) and not col != plain
+    assert col != plain + [None] and plain + [None] != col
+    assert all(col[s] == plain[s] for s in _SLICES)
     assert all(a is b for a, b in zip(col, plain))
-    assert [col.count(v) for v in pool] == [plain.count(v) for v in pool]
+    assert all(col[i] is plain[i] for i in range(-n, n))
+    # count on values that repeat and that hold the cells of _COUNTED
+    values = pool + data.draw(st.lists(st.sampled_from(pool + list(_COUNTED)), max_size=4))
+    mixed = rng.integers(len(values), size=n)
+    cells, queries = [values[c] for c in mixed], values + [float("nan"), *_COUNTED]
+    assert [Coded(values, mixed).count(v) for v in queries] == [cells.count(v) for v in queries]
     want = np.array(plain, dtype=object if kind == "s" else None)
     got = np.asarray(col)
     assert got.shape == (n,)
@@ -147,6 +166,17 @@ def test_coded_column_acts_as_its_list(kind, data, seed, n):
         assert got.dtype == float and (got.view(np.int64) == want.view(np.int64)).all()
     else:
         assert got.tolist() == want.tolist()
+
+
+def test_coded_column_allocates_no_cell_list():
+    codes = np.zeros(10**6, dtype=np.int8)
+    tracemalloc.start()
+    try:
+        col = Coded((False, True), codes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(col) == 10**6 and peak < 2**20
 
 
 # Each column with the number of values the csv writer formats: one per
