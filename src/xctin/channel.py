@@ -118,12 +118,16 @@ def link_entries(x: np.ndarray, table: np.ndarray, rows: np.ndarray,
     return x[rows[:, None], table[items]].T
 
 
-# numpy's vectorized power and log2 round differently from libm on some
-# inputs, which shows at 12 printed digits. The block kernels therefore map
-# Python's own pow and math.log2 over the elements, the routines the scalar
-# API passes to the same link-level formulas, so every transcendental in a
-# returned value is bit-identical on both paths; + - * / and comparisons
-# are exact in numpy already.
+# np.power and np.log2 may dispatch to SIMD approximations that round
+# differently from libm on some inputs, which shows at 12 printed digits.
+# The block kernels therefore take every transcendental in a returned value
+# through the libm routine that the scalar API's pow and math.log2 call, so
+# both paths are bit-identical; + - * / and comparisons are exact in numpy
+# already. np.float_power has no SIMD loop: its float64 loop calls the C
+# pow of the same libm that Python's float ** calls, so libm_pow is one C
+# loop. numpy has no documented float64 log2 loop that calls libm, so
+# libm_log2 maps math.log2 over the elements. The tests in
+# tests/test_block_kernels.py pin both against the builtins bit for bit.
 
 def scalar_where(cond, x, y):
     """np.where for one Python condition: x if cond else y. The scalar API
@@ -132,11 +136,15 @@ def scalar_where(cond, x, y):
 
 
 def libm_pow(base, expo: np.ndarray) -> np.ndarray:
-    """base ** expo elementwise, base broadcast to the shape of expo, each
-    through libm's pow as Python's float ** computes it."""
-    return np.fromiter(map(pow, np.broadcast_to(base, expo.shape).ravel().tolist(),
-                           expo.ravel().tolist()),
-                       float, count=expo.size).reshape(expo.shape)
+    """base ** expo elementwise for positive bases, base broadcast against
+    expo, through libm's pow as Python's float ** computes it: a finite
+    result is the same double, and an infinite one from a finite base and
+    exponent raises OverflowError, with no RuntimeWarning."""
+    with np.errstate(all="ignore", over="raise"):
+        try:
+            return np.float_power(base, expo)
+        except FloatingPointError:
+            raise OverflowError("libm_pow result out of range") from None
 
 
 def libm_log2(x: np.ndarray) -> np.ndarray:
@@ -290,20 +298,36 @@ def check_exponent_range(alpha: AlphaMatrix, alpha_cap: float = DEFAULT_ALPHA_CA
                     f"alpha[{j}][{i}] = {x!r} exceeds the cap {alpha_cap}")
 
 
+# The JSON names of the types json.load returns for values that are no number.
+_JSON_TYPE_NAMES = {bool: "a boolean", str: "a string", list: "an array",
+                    dict: "an object", type(None): "null"}
+
+
+def _wire_number(value, field: str):
+    """value if it is a JSON number (int or float, not bool); anything else
+    raises ValidationError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        kind = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+        raise ValidationError(f"{field} must be a number, got {kind}")
+    return value
+
+
 def scenario_from_dict(payload) -> ChannelScenario:
     """Build a scenario from its JSON wire format.
 
     Accepted shapes (exactly one of gains/alpha):
         {"rho_db": <num>, "gains": [[[re, im] x3] x2]}
         {"rho_db": <num>, "alpha": [[a11, a12, a13], [a21, a22, a23]]}
-    Row 1 is receiver 1.
+    Row 1 is receiver 1. Every <num>, exponent and gain part must be a JSON
+    number: strings and booleans are rejected, not converted.
     """
     if not isinstance(payload, dict):
         raise ValidationError("scenario must be a JSON object")
     if "rho_db" not in payload:
         raise ValidationError("scenario is missing rho_db")
+    rho_db = _wire_number(payload["rho_db"], "rho_db")
     try:
-        rho = rho_from_db(float(payload["rho_db"]))
+        rho = rho_from_db(float(rho_db))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"bad rho_db: {exc}") from None
     has_gains = "gains" in payload
@@ -313,14 +337,20 @@ def scenario_from_dict(payload) -> ChannelScenario:
     if has_gains:
         try:
             gains = tuple(
-                tuple(complex(float(re), float(im)) for (re, im) in row)
-                for row in payload["gains"]
+                tuple(complex(float(_wire_number(re, f"gains[{j}][{i}] real part")),
+                              float(_wire_number(im, f"gains[{j}][{i}] imaginary part")))
+                      for i, (re, im) in enumerate(row, start=1))
+                for j, row in enumerate(payload["gains"], start=1)
             )
+        except ValidationError:
+            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed gains grid: {exc}") from None
         return ChannelScenario(rho=rho, gains=gains)
     try:
-        alpha = AlphaMatrix.from_rows(payload["alpha"])
+        alpha = AlphaMatrix.from_rows(
+            [_wire_number(x, f"alpha[{j}][{i}]") for i, x in enumerate(row, start=1)]
+            for j, row in enumerate(payload["alpha"], start=1))
     except TypeError as exc:
         raise ValidationError(f"malformed alpha grid: {exc}") from None
     return ChannelScenario(rho=rho, alpha=alpha)

@@ -459,12 +459,16 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
         grids = _sample_blocks(n, rng, 3, _symmetric_grids, exhaustion_window)
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
-    gaps = (ub - rate).tolist()
+    gap = ub - rate
+    gaps = gap.tolist()
     rows = Table(GAP_COLUMNS, "iffff", ([idx for idx in range(n) for _ in rhos],
                                         Coded(rhos, np.tile(np.arange(k), n)),
                                         gaps, ub.tolist(), rate.tolist()))
-    max_gap = max(gaps)
-    worst = grids[gaps.index(max_gap) // k].tolist()
+    # ndarray.argmax stops at the first NaN, so a NaN gap is the maximum
+    # and fails the audit; builtin max would drop one that is not first.
+    first = int(gap.argmax())
+    max_gap = gaps[first]
+    worst = grids[first // k].tolist()
     report = GapReport(
         n_samples=n,
         rho_list=rhos,
@@ -472,7 +476,7 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
         max_gap_bits=max_gap,
         # Summed in row order, one addition at a time, as a running total.
         mean_gap_bits=functools.reduce(operator.add, gaps, 0.0) / len(rows),
-        min_gap_bits=min(gaps),
+        min_gap_bits=float(gap.min()),
         all_within_7=max_gap <= 7.0,
         argmax_alpha=AlphaMatrix((worst[:3], worst[3:])),
     )

@@ -16,9 +16,11 @@ kernel's witnesses must be the scalar witnesses, also on grids sitting
 exactly on a regime boundary and on points of the sweep family. The audits'
 screened kernels must return the first extremum of the libm profiles, bit
 for bit, also on exact ties, at the largest SNR and on non-finite rows.
+libm_pow itself must be builtin pow, bit for bit and in its overflow.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +225,46 @@ def test_screen_misses_libm_by_far_less_than_its_margin(box):
     for screened, exact in ((screened_ub, ub), (screened_rate, tdma_tin_rate_profiles(a, rho))):
         # A thousandth of the margin screened_first gives each extremum.
         assert (np.abs(screened - exact) < SCREEN_MARGIN / 1000 * (1.0 + np.abs(exact))).all()
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def test_libm_pow_is_builtin_pow_bit_for_bit():
+    # np.power differs from libm on a few percent of these pairs on SIMD
+    # machines, so swapping it in fails here.
+    rng = np.random.default_rng(14)
+    n = 60_000
+    lg_cap = math.log10(_RHO_CAP)
+    base = np.concatenate((1.0 + (_RHO_CAP - 1.0) * rng.random(n),
+                           10.0 ** (lg_cap * (1.0 - rng.random(n))), [_RHO_CAP] * 4096))
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan]
+                        + [k / 8 for k in range(-16, 33)])
+    expo = rng.uniform(-2.0 * DEFAULT_ALPHA_CAP, DEFAULT_ALPHA_CAP, len(base))
+    pick = rng.random(len(base)) < 0.2
+    expo[pick] = rng.choice(specials, pick.sum())
+    grid = expo[:60_000].reshape(1200, 50)  # a base column broadcast over rows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = libm_pow(base, expo)
+        got_10 = libm_pow(10.0, expo)
+        got_grid = libm_pow(base[:1200, None], grid)
+    np.testing.assert_array_equal(_bits(got), _bits(list(map(pow, base.tolist(), expo.tolist()))))
+    np.testing.assert_array_equal(_bits(got_10), _bits([10.0 ** e for e in expo.tolist()]))
+    np.testing.assert_array_equal(_bits(got_grid), _bits(
+        [[b ** e for e in row] for b, row in zip(base[:1200].tolist(), grid.tolist())]))
+
+
+def test_libm_pow_overflows_as_builtin_pow():
+    with pytest.raises(OverflowError):
+        pow(1e300, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            libm_pow(np.array([1e300]), np.array([2.0]))
+        with pytest.raises(OverflowError):
+            libm_pow(10.0, np.array([1.0, 309.0]))
+        # An infinite exponent or base is exact, not an overflow.
+        assert libm_pow(np.array([2.0, math.inf]), np.array([math.inf, 2.0])).tolist() == [
+            pow(2.0, math.inf), pow(math.inf, 2.0)]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -263,6 +264,34 @@ def test_scenario_from_dict_rejects_malformed(tmp_path):
                     {"rho_db": 20, "gains": [[[1, 0]] * 3, [[big, 0]] * 3]}):
         with pytest.raises(ValidationError):
             scenario_from_dict(payload)
+
+
+@pytest.mark.parametrize("payload, field", [
+    ({"rho_db": True, "alpha": [[1] * 3] * 2}, "rho_db"),
+    ({"rho_db": "20", "alpha": [[1] * 3] * 2}, "rho_db"),
+    ({"rho_db": None, "alpha": [[1] * 3] * 2}, "rho_db"),
+    ({"rho_db": [20], "alpha": [[1] * 3] * 2}, "rho_db"),
+    ({"rho_db": 20, "alpha": [[1, True, 1], [1] * 3]}, "alpha[1][2]"),
+    ({"rho_db": 20, "alpha": [[1] * 3, [1, 1, "0.5"]]}, "alpha[2][3]"),
+    ({"rho_db": 20, "gains": [[[1, 0]] * 3, [[True, 0]] + [[1, 0]] * 2]}, "gains[2][1] real part"),
+    ({"rho_db": 20, "gains": [[[1, 0], [1, "1"], [1, 0]], [[1, 0]] * 3]},
+     "gains[1][2] imaginary part"),
+])
+def test_scenario_from_dict_takes_only_json_numbers(payload, field):
+    # Booleans and strings used to be converted with float(): true ran at
+    # 1 dB and "20" at 20 dB.
+    with pytest.raises(ValidationError, match=rf"^{re.escape(field)} must be a number, got "):
+        scenario_from_dict(payload)
+
+
+def test_scenario_from_dict_takes_ints_and_floats():
+    s = scenario_from_dict({"rho_db": 20.0, "alpha": [[1, 0.5, 1], [0, 1, 2]]})
+    assert s.rho == 100.0
+    assert s.alpha.flat() == (1.0, 0.5, 1.0, 0.0, 1.0, 2.0)
+    s = scenario_from_dict({"rho_db": 30, "gains": [[[1, 0]] * 3, [[0, 1.5]] * 3]})
+    assert s.gains[1][0] == 1.5j
+    # The Python API still converts what float() takes.
+    assert AlphaMatrix.from_rows([[True, "0.5", 1], [1] * 3]).flat()[:2] == (1.0, 0.5)
 
 
 def test_load_scenario_round_trip(tmp_path):

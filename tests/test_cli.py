@@ -179,6 +179,19 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, payload):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("payload, field", [
+    ({"rho_db": True, "alpha": [[1] * 3] * 2}, "rho_db"),
+    ({"rho_db": "20", "alpha": [[1] * 3] * 2}, "rho_db"),
+    ({"rho_db": 20, "alpha": [[1, True, 1], [1] * 3]}, "alpha[1][2]"),
+    ({"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, False]] * 3]}, "gains[2][1] imaginary part"),
+], ids=["rho_db-bool", "rho_db-string", "alpha", "gain"])
+def test_scenario_number_of_another_json_type_exits_2(tmp_path, capsys, payload, field):
+    assert main(["eval", "--scenario", _write_scenario(tmp_path, payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field} must be a number, got ")
+
+
 def test_scenario_with_both_grids_exits_2(tmp_path, capsys):
     payload = {"rho_db": 20, "alpha": [[1] * 3] * 2, "gains": [[[1, 0]] * 3] * 2}
     assert main(["classify", "--scenario", _write_scenario(tmp_path, payload)]) == 2

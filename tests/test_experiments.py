@@ -440,12 +440,9 @@ def test_gap_audit_builds_one_alpha_matrix(monkeypatch, beta_free):
     assert isinstance(report.argmax_alpha, AlphaMatrix)
 
 
-def test_gap_audit_takes_libm_only_for_the_candidates(monkeypatch):
-    # The powers rho**a are taken once per (draw, SNR) pair, 6 pow; numpy
-    # screens the orderings and pairings, and libm evaluates only the
-    # candidates, about one ordering (one c^2, two logs) and one pairing
-    # (two logs) per pair. Every entry of both profiles through libm took
-    # 24 pow and 36 log2 per pair.
+def _count_libm_elements(monkeypatch) -> dict:
+    """Count the elements that go through libm_pow and libm_log2 in the
+    audit kernels, by function."""
     counts = {libm_pow: 0, libm_log2: 0}
 
     def counted(f):
@@ -458,10 +455,30 @@ def test_gap_audit_takes_libm_only_for_the_candidates(monkeypatch):
     for module, f in ((bounds, libm_pow), (bounds, libm_log2), (achievability, libm_pow),
                       (achievability, libm_log2), (experiments, libm_pow)):
         monkeypatch.setattr(module, f.__name__, counted(f))
+    return counts
+
+
+def test_gap_audit_takes_libm_only_for_the_candidates(monkeypatch):
+    # The powers rho**a are taken once per (draw, SNR) pair, 6 pow; numpy
+    # screens the orderings and pairings, and libm evaluates only the
+    # candidates, about one ordering (one c^2, two logs) and one pairing
+    # (two logs) per pair. Every entry of both profiles through libm took
+    # 24 pow and 36 log2 per pair.
+    counts = _count_libm_elements(monkeypatch)
     gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
     pairs = 750 * 3
     assert counts[libm_pow] <= 8 * pairs
     assert counts[libm_log2] <= 6 * pairs
+
+
+def test_sandwich_audit_takes_libm_only_for_the_candidates(monkeypatch):
+    # One (draw, SNR) pair per draw: its SNR draw, 6 powers rho**a and the
+    # candidates' c^2 and logs, as in the gap audit.
+    counts = _count_libm_elements(monkeypatch)
+    n = 3 * BLOCK_ROWS + 7
+    sandwich_audit_with_rows(n, seed=5)
+    assert 7 * n < counts[libm_pow] <= 9 * n
+    assert counts[libm_log2] <= 6 * n
 
 
 def test_gap_audit_deterministic():
@@ -629,6 +646,44 @@ def test_sandwich_audit_keeps_a_nan_gdof_violation(monkeypatch, capsys):
     assert main(["sandwich-audit", "--n", str(BLOCK_ROWS + 5), "--seed", "1"]) == 3
     assert capsys.readouterr().err == ("audit failure: TIN GDoF exceeds the GDoF bound by nan "
                                        "(tolerance 1e-12)\n")
+
+
+def test_gap_audit_keeps_a_nan_gap(monkeypatch, capsys):
+    # A NaN rate in the second block must reach the report and fail the
+    # audit; builtin max and min over the gaps would drop it.
+    rhos = (1e2, 1e4, 1e6)
+    clean = gap_audit(300, rhos, seed=1)
+    assert clean.all_within_7 and clean.min_gap_bits > 0.0
+    tdma_tin_rate_max = experiments.tdma_tin_rate_max
+    calls = []
+
+    def nan_in_second_block(r):
+        rate = tdma_tin_rate_max(r)
+        calls.append(len(rate))
+        if len(calls) == 2:
+            rate[3] = math.nan
+        return rate
+
+    rates_and_bounds = experiments._rates_and_bounds
+    drawn = []
+
+    def keep_grids(grids, rhos):
+        drawn.append(grids)
+        return rates_and_bounds(grids, rhos)
+
+    monkeypatch.setattr(experiments, "tdma_tin_rate_max", nan_in_second_block)
+    monkeypatch.setattr(experiments, "_rates_and_bounds", keep_grids)
+    report, rows = gap_audit_with_rows(300, rhos, seed=1)
+    nan_row = BLOCK_ROWS + 3
+    assert math.isnan(rows[nan_row][2])
+    assert math.isnan(report.max_gap_bits) and math.isnan(report.min_gap_bits)
+    assert not report.all_within_7
+    # The witness is the draw of the first NaN gap.
+    worst = drawn[0][nan_row // len(rhos)].tolist()
+    assert report.argmax_alpha == AlphaMatrix((worst[:3], worst[3:]))
+    calls.clear()
+    assert main(["gap-audit", "--n", "300", "--seed", "1"]) == 3
+    assert capsys.readouterr().err == "audit failure: max gap nan bits exceeds 7 bits\n"
 
 
 def test_sandwich_audit_deterministic():
