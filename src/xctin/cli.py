@@ -90,11 +90,10 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-# Per column kind of a Table (see experiments.Table): the csv template field
-# of a plain int or float column. '%.12g' % x and format(x, '.12g') are one
-# routine, with the same bytes for -0.0, inf and nan, so the template writes
-# what _csv_cell writes.
-_CSV_FIELD = {"i": "%d", "f": "%.12g"}
+def _json_cell(v) -> str:
+    return json.dumps(_jsonify(v))
+
+
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Rows per piece of a table's text.
 _JOIN_ROWS = 1024
@@ -115,59 +114,55 @@ def _json_floats(col) -> list[str]:
     return list(map(_JSON_NON_FINITE.get, texts, texts))
 
 
-def _csv_field(kind: str, col):
-    """The csv template field of one typed column and the cells it formats;
-    "%s" marks texts, of which a Coded column's values are formatted once."""
-    if isinstance(col, Coded):
-        return "%s", map(list(map(_csv_cell, col.values)).__getitem__, col.codes.tolist())
-    if kind in "bsg":
-        return "%s", map(_csv_cell, col)
-    return _CSV_FIELD[kind], col
+# Per format, the %-template field and the cells of a plain int or float
+# column of a Table (see experiments.Table). '%.12g' % x and
+# format(x, '.12g') are one routine, with the same bytes for -0.0, inf and
+# nan, so the csv template writes what _csv_cell writes.
+_CSV_NUMBERS = {"i": lambda col: ("%d", col), "f": lambda col: ("%.12g", col)}
+_JSON_NUMBERS = {"i": lambda col: ("%s", map(repr, col)),
+                 "f": lambda col: ("%s", _json_floats(col))}
 
 
-def _coded_rows(columns, text, leads, close: str):
-    """Rows of text(cell) after each column's lead, each ending in close, as
-    bytes pieces of _JOIN_ROWS rows. Plain columns are coded one value per
-    cell. Each column's values are formatted once into a fixed-width S array;
-    a piece is one structured array of the texts taken by the codes, less
-    its NUL padding, so no text may hold a NUL (JSON texts never do, nor do
-    the bools, digit labels and numbers of an all-text csv table)."""
-    coded = [c if isinstance(c, Coded) else Coded(c, np.arange(len(c))) for c in columns]
-    ends = [""] * (len(coded) - 1) + [close]
-    texts = [np.array([f"{lead}{text(v)}{end}".encode() for v in col.values], dtype=bytes)
-             for col, lead, end in zip(coded, leads, ends)]
+def _coded_rows(columns, leads, close: str):
+    """Rows of Coded columns, each given as its formatted values and its
+    codes, as bytes pieces of _JOIN_ROWS rows: each text after its column's
+    lead, each row ending in close. Each column's texts go into a
+    fixed-width S array; a piece is one structured array of the texts taken
+    by the codes, less its NUL padding, so no text may hold a NUL (JSON
+    texts never do, nor do the csv texts of the bools, labels and numbers
+    that Coded columns hold)."""
+    ends = [""] * (len(columns) - 1) + [close]
+    texts = [np.array([f"{lead}{t}{end}".encode() for t in values], dtype=bytes)
+             for (values, _), lead, end in zip(columns, leads, ends)]
     rows = np.empty(_JOIN_ROWS, dtype=[(f"f{j}", t.dtype) for j, t in enumerate(texts)])
-    for start in range(0, len(coded[0]), _JOIN_ROWS):
-        stop = min(start + _JOIN_ROWS, len(coded[0]))
-        for j, (col, t) in enumerate(zip(coded, texts)):
-            rows[f"f{j}"][:stop - start] = np.take(t, col.codes[start:stop])
+    n = len(columns[0][1])
+    for start in range(0, n, _JOIN_ROWS):
+        stop = min(start + _JOIN_ROWS, n)
+        for j, ((_, codes), t) in enumerate(zip(columns, texts)):
+            rows[f"f{j}"][:stop - start] = np.take(t, codes[start:stop])
         yield rows[:stop - start].tobytes().translate(None, b"\0")
 
 
-def _records(table: Table, leads, close: str, text, field):
+def _records(table: Table, leads, close: str, cell, numbers):
     """The rows of a typed table as bytes pieces of _JOIN_ROWS rows, each
-    cell after its column's lead and each row ending in close. When every
-    column is texts (Coded, or of kind b, s or g), as in the sweep, by
-    _coded_rows with text; otherwise by one %-template whose field and cells
-    per column field(kind, col) gives."""
-    if all(isinstance(col, Coded) or kind in "bsg"
-           for kind, col in zip(table.kinds, table.columns)):
-        return _coded_rows(table.columns, text, leads, close)
-    fields, cells = zip(*map(field, table.kinds, table.columns))
+    cell after its column's lead and each row ending in close. A Coded
+    column's values are formatted once by cell and taken by its codes. When
+    every column is Coded, as in the sweep, the rows are _coded_rows;
+    otherwise one %-template writes them, a plain int or float column with
+    the field and cells that numbers gives for its kind, any other column
+    by cell."""
+    coded = [(list(map(cell, col.values)), col.codes) if isinstance(col, Coded) else None
+             for col in table.columns]
+    if all(coded):
+        return _coded_rows(coded, leads, close)
+    fields, cells = zip(*(
+        ("%s", map(c[0].__getitem__, c[1].tolist())) if c
+        else numbers[kind](col) if kind in numbers else ("%s", map(cell, col))
+        for kind, col, c in zip(table.kinds, table.columns, coded)))
     template = "".join(lead.replace("%", "%%") + f for lead, f in zip(leads, fields)) + close
     lines = map(template.__mod__, zip(*cells))
     return ("".join(chunk).encode("utf-8")
             for chunk in iter(lambda: list(islice(lines, _JOIN_ROWS)), []))
-
-
-def _json_cells(kind: str, col):
-    """One column's JSON texts, as json.dumps writes _jsonify of each cell; a
-    Coded column's values are formatted once each."""
-    if isinstance(col, Coded):
-        return map(list(_json_cells(kind, col.values)).__getitem__, col.codes.tolist())
-    if kind in "bsg":
-        return map(lambda v: json.dumps(_jsonify(v)), col)
-    return _json_floats(col) if kind == "f" else map(repr, col)
 
 
 def _json_records(table: Table) -> list[bytes]:
@@ -177,8 +172,7 @@ def _json_records(table: Table) -> list[bytes]:
         return [b"[]"]
     leads = [f"{',' if k else '    {'}\n      {json.dumps(name)}: "
              for k, name in enumerate(table.names)]
-    *pieces, last = _records(table, leads, "\n    },\n", lambda v: json.dumps(_jsonify(v)),
-                             lambda kind, col: ("%s", _json_cells(kind, col)))
+    *pieces, last = _records(table, leads, "\n    },\n", _json_cell, _JSON_NUMBERS)
     return [b"[\n", *pieces, last[:-2], b"\n  ]"]  # no ",\n" after the last record
 
 
@@ -213,7 +207,7 @@ def emit_report(results, format: str) -> bytes:
             out = io.BytesIO()
             leads = [""] + [","] * (len(results.names) - 1)
             out.writelines(chain((buf.getvalue().encode("utf-8"),),
-                                 _records(results, leads, "\n", _csv_cell, _csv_field)))
+                                 _records(results, leads, "\n", _csv_cell, _CSV_NUMBERS)))
             return out.getvalue()
         if isinstance(results, dict) and "columns" in results and "rows" in results:
             writer.writerow(results["columns"])
@@ -254,8 +248,10 @@ def _single_rho(inv: CliInvocation, scenario_rho: float | None) -> float:
 
 def _rho_list_from_db(values) -> tuple[float, ...]:
     rhos = tuple(rho_from_db(db) for db in values)
-    if any(r <= 1.0 for r in rhos):
-        raise DegenerateSnr(f"every rho_db must be > 0 dB, got {values!r}")
+    for db, rho in zip(values, rhos):
+        if rho <= 1.0:
+            raise DegenerateSnr(f"rho = 10**(rho_db/10) must exceed 1, got {rho!r} "
+                                f"at rho_db {db!r}")
     return rhos
 
 
@@ -301,37 +297,31 @@ def _cmd_classify(inv: CliInvocation):
     return Report(doc, Table.from_rows(columns, "bbgss", rows))
 
 
+def _profile_report(doc: dict, per_perm, key: str) -> Report:
+    """A per-ordering profile: doc gains "per_perm", one {"perm", key}
+    object per ordering, and the table is its (perm label, value) rows."""
+    doc["per_perm"] = [{"perm": list(p.as_tuple()), key: v} for p, v in per_perm]
+    rows = [(p.label(), v) for p, v in per_perm]
+    return Report(doc, Table.from_rows(("perm", key), "sf", rows))
+
+
 def _cmd_bound(inv: CliInvocation):
     alpha, scenario_rho = _resolve_alpha(inv)
     rho = _single_rho(inv, scenario_rho)
     result = sum_capacity_ub(rho, alpha)
-    doc = {
-        "command": "bound",
-        "rho": rho,
-        "min_bits": result.value,
-        "argmin": list(result.argmin.as_tuple()),
-        "per_perm": [{"perm": list(p.as_tuple()), "bound_bits": v}
-                     for p, v in result.per_perm],
-    }
-    rows = [(p.label(), v) for p, v in result.per_perm]
-    return Report(doc, Table.from_rows(("perm", "bound_bits"), "sf", rows))
+    doc = {"command": "bound", "rho": rho, "min_bits": result.value,
+           "argmin": list(result.argmin.as_tuple())}
+    return _profile_report(doc, result.per_perm, "bound_bits")
 
 
 def _cmd_gdof(inv: CliInvocation):
     alpha, _ = _resolve_alpha(inv)
     ub = gdof_ub(alpha)
     ach = tdma_tin_gdof(alpha)
-    doc = {
-        "command": "gdof",
-        "tdma_tin_gdof": ach.value,
-        "tdma_tin_argmax": list(ach.argmax.as_tuple()),
-        "gdof_ub": ub.value,
-        "argmin": list(ub.argmin.as_tuple()),
-        "per_perm": [{"perm": list(p.as_tuple()), "gdof_ub": v}
-                     for p, v in ub.per_perm],
-    }
-    rows = [(p.label(), v) for p, v in ub.per_perm]
-    return Report(doc, Table.from_rows(("perm", "gdof_ub"), "sf", rows))
+    doc = {"command": "gdof", "tdma_tin_gdof": ach.value,
+           "tdma_tin_argmax": list(ach.argmax.as_tuple()), "gdof_ub": ub.value,
+           "argmin": list(ub.argmin.as_tuple())}
+    return _profile_report(doc, ub.per_perm, "gdof_ub")
 
 
 def _cmd_sweep(inv: CliInvocation):
@@ -505,17 +495,14 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
     fmt = inv.format if inv.format is not None else ("csv" if command.table else "json")
     try:
         report = command.handler(inv)
-        if fmt == "json":
-            doc = report.head
-            if command.table:
-                doc = {"summary": doc, "records": report.table}
-            _write(emit_report(doc, "json"), inv.out, out_stream)
-        elif fmt == "csv":
-            _write(emit_report(report.table, "csv"), inv.out, out_stream)
-            if inv.out is not None and command.table:
-                _write(emit_report(report.head, "json"), None, out_stream)
-        else:
-            raise UnsupportedFormat(f"unsupported format: {fmt!r}")
+        data = report.head
+        if fmt == "csv":
+            data = report.table
+        elif command.table:
+            data = {"summary": report.head, "records": report.table}
+        _write(emit_report(data, fmt), inv.out, out_stream)
+        if fmt == "csv" and inv.out is not None and command.table:
+            _write(emit_report(report.head, "json"), None, out_stream)
     except ValidationError as exc:
         print(f"error: {exc}", file=err_stream)
         return 2

@@ -226,6 +226,16 @@ def test_unknown_command_via_invocation(capsys):
     assert "unknown command" in err.getvalue()
 
 
+@pytest.mark.parametrize("inv", [
+    CliInvocation("classify", alpha=(1.0, 0.2, 0.75, 0.4, 1.0, 0.75), format="xml"),
+    CliInvocation("sweep", step=0.25, format="xml"),
+], ids=["point", "table"])
+def test_unknown_format_via_invocation_exits_2(inv):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(inv, stdout=out, stderr=err) == 2
+    assert (out.getvalue(), err.getvalue()) == ("", "error: unsupported format: 'xml'\n")
+
+
 # ---------------------------------------------------------------- sweep and audits
 
 def test_sweep_csv_stdout_is_pure_records(capsys):
@@ -464,6 +474,21 @@ def test_input_holes_exit_2_with_empty_stdout(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, db", [
+    (["eval", "--alpha", FIG_ALPHA, "--rho-db", "1e-300"], 1e-300),
+    (["gap-audit", "--n", "5", "--rho-db", "20,1e-17"], 1e-17),
+    (["converge", "--alpha", FIG_ALPHA, "--rho-db=-3,40"], -3.0),
+])
+def test_snr_whose_rho_is_not_above_1_exits_2_naming_rho(capsys, argv, db):
+    # A positive dB below about 1e-15 gives rho = 1.0 exactly, so the
+    # message names the condition on rho, not on the dB value.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: rho = 10**(rho_db/10) must exceed 1, got "
+                            f"{10.0 ** (db / 10.0)!r} at rho_db {db!r}\n")
 
 
 def test_scenario_snr_above_maximum_exits_2(tmp_path, capsys):

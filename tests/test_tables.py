@@ -1,7 +1,9 @@
 """Typed tables: the row-template renderers against the generic paths, and
 the array-expression sweep audit against the per-record loop it replaced."""
 
+import dataclasses
 import functools
+import io
 import json
 import math
 import random
@@ -74,12 +76,12 @@ def tables(draw):
 
 @st.composite
 def all_text_tables(draw):
-    """A table whose every column the csv writer turns into texts before it
-    joins the rows: bools and labels, plain or Coded, and Coded floats. The
-    values of each column are a few drawn cells, None among them, and the
-    float cells include signed zeros, NaNs, infinities and subnormals; up to
-    more than two pieces of cli._JOIN_ROWS rows, all columns Coded in some
-    tables of that size, as in the sweep."""
+    """A table of Coded float columns next to bool and label columns, plain
+    or Coded: the writer takes coded rows when all four are Coded, as in
+    the sweep, and the %-template otherwise. The values of each column are a
+    few drawn cells, None among them, and the float cells include signed
+    zeros, NaNs, infinities and subnormals; up to more than two pieces of
+    cli._JOIN_ROWS rows, all columns Coded in some tables of that size."""
     n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * cli._JOIN_ROWS + 1]))
     all_coded = n > 2 * cli._JOIN_ROWS and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -207,6 +209,20 @@ def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
     want = json.dumps(cli._jsonify({"records": [{"x": x, "k": k} for k, x in enumerate(col)]}),
                       indent=2)
     assert emit_report({"records": table}, "json") == (want + "\n").encode("utf-8")
+
+
+def test_only_tables_of_coded_columns_take_coded_rows(monkeypatch):
+    # Coded rows are the sweep's fast path; a float table sent through them
+    # takes about twice the writer time of the %-template.
+    coded_rows, calls = cli._coded_rows, []
+    monkeypatch.setattr(cli, "_coded_rows", lambda *args: calls.append(args) or coded_rows(*args))
+    reached = []
+    for inv, fmt in ((inv, fmt) for inv in _INVOCATIONS for fmt in ("csv", "json")):
+        before = len(calls)
+        assert cli.run(dataclasses.replace(inv, format=fmt), stdout=io.StringIO(),
+                       stderr=io.StringIO()) == 0
+        reached += [(inv.command, fmt)] * (len(calls) - before)
+    assert reached == [("sweep", "csv"), ("sweep", "json")]
 
 
 def test_classify_outside_the_regime_writes_empty_cells(capsys):
