@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -94,75 +96,250 @@ def _json_cell(v) -> str:
     return json.dumps(_jsonify(v))
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 # Rows per piece of a table's text.
 _JOIN_ROWS = 1024
+# 10**k for k = 0..15, each exact in float64.
+_POW10 = np.array([float(10**k) for k in range(16)])
+_U64 = np.uint64
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_floats(col) -> list[str]:
-    """repr(_round12(x)) of each cell, NaN and Infinity as json.dumps writes them."""
-    texts = list(map(format, col, repeat(".12g")))
-    joined = "".join(texts)
-    # A positional decimal with a point and at most 12 significant digits is
-    # already the shortest repr of its nearest double. When every text has
-    # its point and no exponent, the column is returned as it is; otherwise
-    # (an integral value, an exponent, nan or inf, which have no point) it
-    # is parsed and written again.
-    if joined.count(".") == len(texts) and "e" not in joined:
-        return texts
-    texts = list(map(repr, map(float, texts)))
-    return list(map(_JSON_NON_FINITE.get, texts, texts))
+class _Layout(NamedTuple):
+    """The lookup tables of _float_texts. A text lies in uint64 words,
+    little-endian: its first character is the low byte."""
+
+    groups: np.ndarray    # g < 10**4 as four ASCII digits, and 10**4 as 1000
+    reach: np.ndarray     # [k, g]: how many of the 12 digits of n reach its
+                          # last nonzero one when g is n's group k of four
+                          # (0 if g is 0)
+    low: np.ndarray       # by byte count 0 < b <= 16, the low word of a
+                          # b-byte mask (and no mask at 0)
+    high: np.ndarray      # and its high word
+    point_lo: np.ndarray  # by byte 0 < b < 16, the low word of a "." at byte b
+    point_hi: np.ndarray  # and its high word
+    heads: np.ndarray     # by e + 4 + 16 * negative: "-" if negative, then
+                          # "0." and -e - 1 zeros if e < 0
+    shifts: np.ndarray    # and the bit length of that text
 
 
-# Per format, the %-template field and the cells of a plain int or float
-# column of a Table (see experiments.Table). '%.12g' % x and
-# format(x, '.12g') are one routine, with the same bytes for -0.0, inf and
-# nan, so the csv template writes what _csv_cell writes.
-_CSV_NUMBERS = {"i": lambda col: ("%d", col), "f": lambda col: ("%.12g", col)}
-_JSON_NUMBERS = {"i": lambda col: ("%s", map(repr, col)),
-                 "f": lambda col: ("%s", _json_floats(col))}
+@functools.cache
+def _layout() -> _Layout:
+    # the digits a, b, c, d of g = 1000a + 100b + 10c + d on an open grid,
+    # so that no temporary is larger than a table
+    a, b, c, d = np.ix_(*[np.arange(10, dtype=_U64)] * 4)
+    groups = np.empty(10**4 + 1, dtype=_U64)
+    groups[:-1] = ((a + 48) | (b + 48) << _U64(8)
+                   | (c + 48) << _U64(16) | (d + 48) << _U64(24)).ravel()
+    reach = np.zeros((3, 10**4 + 1), dtype=np.int8)
+    reach[0, :-1] = np.maximum(np.maximum(a > 0, (b > 0) * np.int8(2)),
+                               np.maximum((c > 0) * np.int8(3), (d > 0) * np.int8(4))).ravel()
+    reach[1:, :-1] = np.where(reach[0, :-1] > 0, reach[0, :-1] + np.int8([[4], [8]]), 0)
+    groups[-1], reach[0, -1] = groups[1000], 1  # a carried n = 10**12 has 10**4 on top
+    heads = [sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
+             for sign in (b"", b"-") for e in range(-4, 12)]
+    return _Layout(
+        groups,
+        reach,
+        np.array([(1 << 8 * min(k or 8, 8)) - 1 for k in range(17)], dtype=_U64),
+        np.array([(1 << 8 * max(k or 16, 8) - 64) - 1 for k in range(17)], dtype=_U64),
+        np.array([46 << 8 * k if 0 < k < 8 else 0 for k in range(16)], dtype=_U64),
+        np.array([46 << 8 * (k - 8) if 8 <= k else 0 for k in range(16)], dtype=_U64),
+        np.array([int.from_bytes(h, "little") for h in heads], dtype=_U64),
+        np.array([8 * len(h) for h in heads], dtype=_U64))
 
 
-def _coded_rows(columns, leads, close: str):
-    """Rows of Coded columns, each given as its formatted values and its
-    codes, as bytes pieces of _JOIN_ROWS rows: each text after its column's
-    lead, each row ending in close. Each column's texts go into a
-    fixed-width S array; a piece is one structured array of the texts taken
-    by the codes, less its NUL padding, so no text may hold a NUL (JSON
-    texts never do, nor do the csv texts of the bools, labels and numbers
-    that Coded columns hold)."""
-    ends = [""] * (len(columns) - 1) + [close]
-    texts = [np.array([f"{lead}{t}{end}".encode() for t in values], dtype=bytes)
-             for (values, _), lead, end in zip(columns, leads, ends)]
-    rows = np.empty(_JOIN_ROWS, dtype=[(f"f{j}", t.dtype) for j, t in enumerate(texts)])
-    n = len(columns[0][1])
+def _python_floats(x: np.ndarray, as_json: np.ndarray) -> list[bytes]:
+    """The texts of the cells that _float_texts leaves to Python's own
+    formatting: format(v, ".12g"), as _csv_cell writes a float, or where
+    as_json holds, the repr of its parse, with nan and inf named as
+    json.dumps names them, as _json_cell writes it."""
+    texts = map(format, x.tolist(), repeat(".12g"))
+    return [(_JSON_NAMES.get(t, repr(float(t))) if j else t).encode()
+            for t, j in zip(texts, as_json.tolist())]
+
+
+def _digits(ax: np.ndarray):
+    """For |v| in ax: the decimal exponent e of its 12-digit rounding, where
+    _float_texts writes it, the 12 digits of that rounding and a "0" in
+    ASCII, as the (low, high) words of a word pair, and how many of the 12
+    reach the last nonzero one. Zeros have e = 0 and digits "0"; the other
+    cells left to Python have e = 0 and any digits."""
+    zero = ax == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.fmax(np.fmin(np.floor(np.log10(ax)), 11.0), -4.0)  # nan to 11
+        m = ax * _POW10[(11.0 - e).astype(np.intp)]
+        n = np.rint(m)
+        fast = np.abs(m - n) < 0.5  # not a tie
+        # e judged one too high, or too low, by log10 next to a power of ten
+        fast &= m >= 1e11
+        fast &= n <= 1e12
+        # below 10**12 - 0.5, so that the rounding does not reach exponent form
+        fast &= ax < 999999999999.5
+        e += n == 1e12  # a carry, whose n = 10**12 the tables read as 10**11
+        n = np.fmin(n * fast, 1e12).astype(np.int64)
+    e *= fast
+    fast |= zero
+    groups, (r0, r1, r2) = _layout()[:2]
+    top = n // 10**4
+    first = top // 10**4
+    n -= top * 10**4
+    top -= first * 10**4
+    digits = np.maximum(np.maximum(r0[first], r1[top]), r2[n])
+    lo = groups[first]
+    lo |= groups[top] << _U64(32)
+    hi = groups[n]
+    hi |= _U64(ord("0") << 32)
+    return e.astype(np.intp), fast, lo, hi, digits.astype(np.intp)
+
+
+def _with_point(lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> None:
+    """Puts a "." into the word pairs at byte at, in place, moving the
+    bytes from there on up one (no point where at is 0)."""
+    t = _layout()
+    keep = t.low[at]
+    moved = lo & ~keep
+    lo &= keep
+    lo |= moved << _U64(8)
+    lo |= t.point_lo[at]
+    keep = t.high[at]
+    spill = hi & ~keep
+    hi &= keep
+    hi |= spill << _U64(8)
+    hi |= moved >> _U64(56)
+    hi |= t.point_hi[at]
+
+
+def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
+    """The cells of the float array x as an S array of its shape, each text
+    NUL-padded: '%.12g' % v (as _csv_cell writes it), or where as_json (a
+    bool, or bools broadcast against x; False is csv throughout)
+    holds, json.dumps(_round12(v)) (as _json_cell writes it).
+
+    Both write a finite v whose 12-digit rounding has a decimal exponent e
+    in [-4, 11] positionally: the digits of the 12-digit integer
+    n = round(|v| * 10**(11 - e)) less its trailing zeros, with a point
+    after digit e when a digit follows it, "0." and -e - 1 zeros before
+    them when e < 0, and in json ".0" after an integral value (the repr of
+    the nearest double to a decimal of at most 12 digits is that decimal).
+    Here e is floor(log10|v|), and n is the nearest integer to the product
+    by the exact power of ten; n = 10**12 carries into e + 1. The product is
+    correctly rounded and every half-integer below 2**52 is a double, so it
+    lies on the same side of each half-integer as the exact product, or on
+    it: n is the correct rounding unless the product is a half-integer. A
+    cell's digits come in a pair of words from a table of 4-digit groups,
+    the point is put in by a shift, and the sign and "0.0…" go before them
+    by another. A cell whose product is a half-integer (a tie, or within
+    half an ulp of one), whose e is out of range or misjudged by log10, or
+    that is nan or infinite goes to _python_floats, so every text is
+    Python's by construction. The steps hold few arrays at a time: on a
+    piece of rows, fresh pages cost more than the arithmetic."""
+    flat = np.asarray(x, dtype=float).ravel()
+    e, fast, lo, hi, digits = _digits(np.abs(flat))
+    e += 1
+    # An integral value keeps its e + 1 digits, and in json one more for ".0".
+    if as_json is False:
+        np.maximum(digits, e, out=digits)
+    else:
+        np.maximum(digits, (e.reshape(np.shape(x)) + as_json).ravel(), out=digits)
+    point = (e > 0) & (digits > e)
+    _with_point(lo, hi, e * point)
+    digits += point
+    t = _layout()
+    lo &= t.low[digits]
+    hi &= t.high[digits]
+    e += 3 + 16 * np.signbit(flat)
+    shift = t.shifts[e]
+    # a bound on the longest text
+    width = (int(np.maximum.reduce(shift, initial=0)) // 8
+             + int(np.maximum.reduce(digits, initial=1)))
+    words = np.empty((len(flat), (width + 7) // 8), dtype="<u8")
+    np.bitwise_or(t.heads[e], lo << shift, out=words[:, 0])
+    if width > 8:
+        back = _U64(64) - shift
+        np.bitwise_or(hi << shift, lo >> back, out=words[:, 1])
+        if width > 16:
+            np.right_shift(hi, back, out=words[:, 2])
+    texts = words.view(np.dtype((np.bytes_, words.shape[1] * 8))).ravel()
+    if not fast.all():
+        slow = ~fast
+        as_json = (np.zeros(np.shape(x), dtype=bool) | as_json).ravel()[slow]
+        python = np.array(_python_floats(flat[slow], as_json), dtype=bytes)
+        texts = texts.astype(np.promote_types(texts.dtype, python.dtype), copy=False)
+        texts[slow] = python
+    return texts.reshape(np.shape(x))
+
+
+def _numbers(kind: str, col):
+    """A plain float column, or an int column whose cells are all below
+    10**12 in magnitude (ints exact as floats, which _float_texts writes as
+    str does), as a float array; None for any other column. struct packs a
+    list into doubles about three times as fast as array or numpy do."""
+    if kind not in "if":
+        return None
+    try:
+        code, dtype = ("d", float) if kind == "f" else ("q", np.int64)
+        values = np.frombuffer(struct.pack(f"={len(col)}{code}", *col), dtype=dtype)
+    except struct.error:  # not a number, or an int beyond int64
+        return None
+    values = values.astype(float, copy=False)
+    return values if kind == "f" or (np.abs(values) < 1e12).all() else None
+
+
+def _join(texts, leads, close: str, buffers: dict) -> bytes:
+    """One piece of rows, row i the texts[j][i] each after leads[j], then
+    close, less the NUL padding of the texts. The rows are one structured
+    array, kept in buffers by the widths of the texts, so that its leads
+    and closes are written once; the first piece is the longest."""
+    key = tuple(t.dtype for t in texts)
+    if key not in buffers:
+        fixed, fields = {}, []
+        for j, (lead, t) in enumerate(zip(leads, texts)):
+            if lead:
+                fixed[f"l{j}"] = lead.encode()
+                fields.append((f"l{j}", f"S{len(fixed[f'l{j}'])}"))
+            fields.append((f"t{j}", t.dtype))
+        fixed["close"] = close.encode()
+        fields.append(("close", f"S{len(fixed['close'])}"))
+        buffers[key] = np.empty(len(texts[0]), dtype=fields)  # no later piece is longer
+        for name, text in fixed.items():
+            buffers[key][name] = text
+    rows = buffers[key][:len(texts[0])]
+    for j, t in enumerate(texts):
+        rows[f"t{j}"] = t
+    return rows.tobytes().translate(None, b"\0")
+
+
+def _records(table: Table, leads, close: str, cell, as_json: bool):
+    """The rows of a typed table as bytes pieces of _JOIN_ROWS rows, each
+    cell after its column's lead and each row ending in close. Every column
+    gives each piece its cells as NUL-padded texts, so no text may hold a
+    NUL (JSON texts never do, nor do the csv texts of numbers, bools and
+    digit labels). A Coded column's values are formatted once by cell and
+    taken by its codes; the columns that _numbers takes are formatted
+    together by _float_texts, floats in json as json does when as_json;
+    any other column cell by cell."""
+    n = len(table)
+    coded, plain, numbers, layouts = {}, {}, {}, []
+    for j, (kind, col) in enumerate(zip(table.kinds, table.columns)):
+        if isinstance(col, Coded):
+            coded[j] = np.array([cell(v).encode() for v in col.values], dtype=bytes), col.codes
+        elif (values := _numbers(kind, col)) is not None:
+            numbers[j] = values
+            layouts.append(as_json and kind == "f")
+        else:
+            plain[j] = col
+    # row-major, so that a piece's numbers are one contiguous block
+    values = np.stack(list(numbers.values()), axis=1) if numbers else None
+    layouts = layouts if any(layouts) else False
+    buffers = {}
     for start in range(0, n, _JOIN_ROWS):
         stop = min(start + _JOIN_ROWS, n)
-        for j, ((_, codes), t) in enumerate(zip(columns, texts)):
-            rows[f"f{j}"][:stop - start] = np.take(t, codes[start:stop])
-        yield rows[:stop - start].tobytes().translate(None, b"\0")
-
-
-def _records(table: Table, leads, close: str, cell, numbers):
-    """The rows of a typed table as bytes pieces of _JOIN_ROWS rows, each
-    cell after its column's lead and each row ending in close. A Coded
-    column's values are formatted once by cell and taken by its codes. When
-    every column is Coded, as in the sweep, the rows are _coded_rows;
-    otherwise one %-template writes them, a plain int or float column with
-    the field and cells that numbers gives for its kind, any other column
-    by cell."""
-    coded = [(list(map(cell, col.values)), col.codes) if isinstance(col, Coded) else None
-             for col in table.columns]
-    if all(coded):
-        return _coded_rows(coded, leads, close)
-    fields, cells = zip(*(
-        ("%s", map(c[0].__getitem__, c[1].tolist())) if c
-        else numbers[kind](col) if kind in numbers else ("%s", map(cell, col))
-        for kind, col, c in zip(table.kinds, table.columns, coded)))
-    template = "".join(lead.replace("%", "%%") + f for lead, f in zip(leads, fields)) + close
-    lines = map(template.__mod__, zip(*cells))
-    return ("".join(chunk).encode("utf-8")
-            for chunk in iter(lambda: list(islice(lines, _JOIN_ROWS)), []))
+        texts = {j: np.take(t, codes[start:stop]) for j, (t, codes) in coded.items()}
+        texts.update((j, np.array([cell(v).encode() for v in col[start:stop]], dtype=bytes))
+                     for j, col in plain.items())
+        if numbers:
+            texts.update(zip(numbers, _float_texts(values[start:stop], layouts).T))
+        yield _join([texts[j] for j in range(len(leads))], leads, close, buffers)
 
 
 def _json_records(table: Table) -> list[bytes]:
@@ -172,7 +349,7 @@ def _json_records(table: Table) -> list[bytes]:
         return [b"[]"]
     leads = [f"{',' if k else '    {'}\n      {json.dumps(name)}: "
              for k, name in enumerate(table.names)]
-    *pieces, last = _records(table, leads, "\n    },\n", _json_cell, _JSON_NUMBERS)
+    *pieces, last = _records(table, leads, "\n    },\n", _json_cell, True)
     return [b"[\n", *pieces, last[:-2], b"\n  ]"]  # no ",\n" after the last record
 
 
@@ -207,7 +384,7 @@ def emit_report(results, format: str) -> bytes:
             out = io.BytesIO()
             leads = [""] + [","] * (len(results.names) - 1)
             out.writelines(chain((buf.getvalue().encode("utf-8"),),
-                                 _records(results, leads, "\n", _csv_cell, _CSV_NUMBERS)))
+                                 _records(results, leads, "\n", _csv_cell, False)))
             return out.getvalue()
         if isinstance(results, dict) and "columns" in results and "rows" in results:
             writer.writerow(results["columns"])

@@ -1,12 +1,15 @@
-"""Typed tables: the row-template renderers against the generic paths, and
-the array-expression sweep audit against the per-record loop it replaced."""
+"""Typed tables: the byte-row writer and its float formatter against the
+generic paths and Python's own formatting, and the array-expression sweep
+audit against the per-record loop it replaced."""
 
 import dataclasses
 import functools
+import inspect
 import io
 import json
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xctin import cli
+from xctin import cli, experiments
 from xctin.channel import AlphaMatrix
 from xctin.cli import CliInvocation, emit_report
 from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, Coded, SweepRecord, Table,
@@ -77,11 +80,11 @@ def tables(draw):
 @st.composite
 def all_text_tables(draw):
     """A table of Coded float columns next to bool and label columns, plain
-    or Coded: the writer takes coded rows when all four are Coded, as in
-    the sweep, and the %-template otherwise. The values of each column are a
-    few drawn cells, None among them, and the float cells include signed
-    zeros, NaNs, infinities and subnormals; up to more than two pieces of
-    cli._JOIN_ROWS rows, all columns Coded in some tables of that size."""
+    or Coded: all four Coded, as in the sweep, or some written cell by cell.
+    The values of each column are a few drawn cells, None among them, and
+    the float cells include signed zeros, NaNs, infinities and subnormals;
+    up to more than two pieces of cli._JOIN_ROWS rows, all columns Coded in
+    some tables of that size."""
     n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * cli._JOIN_ROWS + 1]))
     all_coded = n > 2 * cli._JOIN_ROWS and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
@@ -114,10 +117,10 @@ def test_json_record_template_matches_json_dumps(table, head, records_first):
     assert emit_report(dict(items), "json") == want.encode("utf-8")
 
 
-# Float cells that .12g mostly writes with a point and no exponent, whose
-# texts _json_floats keeps as they are, and cells it must parse and write
-# again: integral values and zeros (no point), exponents (from 1e12 up, below
-# 1e-4, subnormals), nan and inf.
+# Float cells that _float_texts writes positionally with a point, and cells
+# at its edges: integral values and zeros (no point in csv, ".0" in json),
+# exponents (from 1e12 up, below 1e-4, subnormals), nan and inf, which it
+# leaves to Python.
 POSITIONAL = st.builds(math.copysign, st.floats(1e-4, 1e10), st.sampled_from([1.0, -1.0]))
 REWRITTEN = st.one_of(
     st.integers(-10**15, 10**15).map(float),
@@ -132,7 +135,84 @@ REWRITTEN = st.one_of(
        rewritten=st.lists(REWRITTEN, max_size=3))
 def test_json_floats_match_the_three_call_path(data, cells, rewritten):
     col = data.draw(st.permutations(cells + rewritten))
-    assert cli._json_floats(col) == [json.dumps(float(format(x, ".12g"))) for x in col]
+    assert cli._float_texts(np.array(col, dtype=float), True).tolist() == \
+        [json.dumps(float(format(x, ".12g"))).encode() for x in col]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cells=st.lists(st.floats(), min_size=1, max_size=30), as_json=st.booleans(),
+       layouts=st.tuples(st.booleans(), st.booleans()))
+def test_float_texts_match_python_formatting(cells, as_json, layouts):
+    want = [(cli._json_cell if as_json else cli._csv_cell)(x).encode() for x in cells]
+    assert cli._float_texts(np.array(cells), as_json).tolist() == want
+    # two rows, each in its own layout, as the writer formats a piece
+    rows = np.array([cells, cells[::-1]])
+    cell = [cli._json_cell if j else cli._csv_cell for j in layouts]
+    assert cli._float_texts(rows, np.array(layouts)[:, None]).tolist() == \
+        [[cell[k](x).encode() for x in row] for k, row in enumerate(rows.tolist())]
+
+
+def _float_corpus(n: int, m: int) -> np.ndarray:
+    """Seeded doubles: n each of uniform bit patterns (nan, inf and
+    subnormals among them), 13-digit integers ending in 5 (a tie at 12
+    digits) scaled by 10**-k, and integers up to 1e15, most of which Python
+    writes; m each of uniform on [0, 200), log-uniform on 1e-8..1e14 with
+    either sign, values rounded to 0-13 decimals, and values within 1e-12
+    (relative) or an ulp of a power of ten, whose 12-digit rounding carries
+    or whose log10 rounds up; and the specials."""
+    rng = np.random.default_rng(20241019)
+    sign = rng.choice([-1.0, 1.0], m)
+    k = rng.integers(0, 14, m)
+    tens = 10.0 ** rng.integers(-5, 14, m)
+    near = np.where(rng.random(m) < 0.5, tens * (1.0 - 1e-12 * rng.random(m)),
+                    np.nextafter(tens, tens * rng.choice([0.0, 2.0], m)))
+    return np.concatenate([
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(float),
+        (rng.integers(10**11, 10**12, n) * 10 + 5) / 10.0 ** rng.integers(0, 21, n),
+        rng.integers(-10**15, 10**15, n, endpoint=True).astype(float),
+        rng.uniform(0.0, 200.0, m),
+        sign * 10.0 ** rng.uniform(-8.0, 14.0, m),
+        np.rint(rng.uniform(-1e3, 1e3, m) * 10.0**k) / 10.0**k,
+        sign * near,
+        SPECIAL_FLOATS])
+
+
+def test_float_texts_match_python_on_a_seeded_corpus():
+    x = _float_corpus(10_000, 242_500)
+    assert len(x) >= 10**6
+    # '%.12g' % v for every cell in one template
+    csv_texts = (("%.12g\n" * len(x)) % tuple(x.tolist())).split()
+    # json.dumps(_round12(v)) is the repr of the csv text's parse, nan and
+    # inf named; a text with a point and no exponent has at most 12 digits
+    # and is already that repr (decimals of up to 15 digits read back to
+    # distinct doubles), as a sample of them checks
+    names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    json_texts = [t if "." in t and "e" not in t else names.get(t) or repr(float(t))
+                  for t in csv_texts]
+    sample = random.Random(5).sample(range(len(x)), 20_000)
+    assert [json_texts[i] for i in sample] == \
+        [names.get(csv_texts[i]) or repr(float(csv_texts[i])) for i in sample]
+    for as_json, want in ((False, csv_texts), (True, json_texts)):
+        got = cli._float_texts(x, as_json).tolist()
+        if got != [t.encode() for t in want]:
+            bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w.encode()]
+            pytest.fail(f"{len(bad)} mismatches, first {bad[:5]}")
+
+
+def test_bench_sized_tables_rarely_leave_the_fast_path(monkeypatch):
+    # the benchmark's sandwich and gap op sizes; a cell goes to Python only
+    # when its scaled product is a half-integer
+    python_floats, slow = cli._python_floats, []
+    monkeypatch.setattr(cli, "_python_floats",
+                        lambda x, j: slow.append(len(x)) or python_floats(x, j))
+    _, sandwich = experiments.sandwich_audit_with_rows(2500, None, 5)
+    _, gap = experiments.gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
+    for table, fmt in ((sandwich, "csv"), (gap, "json")):
+        floats = sum(len(col) for kind, col in zip(table.kinds, table.columns)
+                     if kind == "f" and not isinstance(col, Coded))
+        slow.clear()
+        emit_report(table if fmt == "csv" else {"records": table}, fmt)
+        assert floats >= 6750 and sum(slow) <= floats / 1000
 
 
 # Cells whose list.count goes by identity or by an equality across types:
@@ -211,18 +291,21 @@ def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
     assert emit_report({"records": table}, "json") == (want + "\n").encode("utf-8")
 
 
-def test_only_tables_of_coded_columns_take_coded_rows(monkeypatch):
-    # Coded rows are the sweep's fast path; a float table sent through them
-    # takes about twice the writer time of the %-template.
-    coded_rows, calls = cli._coded_rows, []
-    monkeypatch.setattr(cli, "_coded_rows", lambda *args: calls.append(args) or coded_rows(*args))
-    reached = []
+def test_every_table_goes_through_one_byte_row_path(monkeypatch):
+    # Every table a command writes, in csv and json, is joined by _join; a
+    # point command's json document holds no table.
+    join, calls = cli._join, []
+    monkeypatch.setattr(cli, "_join", lambda *args: calls.append(args) or join(*args))
+    reached = set()
     for inv, fmt in ((inv, fmt) for inv in _INVOCATIONS for fmt in ("csv", "json")):
         before = len(calls)
         assert cli.run(dataclasses.replace(inv, format=fmt), stdout=io.StringIO(),
                        stderr=io.StringIO()) == 0
-        reached += [(inv.command, fmt)] * (len(calls) - before)
-    assert reached == [("sweep", "csv"), ("sweep", "json")]
+        if len(calls) > before:
+            reached.add((inv.command, fmt))
+    assert reached == {(inv.command, fmt) for inv in _INVOCATIONS for fmt in ("csv", "json")
+                       if fmt == "csv" or cli.COMMANDS[inv.command].table}
+    assert re.search(r"__mod__|%[%sd]", inspect.getsource(cli)) is None
 
 
 def test_classify_outside_the_regime_writes_empty_cells(capsys):
