@@ -14,7 +14,6 @@ import functools
 import io
 import json
 import math
-import struct
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -269,20 +268,9 @@ def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
     return texts.reshape(np.shape(x))
 
 
-def _numbers(kind: str, col):
-    """A plain float column, or an int column whose cells are all below
-    10**12 in magnitude (ints exact as floats, which _float_texts writes as
-    str does), as a float array; None for any other column. struct packs a
-    list into doubles about three times as fast as array or numpy do."""
-    if kind not in "if":
-        return None
-    try:
-        code, dtype = ("d", float) if kind == "f" else ("q", np.int64)
-        values = np.frombuffer(struct.pack(f"={len(col)}{code}", *col), dtype=dtype)
-    except struct.error:  # not a number, or an int beyond int64
-        return None
-    values = values.astype(float, copy=False)
-    return values if kind == "f" or (np.abs(values) < 1e12).all() else None
+def _cell_texts(cells, cell) -> np.ndarray:
+    """The cells as an S array of their texts by cell."""
+    return np.array([cell(v).encode() for v in cells], dtype=bytes)
 
 
 def _join(texts, leads, close: str, buffers: dict) -> bytes:
@@ -314,20 +302,24 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
     cell after its column's lead and each row ending in close. Every column
     gives each piece its cells as NUL-padded texts, so no text may hold a
     NUL (JSON texts never do, nor do the csv texts of numbers, bools and
-    digit labels). A Coded column's values are formatted once by cell and
-    taken by its codes; the columns that _numbers takes are formatted
-    together by _float_texts, floats in json as json does when as_json;
-    any other column cell by cell."""
+    digit labels). A column's type picks its path: a Coded column's values
+    are formatted once by cell and taken by its codes; the "f" arrays, and
+    the "i" arrays of cells all below 10**12 in magnitude (exact as floats,
+    which _float_texts writes as str does), together by _float_texts,
+    floats in json as json does when as_json; any other column (a list,
+    such as a point command's, or a larger int array) cell by cell."""
     n = len(table)
     coded, plain, numbers, layouts = {}, {}, {}, []
     for j, (kind, col) in enumerate(zip(table.kinds, table.columns)):
         if isinstance(col, Coded):
-            coded[j] = np.array([cell(v).encode() for v in col.values], dtype=bytes), col.codes
-        elif (values := _numbers(kind, col)) is not None:
-            numbers[j] = values
+            coded[j] = _cell_texts(col.values, cell), col.codes
+        # compared as floats, since np.abs of int64 -2**63 wraps to itself
+        elif isinstance(col, np.ndarray) and (
+                kind == "f" or (kind == "i" and (np.abs(col.astype(float)) < 1e12).all())):
+            numbers[j] = col
             layouts.append(as_json and kind == "f")
         else:
-            plain[j] = col
+            plain[j] = col.tolist() if isinstance(col, np.ndarray) else col
     # row-major, so that a piece's numbers are one contiguous block
     values = np.stack(list(numbers.values()), axis=1) if numbers else None
     layouts = layouts if any(layouts) else False
@@ -335,8 +327,7 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
     for start in range(0, n, _JOIN_ROWS):
         stop = min(start + _JOIN_ROWS, n)
         texts = {j: np.take(t, codes[start:stop]) for j, (t, codes) in coded.items()}
-        texts.update((j, np.array([cell(v).encode() for v in col[start:stop]], dtype=bytes))
-                     for j, col in plain.items())
+        texts.update((j, _cell_texts(col[start:stop], cell)) for j, col in plain.items())
         if numbers:
             texts.update(zip(numbers, _float_texts(values[start:stop], layouts).T))
         yield _join([texts[j] for j in range(len(leads))], leads, close, buffers)

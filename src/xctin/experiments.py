@@ -105,11 +105,14 @@ class Table:
 
     kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
     digit-only label or None, "g" any other cell (such as a float or None),
-    written one at a time as untyped rows are. A column is a list, or a
-    Coded column when its producer knows that it repeats a few values,
-    which the writer then formats once each. len(), iteration and indexing
-    see rows, made on demand: record(*row) when record is given, plain
-    tuples otherwise.
+    written one at a time as untyped rows are. A column is a Coded column
+    when its producer knows that it repeats a few values, which the writer
+    then formats once each; an "f" or "i" column may be a 1-D float64 or
+    int64 array, which the writer formats with numpy; any column may be a
+    list, written cell by cell. len(), iteration and indexing see rows of
+    plain Python cells (an array column's through tolist() or item()), made
+    on demand: record(*row) when record is given, plain tuples otherwise;
+    == compares names, kinds and rows.
     """
 
     __slots__ = ("names", "kinds", "columns", "record")
@@ -128,15 +131,16 @@ class Table:
         return len(self.columns[0])
 
     def __iter__(self):
-        return zip(*self.columns) if self.record is None else map(self.record, *self.columns)
+        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns]
+        return zip(*columns) if self.record is None else map(self.record, *columns)
 
     def __getitem__(self, i):
-        row = tuple(c[i] for c in self.columns)
+        row = tuple(c.item(i) if isinstance(c, np.ndarray) else c[i] for c in self.columns)
         return row if self.record is None else self.record(*row)
 
     def __eq__(self, other):
-        return isinstance(other, Table) and (self.names, self.kinds, self.columns) == (
-            other.names, other.kinds, other.columns)
+        return isinstance(other, Table) and (self.names, self.kinds) == (
+            other.names, other.kinds) and list(self) == list(other)
 
 
 class SweepRecord(NamedTuple):
@@ -460,14 +464,12 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gap = ub - rate
-    gaps = gap.tolist()
-    rows = Table(GAP_COLUMNS, "iffff", ([idx for idx in range(n) for _ in rhos],
-                                        Coded(rhos, np.tile(np.arange(k), n)),
-                                        gaps, ub.tolist(), rate.tolist()))
+    rows = Table(GAP_COLUMNS, "iffff", (np.repeat(np.arange(n), k),
+                                        Coded(rhos, np.tile(np.arange(k), n)), gap, ub, rate))
     # ndarray.argmax stops at the first NaN, so a NaN gap is the maximum
     # and fails the audit; builtin max would drop one that is not first.
     first = int(gap.argmax())
-    max_gap = gaps[first]
+    max_gap = gap.item(first)
     worst = grids[first // k].tolist()
     report = GapReport(
         n_samples=n,
@@ -475,7 +477,7 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
         seed=seed,
         max_gap_bits=max_gap,
         # Summed in row order, one addition at a time, as a running total.
-        mean_gap_bits=functools.reduce(operator.add, gaps, 0.0) / len(rows),
+        mean_gap_bits=functools.reduce(operator.add, gap.tolist(), 0.0) / len(rows),
         min_gap_bits=float(gap.min()),
         all_within_7=max_gap <= 7.0,
         argmax_alpha=AlphaMatrix((worst[:3], worst[3:])),
@@ -535,9 +537,8 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         max_rate_violation_bits=float((rate - ub).max()),
         max_gdof_violation=float((d_tt - d_ub).max()),
     )
-    rho = rho.tolist() if rhos is None else Coded(rhos, np.tile(np.arange(len(rhos)), n))
-    return report, Table(SANDWICH_COLUMNS, "ifffff", (
-        sample.tolist(), rho, *(c.tolist() for c in (rate, ub, d_tt, d_ub))))
+    rho = rho if rhos is None else Coded(rhos, np.tile(np.arange(len(rhos)), n))
+    return report, Table(SANDWICH_COLUMNS, "ifffff", (sample, rho, rate, ub, d_tt, d_ub))
 
 
 def sandwich_audit(n: int, rho_list=None, seed: int = 0,

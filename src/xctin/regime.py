@@ -15,6 +15,11 @@ and the sum capacity within a constant gap. The stricter reference regime
 (tagged ``gsj`` in all outputs) replaces psi by max{a[j1][i3], a[j1][i2]},
 which is never smaller, so it is contained in the extended regime.
 
+Swapping ordering (i1, i2, i3, j1, j2) for (i2, i1, i3, j2, j1) trades the
+reference regime's two conditions, so six of the twelve orderings decide
+it; the extended regime's reduced threshold breaks that symmetry. Both
+witnesses are still the first of all twelve orderings.
+
 This module also hosts the hypothesis checker for the one-bit entropy-gap
 side condition that underpins the mixing (d = 1) branches of the
 side-information bound.

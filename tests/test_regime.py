@@ -155,6 +155,37 @@ def test_regime_inclusion_on_grid():
                     assert in_extended_regime(alpha) is not None
 
 
+def _swap(p: TxPermutation) -> TxPermutation:
+    return TxPermutation(p.i2, p.i1, p.i3, p.j2, p.j1)
+
+
+# Exponents on a quarter grid as well, so that conditions often hold with
+# equality and slack tol decides them.
+_TIED_GRIDS = st.lists(st.one_of(st.floats(0.0, 2.0), st.integers(0, 8).map(lambda k: k / 4)),
+                       min_size=6, max_size=6)
+
+
+@given(a=_TIED_GRIDS, tol=st.floats(0.0, 0.5))
+def test_reference_regime_is_invariant_under_the_ordering_swap(a, tol):
+    # The swap (i1, i2, i3, j1, j2) -> (i2, i1, i3, j2, j1) is an
+    # involution of the 12 orderings that trades the reference regime's
+    # direct and cross conditions.
+    for p in PERMUTATIONS:
+        q = _swap(p)
+        assert q in PERMUTATIONS and _swap(q) == p
+        for t in (0.0, tol):
+            assert bool(regime._witness_links(p.take(a), t)[1]) is \
+                bool(regime._witness_links(q.take(a), t)[1])
+
+
+def test_extended_regime_is_not_invariant_under_the_ordering_swap():
+    # P0's reduced threshold is 0.4 <= 0.6, but its swap's cross condition
+    # needs 0.6 >= a13 = 0.75.
+    a = FIG_POINT.flat()
+    assert [bool(x) for x in regime._witness_links(P0.take(a), 0.0)] == [True, False]
+    assert [bool(x) for x in regime._witness_links(_swap(P0).take(a), 0.0)] == [False, False]
+
+
 def test_equality_chain_on_sampled_regime_points():
     rng = np.random.Generator(np.random.Philox(5))
     found = 0

@@ -57,23 +57,32 @@ SUMMARIES = (
 )
 
 
+# int64 cells below 10**12 in magnitude, which the writer formats with
+# numpy, and from there to the int64 extremes, which it writes cell by cell.
+INT64_CELLS = st.one_of(st.integers(-10**12 + 1, 10**12 - 1), st.integers(-2**63, 2**63 - 1),
+                        st.sampled_from([-2**63, 2**63 - 1, -10**12, 10**12]))
+
+
 @st.composite
 def tables(draw):
-    """A table of one command's schema, of plain list columns. Each column
-    either repeats a few drawn cells or, for floats, holds distinct values
-    mixed with them."""
+    """A table of one command's schema. Each column either repeats a few
+    drawn cells or, for floats, holds distinct values mixed with them. A
+    column is a list, or for kinds f and i either a list or a float64 or
+    int64 array."""
     names, kinds = draw(st.sampled_from(SCHEMAS))
     n = draw(st.sampled_from([0, 1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS + 1]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     columns = []
     for kind in kinds:
-        pool = draw(st.lists(CELLS[kind], min_size=1, max_size=6))
+        array = kind in "fi" and draw(st.booleans())
+        pool = draw(st.lists(INT64_CELLS if array and kind == "i" else CELLS[kind],
+                             min_size=1, max_size=6))
         if kind == "f" and draw(st.booleans()):
             col = [rng.choice(pool) if rng.random() < 0.2 else rng.uniform(-1e9, 1e9)
                    for _ in range(n)]
         else:
             col = [rng.choice(pool) for _ in range(n)]
-        columns.append(col)
+        columns.append(np.array(col, dtype=float if kind == "f" else np.int64) if array else col)
     return Table(names, kinds, columns)
 
 
@@ -215,6 +224,42 @@ def test_bench_sized_tables_rarely_leave_the_fast_path(monkeypatch):
         assert floats >= 6750 and sum(slow) <= floats / 1000
 
 
+@pytest.mark.parametrize("cells", [[0, -2**63], [2**63 - 1, 5], [1, 10**12], [-10**12, 2],
+                                   [10**12 - 1, 1 - 10**12]])
+def test_int_arrays_match_the_generic_paths_at_the_int64_extremes(cells):
+    # np.abs(-2**63) wraps to itself, below 10**12: the formatter would
+    # write it as a float.
+    table = Table(("sample", "x"), "if", (np.array(cells), np.array([0.5, -1.0])))
+    rows = list(table)
+    assert emit_report(table, "csv") == emit_report({"columns": table.names, "rows": rows}, "csv")
+    want = json.dumps({"records": [dict(zip(table.names, row)) for row in rows]}, indent=2)
+    assert emit_report({"records": table}, "json") == (want + "\n").encode()
+
+
+def _audit_tables(seed: int):
+    """The tables of both audits, the sandwich with drawn and with listed
+    SNRs."""
+    return (experiments.gap_audit_with_rows(30, (1e2, 1e4), seed)[1],
+            experiments.sandwich_audit_with_rows(30, None, seed)[1],
+            experiments.sandwich_audit_with_rows(30, (1e2, 1e4), seed)[1])
+
+
+def test_audit_tables_hand_over_arrays_and_give_plain_rows():
+    for table, again, other in zip(_audit_tables(3), _audit_tables(3), _audit_tables(4)):
+        assert all(isinstance(col, np.ndarray)
+                   for name, col in zip(table.names, table.columns) if name != "rho")
+        want = tuple(int if kind == "i" else float for kind in table.kinds)
+        rows, indexed = list(table), [table[i] for i in range(-len(table), len(table))]
+        assert indexed == rows + rows
+        assert all(tuple(map(type, row)) == want for row in indexed)
+        assert json.loads(json.dumps([list(row) for row in table])) == [list(r) for r in rows]
+        assert table == again and not table != again and table != other
+        columns = [col.copy() if isinstance(col, np.ndarray) else col for col in table.columns]
+        columns[2][5] = np.nextafter(columns[2][5], math.inf)
+        changed = Table(table.names, table.kinds, columns)
+        assert changed != table and table != changed
+
+
 # Cells whose list.count goes by identity or by an equality across types:
 # a NaN equals only itself, 0.0 == -0.0, True == 1 == 1.0, and None.
 _COUNTED = (math.nan, 0.0, -0.0, None, True, 1, 1.0)
@@ -278,7 +323,7 @@ _REPEATING_COLUMNS = [
 def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
     coded = _coded_floats(np.array(col))
     assert len(coded.values) == formatted
-    table = Table(("x", "k"), "fi", (coded, list(range(len(col)))))
+    table = Table(("x", "k"), "fi", (coded, np.arange(len(col))))
     want_csv = emit_report({"columns": table.names, "rows": list(zip(col, table.columns[1]))},
                            "csv")
     csv_cell = cli._csv_cell
