@@ -34,9 +34,9 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (AlphaMatrix, libm_log2, libm_pow, link_columns,
-                      link_entries, link_picker, link_table, scalar_where,
-                      screened_first)
+from .channel import (AlphaMatrix, check_rho, libm_log2, libm_pow,
+                      link_columns, link_entries, link_picker, link_table,
+                      scalar_where, screened_first)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -125,6 +125,7 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     Boundary ties resolve in this order (both comparisons are <=); at the
     case-2/case-3 tie the two exponents coincide anyway.
     """
+    rho = check_rho(rho)
     c_sq, case1, at_i1 = _genie_links(p.take(alpha.flat()), rho, pow, scalar_where)
     return GenieParams(c_sq, 1 - case1, 3 - case1 - at_i1)
 
@@ -141,6 +142,7 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     exponent parametrization this agrees with `genie_params` up to floating-
     point rounding.
     """
+    rho = check_rho(rho)
     h_j1i1_sq, _, h_j1i3_sq, h_j2i1_sq, _, h_j2i3_sq = (
         abs(h) ** 2 for h in p.take(tuple(gains[0]) + tuple(gains[1])))
     if min(h_j1i1_sq, h_j1i3_sq, h_j2i1_sq, h_j2i3_sq) <= 0.0:
@@ -163,6 +165,7 @@ def _first_min(per_perm) -> BoundResult:
 
 def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
+    rho = check_rho(rho)
     a = alpha.flat()
     return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, pow, math.log2,
                         scalar_where)
@@ -174,6 +177,7 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
     Ties break to the lexicographically first ordering; the profile is always
     materialized so audits can report per-ordering diagnostics.
     """
+    rho = check_rho(rho)
     a = alpha.flat()
     pw = [rho ** x for x in a]
     return _first_min(tuple([(p, _bound_links(take(a), take(pw), rho, pow, math.log2,

@@ -51,6 +51,18 @@ def rho_from_db(rho_db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def check_rho(rho) -> float:
+    """rho as a float when it is a finite number > 1, the transmit SNRs the
+    exponent parametrization admits; anything else raises DegenerateSnr."""
+    try:
+        r = float(rho)
+    except (TypeError, ValueError, OverflowError):
+        r = math.nan
+    if not 1.0 < r < math.inf:
+        raise DegenerateSnr(f"rho must be finite and > 1, got {rho!r}")
+    return r
+
+
 @dataclass(frozen=True)
 class AlphaMatrix:
     """2x3 grid of link-strength exponents; rows = receivers, columns = transmitters.
@@ -203,13 +215,7 @@ class ChannelScenario:
     alpha: AlphaMatrix | None = None
 
     def __post_init__(self):
-        try:
-            rho = float(self.rho)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"rho must be a number: {exc}") from None
-        if not math.isfinite(rho) or rho <= 1.0:
-            raise DegenerateSnr(f"rho must be finite and > 1, got {self.rho!r}")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", check_rho(self.rho))
         if (self.gains is None) == (self.alpha is None):
             raise ValidationError("scenario needs exactly one of gains/alpha")
         if self.gains is not None:
@@ -232,13 +238,11 @@ def alpha_from_gain(h: complex, rho: float) -> float:
     Requires rho > 1 and rho*|h|^2 > 1. The boundary rho*|h|^2 = 1
     (exponent exactly 0) is rejected rather than mapped to 0.
     """
+    rho = check_rho(rho)
     try:
-        rho = float(rho)
         h = complex(h)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad gain/SNR: {exc}") from None
-    if not math.isfinite(rho) or rho <= 1.0:
-        raise DegenerateSnr(f"rho must be finite and > 1, got {rho!r}")
+        raise ValidationError(f"bad gain: {exc}") from None
     try:
         inr = rho * abs(h) ** 2
     except OverflowError:
@@ -252,21 +256,19 @@ def alpha_from_gain(h: complex, rho: float) -> float:
 
 def effective_inr(rho: float, alpha: float) -> float:
     """Received power ratio rho**alpha; inverts `alpha_from_gain`."""
-    if not rho > 1.0:
-        raise DegenerateSnr(f"rho must be > 1, got {rho!r}")
+    rho = check_rho(rho)
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
     return rho ** alpha
 
 
-def validate_scenario(scenario: ChannelScenario,
-                      alpha_cap: float = DEFAULT_ALPHA_CAP) -> AlphaMatrix:
+def validate_scenario(scenario: ChannelScenario) -> AlphaMatrix:
     """Materialize and check the exponent grid of a scenario.
 
     Gains convert entry-wise via `alpha_from_gain` (failures name the
     offending (receiver, transmitter) entry); a direct grid passes through
     unchanged. Every exponent must be strictly positive and at most
-    alpha_cap.
+    DEFAULT_ALPHA_CAP.
     """
     if scenario.gains is not None:
         rows = []
@@ -281,21 +283,22 @@ def validate_scenario(scenario: ChannelScenario,
         alpha = AlphaMatrix(tuple(rows))
     else:
         alpha = scenario.alpha
-    check_exponent_range(alpha, alpha_cap)
+    check_exponent_range(alpha)
     return alpha
 
 
-def check_exponent_range(alpha: AlphaMatrix, alpha_cap: float = DEFAULT_ALPHA_CAP) -> None:
-    """Require every exponent of a physical channel to satisfy 0 < x <= alpha_cap."""
+def check_exponent_range(alpha: AlphaMatrix) -> None:
+    """Require every exponent of a physical channel to satisfy
+    0 < x <= DEFAULT_ALPHA_CAP."""
     for j in (1, 2):
         for i in (1, 2, 3):
             x = alpha.entry(j, i)
             if x <= 0.0:
                 raise NotInterferenceLimited(
                     f"link ({j},{i}): exponent {x!r} is not > 0", j=j, i=i)
-            if x > alpha_cap:
+            if x > DEFAULT_ALPHA_CAP:
                 raise ValidationError(
-                    f"alpha[{j}][{i}] = {x!r} exceeds the cap {alpha_cap}")
+                    f"alpha[{j}][{i}] = {x!r} exceeds the cap {DEFAULT_ALPHA_CAP}")
 
 
 # The JSON names of the types json.load returns for values that are no number.

@@ -715,10 +715,7 @@ def _invocation_from_namespace(ns: argparse.Namespace) -> CliInvocation:
         fields["rho_db"] = _parse_float_list(fields["rho_db"], "--rho-db")
     if "alpha" in fields:
         fields["alpha"] = _parse_float_list(fields["alpha"], "--alpha")
-    inv = CliInvocation(**fields)
-    if not (math.isfinite(inv.tolerance) and inv.tolerance >= 0.0):
-        raise ValidationError(f"--tolerance must be finite and >= 0, got {inv.tolerance!r}")
-    return inv
+    return CliInvocation(**fields)
 
 
 def main(argv=None) -> int:

@@ -35,7 +35,7 @@ class InvalidBeta(ValidationError):
 
 
 class SamplerExhausted(ValidationError):
-    """Rejection sampling acceptance fell below 0.1%; the box is misconfigured."""
+    """Rejection sampling acceptance fell below 0.1%: the draws barely meet the regime."""
 
 
 class UnsupportedFormat(ValidationError):

@@ -21,8 +21,7 @@ from .achievability import (IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof,
                             tdma_tin_gdof_profiles, tdma_tin_rate, tdma_tin_rate_max)
 from .bounds import (PERMUTATIONS, _gdof_links, gdof_ub, gdof_ub_profiles,
                      sum_capacity_ub, sum_capacity_ub_min)
-from .channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_pow,
-                      rho_from_db)
+from .channel import MAX_RHO_DB, AlphaMatrix, libm_pow, rho_from_db
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
@@ -48,8 +47,18 @@ CONVERGE_COLUMNS = ("rho", "rate_norm", "ub_norm", "d_tt", "d_ub")
 # covers that and stays far below any step the grid cap allows.
 SWEEP_GRID_SLACK = 1e-12
 # Largest SNR the audits accept, as for the CLI's --rho-db: above it the rate
-# and the bound overflow for exponents up to DEFAULT_ALPHA_CAP.
+# and the bound overflow for exponents up to channel.DEFAULT_ALPHA_CAP.
 _RHO_CAP = rho_from_db(MAX_RHO_DB)
+# The exponent box of the audits' draws: each entry of a grid uniform on
+# (0, 2], within the exponent cap.
+AUDIT_BOX = (0.0, 2.0)
+# The sandwich audit's SNR range when it draws the SNRs: log-uniform over
+# 10-90 dB.
+SANDWICH_RHO_RANGE = (10.0, 1e9)
+# Draws after which the rejection sampler gives up once its acceptance is
+# below 0.1%, so a regime test that rejects (nearly) every grid raises
+# SamplerExhausted instead of looping forever.
+SAMPLER_EXHAUSTION_WINDOW = 1_000_000
 # Grid points per axis at most (the acceptance grid has 151).
 SWEEP_MAX_AXIS_POINTS = 1001
 # Largest exponent on each sweep axis.
@@ -356,22 +365,11 @@ def _check_rhos(rho_list) -> tuple[float, ...]:
     return rhos
 
 
-def _box_grids(box):
-    """The map from (m, 6) uniform draws u on [0, 1) to grids with entries
-    hi - (hi - lo)*u on (lo, hi], after checking the box."""
-    lo, hi = float(box[0]), float(box[1])
-    if not (0.0 <= lo < hi <= DEFAULT_ALPHA_CAP):
-        raise ValidationError(
-            f"box must satisfy 0 <= lo < hi <= {DEFAULT_ALPHA_CAP:g}, got {box!r}")
-    return lambda u: hi - (hi - lo) * u
-
-
-def _check_rho_range(rho_range) -> tuple[float, float]:
-    lo, hi = float(rho_range[0]), float(rho_range[1])
-    if not (1.0 < lo < hi <= _RHO_CAP):
-        raise ValidationError(f"rho_range must satisfy 1 < lo < hi <= {_RHO_CAP!r} "
-                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_range!r}")
-    return lo, hi
+def _box_grids(u: np.ndarray) -> np.ndarray:
+    """Grids with entries hi - (hi - lo)*u on (lo, hi] = AUDIT_BOX, from
+    (m, 6) uniform draws u on [0, 1)."""
+    lo, hi = AUDIT_BOX
+    return hi - (hi - lo) * u
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -380,21 +378,18 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_in_regime(n: int, rng: np.random.Generator,
-                     box: tuple[float, float] = (0.0, 2.0),
-                     exhaustion_window: int = 1_000_000) -> list[AlphaMatrix]:
+def sample_in_regime(n: int, rng: np.random.Generator) -> list[AlphaMatrix]:
     """The first n grids inside the extended regime among draws uniform on
-    the box, so exactly that distribution restricted to the regime.
+    AUDIT_BOX, so exactly that distribution restricted to the regime.
 
     Each draw takes six doubles from rng, row-major entries hi - (hi - lo)*u
     on (lo, hi]. Draws are tested SAMPLER_BLOCK_ROWS at a time, and rng is
     left exactly where drawing and testing one grid at a time leaves it:
     just after the draw that gives the n-th sample. Raises SamplerExhausted
-    once acceptance drops below 0.1% over the exhaustion window, at the same
-    draw and with the same message as one draw at a time, which flags a
-    misconfigured box instead of hanging.
+    once acceptance drops below 0.1% after SAMPLER_EXHAUSTION_WINDOW draws,
+    at the same draw and with the same message as one draw at a time.
     """
-    grids = _sample_blocks(n, rng, 6, _box_grids(box), exhaustion_window)
+    grids = _sample_blocks(n, rng, 6, _box_grids, SAMPLER_EXHAUSTION_WINDOW)
     return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
 
@@ -412,10 +407,10 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
 
     Each block draws SAMPLER_BLOCK_ROWS rows and tests them with one
     regime_witnesses call. The block's stop row is the one that gives the
-    n-th sample, or the first rejected one past the exhaustion window with
-    acceptance below 0.1%. A block not used in full is drawn again up to
-    its stop row from the saved generator state, so rng ends where one
-    draw at a time ends.
+    n-th sample, or the first rejected one past exhaustion_window draws
+    (SAMPLER_EXHAUSTION_WINDOW in the audits) with acceptance below 0.1%.
+    A block not used in full is drawn again up to its stop row from the
+    saved generator state, so rng ends where one draw at a time ends.
     """
     n = _check_n(n)
     kept = []
@@ -442,25 +437,19 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
     return np.concatenate(kept)
 
 
-def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
-                        box: tuple[float, float] = (0.0, 2.0),
-                        exhaustion_window: int = 1_000_000):
+def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True):
     """Constant-gap audit; returns (GapReport, Table of GAP_COLUMNS).
 
     Draws n exponent grids inside the extended regime (all six entries free
-    over the box when beta_free, otherwise the symmetric two-parameter
+    over AUDIT_BOX when beta_free, otherwise the symmetric two-parameter
     family), then evaluates gap = sum-capacity bound - TDMA-TIN rate at every
     SNR in rho_list. Rows are (sample, rho, gap_bits, ub_bits, rate_bits) in
     draw-major order. A gap above 7 bits is reported, never raised: the
     7-bit claim is exactly what the audit is for.
     """
     rhos = _check_rhos(rho_list)
-    to_grids = _box_grids(box)  # checked for the symmetric family too
-    rng = _generator(seed)
-    if beta_free:
-        grids = _sample_blocks(n, rng, 6, to_grids, exhaustion_window)
-    else:
-        grids = _sample_blocks(n, rng, 3, _symmetric_grids, exhaustion_window)
+    width, to_grids = (6, _box_grids) if beta_free else (3, _symmetric_grids)
+    grids = _sample_blocks(n, _generator(seed), width, to_grids, SAMPLER_EXHAUSTION_WINDOW)
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gap = ub - rate
@@ -485,38 +474,33 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True,
     return report, rows
 
 
-def gap_audit(n: int, rho_list, seed: int, beta_free: bool = True,
-              box: tuple[float, float] = (0.0, 2.0)) -> GapReport:
+def gap_audit(n: int, rho_list, seed: int, beta_free: bool = True) -> GapReport:
     """See gap_audit_with_rows; this variant drops the per-evaluation rows."""
-    report, _ = gap_audit_with_rows(n, rho_list, seed, beta_free, box)
+    report, _ = gap_audit_with_rows(n, rho_list, seed, beta_free)
     return report
 
 
-def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
-                             box: tuple[float, float] = (0.0, 2.0),
-                             rho_range: tuple[float, float] = (10.0, 1e9)):
+def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0):
     """Unconditional achievability-vs-bound audit; returns (SandwichReport,
     Table of SANDWICH_COLUMNS).
 
-    Exponent grids are drawn uniform on the box with no regime restriction.
-    With rho_list=None each draw gets one SNR, log-uniform on rho_range
-    (1 < lo < hi <= the SNR at MAX_RHO_DB; draw order per sample: six exponents, then the
-    SNR); otherwise every draw is evaluated at each listed SNR. Rows are
-    (sample, rho, rate_bits, ub_bits, d_tt, d_ub). Draws are made and
-    evaluated BLOCK_ROWS at a time; the Philox stream is consumed in the
-    same order as one draw at a time.
+    Exponent grids are drawn uniform on AUDIT_BOX with no regime
+    restriction. With rho_list=None each draw gets one SNR, log-uniform on
+    SANDWICH_RHO_RANGE (draw order per sample: six exponents, then the SNR);
+    otherwise every draw is evaluated at each listed SNR. Rows are (sample,
+    rho, rate_bits, ub_bits, d_tt, d_ub). Draws are made and evaluated
+    BLOCK_ROWS at a time; the Philox stream is consumed in the same order as
+    one draw at a time.
     """
     n = _check_n(n)
-    to_grids = _box_grids(box)
     rhos = _check_rhos(rho_list) if rho_list is not None else None
-    rho_lo, rho_hi = _check_rho_range(rho_range)
-    lg_lo, lg_hi = math.log10(rho_lo), math.log10(rho_hi)
+    lg_lo, lg_hi = map(math.log10, SANDWICH_RHO_RANGE)
     rng = _generator(seed)
 
     def evaluate(sample):
         m = len(sample)
         u = rng.random((m, 6 if rhos is not None else 7))
-        grids = to_grids(u[:, :6])
+        grids = _box_grids(u[:, :6])
         if rhos is None:
             sample_rhos = libm_pow(10.0, lg_lo + (lg_hi - lg_lo) * u[:, 6:])
         else:
@@ -524,28 +508,28 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0,
         k = sample_rhos.shape[1]
         d_tt = _first_max(tdma_tin_gdof_profiles(grids))
         d_ub = _first_min(gdof_ub_profiles(grids))
-        return (np.repeat(sample, k), sample_rhos.ravel(), *_rates_and_bounds(grids, sample_rhos),
-                np.repeat(d_tt, k), np.repeat(d_ub, k))
+        columns = (np.repeat(sample, k), *_rates_and_bounds(grids, sample_rhos),
+                   np.repeat(d_tt, k), np.repeat(d_ub, k))
+        # The drawn SNRs are a column of their own; listed ones are Coded.
+        return columns if rhos is not None else columns + (sample_rhos.ravel(),)
 
-    sample, rho, rate, ub, d_tt, d_ub = _in_blocks(n, evaluate)
+    sample, rate, ub, d_tt, d_ub, *drawn = _in_blocks(n, evaluate)
     # ndarray.max is NaN when any difference is, so a NaN fails the audit.
     report = SandwichReport(
         n_samples=n,
         seed=seed,
         rho_list=rhos,
-        rho_range=(rho_lo, rho_hi),
+        rho_range=SANDWICH_RHO_RANGE,
         max_rate_violation_bits=float((rate - ub).max()),
         max_gdof_violation=float((d_tt - d_ub).max()),
     )
-    rho = rho if rhos is None else Coded(rhos, np.tile(np.arange(len(rhos)), n))
+    rho = drawn[0] if rhos is None else Coded(rhos, np.tile(np.arange(len(rhos)), n))
     return report, Table(SANDWICH_COLUMNS, "ifffff", (sample, rho, rate, ub, d_tt, d_ub))
 
 
-def sandwich_audit(n: int, rho_list=None, seed: int = 0,
-                   box: tuple[float, float] = (0.0, 2.0),
-                   rho_range: tuple[float, float] = (10.0, 1e9)) -> SandwichReport:
+def sandwich_audit(n: int, rho_list=None, seed: int = 0) -> SandwichReport:
     """See sandwich_audit_with_rows; this variant drops the rows."""
-    report, _ = sandwich_audit_with_rows(n, rho_list, seed, box, rho_range)
+    report, _ = sandwich_audit_with_rows(n, rho_list, seed)
     return report
 
 

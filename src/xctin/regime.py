@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import AlphaMatrix, link_columns, scalar_where
+from .channel import AlphaMatrix, check_rho, link_columns, scalar_where
 from .errors import NotApplicable, ValidationError
 
 
@@ -72,8 +72,7 @@ class AuxChannelPair:
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-        if not (math.isfinite(self.rho) and self.rho > 1.0):
-            raise ValidationError(f"rho must be finite and > 1, got {self.rho!r}")
+        check_rho(self.rho)
 
 
 def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:

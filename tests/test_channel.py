@@ -6,13 +6,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xctin.achievability import IC_CONFIGS, IcConfig, tdma_tin_rate
-from xctin.bounds import PERMUTATIONS, TxPermutation, sum_capacity_ub
+from xctin.achievability import IC_CONFIGS, IcConfig, tdma_tin_rate, tin_sum_rate
+from xctin.bounds import (PERMUTATIONS, TxPermutation, genie_params,
+                          genie_params_from_gains, sum_capacity_ub,
+                          sum_capacity_ub_single)
 from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix,
-                           ChannelScenario, alpha_from_gain, effective_inr,
+                           ChannelScenario, alpha_from_gain, check_rho, effective_inr,
                            link_picker, load_scenario, rho_from_db,
                            scenario_from_dict, validate_scenario)
 from xctin.errors import DegenerateSnr, NotInterferenceLimited, ValidationError
+from xctin.regime import AuxChannelPair
 
 rhos = st.floats(2.0, 1e12)
 
@@ -209,7 +212,8 @@ def test_validate_scenario_alpha_cap():
     m = AlphaMatrix(((1.0, 0.2, 4.5), (0.4, 1.0, 0.75)))
     with pytest.raises(ValidationError):
         validate_scenario(ChannelScenario(rho=100.0, alpha=m))
-    assert validate_scenario(ChannelScenario(rho=100.0, alpha=m), alpha_cap=5.0) is m
+    at_cap = AlphaMatrix(((1.0, 0.2, DEFAULT_ALPHA_CAP), (0.4, 1.0, 0.75)))
+    assert validate_scenario(ChannelScenario(rho=100.0, alpha=at_cap)) is at_cap
     assert DEFAULT_ALPHA_CAP == 4.0
 
 
@@ -226,6 +230,32 @@ def test_scenario_rejects_degenerate_rho():
         ChannelScenario(rho=1.0, gains=_gains())
     with pytest.raises(DegenerateSnr):
         ChannelScenario(rho=0.25, gains=_gains())
+
+
+@pytest.mark.parametrize("rho", [-2.0, 0.0, 0.5, 1.0, math.nan, math.inf])
+def test_every_snr_taker_rejects_a_degenerate_rho(rho):
+    # The scalar API used to raise TypeError (a complex power) at -2,
+    # ZeroDivisionError at 0, and to return -inf rates at nan and inf powers
+    # at inf; each now names the condition on rho.
+    a = AlphaMatrix(((1.0, 0.5, 0.3), (0.4, 1.0, 0.6)))
+    p, cfg = PERMUTATIONS[0], IC_CONFIGS[0]
+    for call in (lambda: check_rho(rho),
+                 lambda: ChannelScenario(rho=rho, alpha=a),
+                 lambda: alpha_from_gain(1.0, rho),
+                 lambda: effective_inr(rho, 0.5),
+                 lambda: AuxChannelPair(1.0, 1.0, 1.0, 1.0, rho),
+                 lambda: sum_capacity_ub(rho, a),
+                 lambda: sum_capacity_ub_single(rho, a, p),
+                 lambda: tdma_tin_rate(rho, a),
+                 lambda: tin_sum_rate(rho, a, cfg),
+                 lambda: genie_params(a, p, rho),
+                 lambda: genie_params_from_gains(_gains(), p, rho)):
+        with pytest.raises(DegenerateSnr, match=f"^rho must be finite and > 1, got {rho!r}$"):
+            call()
+    for bad in ("loud", 1j, None, 10**400):
+        with pytest.raises(DegenerateSnr):
+            check_rho(bad)
+    assert check_rho(100) == 100.0 and type(check_rho(100)) is float
 
 
 # ---------------------------------------------------------------- wire format

@@ -476,6 +476,20 @@ def test_input_holes_exit_2_with_empty_stdout(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, tol", [
+    (["classify", "--alpha", FIG_ALPHA, "--tolerance", "nan"], "nan"),
+    (["classify", "--alpha", FIG_ALPHA, "--tolerance", "-0.01"], "-0.01"),
+    (["sweep", "--step", "0.25", "--tolerance", "inf"], "inf"),
+])
+def test_bad_tolerance_exits_2_from_the_library_check(capsys, argv, tol):
+    # classify and sweep check tol themselves (regime.check_tol); the CLI
+    # keeps no second check of its own.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite and >= 0, got {tol}\n"
+
+
 @pytest.mark.parametrize("argv, db", [
     (["eval", "--alpha", FIG_ALPHA, "--rho-db", "1e-300"], 1e-300),
     (["gap-audit", "--n", "5", "--rho-db", "20,1e-17"], 1e-17),

@@ -12,8 +12,9 @@ from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_log2
                            libm_pow, rho_from_db)
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
-from xctin.experiments import (BLOCK_ROWS, SAMPLER_BLOCK_ROWS, SWEEP_GRID_SLACK,
-                               SWEEP_RANGE_MAX, GapReport, SweepRecord,
+from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
+                               SAMPLER_EXHAUSTION_WINDOW, SANDWICH_RHO_RANGE,
+                               SWEEP_GRID_SLACK, SWEEP_RANGE_MAX, GapReport, SweepRecord,
                                Table, gap_audit, gap_audit_with_rows,
                                gdof_convergence_probe, sample_in_regime,
                                sandwich_audit, sandwich_audit_with_rows,
@@ -248,11 +249,24 @@ def test_sample_in_regime_is_in_regime_and_deterministic():
     assert sample_in_regime(50, rng2) == samples
 
 
+def _box_map(box):
+    """The map from uniform draws u on [0, 1) to grids with entries
+    hi - (hi - lo)*u on (lo, hi], as the audits map them on AUDIT_BOX."""
+    lo, hi = box
+    return lambda u: hi - (hi - lo) * u
+
+
+def _block_sample(n, rng, box, window):
+    """The block sampler's grids drawn on box, as AlphaMatrix objects."""
+    grids = experiments._sample_blocks(n, rng, 6, _box_map(box), window)
+    return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
+
+
 def test_sample_in_regime_exhaustion_guard():
     rng = np.random.Generator(np.random.Philox(3))
     # entries confined near 2: the regime conditions can never fire
     with pytest.raises(SamplerExhausted):
-        sample_in_regime(5, rng, box=(1.9, 2.0), exhaustion_window=2000)
+        _block_sample(5, rng, (1.9, 2.0), 2000)
 
 
 def _draw_alpha(rng, box):
@@ -270,7 +284,7 @@ def _draw_symmetric(rng):
     return AlphaMatrix(((1.0, a12, b), (a21, 1.0, b)))
 
 
-def _scalar_sample(n, draw, exhaustion_window=1_000_000):
+def _scalar_sample(n, draw, exhaustion_window=SAMPLER_EXHAUSTION_WINDOW):
     """The rejection sampler one draw and one in_extended_regime call at a
     time: the reference the block sampler must reproduce."""
     out = []
@@ -298,14 +312,15 @@ def _outcome(sample, seed):
     return result, rng.random()
 
 
-def _box_outcomes(n, seed, box=(0.0, 2.0), window=1_000_000):
-    return (_outcome(lambda rng: sample_in_regime(n, rng, box, window), seed),
+def _box_outcomes(n, seed, box, window):
+    return (_outcome(lambda rng: _block_sample(n, rng, box, window), seed),
             _outcome(lambda rng: _scalar_sample(n, lambda: _draw_alpha(rng, box), window), seed))
 
 
 def _symmetric_outcomes(n, seed):
     def block_sample(rng):
-        grids = experiments._sample_blocks(n, rng, 3, experiments._symmetric_grids, 1_000_000)
+        grids = experiments._sample_blocks(n, rng, 3, experiments._symmetric_grids,
+                                           SAMPLER_EXHAUSTION_WINDOW)
         assert grids.shape == (n, 6)
         return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
@@ -317,7 +332,8 @@ def _symmetric_outcomes(n, seed):
                                SAMPLER_BLOCK_ROWS + 1, 10_000])
 def test_block_sampler_matches_scalar_loop(n):
     # Equal samples, and the caller's generator left at the same draw.
-    block, scalar = _box_outcomes(n, seed=7)
+    block = _outcome(lambda rng: sample_in_regime(n, rng), 7)
+    scalar = _outcome(lambda rng: _scalar_sample(n, lambda: _draw_alpha(rng, AUDIT_BOX)), 7)
     assert len(block[0]) == n
     assert block == scalar
     block, scalar = _symmetric_outcomes(n, seed=7)
@@ -370,8 +386,8 @@ def test_sample_in_regime_rejects_bad_arguments():
     rng = np.random.Generator(np.random.Philox(3))
     with pytest.raises(ValidationError):
         sample_in_regime(0, rng)
-    with pytest.raises(ValidationError):
-        sample_in_regime(5, rng, box=(2.0, 1.0))
+    with pytest.raises(TypeError):  # the box is AUDIT_BOX, not an argument
+        sample_in_regime(5, rng, (2.0, 1.0))
 
 
 # ---------------------------------------------------------------- gap audit
@@ -530,10 +546,10 @@ def test_sandwich_audit_rho_list_mode():
     assert report.max_rate_violation_bits <= 1e-9
 
 
-def _sandwich_reference(n, seed, rho_list=None, rho_range=(10.0, 1e9)):
+def _sandwich_reference(n, seed, rho_list=None):
     """Rows of the sandwich audit, one draw and one scalar call at a time."""
     rng = np.random.Generator(np.random.Philox(seed))
-    lg_lo, lg_hi = math.log10(rho_range[0]), math.log10(rho_range[1])
+    lg_lo, lg_hi = math.log10(10.0), math.log10(1e9)
     rows = []
     for idx in range(n):
         v = 2.0 - 2.0 * rng.random(6)
@@ -566,22 +582,28 @@ def test_sandwich_audit_matches_scalar_evaluation_across_blocks(n, rho_list):
     (math.nan, 10.0),
 ])
 def test_sandwich_audit_rejects_bad_rho_range(rho_range):
-    with pytest.raises(ValidationError):
+    # The drawn SNRs' range is the constant SANDWICH_RHO_RANGE, checked here
+    # once instead of at every call: no caller can pass a bad one.
+    with pytest.raises(TypeError):
         sandwich_audit(5, seed=1, rho_range=rho_range)
+    lo, hi = SANDWICH_RHO_RANGE
+    assert 1.0 < lo < hi <= rho_from_db(MAX_RHO_DB)
+    assert sandwich_audit(5, seed=1).rho_range == (10.0, 1e9)
 
 
 @pytest.mark.parametrize("box", [(0.0, 1000.0), (0.0, math.inf), (0.0, math.nan),
                                  (1.0, DEFAULT_ALPHA_CAP + 1e-9)])
 def test_audits_reject_box_above_the_exponent_cap(box):
     # (0, 1000) used to overflow in rho ** a; (0, inf) drew NaN grids and
-    # passed the sandwich audit with both violations at -inf.
-    with pytest.raises(ValidationError):
+    # passed the sandwich audit with both violations at -inf. The box is now
+    # the constant AUDIT_BOX, checked here once: no caller can pass one.
+    with pytest.raises(TypeError):
         sandwich_audit(5, seed=1, box=box)
     for beta_free in (True, False):
-        # The symmetric family ignores the box but checks it all the same.
-        with pytest.raises(ValidationError):
+        with pytest.raises(TypeError):
             gap_audit(5, (100.0,), seed=1, beta_free=beta_free, box=box)
-    assert sandwich_audit(5, seed=1, box=(0.0, DEFAULT_ALPHA_CAP)).n_samples == 5
+    lo, hi = AUDIT_BOX
+    assert 0.0 <= lo < hi <= DEFAULT_ALPHA_CAP
 
 
 def test_audits_reject_snr_above_the_cap():
@@ -590,16 +612,24 @@ def test_audits_reject_snr_above_the_cap():
     above = math.nextafter(cap, math.inf)
     for call in (lambda: gap_audit(5, (1e300,), seed=1),
                  lambda: gap_audit(5, (1e2, above), seed=1),
-                 lambda: sandwich_audit(200, seed=1, rho_range=(10, 1e300)),
                  lambda: sandwich_audit(5, (above,), seed=1),
                  lambda: gdof_convergence_probe(FIG_POINT, (1e2, above))):
         with pytest.raises(ValidationError, match=f"{MAX_RHO_DB:.6g} dB"):
             call()
-    box = (0.0, DEFAULT_ALPHA_CAP)
-    assert gap_audit(5, (cap,), seed=1, box=box).max_gap_bits <= 7.0
-    report = sandwich_audit(200, seed=1, box=box, rho_range=(10.0, cap))
-    assert report.max_rate_violation_bits <= 1e-9
-    assert sandwich_audit(5, (cap,), seed=1, box=box).max_rate_violation_bits <= 1e-9
+    # At the cap itself the audits' kernels stay finite with exponents up to
+    # DEFAULT_ALPHA_CAP: 200 draws on (0, 4] and the all-4 grid, each at the
+    # cap and at an SNR log-uniform up to it, and 5 in-regime grids on (0, 4].
+    rng = np.random.Generator(np.random.Philox(1))
+    grids = np.vstack((_box_map((0.0, DEFAULT_ALPHA_CAP))(rng.random((200, 6))),
+                       np.full((1, 6), DEFAULT_ALPHA_CAP)))
+    rhos = np.column_stack((np.full(len(grids), cap), cap ** (1.0 - rng.random(len(grids)))))
+    rate, ub = experiments._rates_and_bounds(grids, rhos)
+    assert np.isfinite(rate).all() and np.isfinite(ub).all()
+    assert (rate - ub).max() <= 1e-9
+    grids = experiments._sample_blocks(5, rng, 6, _box_map((0.0, DEFAULT_ALPHA_CAP)),
+                                       SAMPLER_EXHAUSTION_WINDOW)
+    rate, ub = experiments._rates_and_bounds(grids, np.full((5, 1), cap))
+    assert (ub - rate).max() <= 7.0
 
 
 def test_sandwich_audit_keeps_a_nan_violation(monkeypatch, capsys):
