@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (AlphaMatrix, check_rho, libm_log2, libm_pow,
+from .channel import (AlphaMatrix, check_snr, libm_log2, libm_pow,
                       link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import ValidationError
@@ -95,8 +95,9 @@ def _first_max(kernel, grid) -> AchievabilityResult:
 
 def tin_sum_rate(rho: float, alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """Sum rate in bits of one pairing with interference treated as noise."""
-    rho = check_rho(rho)
-    return _tin_rate_links([rho ** x for x in cfg.take(alpha.flat())], math.log2)
+    links = cfg.take(alpha.flat())
+    rho = check_snr(rho, links)
+    return _tin_rate_links([rho ** x for x in links], math.log2)
 
 
 def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
@@ -104,9 +105,9 @@ def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
 
     Ties break to the lexicographically first (i1, i2).
     """
-    rho = check_rho(rho)
-    return _first_max(lambda pw: _tin_rate_links(pw, math.log2),
-                      [rho ** x for x in alpha.flat()])
+    a = alpha.flat()
+    rho = check_snr(rho, a)
+    return _first_max(lambda pw: _tin_rate_links(pw, math.log2), [rho ** x for x in a])
 
 
 def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:

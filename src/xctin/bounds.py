@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import (AlphaMatrix, check_rho, libm_log2, libm_pow,
+from .channel import (AlphaMatrix, check_rho, check_snr, libm_log2, libm_pow,
                       link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import CaseMismatch, ValidationError
@@ -125,8 +125,8 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     Boundary ties resolve in this order (both comparisons are <=); at the
     case-2/case-3 tie the two exponents coincide anyway.
     """
-    rho = check_rho(rho)
-    c_sq, case1, at_i1 = _genie_links(p.take(alpha.flat()), rho, pow, scalar_where)
+    a = alpha.flat()
+    c_sq, case1, at_i1 = _genie_links(p.take(a), check_snr(rho, a), pow, scalar_where)
     return GenieParams(c_sq, 1 - case1, 3 - case1 - at_i1)
 
 
@@ -165,8 +165,8 @@ def _first_min(per_perm) -> BoundResult:
 
 def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
-    rho = check_rho(rho)
     a = alpha.flat()
+    rho = check_snr(rho, a)
     return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, pow, math.log2,
                         scalar_where)
 
@@ -177,8 +177,8 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
     Ties break to the lexicographically first ordering; the profile is always
     materialized so audits can report per-ordering diagnostics.
     """
-    rho = check_rho(rho)
     a = alpha.flat()
+    rho = check_snr(rho, a)
     pw = [rho ** x for x in a]
     return _first_min(tuple([(p, _bound_links(take(a), take(pw), rho, pow, math.log2,
                                               scalar_where)) for p, take in _PICKS]))

@@ -63,6 +63,29 @@ def check_rho(rho) -> float:
     return r
 
 
+# Largest power rho**alpha the scalar API takes: that of the largest SNR and
+# exponent the CLI accepts. Every sum in the rate and the bound is at most
+# 1 + 3 times it, which stays finite.
+_MAX_POWER = rho_from_db(MAX_RHO_DB) ** DEFAULT_ALPHA_CAP
+
+
+def check_snr(rho, exponents) -> float:
+    """check_rho(rho) for an evaluation at the given exponents (finite and
+    >= 0): rho**x for the largest of them, x, must also be at most the power
+    of MAX_RHO_DB at DEFAULT_ALPHA_CAP, so that no sum of the rate or the
+    bound overflows; a larger one raises ValidationError naming rho and x."""
+    r = check_rho(rho)
+    x = max(exponents)
+    try:
+        within = r ** x <= _MAX_POWER
+    except OverflowError:
+        within = False
+    if not within:
+        raise ValidationError(f"rho = {rho!r} with exponent {x!r} overflows: rho**alpha "
+                              f"must be at most {_MAX_POWER:.6g}")
+    return r
+
+
 @dataclass(frozen=True)
 class AlphaMatrix:
     """2x3 grid of link-strength exponents; rows = receivers, columns = transmitters.
@@ -256,10 +279,9 @@ def alpha_from_gain(h: complex, rho: float) -> float:
 
 def effective_inr(rho: float, alpha: float) -> float:
     """Received power ratio rho**alpha; inverts `alpha_from_gain`."""
-    rho = check_rho(rho)
     if not (math.isfinite(alpha) and alpha >= 0.0):
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
-    return rho ** alpha
+    return check_snr(rho, (alpha,)) ** alpha
 
 
 def validate_scenario(scenario: ChannelScenario) -> AlphaMatrix:
@@ -284,6 +306,7 @@ def validate_scenario(scenario: ChannelScenario) -> AlphaMatrix:
     else:
         alpha = scenario.alpha
     check_exponent_range(alpha)
+    check_snr(scenario.rho, alpha.flat())
     return alpha
 
 

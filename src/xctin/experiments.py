@@ -26,8 +26,8 @@ from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
 # tests/test_bench_names.py name them.
-from .regime import (_witness_links, check_tol, classify, in_extended_regime,  # noqa: F401
-                     regime_witnesses)
+from .regime import (_in_extended_rows, _witness_links, check_tol, classify,  # noqa: F401
+                     in_extended_regime)
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
@@ -65,12 +65,16 @@ SWEEP_MAX_AXIS_POINTS = 1001
 SWEEP_RANGE_MAX = 0.75
 # Rows per block-kernel call in the audits (the sweep is one broadcast over
 # its axes): enough to spread numpy's per-call cost, few enough that the
-# temporaries stay small whatever n.
-BLOCK_ROWS = 256
-# Candidate draws per regime_witnesses call in the rejection sampler. At
+# temporaries stay small whatever n. Against 256 (in process, 2 shared
+# vCPUs, median of 15 interleaved rounds), 512 took the sandwich audit at
+# n = 2500 from 12.2 to 9.5 ms and the gap audit at n = 750 from 10.1 to 8.7.
+BLOCK_ROWS = 512
+# Candidate draws per _in_extended_rows call in the rejection sampler. At
 # about 18% acceptance a block of 1024 gives some 180 samples; 256 rows paid
 # numpy's per-call cost too often at n = 10^4, and 4096 drew too far past
 # the stop row at n = 750 (the unused tail is drawn again after a rewind).
+# The extended-only test takes 0.16 ms per block, against 0.40 ms for
+# regime_witnesses with both regimes (in process, best of 7 x 200 calls).
 SAMPLER_BLOCK_ROWS = 1024
 # Witness labels of the sweep records, indexed like PERMUTATIONS; the index
 # len(PERMUTATIONS) (no witness) gives None.
@@ -406,9 +410,10 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
     sample_in_regime.
 
     Each block draws SAMPLER_BLOCK_ROWS rows and tests them with one
-    regime_witnesses call. The block's stop row is the one that gives the
-    n-th sample, or the first rejected one past exhaustion_window draws
-    (SAMPLER_EXHAUSTION_WINDOW in the audits) with acceptance below 0.1%.
+    _in_extended_rows call, which skips the reference regime. The block's
+    stop row is the one that gives the n-th sample, or the first rejected
+    one past exhaustion_window draws (SAMPLER_EXHAUSTION_WINDOW in the
+    audits) with acceptance below 0.1%.
     A block not used in full is drawn again up to its stop row from the
     saved generator state, so rng ends where one draw at a time ends.
     """
@@ -418,7 +423,7 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
     while accepted < n:
         state = rng.bit_generator.state
         grids = to_grids(rng.random((SAMPLER_BLOCK_ROWS, width)))
-        ok = regime_witnesses(grids, 0.0)[0] >= 0
+        ok = _in_extended_rows(grids, 0.0)
         count = accepted + np.cumsum(ok)
         tried = trials + np.arange(1, SAMPLER_BLOCK_ROWS + 1)
         stop = (ok & (count == n)) | (

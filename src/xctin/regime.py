@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import AlphaMatrix, check_rho, link_columns, scalar_where
+from .channel import AlphaMatrix, check_rho, check_snr, link_columns, scalar_where
 from .errors import NotApplicable, ValidationError
 
 
@@ -104,7 +104,7 @@ def _first_witnesses(alpha: AlphaMatrix, tol: float) -> tuple[TxPermutation | No
     a = alpha.flat()
     pe = None
     for p, take in _PICKS:
-        extended, gsj = _witness_links(take(a), tol, scalar_where)
+        extended, gsj = _witness_links(take(a), tol, scalar_where, max)
         if extended and pe is None:
             pe = p
         if gsj:
@@ -152,19 +152,27 @@ def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.nd
     return _first_true(extended), _first_true(gsj)
 
 
-def _witness_links(links, tol: float, where=np.where):
-    """Whether the extended and the reference regime conditions hold at
-    slack tol, from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
-    (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
-    operands. The two thresholds differ only in the (v3 - v1)^+ reduction."""
+def _in_extended_rows(a: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row of an (n, 6) row-major exponent array is in the
+    extended regime: regime_witnesses(a, tol)[0] >= 0 without the reference
+    regime's test or the witness index (the rejection sampler's test)."""
+    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol), reference=False)
+    return extended.any(axis=1)
+
+
+def _witness_links(links, tol: float, where=np.where, maximum=np.maximum, reference=True):
+    """Whether the extended and (when reference, else None) the reference
+    regime conditions hold at slack tol, from the exponents of (j1, i1),
+    (j1, i2), (j1, i3), (j2, i1), (j2, i2), (j2, i3), as floats, gathered
+    columns or any broadcastable operands. The two thresholds differ only in
+    the (v3 - v1)^+ reduction. Each maximum is only compared, so which of
+    equal values it gives (np.maximum or builtin max) does not matter."""
     u1, u2, u3, v1, v2, v3 = links
-    hi = where(v1 > v3, v1, v3)
-    cross = v2 - u2 + tol >= hi
+    cross = v2 - u2 + tol >= maximum(v1, v3)
     direct = u1 - v1 + tol
     first = where(v3 > v1, u3 - (v3 - v1), u3)
-    extended = (direct >= where(first > u2, first, u2)) & cross
-    gsj = (direct >= where(u3 > u2, u3, u2)) & cross
-    return extended, gsj
+    extended = (direct >= maximum(first, u2)) & cross
+    return extended, ((direct >= maximum(u3, u2)) & cross if reference else None)
 
 
 def _first_true(ok: np.ndarray) -> np.ndarray:
@@ -198,7 +206,9 @@ def genie_aux_pair(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> AuxChann
     h1 = c*h[j1][i1], h2 = c*h[j1][i3], h3 = h[j2][i1], h4 = h[j2][i3] with
     |h[j][i]|^2 = rho**(a[j][i] - 1).
     """
-    links = p.take(alpha.flat())
+    a = alpha.flat()
+    rho = check_snr(rho, a)
+    links = p.take(a)
     u1, _, u3, v1, _, v3 = links
     c_sq, _, _ = _genie_links(links, rho, pow, scalar_where)
     return AuxChannelPair(

@@ -14,9 +14,11 @@ and row counts sit on both sides of the audits' block size. A kernel that
 used numpy's own power or log2 instead of libm's at any site fails the
 seeded corpus test; the hypothesis tests vary their draws and catch a log2
 swap only now and then, as np.log2 misses libm on few arguments. The regime
-kernel's witnesses must be the scalar witnesses, also on grids sitting
-exactly on a regime boundary and on points of the sweep family. The audits'
-screened kernels must return the first extremum of the libm profiles, bit
+kernel's witnesses must be the scalar witnesses, and the rejection
+sampler's extended-only test their verdicts and those of the conditions
+written out, also on grids sitting exactly on a regime boundary (with the
+threshold tied to u2 and signed zeros) and on points of the sweep family.
+The audits' screened kernels must return the first extremum of the libm profiles, bit
 for bit, also on exact ties, at the largest SNR and on non-finite rows.
 libm_pow itself must be builtin pow, bit for bit and in its overflow.
 """
@@ -26,7 +28,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xctin import achievability, bounds
@@ -41,7 +43,8 @@ from xctin.channel import (DEFAULT_ALPHA_CAP, SCREEN_MARGIN, AlphaMatrix,
                            libm_pow, link_columns)
 from xctin.experiments import (_RHO_CAP, BLOCK_ROWS, SWEEP_GRID_SLACK,
                                _first_max, _first_min)
-from xctin.regime import in_extended_regime, in_gsj_regime, regime_witnesses
+from xctin.regime import (_in_extended_rows, in_extended_regime, in_gsj_regime, psi,
+                          regime_witnesses)
 
 EIGHTHS = [k / 8 for k in range(17)]
 entries = st.one_of(st.sampled_from(EIGHTHS), st.floats(0.0, 2.0))
@@ -72,6 +75,22 @@ def regime_boundary_grids(draw):
     g[u1] = g[v1] + max(first, g[u2])
     g[v2] = g[u2] + max(g[v1], g[v3])
     return g
+
+
+@st.composite
+def tie_grids(draw):
+    """A grid on both extended-regime boundaries of one ordering whose
+    threshold ties u2 (u3 - (v3 - v1)^+ == u2), optionally with v3 == v1,
+    and each zero entry signed at random."""
+    g = draw(st.lists(st.one_of(st.just(0.0), st.sampled_from(EIGHTHS)), min_size=6, max_size=6))
+    u1, u2, u3, v1, v2, v3 = PERMUTATIONS[draw(st.integers(0, 11))].take(range(6))
+    if draw(st.booleans()):
+        g[v3] = g[v1]
+    g[u3] = g[u2] + max(g[v3] - g[v1], 0.0)
+    g[u1] = g[v1] + g[u2]
+    g[v2] = g[u2] + max(g[v1], g[v3])
+    signs = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    return [-0.0 if x == 0.0 and neg else x for x, neg in zip(g, signs)]
 
 
 @st.composite
@@ -154,9 +173,26 @@ def _index(p) -> int:
     return -1 if p is None else PERMUTATIONS.index(p)
 
 
+def _extended_reference(row, tol) -> bool:
+    """Whether some ordering meets the extended regime's two conditions,
+    written out with regime.psi and builtin max."""
+    alpha = _alpha(row)
+    for p in PERMUTATIONS:
+        u1, u2, _, v1, v2, v3 = p.take(alpha.flat())
+        if u1 - v1 + tol >= psi(alpha, p) and v2 - u2 + tol >= max(v1, v3):
+            return True
+    return False
+
+
+# In the extended regime only through both closed boundaries of ordering
+# 12312: u1 - v1 = 1.25 = max(u3, u2) and v2 - u2 = 0.5 = max(v1, v3).
+CLOSED_TIE = [1.75, 1.25, 1.0, 0.5, 1.75, 0.0]
+
+
 @settings(max_examples=60, deadline=None)
-@given(case=blocks(regime_boundary_grids(), sweep_points()),
+@given(case=blocks(regime_boundary_grids(), tie_grids(), sweep_points()),
        tol=st.sampled_from([0.0, SWEEP_GRID_SLACK, 0.01]))
+@example(case=(np.array([CLOSED_TIE, CLOSED_TIE[:5] + [-0.0]]), None), tol=0.0)
 def test_regime_witnesses_match_scalar_witnesses(case, tol):
     a, _ = case
     extended, gsj = regime_witnesses(a, tol)
@@ -165,6 +201,12 @@ def test_regime_witnesses_match_scalar_witnesses(case, tol):
         alpha = _alpha(row)
         assert we == _index(in_extended_regime(alpha, tol))
         assert wg == _index(in_gsj_regime(alpha, tol))
+    # The rejection sampler's test skips the reference regime and the
+    # witness index; its verdicts are the extended witnesses' and those of
+    # the conditions written out.
+    ok = _in_extended_rows(a, tol)
+    assert ok.dtype == bool and ok.tolist() == (extended >= 0).tolist()
+    assert ok.tolist() == [_extended_reference(row, tol) for row in a]
 
 
 def test_kernels_equal_the_scalar_api_on_a_seeded_corpus():

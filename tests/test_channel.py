@@ -15,7 +15,8 @@ from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix,
                            link_picker, load_scenario, rho_from_db,
                            scenario_from_dict, validate_scenario)
 from xctin.errors import DegenerateSnr, NotInterferenceLimited, ValidationError
-from xctin.regime import AuxChannelPair
+from xctin.experiments import gdof_convergence_probe
+from xctin.regime import AuxChannelPair, genie_aux_pair, genie_satisfies_entropy_gap
 
 rhos = st.floats(2.0, 1e12)
 
@@ -256,6 +257,38 @@ def test_every_snr_taker_rejects_a_degenerate_rho(rho):
         with pytest.raises(DegenerateSnr):
             check_rho(bad)
     assert check_rho(100) == 100.0 and type(check_rho(100)) is float
+
+
+def test_every_snr_taker_rejects_an_overflowing_power():
+    # Each used to end in OverflowError from rho ** alpha, and
+    # validate_scenario passed the scenario; each now names rho and the
+    # largest exponent it powers.
+    a = AlphaMatrix(((1.0, 0.5, 0.3), (0.4, 1.0, 2.0)))
+    p, cfg = PERMUTATIONS[0], IcConfig(1, 3, 1, 2)  # the pairing reads a23
+    big = AlphaMatrix(((1.0, 0.5, 0.3), (0.4, 1.0, 50.0)))
+    for rho, x, call in (
+            (1e200, 2.0, lambda: validate_scenario(ChannelScenario(rho=1e200, alpha=a))),
+            (1e200, 2.0, lambda: effective_inr(1e200, 2.0)),
+            (1e10, 400.0, lambda: effective_inr(1e10, 400.0)),
+            (1e200, 2.0, lambda: sum_capacity_ub(1e200, a)),
+            (1e200, 2.0, lambda: sum_capacity_ub_single(1e200, a, p)),
+            (1e200, 2.0, lambda: tdma_tin_rate(1e200, a)),
+            (1e200, 2.0, lambda: tin_sum_rate(1e200, a, cfg)),
+            (1e200, 2.0, lambda: genie_params(a, p, 1e200)),
+            (1e200, 2.0, lambda: genie_aux_pair(1e200, a, p)),
+            (1e200, 2.0, lambda: genie_satisfies_entropy_gap(1e200, a, p)),
+            (1e10, 50.0, lambda: gdof_convergence_probe(big, (1e2, 1e10)))):
+        with pytest.raises(ValidationError, match=re.escape(
+                f"rho = {rho!r} with exponent {x!r} overflows: rho**alpha must be at most ")):
+            call()
+    # The largest power the CLI admits still evaluates, and a hair above
+    # it does not.
+    cap = rho_from_db(MAX_RHO_DB)
+    at_cap = AlphaMatrix(((DEFAULT_ALPHA_CAP,) * 3, (1.0,) * 3))
+    assert math.isfinite(sum_capacity_ub(cap, at_cap).value)
+    assert effective_inr(cap, DEFAULT_ALPHA_CAP) < math.inf
+    with pytest.raises(ValidationError, match="overflows"):
+        effective_inr(cap, DEFAULT_ALPHA_CAP * (1.0 + 1e-12))
 
 
 # ---------------------------------------------------------------- wire format

@@ -371,8 +371,9 @@ BYTE_PINS = [
      "f8aad90bbc19c54d65050ded5bc1332493183c5c3e63fbd1d07d9b856bc4c710", "bacc6f296b7c565518b18348d8367d05cccbfbe194d12baeeaad42930bf6b88f"),
     (("sandwich-audit", "--n", "20", "--seed", "1", "--rho-db", "30,60", "--format", "json"),
      "64f438962589bf464632c859208a9228b1d16376973a7d9951fdca18ffda077a", ""),
-    # Recorded before the audits moved to block kernels; these span several
-    # blocks of experiments.BLOCK_ROWS evaluations (4500, 1800 and 5776).
+    # Recorded before the audits moved to block kernels; the two audits span
+    # several blocks of experiments.BLOCK_ROWS evaluations (4500 and 1800),
+    # and the sweep's 5776 points are one broadcast, no blocks.
     (("sandwich-audit", "--format", "json", "--n", "1500", "--seed", "4", "--rho-db", "10,45,90"),
      "81152f5fb6c1d5464cbd73e3e8ae51328d12e3cee6dffe5e835f361b2100fd54", ""),
     (("gap-audit", "--fixed-family", "--n", "600", "--seed", "2"),

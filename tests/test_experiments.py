@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -134,8 +135,10 @@ def test_sweep_audit_checks_inclusion_and_gdof_equality():
 
 
 def test_sweep_columns_match_scalar_gdof_on_a_289_point_plane():
-    records = sweep_regime_plane(0.6, 0.045)  # 17**2 = 289 points, more than BLOCK_ROWS
-    assert len(records) > BLOCK_ROWS
+    # The sweep's broadcast folds against the scalar API on every point of a
+    # 17 x 17 plane, point by point.
+    records = sweep_regime_plane(0.6, 0.045)
+    assert len(records) == 17 ** 2
     for r in records:
         alpha = AlphaMatrix(((1.0, r.alpha12, 0.6), (r.alpha21, 1.0, 0.6)))
         assert (r.d_tt, r.gdof_ub) == (tdma_tin_gdof(alpha).value, gdof_ub(alpha).value)
@@ -157,7 +160,7 @@ def test_sweep_broadcast_matches_the_block_kernels_on_grid_rows(beta, step, tol)
     table = sweep_regime_plane(beta, step, tol=tol)
     a21, a12, ext, gsj, d_tt, d_ub, witness = table.columns
     grids = experiments._family_grids(np.array(a21), np.array(a12), beta)
-    want_ext, want_gsj = experiments.regime_witnesses(grids, tol + SWEEP_GRID_SLACK)
+    want_ext, want_gsj = regime.regime_witnesses(grids, tol + SWEEP_GRID_SLACK)
     assert _signed(a21) == _signed(grids[:, 3].tolist())
     assert _signed(a12) == _signed(grids[:, 1].tolist())
     assert _signed(d_tt) == _signed(
@@ -260,6 +263,27 @@ def _block_sample(n, rng, box, window):
     """The block sampler's grids drawn on box, as AlphaMatrix objects."""
     grids = experiments._sample_blocks(n, rng, 6, _box_map(box), window)
     return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
+
+
+def test_the_sampler_tests_only_the_extended_regime(monkeypatch):
+    # The rejection sampler reads only the extended verdict, so neither the
+    # gap audit nor sample_in_regime takes the two-witness path (the
+    # reference regime's test, as in regime_witnesses): each sampler block
+    # tests its draws in one extended-only call.
+    witness_links, bind = regime._witness_links, inspect.signature(regime._witness_links).bind
+    calls = {True: 0, False: 0}
+
+    def counted(*args, **kwargs):
+        calls[bind(*args, **kwargs).arguments.get("reference", True)] += 1
+        return witness_links(*args, **kwargs)
+
+    monkeypatch.setattr(regime, "_witness_links", counted)
+    monkeypatch.setattr(experiments, "_witness_links", counted)
+    gap_audit_with_rows(300, (1e2, 1e4), seed=3)
+    gap_audit_with_rows(50, (1e2,), seed=3, beta_free=False)
+    sample_in_regime(2000, np.random.Generator(np.random.Philox(3)))
+    assert calls[True] == 0
+    assert calls[False] >= 3  # at least one block per sampler run
 
 
 def test_sample_in_regime_exhaustion_guard():
@@ -410,7 +434,7 @@ def test_gap_audit_small_run():
 
 
 def test_gap_audit_matches_scalar_evaluation_across_blocks():
-    n, rhos = BLOCK_ROWS // 3 + 1, (1e2, 1e4, 1e6)  # 258 evaluations, two blocks
+    n, rhos = BLOCK_ROWS // 3 + 1, (1e2, 1e4, 1e6)  # just over BLOCK_ROWS evaluations: two blocks
     report, rows = gap_audit_with_rows(n, rhos, seed=5)
     samples = sample_in_regime(n, np.random.Generator(np.random.Philox(5)))
     want = []
@@ -564,7 +588,7 @@ def _sandwich_reference(n, seed, rho_list=None):
 
 @pytest.mark.parametrize("n,rho_list", [
     (1, None), (BLOCK_ROWS, None), (BLOCK_ROWS + 1, None),
-    (BLOCK_ROWS // 2 + 1, (1e2, 1e5, 1e9)),  # 387 evaluations over 129 draws
+    (BLOCK_ROWS // 2 + 1, (1e2, 1e5, 1e9)),  # 771 evaluations over 257 draws
 ])
 def test_sandwich_audit_matches_scalar_evaluation_across_blocks(n, rho_list):
     report, rows = sandwich_audit_with_rows(n, rho_list, seed=9)
