@@ -587,7 +587,11 @@ def _sandwich_reference(n, seed, rho_list=None):
 
 
 @pytest.mark.parametrize("n,rho_list", [
-    (1, None), (BLOCK_ROWS, None), (BLOCK_ROWS + 1, None),
+    # Fixed sizes, well inside one block: one draw, a full and an overfull
+    # 256-row half block, and 387 evaluations over 129 draws.
+    (1, None), (256, None), (257, None), (129, (1e2, 1e5, 1e9)),
+    # Sizes at the block boundary, whatever BLOCK_ROWS is.
+    (BLOCK_ROWS, None), (BLOCK_ROWS + 1, None),
     (BLOCK_ROWS // 2 + 1, (1e2, 1e5, 1e9)),  # 771 evaluations over 257 draws
 ])
 def test_sandwich_audit_matches_scalar_evaluation_across_blocks(n, rho_list):
