@@ -1,5 +1,12 @@
 """Achievability, converse bounds, and regime audits for the 3x2 Gaussian X
-channel under treat-interference-as-noise scheduling."""
+channel under treat-interference-as-noise scheduling.
+
+The audits in `experiments` run on numpy; the package imports that module,
+and so numpy, on the first use of it or of one of its exports, so the
+scalar API and the point commands start without numpy.
+"""
+
+import importlib
 
 from .achievability import (AchievabilityResult, IcConfig, enumerate_ic_configs,
                             tdma_tin_gdof, tdma_tin_gdof_config, tdma_tin_rate,
@@ -15,15 +22,24 @@ from .channel import (AlphaMatrix, ChannelScenario, alpha_from_gain,
 from .errors import (CaseMismatch, DegenerateSnr, InvalidBeta,
                      NotApplicable, NotInterferenceLimited, SamplerExhausted,
                      UnsupportedFormat, ValidationError)
-from .experiments import (ConvergenceRow, GapReport, SandwichReport,
-                          SweepRecord, gap_audit, gdof_convergence_probe,
-                          sandwich_audit, sweep_regime_plane)
 from .regime import (AuxChannelPair, RegimeVerdict, classify,
                      entropy_gap_conditions_hold, genie_aux_pair,
                      genie_satisfies_entropy_gap, in_extended_regime,
                      in_gsj_regime, psi)
 
 __version__ = "0.1.0"
+
+_EXPERIMENTS_EXPORTS = ("ConvergenceRow", "GapReport", "SandwichReport", "SweepRecord",
+                        "gap_audit", "gdof_convergence_probe", "sandwich_audit",
+                        "sweep_regime_plane")
+
+
+def __getattr__(name):
+    """`experiments` and its exports, imported on first use (PEP 562)."""
+    if name == "experiments" or name in _EXPERIMENTS_EXPORTS:
+        experiments = importlib.import_module(".experiments", __name__)
+        return experiments if name == "experiments" else getattr(experiments, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AchievabilityResult", "AlphaMatrix", "AuxChannelPair",

@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .channel import (AlphaMatrix, check_snr, libm_log2, libm_pow,
                       link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ IC_CONFIGS: tuple[IcConfig, ...] = tuple(
     IcConfig(i1, i2, 1, 2) for i1 in (1, 2, 3) for i2 in (1, 2, 3) if i2 != i1
 )
 _PICKS = tuple((cfg, cfg.take) for cfg in IC_CONFIGS)
-# (6, 4): row k holds the grid positions IC_CONFIGS[k].take reads.
+# 6 rows of 4: row k holds the grid positions IC_CONFIGS[k].take reads.
 _CONFIG_LINKS = link_table(IC_CONFIGS)
 
 
@@ -152,13 +153,14 @@ def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
     bit-identical to the first maximum of tdma_tin_rate_profiles(a, rho).
     numpy screens the six pairings and libm evaluates only those that can be
     the maximum (see channel.screened_first)."""
+    import numpy as np
     return screened_first(
         _tin_rate_links(link_columns(r, _CONFIG_LINKS), np.log2),
         lambda rows, cfgs: _tin_rate_links(link_entries(r, _CONFIG_LINKS, rows, cfgs), libm_log2),
         lowest=False)
 
 
-def _tin_gdof_links(links, where=np.where):
+def _tin_gdof_links(links, where):
     """TIN GDoF from the exponents of each receiver's desired and cross link,
     (j1, i1), (j1, i2), (j2, i2), (j2, i1), as floats, gathered columns or
     any broadcastable operands."""
@@ -170,4 +172,5 @@ def _tin_gdof_links(links, where=np.where):
 
 def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
     """TIN GDoF of every pairing and every row of a; returns (n, 6)."""
-    return _tin_gdof_links(link_columns(a, _CONFIG_LINKS))
+    import numpy as np
+    return _tin_gdof_links(link_columns(a, _CONFIG_LINKS), np.where)

@@ -30,14 +30,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .channel import (AlphaMatrix, check_rho, check_snr, libm_log2, libm_pow,
                       link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import CaseMismatch, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,7 @@ PERMUTATIONS: tuple[TxPermutation, ...] = tuple(
     for (j1, j2) in ((1, 2), (2, 1))
 )
 _PICKS = tuple((p, p.take) for p in PERMUTATIONS)
-# (12, 6): row k holds the grid positions PERMUTATIONS[k].take reads.
+# 12 rows of 6: row k holds the grid positions PERMUTATIONS[k].take reads.
 _PERM_LINKS = link_table(PERMUTATIONS)
 
 
@@ -143,13 +144,17 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     point rounding.
     """
     rho = check_rho(rho)
-    h_j1i1_sq, _, h_j1i3_sq, h_j2i1_sq, _, h_j2i3_sq = (
-        abs(h) ** 2 for h in p.take(tuple(gains[0]) + tuple(gains[1])))
-    if min(h_j1i1_sq, h_j1i3_sq, h_j2i1_sq, h_j2i3_sq) <= 0.0:
-        raise ValidationError("gains must be nonzero")
-    if h_j2i3_sq <= h_j2i1_sq:
-        return GenieParams(h_j2i1_sq / h_j1i1_sq, 0, 1)
-    if rho * h_j2i1_sq ** 2 / h_j1i1_sq <= h_j2i3_sq / h_j1i3_sq:
+    try:
+        h_j1i1_sq, _, h_j1i3_sq, h_j2i1_sq, _, h_j2i3_sq = (
+            abs(h) ** 2 for h in p.take(tuple(gains[0]) + tuple(gains[1])))
+        if min(h_j1i1_sq, h_j1i3_sq, h_j2i1_sq, h_j2i3_sq) <= 0.0:
+            raise ValidationError("gains must be nonzero")
+        if h_j2i3_sq <= h_j2i1_sq:
+            return GenieParams(h_j2i1_sq / h_j1i1_sq, 0, 1)
+        case2 = rho * h_j2i1_sq ** 2 / h_j1i1_sq <= h_j2i3_sq / h_j1i3_sq
+    except OverflowError:
+        raise ValidationError(f"powers of the gains overflow: {gains!r}") from None
+    if case2:
         return GenieParams(h_j2i1_sq / h_j1i1_sq, 1, 2)
     return GenieParams(h_j2i3_sq / (rho * h_j2i1_sq * h_j1i3_sq), 1, 3)
 
@@ -224,7 +229,7 @@ def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
 # argmin along a row gives the first minimum, as _first_min does.
 
 
-def _max3(x, y, z, where=np.where):
+def _max3(x, y, z, where):
     """Elementwise builtin max(x, y, z): the first of equal values wins, so
     signed zeros come out as builtin max gives them (np.maximum keeps the
     last)."""
@@ -232,7 +237,7 @@ def _max3(x, y, z, where=np.where):
     return where(z > m, z, m)
 
 
-def _genie_links(links, rho, power, where=np.where):
+def _genie_links(links, rho, power, where):
     """The genie rule of genie_params on the exponents of (j1, i1), (j1, i2),
     (j1, i3), (j2, i1), (j2, i2), (j2, i3): returns c^2, whether case 1
     holds (d = 0) and whether c^2 is scaled at i1 (cases 1 and 2; case 3
@@ -243,7 +248,7 @@ def _genie_links(links, rho, power, where=np.where):
     return power(rho, where(at_i1, v1 - u1, v3 - v1 - u3)), case1, at_i1
 
 
-def _bound_links(links, powers, rho, power, log2, where=np.where):
+def _bound_links(links, powers, rho, power, log2, where):
     """B(p) from the links' exponents and their powers rho**a, in
     _genie_links order, with rho broadcastable to them; power and log2 take
     c^2 and the logs."""
@@ -260,9 +265,10 @@ def _bound_links(links, powers, rho, power, log2, where=np.where):
 def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """B(p) in bits for every ordering and every row of a at the SNRs rho
     (shape (n,)); returns (n, 12)."""
+    import numpy as np
     r = libm_pow(rho[:, None], a)
     return _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                        rho[:, None], libm_pow, libm_log2)
+                        rho[:, None], libm_pow, libm_log2, np.where)
 
 
 def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -271,14 +277,15 @@ def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.nda
     of sum_capacity_ub_profiles(a, rho). numpy screens the twelve orderings
     and libm evaluates only those that can be the minimum (see
     channel.screened_first)."""
+    import numpy as np
     screened = _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                            rho[:, None], np.power, np.log2)
+                            rho[:, None], np.power, np.log2, np.where)
     return screened_first(screened, lambda rows, perms: _bound_links(
         link_entries(a, _PERM_LINKS, rows, perms), link_entries(r, _PERM_LINKS, rows, perms),
-        rho[rows], libm_pow, libm_log2), lowest=True)
+        rho[rows], libm_pow, libm_log2, np.where), lowest=True)
 
 
-def _gdof_links(links, where=np.where):
+def _gdof_links(links, where):
     """D(p) from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
     (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
     operands; the positive part unifies the two case forms."""
@@ -290,4 +297,5 @@ def _gdof_links(links, where=np.where):
 
 def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
     """D(p) for every ordering and every row of a; returns (n, 12)."""
-    return _gdof_links(link_columns(a, _PERM_LINKS))
+    import numpy as np
+    return _gdof_links(link_columns(a, _PERM_LINKS), np.where)

@@ -14,15 +14,18 @@ package are in bits (base-2 logarithms throughout).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DegenerateSnr, NotInterferenceLimited, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N_RX = 2
 N_TX = 3
@@ -132,25 +135,37 @@ def link_picker(links) -> operator.itemgetter:
     return operator.itemgetter(*((j - 1) * N_TX + i - 1 for j, i in links))
 
 
-def link_table(items) -> np.ndarray:
+# The scalar API runs in pure Python, so that importing the package loads no
+# numpy: an index table is a tuple, and the block-kernel helpers from here
+# on import numpy when called, each table becoming an array on first use.
+
+def link_table(items) -> tuple[tuple[int, ...], ...]:
     """Index table of the links each item's `take` picks: row k holds the
     row-major grid positions that items[k].take reads, in take order."""
-    return np.array([item.take(range(N_RX * N_TX)) for item in items])
+    return tuple(item.take(range(N_RX * N_TX)) for item in items)
 
 
-def link_columns(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+@functools.cache
+def _index_array(table: tuple) -> np.ndarray:
+    """A link_table as an integer array, made once per table."""
+    import numpy as np
+    return np.array(table)
+
+
+def link_columns(x: np.ndarray, table: tuple) -> np.ndarray:
     """For each link column of an index table, the (n, len(table)) array of
     that link gathered from every row of the (n, 6) row-major array x, as
     the items of one take from the transpose of x."""
-    return np.ascontiguousarray(x.T)[table.T].transpose(0, 2, 1)
+    import numpy as np
+    return np.ascontiguousarray(x.T)[_index_array(table).T].transpose(0, 2, 1)
 
 
-def link_entries(x: np.ndarray, table: np.ndarray, rows: np.ndarray,
+def link_entries(x: np.ndarray, table: tuple, rows: np.ndarray,
                  items: np.ndarray) -> np.ndarray:
     """link_columns(x, table) at the entries (rows[k], items[k]) only: for
     each link column of the table, the (m,) array of that link of item
     items[k] gathered from row rows[k] of x."""
-    return x[rows[:, None], table[items]].T
+    return x[rows[:, None], _index_array(table)[items]].T
 
 
 # np.power and np.log2 may dispatch to SIMD approximations that round
@@ -175,6 +190,7 @@ def libm_pow(base, expo: np.ndarray) -> np.ndarray:
     expo, through libm's pow as Python's float ** computes it: a finite
     result is the same double, and an infinite one from a finite base and
     exponent raises OverflowError, with no RuntimeWarning."""
+    import numpy as np
     with np.errstate(all="ignore", over="raise"):
         try:
             return np.float_power(base, expo)
@@ -184,6 +200,7 @@ def libm_pow(base, expo: np.ndarray) -> np.ndarray:
 
 def libm_log2(x: np.ndarray) -> np.ndarray:
     """math.log2 of every element of x."""
+    import numpy as np
     return np.fromiter(map(math.log2, x.ravel().tolist()), float,
                        count=x.size).reshape(x.shape)
 
@@ -211,6 +228,7 @@ def screened_first(screened: np.ndarray, exact, lowest: bool) -> np.ndarray:
     row's screened extremum, and every entry of a row with a non-finite
     screened value.
     """
+    import numpy as np
     sign = 1.0 if lowest else -1.0
     score = sign * screened
     best = score.min(axis=1)

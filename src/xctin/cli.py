@@ -17,19 +17,18 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import experiments
 from .achievability import tdma_tin_gdof, tdma_tin_rate
 from .bounds import gdof_ub, sum_capacity_ub
 from .channel import (AlphaMatrix, check_exponent_range, load_scenario,
                       rho_from_db, validate_scenario)
 from .errors import DegenerateSnr, UnsupportedFormat, ValidationError
-from .experiments import (CONVERGE_COLUMNS, GENERATOR_ID, SANDWICH_GDOF_TOL,
-                          SANDWICH_RATE_TOL_BITS, SWEEP_RANGE_MAX, Coded, Table)
 from .regime import classify
+from .tables import Coded, Table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -97,11 +96,11 @@ def _json_cell(v) -> str:
 
 # Rows per piece of a table's text.
 _JOIN_ROWS = 1024
-# 10**k for k = 0..15, each exact in float64.
-_POW10 = np.array([float(10**k) for k in range(16)])
-_U64 = np.uint64
 _JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+
+# The table writer from here to _json_records imports numpy when called; a
+# point command's JSON document never reaches it.
 
 class _Layout(NamedTuple):
     """The lookup tables of _float_texts. A text lies in uint64 words,
@@ -119,16 +118,20 @@ class _Layout(NamedTuple):
     heads: np.ndarray     # by e + 4 + 16 * negative: "-" if negative, then
                           # "0." and -e - 1 zeros if e < 0
     shifts: np.ndarray    # and the bit length of that text
+    pow10: np.ndarray     # 10**k for k = 0..15, each exact in float64
+    u64: type             # np.uint64, the type of the words and their shifts
 
 
 @functools.cache
 def _layout() -> _Layout:
+    import numpy as np
+    u64 = np.uint64
     # the digits a, b, c, d of g = 1000a + 100b + 10c + d on an open grid,
     # so that no temporary is larger than a table
-    a, b, c, d = np.ix_(*[np.arange(10, dtype=_U64)] * 4)
-    groups = np.empty(10**4 + 1, dtype=_U64)
-    groups[:-1] = ((a + 48) | (b + 48) << _U64(8)
-                   | (c + 48) << _U64(16) | (d + 48) << _U64(24)).ravel()
+    a, b, c, d = np.ix_(*[np.arange(10, dtype=u64)] * 4)
+    groups = np.empty(10**4 + 1, dtype=u64)
+    groups[:-1] = ((a + 48) | (b + 48) << u64(8)
+                   | (c + 48) << u64(16) | (d + 48) << u64(24)).ravel()
     reach = np.zeros((3, 10**4 + 1), dtype=np.int8)
     reach[0, :-1] = np.maximum(np.maximum(a > 0, (b > 0) * np.int8(2)),
                                np.maximum((c > 0) * np.int8(3), (d > 0) * np.int8(4))).ravel()
@@ -139,12 +142,14 @@ def _layout() -> _Layout:
     return _Layout(
         groups,
         reach,
-        np.array([(1 << 8 * min(k or 8, 8)) - 1 for k in range(17)], dtype=_U64),
-        np.array([(1 << 8 * max(k or 16, 8) - 64) - 1 for k in range(17)], dtype=_U64),
-        np.array([46 << 8 * k if 0 < k < 8 else 0 for k in range(16)], dtype=_U64),
-        np.array([46 << 8 * (k - 8) if 8 <= k else 0 for k in range(16)], dtype=_U64),
-        np.array([int.from_bytes(h, "little") for h in heads], dtype=_U64),
-        np.array([8 * len(h) for h in heads], dtype=_U64))
+        np.array([(1 << 8 * min(k or 8, 8)) - 1 for k in range(17)], dtype=u64),
+        np.array([(1 << 8 * max(k or 16, 8) - 64) - 1 for k in range(17)], dtype=u64),
+        np.array([46 << 8 * k if 0 < k < 8 else 0 for k in range(16)], dtype=u64),
+        np.array([46 << 8 * (k - 8) if 8 <= k else 0 for k in range(16)], dtype=u64),
+        np.array([int.from_bytes(h, "little") for h in heads], dtype=u64),
+        np.array([8 * len(h) for h in heads], dtype=u64),
+        np.array([float(10**k) for k in range(16)]),
+        u64)
 
 
 def _python_floats(x: np.ndarray, as_json: np.ndarray) -> list[bytes]:
@@ -163,10 +168,12 @@ def _digits(ax: np.ndarray):
     ASCII, as the (low, high) words of a word pair, and how many of the 12
     reach the last nonzero one. Zeros have e = 0 and digits "0"; the other
     cells left to Python have e = 0 and any digits."""
+    import numpy as np
+    t = _layout()
     zero = ax == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.fmax(np.fmin(np.floor(np.log10(ax)), 11.0), -4.0)  # nan to 11
-        m = ax * _POW10[(11.0 - e).astype(np.intp)]
+        m = ax * t.pow10[(11.0 - e).astype(np.intp)]
         n = np.rint(m)
         fast = np.abs(m - n) < 0.5  # not a tie
         # e judged one too high, or too low, by log10 next to a power of ten
@@ -178,16 +185,16 @@ def _digits(ax: np.ndarray):
         n = np.fmin(n * fast, 1e12).astype(np.int64)
     e *= fast
     fast |= zero
-    groups, (r0, r1, r2) = _layout()[:2]
+    groups, (r0, r1, r2) = t.groups, t.reach
     top = n // 10**4
     first = top // 10**4
     n -= top * 10**4
     top -= first * 10**4
     digits = np.maximum(np.maximum(r0[first], r1[top]), r2[n])
     lo = groups[first]
-    lo |= groups[top] << _U64(32)
+    lo |= groups[top] << t.u64(32)
     hi = groups[n]
-    hi |= _U64(ord("0") << 32)
+    hi |= t.u64(ord("0") << 32)
     return e.astype(np.intp), fast, lo, hi, digits.astype(np.intp)
 
 
@@ -198,13 +205,13 @@ def _with_point(lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> None:
     keep = t.low[at]
     moved = lo & ~keep
     lo &= keep
-    lo |= moved << _U64(8)
+    lo |= moved << t.u64(8)
     lo |= t.point_lo[at]
     keep = t.high[at]
     spill = hi & ~keep
     hi &= keep
-    hi |= spill << _U64(8)
-    hi |= moved >> _U64(56)
+    hi |= spill << t.u64(8)
+    hi |= moved >> t.u64(56)
     hi |= t.point_hi[at]
 
 
@@ -232,6 +239,7 @@ def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
     that is nan or infinite goes to _python_floats, so every text is
     Python's by construction. The steps hold few arrays at a time: on a
     piece of rows, fresh pages cost more than the arithmetic."""
+    import numpy as np
     flat = np.asarray(x, dtype=float).ravel()
     e, fast, lo, hi, digits = _digits(np.abs(flat))
     e += 1
@@ -254,7 +262,7 @@ def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
     words = np.empty((len(flat), (width + 7) // 8), dtype="<u8")
     np.bitwise_or(t.heads[e], lo << shift, out=words[:, 0])
     if width > 8:
-        back = _U64(64) - shift
+        back = t.u64(64) - shift
         np.bitwise_or(hi << shift, lo >> back, out=words[:, 1])
         if width > 16:
             np.right_shift(hi, back, out=words[:, 2])
@@ -270,6 +278,7 @@ def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
 
 def _cell_texts(cells, cell) -> np.ndarray:
     """The cells as an S array of their texts by cell."""
+    import numpy as np
     return np.array([cell(v).encode() for v in cells], dtype=bytes)
 
 
@@ -278,6 +287,7 @@ def _join(texts, leads, close: str, buffers: dict) -> bytes:
     close, less the NUL padding of the texts. The rows are one structured
     array, kept in buffers by the widths of the texts, so that its leads
     and closes are written once; the first piece is the longest."""
+    import numpy as np
     key = tuple(t.dtype for t in texts)
     if key not in buffers:
         fixed, fields = {}, []
@@ -308,6 +318,7 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
     which _float_texts writes as str does), together by _float_texts,
     floats in json as json does when as_json; any other column (a list,
     such as a point command's, or a larger int array) cell by cell."""
+    import numpy as np
     n = len(table)
     coded, plain, numbers, layouts = {}, {}, {}, []
     for j, (kind, col) in enumerate(zip(table.kinds, table.columns)):
@@ -492,14 +503,18 @@ def _cmd_gdof(inv: CliInvocation):
     return _profile_report(doc, ub.per_perm, "gdof_ub")
 
 
+# The table commands import experiments, and with it numpy, when called, and
+# look its functions up on the module, where the benchmark tracer rebinds them.
+
 def _cmd_sweep(inv: CliInvocation):
+    from . import experiments
     table = experiments.sweep_regime_plane(inv.beta, inv.step, tol=inv.tolerance)
     _, _, extended, gsj, _, _, _ = table.columns
     summary = {
         "command": "sweep",
         "beta": inv.beta,
         "step": inv.step,
-        "range_max": SWEEP_RANGE_MAX,
+        "range_max": experiments.SWEEP_RANGE_MAX,
         "tolerance": inv.tolerance,
         "n_records": len(table),
         "n_extended": extended.count(True),
@@ -510,11 +525,12 @@ def _cmd_sweep(inv: CliInvocation):
 
 
 def _cmd_gap_audit(inv: CliInvocation):
+    from . import experiments
     n = inv.n if inv.n is not None else 1000
     rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (20.0, 40.0, 60.0))
     report, rows = experiments.gap_audit_with_rows(n, rhos, inv.seed,
                                                    beta_free=not inv.fixed_family)
-    summary = {"command": "gap-audit", "generator": GENERATOR_ID, **vars(report)}
+    summary = {"command": "gap-audit", "generator": experiments.GENERATOR_ID, **vars(report)}
     failure = None
     if not report.all_within_7:
         failure = f"max gap {report.max_gap_bits:.12g} bits exceeds 7 bits"
@@ -524,27 +540,30 @@ def _cmd_gap_audit(inv: CliInvocation):
 
 
 def _cmd_sandwich_audit(inv: CliInvocation):
+    from . import experiments
     n = inv.n if inv.n is not None else 10000
     rhos = _rho_list_from_db(inv.rho_db) if inv.rho_db is not None else None
     report, rows = experiments.sandwich_audit_with_rows(n, rhos, inv.seed)
+    rate_tol, gdof_tol = experiments.SANDWICH_RATE_TOL_BITS, experiments.SANDWICH_GDOF_TOL
     summary = {
         "command": "sandwich-audit",
-        "generator": GENERATOR_ID,
+        "generator": experiments.GENERATOR_ID,
         **vars(report),
-        "rate_tol_bits": SANDWICH_RATE_TOL_BITS,
-        "gdof_tol": SANDWICH_GDOF_TOL,
+        "rate_tol_bits": rate_tol,
+        "gdof_tol": gdof_tol,
     }
     failure = None
-    if not report.max_rate_violation_bits <= SANDWICH_RATE_TOL_BITS:
+    if not report.max_rate_violation_bits <= rate_tol:
         failure = (f"rate exceeds the bound by {report.max_rate_violation_bits:.12g} "
-                   f"bits (tolerance {SANDWICH_RATE_TOL_BITS:g})")
-    elif not report.max_gdof_violation <= SANDWICH_GDOF_TOL:
+                   f"bits (tolerance {rate_tol:g})")
+    elif not report.max_gdof_violation <= gdof_tol:
         failure = (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation:.12g} "
-                   f"(tolerance {SANDWICH_GDOF_TOL:g})")
+                   f"(tolerance {gdof_tol:g})")
     return Report(summary, rows, failure)
 
 
 def _cmd_converge(inv: CliInvocation):
+    from . import experiments
     alpha, _ = _resolve_alpha(inv)
     rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (40.0, 60.0, 90.0))
     probe = experiments.gdof_convergence_probe(alpha, rhos)
@@ -566,7 +585,7 @@ def _cmd_converge(inv: CliInvocation):
         r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
         failure = (f"normalized bound is below the normalized rate by "
                    f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
-    return Report(summary, Table.from_rows(CONVERGE_COLUMNS, "fffff", rows), failure)
+    return Report(summary, Table.from_rows(experiments.CONVERGE_COLUMNS, "fffff", rows), failure)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # tests/test_bench_names.py name them.
 from .regime import (_in_extended_rows, _witness_links, check_tol, classify,  # noqa: F401
                      in_extended_regime)
+from .tables import Coded, Table
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
@@ -79,81 +80,6 @@ SAMPLER_BLOCK_ROWS = 1024
 # Witness labels of the sweep records, indexed like PERMUTATIONS; the index
 # len(PERMUTATIONS) (no witness) gives None.
 _WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS) + (None,)
-
-
-class Coded:
-    """A column that repeats a few values: its distinct values and an array of
-    non-negative integer codes, cell i being values[codes[i]]. It acts as the
-    list of its cells without building it (len, indexing, iteration over the
-    very value objects, ==, count); np.asarray takes the values by the codes."""
-
-    __slots__ = ("values", "codes")
-
-    def __init__(self, values, codes: np.ndarray):
-        self.values, self.codes = values, codes
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, i):
-        codes = self.codes[i]
-        return Coded(self.values, codes) if isinstance(i, slice) else self.values[codes]
-
-    def __iter__(self):
-        return map(self.values.__getitem__, self.codes.tolist())
-
-    def __eq__(self, other):
-        return list(self) == list(other) if isinstance(other, (list, Coded)) else NotImplemented
-
-    def count(self, v) -> int:
-        counts = np.bincount(self.codes, minlength=len(self.values)).tolist()
-        return sum(n for x, n in zip(self.values, counts) if x is v or x == v)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.take(np.asarray(self.values, dtype=dtype), self.codes)
-
-
-class Table:
-    """A table command's records as equal-length columns, one kind per column.
-
-    kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
-    digit-only label or None, "g" any other cell (such as a float or None),
-    written one at a time as untyped rows are. A column is a Coded column
-    when its producer knows that it repeats a few values, which the writer
-    then formats once each; an "f" or "i" column may be a 1-D float64 or
-    int64 array, which the writer formats with numpy; any column may be a
-    list, written cell by cell. len(), iteration and indexing see rows of
-    plain Python cells (an array column's through tolist() or item()), made
-    on demand: record(*row) when record is given, plain tuples otherwise;
-    == compares names, kinds and rows.
-    """
-
-    __slots__ = ("names", "kinds", "columns", "record")
-
-    def __init__(self, names, kinds: str, columns, record=None):
-        self.names = tuple(names)
-        self.kinds = kinds
-        self.columns = tuple(columns)
-        self.record = record
-
-    @classmethod
-    def from_rows(cls, names, kinds: str, rows, record=None) -> "Table":
-        return cls(names, kinds, [list(c) for c in zip(*rows)] or [[] for _ in names], record)
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __iter__(self):
-        columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns]
-        return zip(*columns) if self.record is None else map(self.record, *columns)
-
-    def __getitem__(self, i):
-        row = tuple(c.item(i) if isinstance(c, np.ndarray) else c[i] for c in self.columns)
-        return row if self.record is None else self.record(*row)
-
-    def __eq__(self, other):
-        return isinstance(other, Table) and (self.names, self.kinds) == (
-            other.names, other.kinds) and list(self) == list(other)
 
 
 class SweepRecord(NamedTuple):
@@ -244,7 +170,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     grid = (1.0, axis[None, :], b, axis[:, None], 1.0, b)
     d_tt = np.full((side, side), -np.inf)
     for cfg in IC_CONFIGS:
-        v = _tin_gdof_links(cfg.take(grid))
+        v = _tin_gdof_links(cfg.take(grid), np.where)
         d_tt = np.where(v > d_tt, v, d_tt)
     d_tt = _coded_floats(d_tt.ravel())  # so its floats are freed before the next loop
     none = len(PERMUTATIONS)  # the witness code of no witness yet
@@ -252,9 +178,9 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     gsj = np.zeros((side, side), dtype=bool)
     for k, p in enumerate(PERMUTATIONS):
         links = p.take(grid)
-        v = _gdof_links(links)
+        v = _gdof_links(links, np.where)
         d_ub = np.where(v < d_ub, v, d_ub)
-        e, g = _witness_links(links, t)
+        e, g = _witness_links(links, t, np.where, np.maximum)
         ext = np.where((ext == none) & e, k, ext)
         gsj |= g
     points, index = axis.tolist(), np.arange(side, dtype=np.uint16)

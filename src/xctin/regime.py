@@ -29,12 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_links, genie_params
 from .channel import AlphaMatrix, check_rho, check_snr, link_columns, scalar_where
 from .errors import NotApplicable, ValidationError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -148,7 +150,9 @@ def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.nd
     subtractions, additions and comparisons, so the verdicts are those of
     in_extended_regime and in_gsj_regime. tol is checked as there.
     """
-    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol))
+    import numpy as np
+    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol),
+                                   np.where, np.maximum)
     return _first_true(extended), _first_true(gsj)
 
 
@@ -156,11 +160,13 @@ def _in_extended_rows(a: np.ndarray, tol: float) -> np.ndarray:
     """Whether each row of an (n, 6) row-major exponent array is in the
     extended regime: regime_witnesses(a, tol)[0] >= 0 without the reference
     regime's test or the witness index (the rejection sampler's test)."""
-    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol), reference=False)
+    import numpy as np
+    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol),
+                                 np.where, np.maximum, reference=False)
     return extended.any(axis=1)
 
 
-def _witness_links(links, tol: float, where=np.where, maximum=np.maximum, reference=True):
+def _witness_links(links, tol: float, where, maximum, reference=True):
     """Whether the extended and (when reference, else None) the reference
     regime conditions hold at slack tol, from the exponents of (j1, i1),
     (j1, i2), (j1, i3), (j2, i1), (j2, i2), (j2, i3), as floats, gathered
@@ -177,6 +183,7 @@ def _witness_links(links, tol: float, where=np.where, maximum=np.maximum, refere
 
 def _first_true(ok: np.ndarray) -> np.ndarray:
     """Column of each row's first True, or -1 where the row has none."""
+    import numpy as np
     k = ok.argmax(axis=1)
     return np.where(ok[np.arange(len(ok)), k], k, -1)
 

@@ -1,0 +1,94 @@
+"""A command's records as columns: Table and its repeated-value Coded column.
+
+The module loads no numpy: a point command builds its one-row Table from
+lists. Array columns, and the codes of a Coded column, come from experiments,
+so numpy is loaded whenever one exists, and the Coded methods that need it
+import it when called.
+"""
+
+from __future__ import annotations
+
+import sys
+
+
+def _is_array(column) -> bool:
+    """Whether column is a numpy array; none can be before numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return np is not None and isinstance(column, np.ndarray)
+
+
+class Coded:
+    """A column that repeats a few values: its distinct values and an array of
+    non-negative integer codes, cell i being values[codes[i]]. It acts as the
+    list of its cells without building it (len, indexing, iteration over the
+    very value objects, ==, count); np.asarray takes the values by the codes."""
+
+    __slots__ = ("values", "codes")
+
+    def __init__(self, values, codes):
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        codes = self.codes[i]
+        return Coded(self.values, codes) if isinstance(i, slice) else self.values[codes]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Coded)) else NotImplemented
+
+    def count(self, v) -> int:
+        import numpy as np
+        counts = np.bincount(self.codes, minlength=len(self.values)).tolist()
+        return sum(n for x, n in zip(self.values, counts) if x is v or x == v)
+
+    def __array__(self, dtype=None, copy=None):
+        import numpy as np
+        return np.take(np.asarray(self.values, dtype=dtype), self.codes)
+
+
+class Table:
+    """A table command's records as equal-length columns, one kind per column.
+
+    kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
+    digit-only label or None, "g" any other cell (such as a float or None),
+    written one at a time as untyped rows are. A column is a Coded column
+    when its producer knows that it repeats a few values, which the writer
+    then formats once each; an "f" or "i" column may be a 1-D float64 or
+    int64 array, which the writer formats with numpy; any column may be a
+    list, written cell by cell. len(), iteration and indexing see rows of
+    plain Python cells (an array column's through tolist() or item()), made
+    on demand: record(*row) when record is given, plain tuples otherwise;
+    == compares names, kinds and rows.
+    """
+
+    __slots__ = ("names", "kinds", "columns", "record")
+
+    def __init__(self, names, kinds: str, columns, record=None):
+        self.names = tuple(names)
+        self.kinds = kinds
+        self.columns = tuple(columns)
+        self.record = record
+
+    @classmethod
+    def from_rows(cls, names, kinds: str, rows, record=None) -> "Table":
+        return cls(names, kinds, [list(c) for c in zip(*rows)] or [[] for _ in names], record)
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __iter__(self):
+        columns = [c.tolist() if _is_array(c) else c for c in self.columns]
+        return zip(*columns) if self.record is None else map(self.record, *columns)
+
+    def __getitem__(self, i):
+        row = tuple(c.item(i) if _is_array(c) else c[i] for c in self.columns)
+        return row if self.record is None else self.record(*row)
+
+    def __eq__(self, other):
+        return isinstance(other, Table) and (self.names, self.kinds) == (
+            other.names, other.kinds) and list(self) == list(other)

@@ -288,7 +288,7 @@ def test_screen_misses_libm_by_far_less_than_its_margin(box):
     r = libm_pow(rho[:, None], a)
     screened_ub = bounds._bound_links(
         link_columns(a, bounds._PERM_LINKS), link_columns(r, bounds._PERM_LINKS),
-        rho[:, None], np.power, np.log2)
+        rho[:, None], np.power, np.log2, np.where)
     ub = sum_capacity_ub_profiles(a, rho)
     screened_rate = achievability._tin_rate_links(
         link_columns(r, achievability._CONFIG_LINKS), np.log2)

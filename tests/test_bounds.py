@@ -120,6 +120,17 @@ def test_genie_params_from_gains_rejects_zero_gain():
         genie_params_from_gains(gains, P0, 100.0)
 
 
+@pytest.mark.parametrize("gains", [
+    ((1e200, 1, 1), (1, 1, 1)),               # |h[1][1]|^2 overflows
+    ((1, 1, 1), (1e200, 1, 1)),               # |h[2][1]|^2 overflows
+    ((1, 1, 1), (1e100, 1, 1e101)),           # |h[2][1]|^4 of the case-2 test overflows
+    ((complex(1e308, 1e308), 1, 1), (1, 1, 1)),  # abs(h[1][1]) overflows
+])
+def test_genie_params_from_gains_rejects_overflowing_gains(gains):
+    with pytest.raises(ValidationError):
+        genie_params_from_gains(gains, P0, 100.0)
+
+
 # ---------------------------------------------------------------- finite-SNR bound
 
 def test_bound_single_frozen_value():
@@ -317,7 +328,7 @@ def test_max3_is_builtin_max_with_its_signed_zeros():
     triples = list(itertools.product((0.0, -0.0, 1.0), repeat=3))
     want = [max(t) for t in triples]
     scalar = [_max3(*t, where=scalar_where) for t in triples]
-    array = _max3(*np.array(triples).T).tolist()
+    array = _max3(*np.array(triples).T, where=np.where).tolist()
     for got in (scalar, array):
         assert [(v, math.copysign(1.0, v)) for v in got] == \
             [(v, math.copysign(1.0, v)) for v in want]

@@ -299,7 +299,7 @@ def test_gap_audit_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
     doctored = GapReport(n_samples=1, rho_list=(100.0,), max_gap_bits=8.5,
                          mean_gap_bits=8.5, min_gap_bits=8.5, argmax_alpha=alpha,
                          all_within_7=False, seed=0)
-    monkeypatch.setattr(cli.experiments, "gap_audit_with_rows",
+    monkeypatch.setattr(experiments, "gap_audit_with_rows",
                         lambda *a, **k: (doctored, Table.from_rows(
                             GAP_COLUMNS, "iffff", [(0, 100.0, 8.5, 10.0, 1.5)])))
     assert main(["gap-audit", "--n", "1"]) == 3
@@ -525,7 +525,8 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
     assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 0
     capsys.readouterr()
     exact = experiments._witness_links
-    monkeypatch.setattr(experiments, "_witness_links", lambda links, tol: exact(links, 0.0))
+    monkeypatch.setattr(experiments, "_witness_links",
+                        lambda links, tol, *arithmetic: exact(links, 0.0, *arithmetic))
     assert main(["sweep", "--beta", "0.65", "--step", "0.05", "--format", "json"]) == 3
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["records"]) == doc["summary"]["n_records"] == 16 ** 2
@@ -536,7 +537,8 @@ def test_sweep_geometry_audit_failure_exits_3_after_writing(monkeypatch, capsys)
 def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys):
     # A classifier that puts every point in the reference regime but none
     # in the extended one breaks regime inclusion everywhere.
-    monkeypatch.setattr(experiments, "_witness_links", lambda links, tol: (False, True))
+    monkeypatch.setattr(experiments, "_witness_links",
+                        lambda links, tol, *arithmetic: (False, True))
     assert main(["sweep", "--beta", "0.75", "--step", "0.25", "--format", "json"]) == 3
     captured = capsys.readouterr()
     doc = json.loads(captured.out)
@@ -547,7 +549,8 @@ def test_sweep_inclusion_audit_failure_exits_3_after_writing(monkeypatch, capsys
 
 def test_sweep_geometry_audit_failure_names_first_offending_point(monkeypatch, capsys):
     exact = experiments._witness_links
-    monkeypatch.setattr(experiments, "_witness_links", lambda links, tol: exact(links, 0.0))
+    monkeypatch.setattr(experiments, "_witness_links",
+                        lambda links, tol, *arithmetic: exact(links, 0.0, *arithmetic))
     assert main(["sweep", "--beta", "0.65", "--step", "0.05"]) == 3
     # 7*0.05 rounds past 1 - 0.65, so line 7 leaves the regime at (0, 0.35).
     assert capsys.readouterr().err == "audit failure: regime geometry violated at (0, 0.35)\n"
@@ -555,7 +558,7 @@ def test_sweep_geometry_audit_failure_names_first_offending_point(monkeypatch, c
 
 def test_sandwich_and_converge_failures_name_the_bound_on_stderr(monkeypatch, capsys):
     report, rows = experiments.sandwich_audit_with_rows(3, seed=1)
-    monkeypatch.setattr(cli.experiments, "sandwich_audit_with_rows", lambda *a, **k: (
+    monkeypatch.setattr(experiments, "sandwich_audit_with_rows", lambda *a, **k: (
         dataclasses.replace(report, max_gdof_violation=0.25), rows))
     assert main(["sandwich-audit", "--n", "3", "--seed", "1"]) == 3
     captured = capsys.readouterr()
@@ -564,7 +567,7 @@ def test_sandwich_and_converge_failures_name_the_bound_on_stderr(monkeypatch, ca
                             "(tolerance 1e-12)\n")
     fig = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
     probe = experiments.gdof_convergence_probe(fig, (1e4, 1e6))
-    monkeypatch.setattr(cli.experiments, "gdof_convergence_probe", lambda *a: [
+    monkeypatch.setattr(experiments, "gdof_convergence_probe", lambda *a: [
         dataclasses.replace(probe[0], ub_norm=probe[0].rate_norm - 0.5), probe[1]])
     assert main(["converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60"]) == 3
     assert capsys.readouterr().err == ("audit failure: normalized bound is below the "

@@ -179,13 +179,14 @@ def _profile_reduction(axis, beta, tol):
     grid = (1.0, axis[None, :], beta, axis[:, None], 1.0, beta)
     d_tt = np.empty((side, side, len(achievability.IC_CONFIGS)))
     for k, cfg in enumerate(achievability.IC_CONFIGS):
-        d_tt[..., k] = achievability._tin_gdof_links(cfg.take(grid))
+        d_tt[..., k] = achievability._tin_gdof_links(cfg.take(grid), np.where)
     d_ub = np.empty((side, side, len(bounds.PERMUTATIONS)))
     ext, gsj = np.empty((2, side, side, len(bounds.PERMUTATIONS)), dtype=bool)
     for k, p in enumerate(bounds.PERMUTATIONS):
         links = p.take(grid)
-        d_ub[..., k] = bounds._gdof_links(links)
-        ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK)
+        d_ub[..., k] = bounds._gdof_links(links, np.where)
+        ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK,
+                                                         np.where, np.maximum)
     rows = side * side
     return (experiments._first_max(d_tt.reshape(rows, -1)),
             experiments._first_min(d_ub.reshape(rows, -1)),

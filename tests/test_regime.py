@@ -174,16 +174,18 @@ def test_reference_regime_is_invariant_under_the_ordering_swap(a, tol):
         q = _swap(p)
         assert q in PERMUTATIONS and _swap(q) == p
         for t in (0.0, tol):
-            assert bool(regime._witness_links(p.take(a), t)[1]) is \
-                bool(regime._witness_links(q.take(a), t)[1])
+            assert bool(regime._witness_links(p.take(a), t, np.where, np.maximum)[1]) is \
+                bool(regime._witness_links(q.take(a), t, np.where, np.maximum)[1])
 
 
 def test_extended_regime_is_not_invariant_under_the_ordering_swap():
     # P0's reduced threshold is 0.4 <= 0.6, but its swap's cross condition
     # needs 0.6 >= a13 = 0.75.
     a = FIG_POINT.flat()
-    assert [bool(x) for x in regime._witness_links(P0.take(a), 0.0)] == [True, False]
-    assert [bool(x) for x in regime._witness_links(_swap(P0).take(a), 0.0)] == [False, False]
+    assert [bool(x) for x in regime._witness_links(P0.take(a), 0.0, np.where, np.maximum)] == \
+        [True, False]
+    assert [bool(x) for x in regime._witness_links(_swap(P0).take(a), 0.0, np.where,
+                                                   np.maximum)] == [False, False]
 
 
 def test_equality_chain_on_sampled_regime_points():

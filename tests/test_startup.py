@@ -1,0 +1,74 @@
+"""The scalar path starts without numpy.
+
+The point commands (eval, classify, bound, gdof) run in pure Python, so
+importing the package or the CLI and running a point command in JSON, or
+rejecting an input, must leave numpy unloaded; a table command loads it.
+Each case runs in a fresh interpreter, since this test process has numpy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALPHA = "1,0.2,0.75,0.4,1,0.75"
+ALPHA_SCENARIO = {"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}
+GAINS_SCENARIO = {"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, 1]] * 3]}
+
+# Runs each argv list of sys.argv[1] through cli.main with its output
+# captured and prints [exit code, whether numpy is loaded] after each.
+_RUN_MAIN = """
+import contextlib, io, json, sys
+from xctin.cli import main
+states = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    states.append([code, "numpy" in sys.modules])
+print(json.dumps(states))
+"""
+
+
+def _python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter running code with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _states(*argvs) -> list:
+    return json.loads(_python(_RUN_MAIN, json.dumps(argvs)))
+
+
+@pytest.mark.parametrize("module", ["xctin", "xctin.cli"])
+def test_import_loads_no_numpy(module):
+    assert _python(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("command", ["eval", "classify", "bound", "gdof"])
+def test_json_point_commands_load_no_numpy(tmp_path, command):
+    rho = ["--rho-db", "40"] if command in ("eval", "bound") else []
+    argvs = [[command, "--alpha", ALPHA, *rho, "--format", "json"]]
+    for name, payload in (("alpha", ALPHA_SCENARIO), ("gains", GAINS_SCENARIO)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        argvs.append([command, "--scenario", str(path)])
+    assert _states(*argvs) == [[0, False]] * 3
+
+
+def test_input_error_loads_no_numpy():
+    assert _states(["eval", "--alpha", "1,1,1", "--rho-db", "40"]) == [[2, False]]
+
+
+def test_table_command_loads_numpy_and_serves_the_audit_exports():
+    assert _states(["sweep", "--step", "0.25"]) == [[0, True]]
+    code = ("from xctin import gap_audit; import xctin; "
+            "print(gap_audit is xctin.experiments.gap_audit)")
+    assert _python(code) == "True\n"
