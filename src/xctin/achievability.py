@@ -17,11 +17,12 @@ and its high-SNR slope (GDoF) is
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+import operator
+from typing import TYPE_CHECKING, NamedTuple
 
-from .channel import (AlphaMatrix, check_snr, libm_log2, libm_pow,
+from .channel import (AlphaMatrix, ValidatedRecord, check_snr, libm_log2, libm_pow,
                       link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import ValidationError
@@ -30,8 +31,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class IcConfig:
+class _IcConfig(NamedTuple):
+    i1: int
+    i2: int
+    j1: int
+    j2: int
+
+
+class IcConfig(ValidatedRecord, _IcConfig):
     """One embedded two-user pairing: Tx i1 -> Rx j1 and Tx i2 -> Rx j2.
 
     Canonical form fixes j1 = 1; the tuple with both pairs swapped denotes
@@ -41,19 +48,18 @@ class IcConfig:
     row-major grid such as AlphaMatrix.flat().
     """
 
-    i1: int
-    i2: int
-    j1: int
-    j2: int
-    take: Callable = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.i1 not in (1, 2, 3) or self.i2 not in (1, 2, 3) or self.i1 == self.i2:
-            raise ValidationError(f"i1, i2 must be distinct in {{1,2,3}}, got ({self.i1}, {self.i2})")
-        if (self.j1, self.j2) != (1, 2):
+    def __new__(cls, i1, i2, j1, j2):
+        if i1 not in (1, 2, 3) or i2 not in (1, 2, 3) or i1 == i2:
+            raise ValidationError(f"i1, i2 must be distinct in {{1,2,3}}, got ({i1}, {i2})")
+        if (j1, j2) != (1, 2):
             raise ValidationError("canonical configurations have (j1, j2) = (1, 2)")
-        object.__setattr__(self, "take", link_picker(
-            ((self.j1, self.i1), (self.j1, self.i2), (self.j2, self.i2), (self.j2, self.i1))))
+        return tuple.__new__(cls, (i1, i2, j1, j2))
+
+    @property
+    def take(self) -> operator.itemgetter:
+        return _config_picker(self)
 
     def label(self) -> str:
         return f"{self.i1}{self.i2}{self.j1}{self.j2}"
@@ -62,8 +68,13 @@ class IcConfig:
         return (self.i1, self.i2, self.j1, self.j2)
 
 
-@dataclass(frozen=True)
-class AchievabilityResult:
+@functools.cache
+def _config_picker(cfg: IcConfig) -> operator.itemgetter:
+    """IcConfig.take, made once per pairing."""
+    return link_picker(((cfg.j1, cfg.i1), (cfg.j1, cfg.i2), (cfg.j2, cfg.i2), (cfg.j2, cfg.i1)))
+
+
+class AchievabilityResult(NamedTuple):
     """Best value over the six pairings and the pairing attaining it."""
 
     value: float

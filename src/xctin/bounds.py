@@ -27,13 +27,14 @@ are exposed separately for cross-checking.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+import operator
+from typing import TYPE_CHECKING, NamedTuple
 
-from .channel import (AlphaMatrix, check_rho, check_snr, libm_log2, libm_pow,
-                      link_columns, link_entries, link_picker, link_table,
+from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, libm_log2,
+                      libm_pow, link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import CaseMismatch, ValidationError
 
@@ -41,29 +42,34 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class TxPermutation:
+class _TxPermutation(NamedTuple):
+    i1: int
+    i2: int
+    i3: int
+    j1: int
+    j2: int
+
+
+class TxPermutation(ValidatedRecord, _TxPermutation):
     """Ordering (i1, i2, i3, j1, j2): all transmitters and receivers, distinct.
 
     take(x) picks the links (j1, i1), (j1, i2), (j1, i3), (j2, i1), (j2, i2),
     (j2, i3), in that order, out of a row-major grid such as AlphaMatrix.flat().
     """
 
-    i1: int
-    i2: int
-    i3: int
-    j1: int
-    j2: int
-    take: Callable = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if {self.i1, self.i2, self.i3} != {1, 2, 3}:
+    def __new__(cls, i1, i2, i3, j1, j2):
+        if {i1, i2, i3} != {1, 2, 3}:
             raise ValidationError(f"(i1, i2, i3) must enumerate {{1,2,3}}, got "
-                                  f"({self.i1}, {self.i2}, {self.i3})")
-        if {self.j1, self.j2} != {1, 2}:
-            raise ValidationError(f"(j1, j2) must enumerate {{1,2}}, got ({self.j1}, {self.j2})")
-        object.__setattr__(self, "take", link_picker(
-            (j, i) for j in (self.j1, self.j2) for i in (self.i1, self.i2, self.i3)))
+                                  f"({i1}, {i2}, {i3})")
+        if {j1, j2} != {1, 2}:
+            raise ValidationError(f"(j1, j2) must enumerate {{1,2}}, got ({j1}, {j2})")
+        return tuple.__new__(cls, (i1, i2, i3, j1, j2))
+
+    @property
+    def take(self) -> operator.itemgetter:
+        return _perm_picker(self)
 
     def label(self) -> str:
         return f"{self.i1}{self.i2}{self.i3}{self.j1}{self.j2}"
@@ -72,25 +78,34 @@ class TxPermutation:
         return (self.i1, self.i2, self.i3, self.j1, self.j2)
 
 
-@dataclass(frozen=True)
-class GenieParams:
-    """Side-information scaling power c^2, mixing flag d, and the branch taken."""
+@functools.cache
+def _perm_picker(p: TxPermutation) -> operator.itemgetter:
+    """TxPermutation.take, made once per ordering."""
+    return link_picker((j, i) for j in (p.j1, p.j2) for i in (p.i1, p.i2, p.i3))
 
+
+class _GenieParams(NamedTuple):
     c_sq: float
     d: int
     case_id: int
 
-    def __post_init__(self):
-        if self.d not in (0, 1) or self.case_id not in (1, 2, 3):
+
+class GenieParams(ValidatedRecord, _GenieParams):
+    """Side-information scaling power c^2, mixing flag d, and the branch taken."""
+
+    __slots__ = ()
+
+    def __new__(cls, c_sq, d, case_id):
+        if d not in (0, 1) or case_id not in (1, 2, 3):
             raise ValidationError("d must be 0/1 and case_id one of 1, 2, 3")
-        if (self.d == 0) != (self.case_id == 1):
+        if (d == 0) != (case_id == 1):
             raise ValidationError("d = 0 exactly in case 1")
-        if not (math.isfinite(self.c_sq) and self.c_sq > 0.0):
-            raise ValidationError(f"c_sq must be finite and > 0, got {self.c_sq!r}")
+        if not (math.isfinite(c_sq) and c_sq > 0.0):
+            raise ValidationError(f"c_sq must be finite and > 0, got {c_sq!r}")
+        return tuple.__new__(cls, (c_sq, d, case_id))
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     """Minimum over the twelve orderings, its argmin, and the full profile."""
 
     value: float

@@ -19,8 +19,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DegenerateSnr, NotInterferenceLimited, ValidationError
 
@@ -89,8 +88,23 @@ def check_snr(rho, exponents) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class AlphaMatrix:
+class ValidatedRecord:
+    """Mixin, listed first, of a NamedTuple subclass whose __new__ validates
+    and normalizes its fields: _make, and with it _replace, build through
+    that __new__, where NamedTuple's own would skip it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _AlphaMatrix(NamedTuple):
+    a: tuple[tuple[float, float, float], tuple[float, float, float]]
+
+
+class AlphaMatrix(ValidatedRecord, _AlphaMatrix):
     """2x3 grid of link-strength exponents; rows = receivers, columns = transmitters.
 
     Entries must be finite and nonnegative. Zero entries are admissible here
@@ -99,11 +113,11 @@ class AlphaMatrix:
     `validate_scenario`, not by this container.
     """
 
-    a: tuple[tuple[float, float, float], tuple[float, float, float]]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, a):
         try:
-            rows = tuple(tuple(float(x) for x in row) for row in self.a)
+            rows = tuple(tuple(float(x) for x in row) for row in a)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"alpha entries must be numbers: {exc}") from None
         if len(rows) != N_RX or any(len(row) != N_TX for row in rows):
@@ -114,7 +128,7 @@ class AlphaMatrix:
                     raise ValidationError(f"alpha[{j}][{i}] is not finite: {x!r}")
                 if x < 0.0:
                     raise ValidationError(f"alpha[{j}][{i}] must be >= 0, got {x!r}")
-        object.__setattr__(self, "a", rows)
+        return tuple.__new__(cls, (rows,))
 
     @classmethod
     def from_rows(cls, rows) -> "AlphaMatrix":
@@ -242,8 +256,13 @@ def screened_first(screened: np.ndarray, exact, lowest: bool) -> np.ndarray:
     return values[np.arange(len(values)), first]
 
 
-@dataclass(frozen=True)
-class ChannelScenario:
+class _ChannelScenario(NamedTuple):
+    rho: float
+    gains: tuple[tuple[complex, ...], ...] | None = None
+    alpha: AlphaMatrix | None = None
+
+
+class ChannelScenario(ValidatedRecord, _ChannelScenario):
     """Transmit SNR plus either raw complex gains or a ready exponent grid.
 
     Exactly one of `gains`/`alpha` is set at construction. Gain phases are
@@ -251,26 +270,24 @@ class ChannelScenario:
     through rho*|h|^2.
     """
 
-    rho: float
-    gains: tuple[tuple[complex, ...], ...] | None = None
-    alpha: AlphaMatrix | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "rho", check_rho(self.rho))
-        if (self.gains is None) == (self.alpha is None):
+    def __new__(cls, rho, gains=None, alpha=None):
+        rho = check_rho(rho)
+        if (gains is None) == (alpha is None):
             raise ValidationError("scenario needs exactly one of gains/alpha")
-        if self.gains is not None:
+        if gains is not None:
             try:
-                g = tuple(tuple(complex(h) for h in row) for row in self.gains)
+                gains = tuple(tuple(complex(h) for h in row) for row in gains)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"gain entries must be complex numbers: {exc}") from None
-            if len(g) != N_RX or any(len(row) != N_TX for row in g):
+            if len(gains) != N_RX or any(len(row) != N_TX for row in gains):
                 raise ValidationError(f"gains must be a {N_RX}x{N_TX} grid")
-            for row in g:
+            for row in gains:
                 for h in row:
                     if not (math.isfinite(h.real) and math.isfinite(h.imag)):
                         raise ValidationError("gains must be finite")
-            object.__setattr__(self, "gains", g)
+        return tuple.__new__(cls, (rho, gains, alpha))
 
 
 def alpha_from_gain(h: complex, rho: float) -> float:

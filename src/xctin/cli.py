@@ -15,7 +15,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -31,8 +30,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class CliInvocation:
+class CliInvocation(NamedTuple):
     """One parsed command invocation; the parser gives each command only
     the flags it reads, so the other fields keep their defaults."""
 
@@ -75,7 +73,8 @@ def _jsonify(value):
         return [[_round12(x) for x in row] for row in value.a]
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    # exact types: a record is a tuple too, but no JSON array
+    if type(value) in (list, tuple):
         return [_jsonify(v) for v in value]
     raise UnsupportedFormat(f"cannot serialize {type(value).__name__} to JSON")
 
@@ -530,7 +529,8 @@ def _cmd_gap_audit(inv: CliInvocation):
     rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (20.0, 40.0, 60.0))
     report, rows = experiments.gap_audit_with_rows(n, rhos, inv.seed,
                                                    beta_free=not inv.fixed_family)
-    summary = {"command": "gap-audit", "generator": experiments.GENERATOR_ID, **vars(report)}
+    summary = {"command": "gap-audit", "generator": experiments.GENERATOR_ID,
+               **report._asdict()}
     failure = None
     if not report.all_within_7:
         failure = f"max gap {report.max_gap_bits:.12g} bits exceeds 7 bits"
@@ -548,7 +548,7 @@ def _cmd_sandwich_audit(inv: CliInvocation):
     summary = {
         "command": "sandwich-audit",
         "generator": experiments.GENERATOR_ID,
-        **vars(report),
+        **report._asdict(),
         "rate_tol_bits": rate_tol,
         "gdof_tol": gdof_tol,
     }
@@ -588,8 +588,7 @@ def _cmd_converge(inv: CliInvocation):
     return Report(summary, Table.from_rows(experiments.CONVERGE_COLUMNS, "fffff", rows), failure)
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One CLI command: its handler, help text, own flags and output shape.
 
     A table command (sweep, audits, converge) streams records, csv by

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -94,8 +93,7 @@ class SweepRecord(NamedTuple):
     witness: str | None
 
 
-@dataclass(frozen=True)
-class GapReport:
+class GapReport(NamedTuple):
     """Summary of a constant-gap audit (bound minus achievable rate, in bits)."""
 
     n_samples: int
@@ -108,8 +106,7 @@ class GapReport:
     argmax_alpha: AlphaMatrix
 
 
-@dataclass(frozen=True)
-class SandwichReport:
+class SandwichReport(NamedTuple):
     """Worst observed violations of rate <= bound and GDoF <= GDoF bound."""
 
     n_samples: int
@@ -120,8 +117,7 @@ class SandwichReport:
     max_gdof_violation: float
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(NamedTuple):
     """Normalized rate/bound at one SNR next to their GDoF limits."""
 
     rho: float

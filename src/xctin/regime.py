@@ -28,19 +28,18 @@ side-information bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import AlphaMatrix, check_rho, check_snr, link_columns, scalar_where
+from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, link_columns,
+                      scalar_where)
 from .errors import NotApplicable, ValidationError
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class RegimeVerdict:
+class RegimeVerdict(NamedTuple):
     """Memberships, their witness orderings, and the certified GDoF.
 
     in_gsj implies in_extended (regime inclusion). gdof_value is present
@@ -54,8 +53,15 @@ class RegimeVerdict:
     gdof_value: float | None
 
 
-@dataclass(frozen=True)
-class AuxChannelPair:
+class _AuxChannelPair(NamedTuple):
+    h1_sq: float
+    h2_sq: float
+    h3_sq: float
+    h4_sq: float
+    rho: float
+
+
+class AuxChannelPair(ValidatedRecord, _AuxChannelPair):
     """Power gains of two noisy observations of one transmit pair.
 
     Models Y_A = h1*X_A + h2*X_B + Z_A and Y_B = h3*X_A + h4*X_B + Z_B with
@@ -63,18 +69,14 @@ class AuxChannelPair:
     squared magnitudes matter.
     """
 
-    h1_sq: float
-    h2_sq: float
-    h3_sq: float
-    h4_sq: float
-    rho: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("h1_sq", "h2_sq", "h3_sq", "h4_sq"):
-            v = getattr(self, name)
+    def __new__(cls, h1_sq, h2_sq, h3_sq, h4_sq, rho):
+        for name, v in zip(cls._fields, (h1_sq, h2_sq, h3_sq, h4_sq)):
             if not (math.isfinite(v) and v >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-        check_rho(self.rho)
+        check_rho(rho)
+        return tuple.__new__(cls, (h1_sq, h2_sq, h3_sq, h4_sq, rho))
 
 
 def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:

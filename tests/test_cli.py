@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -559,7 +558,7 @@ def test_sweep_geometry_audit_failure_names_first_offending_point(monkeypatch, c
 def test_sandwich_and_converge_failures_name_the_bound_on_stderr(monkeypatch, capsys):
     report, rows = experiments.sandwich_audit_with_rows(3, seed=1)
     monkeypatch.setattr(experiments, "sandwich_audit_with_rows", lambda *a, **k: (
-        dataclasses.replace(report, max_gdof_violation=0.25), rows))
+        report._replace(max_gdof_violation=0.25), rows))
     assert main(["sandwich-audit", "--n", "3", "--seed", "1"]) == 3
     captured = capsys.readouterr()
     assert captured.out.startswith("sample,rho")
@@ -568,7 +567,7 @@ def test_sandwich_and_converge_failures_name_the_bound_on_stderr(monkeypatch, ca
     fig = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
     probe = experiments.gdof_convergence_probe(fig, (1e4, 1e6))
     monkeypatch.setattr(experiments, "gdof_convergence_probe", lambda *a: [
-        dataclasses.replace(probe[0], ub_norm=probe[0].rate_norm - 0.5), probe[1]])
+        probe[0]._replace(ub_norm=probe[0].rate_norm - 0.5), probe[1]])
     assert main(["converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60"]) == 3
     assert capsys.readouterr().err == ("audit failure: normalized bound is below the "
                                        "normalized rate by 0.5 at rho 10000\n")

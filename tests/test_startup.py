@@ -1,9 +1,11 @@
-"""The scalar path starts without numpy.
+"""The scalar path starts without numpy, scipy or dataclasses.
 
 The point commands (eval, classify, bound, gdof) run in pure Python, so
 importing the package or the CLI and running a point command in JSON, or
 rejecting an input, must leave numpy unloaded; a table command loads it.
-Each case runs in a fresh interpreter, since this test process has numpy.
+The records are named tuples, so nothing loads dataclasses, nor, on the
+scalar path, the inspect module it imports. Each case runs in a fresh
+interpreter, since this test process has numpy.
 """
 
 import json
@@ -29,6 +31,33 @@ for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     states.append([code, "numpy" in sys.modules])
+print(json.dumps(states))
+"""
+
+
+# Modules the scalar path must not add to a bare interpreter's: the audits'
+# numpy and scipy, and dataclasses with the inspect module it imports.
+HEAVY = ("numpy", "scipy", "dataclasses", "inspect")
+
+# Imports the module sys.argv[1], then runs each argv list of sys.argv[2]
+# through cli.main with its output captured; prints the HEAVY modules of
+# sys.argv[3] added to the interpreter's start-up modules after the import
+# and after each run.
+_ADDED = """
+import sys
+bare = set(sys.modules)
+import contextlib, importlib, io, json
+heavy = json.loads(sys.argv[3])
+added = lambda: sorted(m for m in heavy if m in sys.modules and m not in bare)
+importlib.import_module(sys.argv[1])
+states = [added()]
+argvs = json.loads(sys.argv[2])
+if argvs:
+    from xctin.cli import main
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    states.append([code, added()])
 print(json.dumps(states))
 """
 
@@ -72,3 +101,32 @@ def test_table_command_loads_numpy_and_serves_the_audit_exports():
     code = ("from xctin import gap_audit; import xctin; "
             "print(gap_audit is xctin.experiments.gap_audit)")
     assert _python(code) == "True\n"
+
+
+def _added(module: str, *argvs, heavy=HEAVY) -> list:
+    return json.loads(_python(_ADDED, module, json.dumps(argvs), json.dumps(heavy)))
+
+
+@pytest.mark.parametrize("module", ["xctin", "xctin.cli"])
+def test_import_adds_no_heavy_module(module):
+    assert _added(module) == [[]]
+
+
+def test_point_commands_and_input_errors_add_no_heavy_module(tmp_path):
+    argvs = [["eval", "--alpha", "1,1,1", "--rho-db", "40"], ["gdof", "--alpha", "1,0,0,0,1,-1"]]
+    for name, payload in (("alpha", ALPHA_SCENARIO), ("gains", GAINS_SCENARIO)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        argvs += [[command, "--scenario", str(path)] for command in ("eval", "classify")]
+    for command in ("eval", "classify", "bound", "gdof"):
+        rho = ["--rho-db", "40"] if command in ("eval", "bound") else []
+        argvs.append([command, "--alpha", ALPHA, *rho, "--format", "json"])
+    codes = [2, 2] + [0] * 8
+    assert _added("xctin.cli", *argvs) == [[]] + [[code, []] for code in codes]
+
+
+def test_experiments_import_adds_no_dataclasses():
+    # numpy itself imports inspect, so only dataclasses is pinned here; the
+    # numpy it adds shows that the check sees what the import loads.
+    assert _added("xctin.experiments", heavy=("dataclasses",)) == [[]]
+    assert _added("xctin.experiments", heavy=("numpy",)) == [["numpy"]]

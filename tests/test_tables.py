@@ -2,7 +2,6 @@
 generic paths and Python's own formatting, and the array-expression sweep
 audit against the per-record loop it replaced."""
 
-import dataclasses
 import functools
 import inspect
 import io
@@ -344,7 +343,7 @@ def test_every_table_goes_through_one_byte_row_path(monkeypatch):
     reached = set()
     for inv, fmt in ((inv, fmt) for inv in _INVOCATIONS for fmt in ("csv", "json")):
         before = len(calls)
-        assert cli.run(dataclasses.replace(inv, format=fmt), stdout=io.StringIO(),
+        assert cli.run(inv._replace(format=fmt), stdout=io.StringIO(),
                        stderr=io.StringIO()) == 0
         if len(calls) > before:
             reached.add((inv.command, fmt))
