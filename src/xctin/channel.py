@@ -265,7 +265,9 @@ class _ChannelScenario(NamedTuple):
 class ChannelScenario(ValidatedRecord, _ChannelScenario):
     """Transmit SNR plus either raw complex gains or a ready exponent grid.
 
-    Exactly one of `gains`/`alpha` is set at construction. Gain phases are
+    Exactly one of `gains`/`alpha` is set at construction; an `alpha` that
+    is no AlphaMatrix goes through AlphaMatrix, so a nested 2x3 sequence is
+    converted and anything else raises ValidationError. Gain phases are
     retained but unused: every downstream formula depends on a gain only
     through rho*|h|^2.
     """
@@ -287,6 +289,8 @@ class ChannelScenario(ValidatedRecord, _ChannelScenario):
                 for h in row:
                     if not (math.isfinite(h.real) and math.isfinite(h.imag)):
                         raise ValidationError("gains must be finite")
+        elif not isinstance(alpha, AlphaMatrix):
+            alpha = AlphaMatrix(alpha)
         return tuple.__new__(cls, (rho, gains, alpha))
 
 

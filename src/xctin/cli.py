@@ -701,19 +701,35 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
     return 0
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which adds its flags when it first parses: a run
+    builds the flags of the one command it parses, while the top-level
+    help, command choices and error texts stay those of a full tree."""
+
+    def __init__(self, *, flags: tuple[str, ...], **kwargs):
+        super().__init__(**kwargs)
+        self._pending_flags = flags
+
+    def parse_known_args(self, args=None, namespace=None):
+        for flag in self._pending_flags:
+            self.add_argument(flag, **_FLAGS[flag])
+        self._pending_flags = ()
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xctin",
         description="TDMA-TIN rates, genie-aided capacity bounds, and "
                     "noisy-interference regime audits for the 3x2 Gaussian X channel.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command",
+                                parser_class=_CommandParser)
     for name, command in COMMANDS.items():
         # Absent flags stay out of the namespace, so CliInvocation holds
         # the only defaults.
-        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
-        for flag in command.flags + ("--out", "--format"):
-            p.add_argument(flag, **_FLAGS[flag])
+        sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS,
+                       flags=command.flags + ("--out", "--format"))
     return parser
 
 

@@ -2,13 +2,15 @@
 
 bench/tracer.py wraps callees by rebinding module attributes, so a rename in
 the library breaks the benchmark; these checks catch that in the test suite.
-The tracer module is only imported, never installed.
+The tracer is installed only in a fresh interpreter, as the benchmark's
+traced mode installs it, so this process's modules stay unwrapped.
 """
 
 import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +23,45 @@ import xctin.cli
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs each argv list of sys.argv[2] through cli.main, untraced and then
+# with the tracer of the directory sys.argv[1] installed as bench/child.py
+# installs it; prints whether the two runs gave the same exit codes and
+# stdout texts, and the traced calls of main, build_parser and parse.
+_TRACED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import xctin.cli
+from tracer import Tracer
+
+def outputs(argvs):
+    results = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = xctin.cli.main(argv)
+        results.append([code, out.getvalue()])
+    return results
+
+argvs = json.loads(sys.argv[2])
+plain = outputs(argvs)
+tracer = Tracer()
+tracer.install({"cli": xctin.cli, "experiments": xctin.experiments, "regime": xctin.regime})
+traced = outputs(argvs)
+layers = tracer.summary()
+print(json.dumps([traced == plain, [code for code, _ in traced],
+                  [layers[f"cli.{name}.calls"] for name in ("main", "build_parser", "parse")]]))
+"""
+
+
+def _python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter running code with the package on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def _load_tracer():
@@ -64,13 +105,24 @@ def test_names_the_bench_child_reads_resolve_after_importing_only_the_cli():
         "print(xctin.__version__)",
         f"print(all(isinstance(getattr(xctin, m), types.ModuleType) for m in {modules!r}))",
     ])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=False)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [np.__version__, xctin.experiments.GENERATOR_ID,
-                                        xctin.__version__, "True"]
+    assert _python(code).splitlines() == [np.__version__, xctin.experiments.GENERATOR_ID,
+                                          xctin.__version__, "True"]
+
+
+def test_traced_ops_parse_once_each_and_keep_their_bytes(tmp_path):
+    # The tracer wraps parse_args on each parser build_parser returns, so a
+    # parser kept across calls would be wrapped again on every op and read
+    # 1 + 2 + 3 + 4 = 10 parse spans here.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}))
+    argvs = [["eval", "--alpha", "1,0.2,0.75,0.4,1,0.75", "--rho-db", "40"],
+             ["classify", "--scenario", str(scenario)],
+             ["bound", "--scenario", str(scenario), "--format", "csv"],
+             ["gap-audit", "--n", "3", "--rho-db", "20"]]
+    same, codes, calls = json.loads(_python(_TRACED, str(TRACER_PATH.parent), json.dumps(argvs)))
+    assert codes == [0] * 4
+    assert same
+    assert calls == [4, 4, 4]
 
 
 def test_table_handlers_call_experiments_through_the_module(monkeypatch):

@@ -226,6 +226,17 @@ def test_scenario_requires_exactly_one_of_gains_alpha():
         ChannelScenario(rho=100.0, gains=_gains(), alpha=m)
 
 
+def test_scenario_converts_or_rejects_a_plain_alpha():
+    # A nested sequence used to pass unconverted, and validate_scenario then
+    # failed with AttributeError on its .entry; "abc" was accepted.
+    s = ChannelScenario(rho=10, alpha=((1, 1, 1), (1, 1, 1)))
+    assert type(s.alpha) is AlphaMatrix
+    assert validate_scenario(s) == AlphaMatrix(((1.0,) * 3, (1.0,) * 3))
+    for bad in ("abc", 5, ((1, 1), (1, 1)), ((1, 1, "x"), (1, 1, 1))):
+        with pytest.raises(ValidationError):
+            ChannelScenario(rho=10, alpha=bad)
+
+
 def test_scenario_rejects_degenerate_rho():
     with pytest.raises(DegenerateSnr):
         ChannelScenario(rho=1.0, gains=_gains())

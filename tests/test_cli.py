@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -452,6 +453,60 @@ def test_unused_flag_is_rejected_by_parser(capsys, argv):
         main(argv)
     assert excinfo.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def _eager_parser():
+    """The parser with every command's flags built at once, as build_parser
+    built it before a command's flags waited for its first parse: the
+    reference for what a lazily built parser prints and returns."""
+    top = cli.build_parser()
+    parser = argparse.ArgumentParser(prog=top.prog, description=top.description)
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, command in cli.COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS)
+        for flag in command.flags + ("--out", "--format"):
+            p.add_argument(flag, **cli._FLAGS[flag])
+    return parser
+
+
+def _parse_outcome(build, argv):
+    """(namespace as a dict, or the exit code), stdout and stderr of
+    build().parse_args(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(build().parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    [],
+    ["frobnicate"],
+    ["eval", "--alpha", FIG_ALPHA, "--rho-db", "40", "--bogus"],
+    ["eval", "--rho", "40", "--alpha", FIG_ALPHA],
+    ["classify", "--alpha", FIG_ALPHA, "--format", "yaml"],
+    ["sweep", "--st", "0.25", "--fo", "csv"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_parser_prints_and_returns_what_an_eager_build_does(argv):
+    assert _parse_outcome(cli.build_parser, argv) == _parse_outcome(_eager_parser, argv)
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_a_parse_builds_the_flags_of_its_command_only(command):
+    parser = cli.build_parser()
+    assert vars(parser.parse_args([command])) == {"command": command}
+    assert vars(parser.parse_args([command, "--format", "csv"])) == {"command": command,
+                                                                      "format": "csv"}
+    subparsers, = parser._subparsers._group_actions
+    flags = {name: [a.option_strings for a in p._actions]
+             for name, p in subparsers.choices.items()}
+    own = [[flag] for flag in cli.COMMANDS[command].flags + ("--out", "--format")]
+    assert flags == {name: [["-h", "--help"]] + (own if name == command else [])
+                     for name in cli.COMMANDS}
 
 
 @pytest.mark.parametrize("argv", [

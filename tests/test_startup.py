@@ -20,20 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ALPHA = "1,0.2,0.75,0.4,1,0.75"
 ALPHA_SCENARIO = {"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}
 GAINS_SCENARIO = {"rho_db": 20, "gains": [[[1, 0]] * 3, [[0, 1]] * 3]}
-
-# Runs each argv list of sys.argv[1] through cli.main with its output
-# captured and prints [exit code, whether numpy is loaded] after each.
-_RUN_MAIN = """
-import contextlib, io, json, sys
-from xctin.cli import main
-states = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
-    states.append([code, "numpy" in sys.modules])
-print(json.dumps(states))
-"""
-
+POINT_COMMANDS = ("eval", "classify", "bound", "gdof")
 
 # Modules the scalar path must not add to a bare interpreter's: the audits'
 # numpy and scipy, and dataclasses with the inspect module it imports.
@@ -72,39 +59,16 @@ def _python(code: str, *args: str) -> str:
     return proc.stdout
 
 
-def _states(*argvs) -> list:
-    return json.loads(_python(_RUN_MAIN, json.dumps(argvs)))
-
-
-@pytest.mark.parametrize("module", ["xctin", "xctin.cli"])
-def test_import_loads_no_numpy(module):
-    assert _python(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
-
-
-@pytest.mark.parametrize("command", ["eval", "classify", "bound", "gdof"])
-def test_json_point_commands_load_no_numpy(tmp_path, command):
-    rho = ["--rho-db", "40"] if command in ("eval", "bound") else []
-    argvs = [[command, "--alpha", ALPHA, *rho, "--format", "json"]]
-    for name, payload in (("alpha", ALPHA_SCENARIO), ("gains", GAINS_SCENARIO)):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(payload))
-        argvs.append([command, "--scenario", str(path)])
-    assert _states(*argvs) == [[0, False]] * 3
-
-
-def test_input_error_loads_no_numpy():
-    assert _states(["eval", "--alpha", "1,1,1", "--rho-db", "40"]) == [[2, False]]
+def _added(module: str, *argvs, heavy=HEAVY) -> list:
+    return json.loads(_python(_ADDED, module, json.dumps(argvs), json.dumps(heavy)))
 
 
 def test_table_command_loads_numpy_and_serves_the_audit_exports():
-    assert _states(["sweep", "--step", "0.25"]) == [[0, True]]
+    assert _added("xctin.cli", ["sweep", "--step", "0.25"], heavy=("numpy",)) == [
+        [], [0, ["numpy"]]]
     code = ("from xctin import gap_audit; import xctin; "
             "print(gap_audit is xctin.experiments.gap_audit)")
     assert _python(code) == "True\n"
-
-
-def _added(module: str, *argvs, heavy=HEAVY) -> list:
-    return json.loads(_python(_ADDED, module, json.dumps(argvs), json.dumps(heavy)))
 
 
 @pytest.mark.parametrize("module", ["xctin", "xctin.cli"])
@@ -117,11 +81,11 @@ def test_point_commands_and_input_errors_add_no_heavy_module(tmp_path):
     for name, payload in (("alpha", ALPHA_SCENARIO), ("gains", GAINS_SCENARIO)):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(payload))
-        argvs += [[command, "--scenario", str(path)] for command in ("eval", "classify")]
-    for command in ("eval", "classify", "bound", "gdof"):
+        argvs += [[command, "--scenario", str(path)] for command in POINT_COMMANDS]
+    for command in POINT_COMMANDS:
         rho = ["--rho-db", "40"] if command in ("eval", "bound") else []
         argvs.append([command, "--alpha", ALPHA, *rho, "--format", "json"])
-    codes = [2, 2] + [0] * 8
+    codes = [2, 2] + [0] * 12
     assert _added("xctin.cli", *argvs) == [[]] + [[code, []] for code in codes]
 
 
