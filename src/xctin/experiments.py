@@ -79,6 +79,28 @@ SAMPLER_BLOCK_ROWS = 1024
 # Witness labels of the sweep records, indexed like PERMUTATIONS; the index
 # len(PERMUTATIONS) (no witness) gives None.
 _WITNESS_LABELS = tuple(p.label() for p in PERMUTATIONS) + (None,)
+# Transmitters 1, 2 and receivers 1, 2 swapping labels.
+_SWAP_12 = {1: 2, 2: 1, 3: 3}
+
+
+def _relabelling_pairs(items, relabel) -> tuple[tuple[int, int], ...]:
+    """(k, m) with k <= m for each pair {k, m} of indices into items that the
+    1 <-> 2 label swap maps onto each other: one row per pair, (k, k) for an
+    item that is its own partner."""
+    partners = [items.index(relabel(x)) for x in items]
+    return tuple((k, m) for k, m in enumerate(partners) if k <= m)
+
+
+# The swap maps the sweep family at (alpha21, alpha12) onto the family at
+# (alpha12, alpha21), ordering p onto its partner and a pairing onto its
+# partner, so a partner's plane is the evaluated one transposed, bit for bit
+# (the same operations on the same values). The sweep evaluates only the
+# first of each pair: 6 of the 12 orderings and 4 of the 6 pairings.
+_SWEEP_ORDERINGS = _relabelling_pairs(PERMUTATIONS, lambda p: tuple(_SWAP_12[x] for x in p))
+# A pairing with its receivers swapped serves Rx 1 from its old second
+# transmitter; the canonical form lists Rx 1's pair first.
+_SWEEP_PAIRINGS = _relabelling_pairs(
+    IC_CONFIGS, lambda cfg: (_SWAP_12[cfg.i2], _SWAP_12[cfg.i1], 1, 2))
 
 
 class SweepRecord(NamedTuple):
@@ -160,25 +182,33 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     t += SWEEP_GRID_SLACK
     # Each link of the family is 1, beta, alpha12 (a row of the plane) or
     # alpha21 (a column), so every formula runs on these operands and only
-    # its result is broadcast to the plane, folded at once into a running
-    # extremum whose strict comparison keeps the first of equal values, signed
-    # zeros included, as _first_max and _first_min do (grids are finite).
+    # its result is broadcast to the plane and folded at once into a running
+    # extremum; the partners in _SWEEP_ORDERINGS and _SWEEP_PAIRINGS come in
+    # as the fold transposed. The folds may run in any order: the grid is
+    # finite and >= +0.0, so every D(p) and TIN GDoF is finite and >= +0.0
+    # (a difference of equal values is +0.0), no NaN or -0.0 arises, and
+    # equal values share one bit pattern, that of the first extremum in
+    # PERMUTATIONS (IC_CONFIGS) order. The witness is the least index.
     grid = (1.0, axis[None, :], b, axis[:, None], 1.0, b)
     d_tt = np.full((side, side), -np.inf)
-    for cfg in IC_CONFIGS:
-        v = _tin_gdof_links(cfg.take(grid), np.where)
-        d_tt = np.where(v > d_tt, v, d_tt)
-    d_tt = _coded_floats(d_tt.ravel())  # so its floats are freed before the next loop
-    none = len(PERMUTATIONS)  # the witness code of no witness yet
-    d_ub, ext = np.full((side, side), np.inf), np.full((side, side), none, dtype=np.int8)
+    for k, _ in _SWEEP_PAIRINGS:
+        np.maximum(d_tt, _tin_gdof_links(IC_CONFIGS[k].take(grid), np.where), out=d_tt)
+    # Coded now, so its floats are freed before the next loop.
+    d_tt = _coded_floats(np.maximum(d_tt, d_tt.T).ravel())
+    none = np.int8(len(PERMUTATIONS))  # the witness code of no witness
+    d_ub = np.full((side, side), np.inf)
+    # The first witness among the evaluated orderings, and among their
+    # partners on the transposed plane.
+    ext, ext_partner = np.full((2, side, side), none)
     gsj = np.zeros((side, side), dtype=bool)
-    for k, p in enumerate(PERMUTATIONS):
-        links = p.take(grid)
-        v = _gdof_links(links, np.where)
-        d_ub = np.where(v < d_ub, v, d_ub)
+    for k, m in _SWEEP_ORDERINGS:
+        links = PERMUTATIONS[k].take(grid)
+        np.minimum(d_ub, _gdof_links(links, np.where), out=d_ub)
         e, g = _witness_links(links, t, np.where, np.maximum)
-        ext = np.where((ext == none) & e, k, ext)
+        np.minimum(ext, np.where(e, np.int8(k), none), out=ext)
+        np.minimum(ext_partner, np.where(e, np.int8(m), none), out=ext_partner)
         gsj |= g
+    d_ub, ext, gsj = np.minimum(d_ub, d_ub.T), np.minimum(ext, ext_partner.T), gsj | gsj.T
     points, index = axis.tolist(), np.arange(side, dtype=np.uint16)
     flags = (Coded((False, True), w.ravel().view(np.int8)) for w in (ext < none, gsj))
     return Table(SWEEP_COLUMNS, "ffbbffs", (
@@ -237,7 +267,15 @@ def _first_max(profiles: np.ndarray) -> np.ndarray:
 def _coded_floats(x: np.ndarray) -> Coded:
     """The cells of x as a Coded column of one value per distinct bit
     pattern, so signed zeros and NaN payloads stay apart."""
-    bits, codes = np.unique(x.view(np.int64), return_inverse=True)
+    cells = x.view(np.int64)
+    # One sort and a binary search per cell: np.unique's return_inverse
+    # argsorts and scatters, and without it numpy 2 hashes, both slower and
+    # the first with some four times the temporaries.
+    bits = np.sort(cells)
+    first = np.ones(len(bits), dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    bits = bits[first]
+    codes = np.searchsorted(bits, cells)
     return Coded(bits.view(float).tolist(), codes.astype(np.min_scalar_type(len(bits))))
 
 

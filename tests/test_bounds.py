@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
@@ -12,7 +12,8 @@ from xctin.bounds import (PERMUTATIONS, TxPermutation, _max3, enumerate_permutat
                           gdof_ub_single, genie_params,
                           genie_params_from_gains, sum_capacity_ub,
                           sum_capacity_ub_single)
-from xctin.channel import AlphaMatrix, ChannelScenario, scalar_where, validate_scenario
+from xctin.channel import (AlphaMatrix, ChannelScenario, rho_from_db, scalar_where,
+                           validate_scenario)
 from xctin.errors import CaseMismatch, ValidationError
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
@@ -296,6 +297,27 @@ def test_normalized_min_bound_tracks_min_limit(alpha):
     norm = sum_capacity_ub(rho, alpha).value / lg
     limit = min(_limit_bound_exponent(alpha, p) for p in PERMUTATIONS)
     assert abs(norm - limit) <= 5.0 / lg + 1e-9
+
+
+# ---------------------------------------------------------------- SNR scaling
+
+@given(alpha=alpha_grids, rho_db=st.floats(0.1, 90.0), k=st.sampled_from([0.5, 1.7, 3.0]))
+def test_bound_and_rate_see_rho_and_alpha_only_through_the_powers(alpha, rho_db, k):
+    # rho enters only as rho**a and as the genie's c^2 = rho**(linear form),
+    # so (rho**(1/k), k*a) gives the B and R of (rho, a) up to rounding. B
+    # jumps where the genie's case-1 test v3 <= v1 flips (d goes 0 -> 1), so
+    # a draw whose scaling merges two entries of a row (5e-324 * 0.5 is 0)
+    # is outside the claim.
+    rho = rho_from_db(rho_db)
+    scaled = AlphaMatrix(tuple(tuple(k * x for x in row) for row in alpha.a))
+
+    def order(row):
+        return [x <= y for x in row for y in row]
+
+    assume(all(order(r) == order(s) for r, s in zip(alpha.a, scaled.a)))
+    for f in (sum_capacity_ub, tdma_tin_rate):
+        want = f(rho, alpha).value
+        assert abs(f(rho ** (1.0 / k), scaled).value - want) <= 1e-12 * want
 
 
 # ---------------------------------------------------------------- relabeling

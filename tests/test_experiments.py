@@ -209,6 +209,44 @@ def test_sweep_folds_match_the_profile_reductions(beta, points, tol):
     assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
 
 
+def test_sweep_partner_tables_are_the_1_2_relabelling():
+    # Swapping Tx 1 <-> 2 and Rx 1 <-> 2 puts entry (swap j, swap i) of a
+    # grid at (j, i): row-major positions 4, 3, 5, 1, 0, 2.
+    flat = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    swapped = tuple(flat[x] for x in (4, 3, 5, 1, 0, 2))
+    perms, configs = bounds.PERMUTATIONS, achievability.IC_CONFIGS
+    orderings, pairings = experiments._SWEEP_ORDERINGS, experiments._SWEEP_PAIRINGS
+    assert sorted(k for pair in orderings for k in pair) == list(range(len(perms)))
+    for k, m in orderings:
+        assert perms[k].take(swapped) == perms[m].take(flat)
+        assert perms[m].take(swapped) == perms[k].take(flat)
+    # A relabelled pairing serves the same links with the receivers' roles
+    # swapped: its partner's take, rotated by two.
+    takes = [cfg.take(flat) for cfg in configs]
+    rotated = [cfg.take(swapped)[2:] + cfg.take(swapped)[:2] for cfg in configs]
+    orbits = {frozenset((k, takes.index(t))) for k, t in enumerate(rotated)}
+    assert len(pairings) == len(orbits)
+    assert {frozenset(pair) for pair in pairings} == orbits
+    assert all(k <= m for k, m in pairings)
+    # Each partner's plane is the evaluated plane transposed, bit for bit.
+    axis = np.arange(16) * 0.05
+    grid = (1.0, axis[None, :], 0.7725, axis[:, None], 1.0, 0.7725)
+    tol = 0.004 + SWEEP_GRID_SLACK
+
+    def planes(p):
+        links = p.take(grid)
+        return (bounds._gdof_links(links, np.where).view(np.int64),
+                *regime._witness_links(links, tol, np.where, np.maximum))
+
+    for k, m in orderings:
+        for mine, partner in zip(planes(perms[k]), planes(perms[m])):
+            assert (partner == mine.T).all()
+    for k, m in pairings:
+        mine, partner = (np.broadcast_to(achievability._tin_gdof_links(
+            configs[x].take(grid), np.where), (16, 16)).view(np.int64) for x in (k, m))
+        assert (partner == mine.T).all()
+
+
 @pytest.mark.parametrize("tol", [0.0, 0.01])
 @pytest.mark.parametrize("beta", [0.5, 0.6, 0.65, 0.75, 0.7725, 0.95])
 def test_sweep_verdicts_match_scalar_classify(beta, tol):

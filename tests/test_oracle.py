@@ -14,8 +14,10 @@ and within 1e-12 of the exact GDoF values. Two gates are absolute: the gap,
 which cancels, within 1e-12 * B, and a rate below one bit within 1e-12
 bits, since float64 log2(1 + x) of a tiny x is accurate only absolutely.
 The grids are seeded draws from [0, 2]^6 and [0, 4]^6 at SNRs up to
-MAX_RHO_DB, grids sitting exactly on a genie-case boundary, and the audits'
-worst-gap grids. The block kernels' profiles of the draws are checked too.
+MAX_RHO_DB, grids sitting exactly on a genie-case boundary, the audits'
+worst-gap grids and the largest gap a search has found. The block kernels'
+profiles of the draws are checked too, and the exact GDoF bound against the
+W curve of an embedded two-user interference channel.
 """
 
 import itertools
@@ -30,6 +32,7 @@ from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof, tdma_tin_gdof_config
 from xctin.bounds import (PERMUTATIONS, gdof_ub, sum_capacity_ub,
                           sum_capacity_ub_profiles)
 from xctin.channel import MAX_RHO_DB, AlphaMatrix, rho_from_db
+from xctin.regime import classify
 
 # (i1, i2, i3, j1, j2): Tx i1 and i3 are seen by the genie at Rx j1, Tx i2
 # is the cross observation at Rx j2.
@@ -48,6 +51,10 @@ CRITERION_4_ARGMAX = ((0.7812076356849718, 1.7470007960419338, 1.523405472899040
                       (1.023288447091461, 0.20284763136981265, 0.6618008050104036))
 GAP_AUDIT_5000_ARGMAX = ((1.758098451302954, 0.49239523574631106, 0.4418296037989451),
                          (1.248643330691033, 1.8208122269310074, 1.1946977808934012))
+# The largest gap a hill climb over [0, 4]^6 has found, 4.19331 bits at
+# 30 dB, in both regimes with witness ordering 13212 for each.
+GAP_SEARCH_ARGMAX = ((1.5092198078707204, 0.16775130103948857, 0.16775430309619654),
+                     (1.3414434228109378, 1.3413897701987758, 1.5092039626187084))
 
 
 def test_references_enumerate_the_library_orderings_and_pairings():
@@ -148,13 +155,18 @@ def test_bound_matches_the_50_digit_oracle_on_genie_case_boundaries():
         check_against_oracle(rho, (g[:3], g[3:]))
 
 
-@pytest.mark.parametrize("rows", [CRITERION_4_ARGMAX, GAP_AUDIT_5000_ARGMAX],
-                         ids=["criterion-4", "gap-audit-5000"])
+@pytest.mark.parametrize("rows", [CRITERION_4_ARGMAX, GAP_AUDIT_5000_ARGMAX, GAP_SEARCH_ARGMAX],
+                         ids=["criterion-4", "gap-audit-5000", "gap-search"])
 def test_bound_and_rates_match_the_50_digit_oracle_at_the_audit_argmaxes(rows):
     gaps = [check_against_oracle(rho, rows) for rho in (1e2, 1e4, 1e6)]
     assert 0.0 < min(gaps) and max(gaps) <= 7.0
     if rows is GAP_AUDIT_5000_ARGMAX:
         assert round(gaps[0], 4) == 3.5993
+    if rows is GAP_SEARCH_ARGMAX:
+        assert round(check_against_oracle(rho_from_db(30.0), rows), 5) == 4.19331
+        verdict = classify(AlphaMatrix(rows))
+        assert verdict.in_extended and verdict.in_gsj
+        assert verdict.witness_extended.label() == verdict.witness_gsj.label() == "13212"
 
 
 # ------------------------------------------------------ exact GDoF reference
@@ -192,3 +204,29 @@ def test_gdof_matches_exact_rationals():
             assert abs(Fraction(value) - d_tt[cfg.as_tuple()]) <= GDOF_TOL, (rows, cfg)
         assert abs(Fraction(ub.value) - min(d_ub.values())) <= GDOF_TOL
         assert abs(Fraction(tdma_tin_gdof(alpha).value) - max(d_tt.values())) <= GDOF_TOL
+
+
+def w_curve(a):
+    """Symmetric per-user GDoF of the two-user interference channel at cross
+    exponent a (Etkin, Tse and Wang, 2008): min{1, max(a/2, 1 - a/2),
+    max(a, 1 - a)}."""
+    return min(1, max(a / 2, 1 - a / 2), max(a, 1 - a))
+
+
+def test_gdof_bound_holds_against_the_w_curve_of_the_embedded_interference_channel():
+    """a = [[1, x, 0], [x, 1, 0]] silences Tx 3 and leaves a symmetric
+    two-user interference channel, whose Han-Kobayashi sum GDoF is 2 w(x):
+    min_p D may not fall below it, and meets it on [0, 0.66] and at 2."""
+    met = []
+    for k in range(301):
+        x = k / 100
+        rows = ((1.0, x, 0.0), (x, 1.0, 0.0))
+        exact = {j: {i: Fraction(rows[j - 1][i - 1]) for i in (1, 2, 3)} for j in (1, 2)}
+        d_ub = min(exact_gdof(exact, p) for p in ORDERINGS)
+        assert abs(Fraction(gdof_ub(AlphaMatrix(rows)).value) - d_ub) <= GDOF_TOL
+        slack = d_ub - 2 * w_curve(Fraction(x))
+        assert slack >= 0, x
+        if slack == 0:
+            met.append(k)
+    assert met == list(range(67)) + [200]
+    assert gdof_ub(AlphaMatrix(((1.0,) * 3, (1.0,) * 3))).value == 2.0
