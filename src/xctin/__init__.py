@@ -8,13 +8,12 @@ scalar API and the point commands start without numpy.
 
 import importlib
 
-from .achievability import (AchievabilityResult, IcConfig, enumerate_ic_configs,
+from .achievability import (IC_CONFIGS, AchievabilityResult, IcConfig,
                             tdma_tin_gdof, tdma_tin_gdof_config, tdma_tin_rate,
                             tin_sum_rate)
-from .bounds import (BoundResult, GenieParams, TxPermutation,
-                     enumerate_permutations, gdof_ub, gdof_ub_case1,
-                     gdof_ub_case2, gdof_ub_single, genie_params,
-                     genie_params_from_gains, sum_capacity_ub,
+from .bounds import (PERMUTATIONS, BoundResult, GenieParams, TxPermutation,
+                     gdof_ub, gdof_ub_case1, gdof_ub_case2, gdof_ub_single,
+                     genie_params, genie_params_from_gains, sum_capacity_ub,
                      sum_capacity_ub_single)
 from .channel import (AlphaMatrix, ChannelScenario, alpha_from_gain,
                       effective_inr, load_scenario, rho_from_db,
@@ -44,12 +43,13 @@ def __getattr__(name):
 __all__ = [
     "AchievabilityResult", "AlphaMatrix", "AuxChannelPair",
     "BoundResult", "CaseMismatch", "ChannelScenario", "ConvergenceRow",
-    "DegenerateSnr", "GapReport", "GenieParams", "IcConfig", "InvalidBeta",
-    "NotApplicable", "NotInterferenceLimited", "RegimeVerdict",
+    "DegenerateSnr", "GapReport", "GenieParams", "IC_CONFIGS", "IcConfig",
+    "InvalidBeta", "NotApplicable", "NotInterferenceLimited", "PERMUTATIONS",
+    "RegimeVerdict",
     "SamplerExhausted", "SandwichReport", "SweepRecord", "TxPermutation",
     "UnsupportedFormat", "ValidationError", "alpha_from_gain", "classify",
-    "effective_inr", "entropy_gap_conditions_hold", "enumerate_ic_configs",
-    "enumerate_permutations", "gap_audit", "gdof_convergence_probe",
+    "effective_inr", "entropy_gap_conditions_hold", "gap_audit",
+    "gdof_convergence_probe",
     "gdof_ub", "gdof_ub_case1", "gdof_ub_case2", "gdof_ub_single",
     "genie_aux_pair", "genie_params", "genie_params_from_gains",
     "genie_satisfies_entropy_gap", "in_extended_regime", "in_gsj_regime",

@@ -22,8 +22,8 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .channel import (AlphaMatrix, ValidatedRecord, check_snr, libm_log2, libm_pow,
-                      link_columns, link_entries, link_picker, link_table,
+from .channel import (AlphaMatrix, ValidatedRecord, check_snr, first_best, libm_log2,
+                      libm_pow, link_columns, link_entries, link_picker, link_table,
                       scalar_where, screened_first)
 from .errors import ValidationError
 
@@ -81,6 +81,7 @@ class AchievabilityResult(NamedTuple):
     argmax: IcConfig
 
 
+# The six canonical pairings, in lexicographic (i1, i2) order.
 IC_CONFIGS: tuple[IcConfig, ...] = tuple(
     IcConfig(i1, i2, 1, 2) for i1 in (1, 2, 3) for i2 in (1, 2, 3) if i2 != i1
 )
@@ -89,19 +90,10 @@ _PICKS = tuple((cfg, cfg.take) for cfg in IC_CONFIGS)
 _CONFIG_LINKS = link_table(IC_CONFIGS)
 
 
-def enumerate_ic_configs() -> tuple[IcConfig, ...]:
-    """The six canonical pairings, in lexicographic (i1, i2) order."""
-    return IC_CONFIGS
-
-
 def _first_max(kernel, grid) -> AchievabilityResult:
     """First (lexicographic) pairing with the largest kernel(take(grid))."""
-    best = -math.inf
-    best_cfg = IC_CONFIGS[0]
-    for cfg, take in _PICKS:
-        v = kernel(take(grid))
-        if v > best:
-            best, best_cfg = v, cfg
+    best_cfg, best = first_best([(cfg, kernel(take(grid))) for cfg, take in _PICKS],
+                                lowest=False)
     return AchievabilityResult(best, best_cfg)
 
 
@@ -141,8 +133,8 @@ def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
 # (rows as AlphaMatrix.flat()) with np.where and libm's logarithm (numpy's
 # only in the audits' screen, see channel.screened_first), so every entry
 # is bit-identical to the scalar value. Column k of a returned (n, 6)
-# profile belongs to IC_CONFIGS[k]; argmax along a row gives the first
-# maximum, as _first_max does.
+# profile belongs to IC_CONFIGS[k]; channel.first_extremum gives a row's
+# first maximum, as _first_max does.
 
 
 def _tin_rate_links(powers, log2):

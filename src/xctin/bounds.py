@@ -33,9 +33,9 @@ import math
 import operator
 from typing import TYPE_CHECKING, NamedTuple
 
-from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, libm_log2,
-                      libm_pow, link_columns, link_entries, link_picker, link_table,
-                      scalar_where, screened_first)
+from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, first_best,
+                      libm_log2, libm_pow, link_columns, link_entries, link_picker,
+                      link_table, scalar_where, screened_first)
 from .errors import CaseMismatch, ValidationError
 
 if TYPE_CHECKING:
@@ -113,6 +113,7 @@ class BoundResult(NamedTuple):
     per_perm: tuple[tuple[TxPermutation, float], ...]
 
 
+# All twelve orderings, lexicographic in (i1, i2, i3, j1, j2).
 PERMUTATIONS: tuple[TxPermutation, ...] = tuple(
     TxPermutation(i1, i2, i3, j1, j2)
     for (i1, i2, i3) in itertools.permutations((1, 2, 3))
@@ -121,11 +122,6 @@ PERMUTATIONS: tuple[TxPermutation, ...] = tuple(
 _PICKS = tuple((p, p.take) for p in PERMUTATIONS)
 # 12 rows of 6: row k holds the grid positions PERMUTATIONS[k].take reads.
 _PERM_LINKS = link_table(PERMUTATIONS)
-
-
-def enumerate_permutations() -> tuple[TxPermutation, ...]:
-    """All twelve orderings, lexicographic in (i1, i2, i3, j1, j2)."""
-    return PERMUTATIONS
 
 
 def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParams:
@@ -176,10 +172,7 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
 
 def _first_min(per_perm) -> BoundResult:
     """The profile with its first (lexicographic) minimum."""
-    best_p, best = per_perm[0]
-    for p, v in per_perm[1:]:
-        if v < best:
-            best_p, best = p, v
+    best_p, best = first_best(per_perm, lowest=True)
     return BoundResult(best, best_p, per_perm)
 
 
@@ -241,7 +234,7 @@ def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
 # transcendentals (numpy's only in the audits' screen, see
 # channel.screened_first), so every entry is bit-identical to the scalar
 # value. Column k of a returned (n, 12) profile belongs to PERMUTATIONS[k];
-# argmin along a row gives the first minimum, as _first_min does.
+# channel.first_extremum gives a row's first minimum, as _first_min does.
 
 
 def _max3(x, y, z, where):

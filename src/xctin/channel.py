@@ -65,10 +65,12 @@ def check_rho(rho) -> float:
     return r
 
 
+# Largest SNR any layer accepts, as rho_from_db(MAX_RHO_DB) admits it.
+MAX_RHO = rho_from_db(MAX_RHO_DB)
 # Largest power rho**alpha the scalar API takes: that of the largest SNR and
 # exponent the CLI accepts. Every sum in the rate and the bound is at most
 # 1 + 3 times it, which stays finite.
-_MAX_POWER = rho_from_db(MAX_RHO_DB) ** DEFAULT_ALPHA_CAP
+_MAX_POWER = MAX_RHO ** DEFAULT_ALPHA_CAP
 
 
 def check_snr(rho, exponents) -> float:
@@ -86,6 +88,28 @@ def check_snr(rho, exponents) -> float:
         raise ValidationError(f"rho = {rho!r} with exponent {x!r} overflows: rho**alpha "
                               f"must be at most {_MAX_POWER:.6g}")
     return r
+
+
+def check_rhos(rho_list) -> tuple[float, ...]:
+    """A non-empty SNR list as floats, each with 1 < rho <= MAX_RHO, the
+    SNRs the audits evaluate at any exponent up to DEFAULT_ALPHA_CAP;
+    anything else raises ValidationError."""
+    rhos = tuple(float(r) for r in rho_list)
+    if not rhos or any(not 1.0 < r <= MAX_RHO for r in rhos):
+        raise ValidationError(f"every rho must satisfy 1 < rho <= {MAX_RHO!r} "
+                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_list!r}")
+    return rhos
+
+
+def rhos_from_db(values) -> tuple[float, ...]:
+    """rho_from_db of every SNR in dB; one whose rho is not above 1 raises
+    DegenerateSnr naming it."""
+    rhos = tuple(rho_from_db(db) for db in values)
+    for db, rho in zip(values, rhos):
+        if rho <= 1.0:
+            raise DegenerateSnr(f"rho = 10**(rho_db/10) must exceed 1, got {rho!r} "
+                                f"at rho_db {db!r}")
+    return rhos
 
 
 class ValidatedRecord:
@@ -129,10 +153,6 @@ class AlphaMatrix(ValidatedRecord, _AlphaMatrix):
                 if x < 0.0:
                     raise ValidationError(f"alpha[{j}][{i}] must be >= 0, got {x!r}")
         return tuple.__new__(cls, (rows,))
-
-    @classmethod
-    def from_rows(cls, rows) -> "AlphaMatrix":
-        return cls(tuple(tuple(row) for row in rows))
 
     def entry(self, j: int, i: int) -> float:
         """Exponent of the link from transmitter i to receiver j (1-based)."""
@@ -252,8 +272,22 @@ def screened_first(screened: np.ndarray, exact, lowest: bool) -> np.ndarray:
     rows, items = near.nonzero()
     values = np.full(screened.shape, sign * np.inf)
     values[rows, items] = exact(rows, items)
-    first = values.argmin(axis=1) if lowest else values.argmax(axis=1)
-    return values[np.arange(len(values)), first]
+    return first_extremum(values, lowest)
+
+
+def first_extremum(profiles: np.ndarray, lowest: bool) -> np.ndarray:
+    """Each row's first minimum (lowest) or first maximum of an (n, m)
+    profile, the entry first_best picks from the row's (k, value) pairs."""
+    import numpy as np
+    first = profiles.argmin(axis=1) if lowest else profiles.argmax(axis=1)
+    return profiles[np.arange(len(profiles)), first]
+
+
+def first_best(per_item, lowest: bool):
+    """The first (item, value) pair of per_item with the least (lowest) or
+    the greatest value: a later equal value, -0.0 after 0.0 among them,
+    does not replace it, as first_extremum picks in a row."""
+    return (min if lowest else max)(per_item, key=operator.itemgetter(1))
 
 
 class _ChannelScenario(NamedTuple):
@@ -412,13 +446,13 @@ def scenario_from_dict(payload) -> ChannelScenario:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed gains grid: {exc}") from None
         return ChannelScenario(rho=rho, gains=gains)
+    # A list first: AlphaMatrix would wrap _wire_number's ValidationError.
     try:
-        alpha = AlphaMatrix.from_rows(
-            [_wire_number(x, f"alpha[{j}][{i}]") for i, x in enumerate(row, start=1)]
-            for j, row in enumerate(payload["alpha"], start=1))
+        rows = [[_wire_number(x, f"alpha[{j}][{i}]") for i, x in enumerate(row, start=1)]
+                for j, row in enumerate(payload["alpha"], start=1)]
     except TypeError as exc:
         raise ValidationError(f"malformed alpha grid: {exc}") from None
-    return ChannelScenario(rho=rho, alpha=alpha)
+    return ChannelScenario(rho=rho, alpha=AlphaMatrix(rows))
 
 
 def load_scenario(path) -> ChannelScenario:

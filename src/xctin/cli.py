@@ -15,14 +15,14 @@ import io
 import json
 import math
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .achievability import tdma_tin_gdof, tdma_tin_rate
 from .bounds import gdof_ub, sum_capacity_ub
-from .channel import (AlphaMatrix, check_exponent_range, load_scenario,
-                      rho_from_db, validate_scenario)
-from .errors import DegenerateSnr, UnsupportedFormat, ValidationError
+from .channel import (AlphaMatrix, check_exponent_range, load_scenario, rhos_from_db,
+                      validate_scenario)
+from .errors import UnsupportedFormat, ValidationError
 from .regime import classify
 from .tables import Coded, Table
 
@@ -95,7 +95,6 @@ def _json_cell(v) -> str:
 
 # Rows per piece of a table's text.
 _JOIN_ROWS = 1024
-_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 # The table writer from here to _json_records imports numpy when called; a
@@ -153,12 +152,9 @@ def _layout() -> _Layout:
 
 def _python_floats(x: np.ndarray, as_json: np.ndarray) -> list[bytes]:
     """The texts of the cells that _float_texts leaves to Python's own
-    formatting: format(v, ".12g"), as _csv_cell writes a float, or where
-    as_json holds, the repr of its parse, with nan and inf named as
-    json.dumps names them, as _json_cell writes it."""
-    texts = map(format, x.tolist(), repeat(".12g"))
-    return [(_JSON_NAMES.get(t, repr(float(t))) if j else t).encode()
-            for t, j in zip(texts, as_json.tolist())]
+    formatting: _csv_cell's, or where as_json holds, _json_cell's."""
+    return [(_json_cell if j else _csv_cell)(v).encode()
+            for v, j in zip(x.tolist(), as_json.tolist())]
 
 
 def _digits(ax: np.ndarray):
@@ -312,20 +308,21 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
     gives each piece its cells as NUL-padded texts, so no text may hold a
     NUL (JSON texts never do, nor do the csv texts of numbers, bools and
     digit labels). A column's type picks its path: a Coded column's values
-    are formatted once by cell and taken by its codes; the "f" arrays, and
-    the "i" arrays of cells all below 10**12 in magnitude (exact as floats,
-    which _float_texts writes as str does), together by _float_texts,
-    floats in json as json does when as_json; any other column (a list,
-    such as a point command's, or a larger int array) cell by cell."""
+    are formatted once by cell and taken by its codes; the float arrays,
+    and the int arrays of cells all below 10**12 in magnitude (exact as
+    floats, which _float_texts writes as str does), together by
+    _float_texts, floats in json as json does when as_json; any other
+    column (a list, such as a point command's, or a larger int array) cell
+    by cell."""
     import numpy as np
     n = len(table)
     coded, plain, numbers, layouts = {}, {}, {}, []
-    for j, (kind, col) in enumerate(zip(table.kinds, table.columns)):
+    for j, col in enumerate(table.columns):
+        kind = col.dtype.kind if isinstance(col, np.ndarray) else None
         if isinstance(col, Coded):
             coded[j] = _cell_texts(col.values, cell), col.codes
         # compared as floats, since np.abs of int64 -2**63 wraps to itself
-        elif isinstance(col, np.ndarray) and (
-                kind == "f" or (kind == "i" and (np.abs(col.astype(float)) < 1e12).all())):
+        elif kind == "f" or (kind == "i" and (np.abs(col.astype(float)) < 1e12).all()):
             numbers[j] = col
             layouts.append(as_json and kind == "f")
         else:
@@ -409,7 +406,7 @@ def _resolve_alpha(inv: CliInvocation):
         return validate_scenario(scenario), scenario.rho
     if inv.alpha is None:
         raise ValidationError("this command needs --scenario or --alpha")
-    alpha = AlphaMatrix.from_rows((inv.alpha[:3], inv.alpha[3:]))
+    alpha = AlphaMatrix((inv.alpha[:3], inv.alpha[3:]))
     check_exponent_range(alpha)
     return alpha, None
 
@@ -421,16 +418,7 @@ def _single_rho(inv: CliInvocation, scenario_rho: float | None) -> float:
         return scenario_rho
     if inv.rho_db is None or len(inv.rho_db) != 1:
         raise ValidationError("this command needs exactly one --rho-db value")
-    return _rho_list_from_db(inv.rho_db)[0]
-
-
-def _rho_list_from_db(values) -> tuple[float, ...]:
-    rhos = tuple(rho_from_db(db) for db in values)
-    for db, rho in zip(values, rhos):
-        if rho <= 1.0:
-            raise DegenerateSnr(f"rho = 10**(rho_db/10) must exceed 1, got {rho!r} "
-                                f"at rho_db {db!r}")
-    return rhos
+    return rhos_from_db(inv.rho_db)[0]
 
 
 # ---------------------------------------------------------------- command handlers
@@ -452,7 +440,7 @@ def _cmd_eval(inv: CliInvocation):
     }
     columns = ("rho", "rate_bits", "rate_argmax", "ub_bits", "ub_argmin", "gap_bits")
     rows = [(rho, rate.value, rate.argmax.label(), ub.value, ub.argmin.label(), gap)]
-    return Report(doc, Table.from_rows(columns, "ffsfsf", rows))
+    return Report(doc, Table.from_rows(columns, rows))
 
 
 def _cmd_classify(inv: CliInvocation):
@@ -472,7 +460,7 @@ def _cmd_classify(inv: CliInvocation):
     rows = [(verdict.in_extended, verdict.in_gsj, verdict.gdof_value,
              we.label() if we is not None else None,
              wg.label() if wg is not None else None)]
-    return Report(doc, Table.from_rows(columns, "bbgss", rows))
+    return Report(doc, Table.from_rows(columns, rows))
 
 
 def _profile_report(doc: dict, per_perm, key: str) -> Report:
@@ -480,7 +468,7 @@ def _profile_report(doc: dict, per_perm, key: str) -> Report:
     object per ordering, and the table is its (perm label, value) rows."""
     doc["per_perm"] = [{"perm": list(p.as_tuple()), key: v} for p, v in per_perm]
     rows = [(p.label(), v) for p, v in per_perm]
-    return Report(doc, Table.from_rows(("perm", key), "sf", rows))
+    return Report(doc, Table.from_rows(("perm", key), rows))
 
 
 def _cmd_bound(inv: CliInvocation):
@@ -526,7 +514,7 @@ def _cmd_sweep(inv: CliInvocation):
 def _cmd_gap_audit(inv: CliInvocation):
     from . import experiments
     n = inv.n if inv.n is not None else 1000
-    rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (20.0, 40.0, 60.0))
+    rhos = rhos_from_db(inv.rho_db if inv.rho_db is not None else (20.0, 40.0, 60.0))
     report, rows = experiments.gap_audit_with_rows(n, rhos, inv.seed,
                                                    beta_free=not inv.fixed_family)
     summary = {"command": "gap-audit", "generator": experiments.GENERATOR_ID,
@@ -542,7 +530,7 @@ def _cmd_gap_audit(inv: CliInvocation):
 def _cmd_sandwich_audit(inv: CliInvocation):
     from . import experiments
     n = inv.n if inv.n is not None else 10000
-    rhos = _rho_list_from_db(inv.rho_db) if inv.rho_db is not None else None
+    rhos = rhos_from_db(inv.rho_db) if inv.rho_db is not None else None
     report, rows = experiments.sandwich_audit_with_rows(n, rhos, inv.seed)
     rate_tol, gdof_tol = experiments.SANDWICH_RATE_TOL_BITS, experiments.SANDWICH_GDOF_TOL
     summary = {
@@ -565,7 +553,7 @@ def _cmd_sandwich_audit(inv: CliInvocation):
 def _cmd_converge(inv: CliInvocation):
     from . import experiments
     alpha, _ = _resolve_alpha(inv)
-    rhos = _rho_list_from_db(inv.rho_db if inv.rho_db is not None else (40.0, 60.0, 90.0))
+    rhos = rhos_from_db(inv.rho_db if inv.rho_db is not None else (40.0, 60.0, 90.0))
     probe = experiments.gdof_convergence_probe(alpha, rhos)
     rows = [(r.rho, r.rate_norm, r.ub_norm, r.d_tt, r.d_ub) for r in probe]
     summary = {
@@ -585,7 +573,7 @@ def _cmd_converge(inv: CliInvocation):
         r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
         failure = (f"normalized bound is below the normalized rate by "
                    f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
-    return Report(summary, Table.from_rows(experiments.CONVERGE_COLUMNS, "fffff", rows), failure)
+    return Report(summary, Table.from_rows(experiments.CONVERGE_COLUMNS, rows), failure)
 
 
 class Command(NamedTuple):
@@ -738,8 +726,6 @@ def _parse_float_list(text: str, flag: str) -> tuple[float, ...]:
         values = tuple(float(part) for part in text.split(","))
     except ValueError:
         raise ValidationError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValidationError(f"{flag} must not be empty")
     return values
 
 

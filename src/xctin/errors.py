@@ -6,7 +6,8 @@ class ValidationError(ValueError):
 
 
 class DegenerateSnr(ValidationError):
-    """Transmit SNR rho <= 1, where the exponent parametrization collapses."""
+    """A transmit SNR that channel.check_rho or channel.rhos_from_db rejects,
+    where the exponent parametrization collapses."""
 
 
 class NotInterferenceLimited(ValidationError):

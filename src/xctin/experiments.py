@@ -20,7 +20,7 @@ from .achievability import (IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof,
                             tdma_tin_gdof_profiles, tdma_tin_rate, tdma_tin_rate_max)
 from .bounds import (PERMUTATIONS, _gdof_links, gdof_ub, gdof_ub_profiles,
                      sum_capacity_ub, sum_capacity_ub_min)
-from .channel import MAX_RHO_DB, AlphaMatrix, libm_pow, rho_from_db
+from .channel import AlphaMatrix, check_rhos, first_extremum, libm_pow
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
@@ -46,9 +46,6 @@ CONVERGE_COLUMNS = ("rho", "rate_norm", "ub_norm", "d_tt", "d_ub")
 # 0.47500000000000003 > 1 - 0.525) and would leave the regime whole; 1e-12
 # covers that and stays far below any step the grid cap allows.
 SWEEP_GRID_SLACK = 1e-12
-# Largest SNR the audits accept, as for the CLI's --rho-db: above it the rate
-# and the bound overflow for exponents up to channel.DEFAULT_ALPHA_CAP.
-_RHO_CAP = rho_from_db(MAX_RHO_DB)
 # The exponent box of the audits' draws: each entry of a grid uniform on
 # (0, 2], within the exponent cap.
 AUDIT_BOX = (0.0, 2.0)
@@ -211,7 +208,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     d_ub, ext, gsj = np.minimum(d_ub, d_ub.T), np.minimum(ext, ext_partner.T), gsj | gsj.T
     points, index = axis.tolist(), np.arange(side, dtype=np.uint16)
     flags = (Coded((False, True), w.ravel().view(np.int8)) for w in (ext < none, gsj))
-    return Table(SWEEP_COLUMNS, "ffbbffs", (
+    return Table(SWEEP_COLUMNS, (
         Coded(points, np.repeat(index, side)), Coded(points, np.tile(index, side)), *flags,
         d_tt, _coded_floats(d_ub.ravel()),
         Coded(_WITNESS_LABELS, ext.ravel())), SweepRecord)
@@ -252,16 +249,6 @@ def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> s
         return None
     i = int(bad.argmax())
     return f"regime geometry violated at ({a21[i]:.12g}, {a12[i]:.12g})"
-
-
-def _first_min(profiles: np.ndarray) -> np.ndarray:
-    """Each row's first minimum, as bounds._first_min picks it."""
-    return np.take_along_axis(profiles, profiles.argmin(axis=1)[:, None], axis=1)[:, 0]
-
-
-def _first_max(profiles: np.ndarray) -> np.ndarray:
-    """Each row's first maximum, as achievability._first_max picks it."""
-    return np.take_along_axis(profiles, profiles.argmax(axis=1)[:, None], axis=1)[:, 0]
 
 
 def _coded_floats(x: np.ndarray) -> Coded:
@@ -319,14 +306,6 @@ def _check_n(n) -> int:
     if count < 1:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     return count
-
-
-def _check_rhos(rho_list) -> tuple[float, ...]:
-    rhos = tuple(float(r) for r in rho_list)
-    if not rhos or any(not 1.0 < r <= _RHO_CAP for r in rhos):
-        raise ValidationError(f"every rho must satisfy 1 < rho <= {_RHO_CAP!r} "
-                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_list!r}")
-    return rhos
 
 
 def _box_grids(u: np.ndarray) -> np.ndarray:
@@ -412,14 +391,14 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True):
     draw-major order. A gap above 7 bits is reported, never raised: the
     7-bit claim is exactly what the audit is for.
     """
-    rhos = _check_rhos(rho_list)
+    rhos = check_rhos(rho_list)
     width, to_grids = (6, _box_grids) if beta_free else (3, _symmetric_grids)
     grids = _sample_blocks(n, _generator(seed), width, to_grids, SAMPLER_EXHAUSTION_WINDOW)
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gap = ub - rate
-    rows = Table(GAP_COLUMNS, "iffff", (np.repeat(np.arange(n), k),
-                                        Coded(rhos, np.tile(np.arange(k), n)), gap, ub, rate))
+    rows = Table(GAP_COLUMNS, (np.repeat(np.arange(n), k),
+                               Coded(rhos, np.tile(np.arange(k), n)), gap, ub, rate))
     # ndarray.argmax stops at the first NaN, so a NaN gap is the maximum
     # and fails the audit; builtin max would drop one that is not first.
     first = int(gap.argmax())
@@ -458,7 +437,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0):
     one draw at a time.
     """
     n = _check_n(n)
-    rhos = _check_rhos(rho_list) if rho_list is not None else None
+    rhos = check_rhos(rho_list) if rho_list is not None else None
     lg_lo, lg_hi = map(math.log10, SANDWICH_RHO_RANGE)
     rng = _generator(seed)
 
@@ -471,8 +450,8 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0):
         else:
             sample_rhos = np.broadcast_to(rhos, (m, len(rhos)))
         k = sample_rhos.shape[1]
-        d_tt = _first_max(tdma_tin_gdof_profiles(grids))
-        d_ub = _first_min(gdof_ub_profiles(grids))
+        d_tt = first_extremum(tdma_tin_gdof_profiles(grids), lowest=False)
+        d_ub = first_extremum(gdof_ub_profiles(grids), lowest=True)
         columns = (np.repeat(sample, k), *_rates_and_bounds(grids, sample_rhos),
                    np.repeat(d_tt, k), np.repeat(d_ub, k))
         # The drawn SNRs are a column of their own; listed ones are Coded.
@@ -489,7 +468,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0):
         max_gdof_violation=float((d_tt - d_ub).max()),
     )
     rho = drawn[0] if rhos is None else Coded(rhos, np.tile(np.arange(len(rhos)), n))
-    return report, Table(SANDWICH_COLUMNS, "ifffff", (sample, rho, rate, ub, d_tt, d_ub))
+    return report, Table(SANDWICH_COLUMNS, (sample, rho, rate, ub, d_tt, d_ub))
 
 
 def sandwich_audit(n: int, rho_list=None, seed: int = 0) -> SandwichReport:
@@ -505,7 +484,7 @@ def gdof_convergence_probe(alpha: AlphaMatrix, rho_list) -> list[ConvergenceRow]
     approach; the normalized rate stays within 2/log2(rho) of the achievable
     GDoF on both sides.
     """
-    rhos = _check_rhos(rho_list)
+    rhos = check_rhos(rho_list)
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValidationError("rho values must be strictly increasing")
     d_tt = tdma_tin_gdof(alpha).value

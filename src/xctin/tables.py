@@ -52,31 +52,27 @@ class Coded:
 
 
 class Table:
-    """A table command's records as equal-length columns, one kind per column.
+    """A table command's records as equal-length columns.
 
-    kinds has one letter per column: "i" int, "f" float, "b" bool, "s" a
-    digit-only label or None, "g" any other cell (such as a float or None),
-    written one at a time as untyped rows are. A column is a Coded column
-    when its producer knows that it repeats a few values, which the writer
-    then formats once each; an "f" or "i" column may be a 1-D float64 or
-    int64 array, which the writer formats with numpy; any column may be a
-    list, written cell by cell. len(), iteration and indexing see rows of
-    plain Python cells (an array column's through tolist() or item()), made
-    on demand: record(*row) when record is given, plain tuples otherwise;
-    == compares names, kinds and rows.
+    A column is a Coded column when its producer knows that it repeats a
+    few values, which the writer then formats once each; a 1-D float64 or
+    int64 array, which the writer formats with numpy; or a list, written
+    cell by cell. len(), iteration and indexing see rows of plain Python
+    cells (an array column's through tolist() or item()), made on demand:
+    record(*row) when record is given, plain tuples otherwise; == compares
+    names and rows.
     """
 
-    __slots__ = ("names", "kinds", "columns", "record")
+    __slots__ = ("names", "columns", "record")
 
-    def __init__(self, names, kinds: str, columns, record=None):
+    def __init__(self, names, columns, record=None):
         self.names = tuple(names)
-        self.kinds = kinds
         self.columns = tuple(columns)
         self.record = record
 
     @classmethod
-    def from_rows(cls, names, kinds: str, rows, record=None) -> "Table":
-        return cls(names, kinds, [list(c) for c in zip(*rows)] or [[] for _ in names], record)
+    def from_rows(cls, names, rows, record=None) -> "Table":
+        return cls(names, [list(c) for c in zip(*rows)] or [[] for _ in names], record)
 
     def __len__(self) -> int:
         return len(self.columns[0])
@@ -90,5 +86,4 @@ class Table:
         return row if self.record is None else self.record(*row)
 
     def __eq__(self, other):
-        return isinstance(other, Table) and (self.names, self.kinds) == (
-            other.names, other.kinds) and list(self) == list(other)
+        return isinstance(other, Table) and self.names == other.names and list(self) == list(other)

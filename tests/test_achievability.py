@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from xctin.achievability import (IC_CONFIGS, IcConfig, enumerate_ic_configs,
-                                 tdma_tin_gdof, tdma_tin_gdof_config,
+from xctin.achievability import (IC_CONFIGS, IcConfig, tdma_tin_gdof, tdma_tin_gdof_config,
                                  tdma_tin_rate, tin_sum_rate)
 from xctin.channel import AlphaMatrix
 from xctin.errors import ValidationError
@@ -22,7 +21,7 @@ alpha_grids = st.builds(
 
 
 def test_enumerate_six_canonical_configs():
-    configs = enumerate_ic_configs()
+    configs = IC_CONFIGS
     assert len(configs) == 6
     assert len(set(configs)) == 6
     assert IcConfig(1, 2, 1, 2) in configs

@@ -19,7 +19,8 @@ sampler's extended-only test their verdicts and those of the conditions
 written out, also on grids sitting exactly on a regime boundary (with the
 threshold tied to u2 and signed zeros) and on points of the sweep family.
 The audits' screened kernels must return the first extremum of the libm profiles, bit
-for bit, also on exact ties, at the largest SNR and on non-finite rows.
+for bit, also on exact ties, at the largest SNR and on non-finite rows, and
+the scalar first-extremum pick the entry the block one picks.
 libm_pow itself must be builtin pow, bit for bit and in its overflow.
 """
 
@@ -39,10 +40,9 @@ from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof,
 from xctin.bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
                           sum_capacity_ub, sum_capacity_ub_min,
                           sum_capacity_ub_profiles)
-from xctin.channel import (DEFAULT_ALPHA_CAP, SCREEN_MARGIN, AlphaMatrix,
-                           libm_pow, link_columns)
-from xctin.experiments import (_RHO_CAP, BLOCK_ROWS, SWEEP_GRID_SLACK,
-                               _first_max, _first_min)
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, SCREEN_MARGIN, AlphaMatrix,
+                           first_best, first_extremum, libm_pow, link_columns)
+from xctin.experiments import BLOCK_ROWS, SWEEP_GRID_SLACK
 from xctin.regime import (_in_extended_rows, in_extended_regime, in_gsj_regime, psi,
                           regime_witnesses)
 
@@ -229,10 +229,26 @@ def test_kernels_equal_the_scalar_api_on_a_seeded_corpus():
         a = 2.0 * rng.random((8192, 6))
         rho = 10.0 ** rng.uniform(0.01, 30.0, len(a))
         r = libm_pow(rho[:, None], a)
-        np.testing.assert_array_equal(sum_capacity_ub_min(a, rho, r),
-                                      _first_min(sum_capacity_ub_profiles(a, rho)), strict=True)
-        np.testing.assert_array_equal(tdma_tin_rate_max(r),
-                                      _first_max(tdma_tin_rate_profiles(a, rho)), strict=True)
+        np.testing.assert_array_equal(
+            sum_capacity_ub_min(a, rho, r),
+            first_extremum(sum_capacity_ub_profiles(a, rho), lowest=True), strict=True)
+        np.testing.assert_array_equal(
+            tdma_tin_rate_max(r),
+            first_extremum(tdma_tin_rate_profiles(a, rho), lowest=False), strict=True)
+
+
+@given(rows=st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), min_size=1, max_size=12)
+       .flatmap(lambda row: st.lists(st.permutations(row), min_size=1, max_size=8)))
+@example(rows=[[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [1.0, -1.0, -1.0], [-1.0, 1.0, 1.0]])
+def test_scalar_and_block_first_extremum_pick_the_same_entry(rows):
+    # Rows of a few values, so with ties, signed zeros side by side and
+    # equal values at different positions. The first position equal to the
+    # block pick is its index, and its sign is the pick's.
+    for lowest in (True, False):
+        for row, want in zip(rows, first_extremum(np.array(rows), lowest).tolist()):
+            k, v = first_best(list(enumerate(row)), lowest)
+            assert k == row.index(want)
+            assert _bits(v) == _bits(want)
 
 
 # Exponents at the edges of the audits' boxes and of the input cap.
@@ -260,7 +276,7 @@ def screen_blocks(draw):
     a, rho = draw(blocks(tied_grids(), st.lists(st.sampled_from(EDGES), min_size=6,
                                                 max_size=6)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rho[(rng.random(len(rho)) < 0.25) & (a.max(axis=1) <= DEFAULT_ALPHA_CAP)] = _RHO_CAP
+    rho[(rng.random(len(rho)) < 0.25) & (a.max(axis=1) <= DEFAULT_ALPHA_CAP)] = MAX_RHO
     if rng.random() < 0.5:
         a[rng.integers(len(a)), rng.integers(6)] = (math.nan, math.inf)[rng.integers(2)]
     return a, rho
@@ -272,8 +288,10 @@ def test_screened_extrema_equal_the_libm_profiles(case):
     a, rho = case
     r = libm_pow(rho[:, None], a)
     with np.errstate(invalid="ignore"):  # inf * 0 on an infinite exponent
-        ub, want_ub = sum_capacity_ub_min(a, rho, r), _first_min(sum_capacity_ub_profiles(a, rho))
-        rate, want_rate = tdma_tin_rate_max(r), _first_max(tdma_tin_rate_profiles(a, rho))
+        ub = sum_capacity_ub_min(a, rho, r)
+        want_ub = first_extremum(sum_capacity_ub_profiles(a, rho), lowest=True)
+        rate = tdma_tin_rate_max(r)
+        want_rate = first_extremum(tdma_tin_rate_profiles(a, rho), lowest=False)
     # Exact equality, with NaN equal to NaN.
     np.testing.assert_array_equal(ub, want_ub, strict=True)
     np.testing.assert_array_equal(rate, want_rate, strict=True)
@@ -283,8 +301,8 @@ def test_screened_extrema_equal_the_libm_profiles(case):
 def test_screen_misses_libm_by_far_less_than_its_margin(box):
     rng = np.random.default_rng(7)
     a = box * rng.random((4096, 6))
-    rho = 10.0 ** rng.uniform(0.01, math.log10(_RHO_CAP), len(a))
-    rho[:256] = _RHO_CAP
+    rho = 10.0 ** rng.uniform(0.01, math.log10(MAX_RHO), len(a))
+    rho[:256] = MAX_RHO
     r = libm_pow(rho[:, None], a)
     screened_ub = bounds._bound_links(
         link_columns(a, bounds._PERM_LINKS), link_columns(r, bounds._PERM_LINKS),
@@ -306,9 +324,9 @@ def test_libm_pow_is_builtin_pow_bit_for_bit():
     # machines, so swapping it in fails here.
     rng = np.random.default_rng(14)
     n = 60_000
-    lg_cap = math.log10(_RHO_CAP)
-    base = np.concatenate((1.0 + (_RHO_CAP - 1.0) * rng.random(n),
-                           10.0 ** (lg_cap * (1.0 - rng.random(n))), [_RHO_CAP] * 4096))
+    lg_cap = math.log10(MAX_RHO)
+    base = np.concatenate((1.0 + (MAX_RHO - 1.0) * rng.random(n),
+                           10.0 ** (lg_cap * (1.0 - rng.random(n))), [MAX_RHO] * 4096))
     specials = np.array([0.0, -0.0, math.inf, -math.inf, math.nan]
                         + [k / 8 for k in range(-16, 33)])
     expo = rng.uniform(-2.0 * DEFAULT_ALPHA_CAP, DEFAULT_ALPHA_CAP, len(base))

@@ -7,9 +7,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
-from xctin.bounds import (PERMUTATIONS, TxPermutation, _max3, enumerate_permutations,
-                          gdof_ub, gdof_ub_case1, gdof_ub_case2,
-                          gdof_ub_single, genie_params,
+from xctin.bounds import (PERMUTATIONS, TxPermutation, _max3, gdof_ub, gdof_ub_case1,
+                          gdof_ub_case2, gdof_ub_single, genie_params,
                           genie_params_from_gains, sum_capacity_ub,
                           sum_capacity_ub_single)
 from xctin.channel import (AlphaMatrix, ChannelScenario, rho_from_db, scalar_where,
@@ -33,7 +32,7 @@ perms = st.sampled_from(PERMUTATIONS)
 
 
 def test_enumerate_twelve_permutations():
-    ps = enumerate_permutations()
+    ps = PERMUTATIONS
     assert len(ps) == 12
     assert len(set(ps)) == 12
     assert TxPermutation(1, 2, 3, 1, 2) in ps

@@ -110,7 +110,7 @@ def test_rho_from_db_rejects_non_finite_and_above_maximum(db):
 @given(alpha=st.lists(st.floats(0.0, DEFAULT_ALPHA_CAP), min_size=6, max_size=6))
 @example(alpha=[DEFAULT_ALPHA_CAP] * 6)
 def test_rate_and_bound_finite_at_the_maximum_snr(alpha):
-    grid = AlphaMatrix.from_rows((alpha[:3], alpha[3:]))
+    grid = AlphaMatrix((alpha[:3], alpha[3:]))
     rho = rho_from_db(MAX_RHO_DB)
     assert math.isfinite(sum_capacity_ub(rho, grid).value - tdma_tin_rate(rho, grid).value)
 
@@ -365,7 +365,7 @@ def test_scenario_from_dict_takes_ints_and_floats():
     s = scenario_from_dict({"rho_db": 30, "gains": [[[1, 0]] * 3, [[0, 1.5]] * 3]})
     assert s.gains[1][0] == 1.5j
     # The Python API still converts what float() takes.
-    assert AlphaMatrix.from_rows([[True, "0.5", 1], [1] * 3]).flat()[:2] == (1.0, 0.5)
+    assert AlphaMatrix([[True, "0.5", 1], [1] * 3]).flat()[:2] == (1.0, 0.5)
 
 
 def test_load_scenario_round_trip(tmp_path):

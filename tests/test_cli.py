@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 
@@ -14,8 +15,9 @@ from hypothesis import strategies as st
 
 from xctin import cli, experiments
 from xctin.cli import CliInvocation, emit_report, main, run
-from xctin.channel import MAX_RHO_DB, AlphaMatrix
-from xctin.errors import UnsupportedFormat
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix, check_rhos,
+                           check_snr, rhos_from_db)
+from xctin.errors import UnsupportedFormat, ValidationError
 from xctin.experiments import GAP_COLUMNS, GapReport, Table
 
 FIG_SCENARIO = {"rho_db": 40, "alpha": [[1, 0.2, 0.75], [0.4, 1, 0.75]]}
@@ -301,7 +303,7 @@ def test_gap_audit_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                          all_within_7=False, seed=0)
     monkeypatch.setattr(experiments, "gap_audit_with_rows",
                         lambda *a, **k: (doctored, Table.from_rows(
-                            GAP_COLUMNS, "iffff", [(0, 100.0, 8.5, 10.0, 1.5)])))
+                            GAP_COLUMNS, [(0, 100.0, 8.5, 10.0, 1.5)])))
     assert main(["gap-audit", "--n", "1"]) == 3
     # the finding is still reported, not swallowed
     captured = capsys.readouterr()
@@ -558,6 +560,39 @@ def test_snr_whose_rho_is_not_above_1_exits_2_naming_rho(capsys, argv, db):
     assert captured.out == ""
     assert captured.err == (f"error: rho = 10**(rho_db/10) must exceed 1, got "
                             f"{10.0 ** (db / 10.0)!r} at rho_db {db!r}\n")
+
+
+@pytest.mark.parametrize("argv, flag, text", [
+    (["eval", "--alpha", "", "--rho-db", "20"], "--alpha", ""),
+    (["eval", "--alpha", FIG_ALPHA, "--rho-db", ""], "--rho-db", ""),
+    (["eval", "--alpha", FIG_ALPHA, "--rho-db", "20,"], "--rho-db", "20,"),
+])
+def test_empty_number_list_or_item_exits_2(capsys, argv, flag, text):
+    # float("") raises, so an empty list fails as an empty item does.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} expects comma-separated numbers, got {text!r}\n"
+
+
+def test_every_layer_admits_the_same_largest_snr(capsys):
+    # The audits' check_rhos, the scalar API's check_snr at the exponent
+    # cap and the CLI's --rho-db accept MAX_RHO and reject the next double
+    # up, at which check_snr still admits a lower exponent, as its power
+    # rule says.
+    assert rhos_from_db((MAX_RHO_DB,)) == check_rhos((MAX_RHO,)) == (MAX_RHO,)
+    assert check_snr(MAX_RHO, (DEFAULT_ALPHA_CAP,)) == MAX_RHO
+    assert main(["eval", "--alpha", "4,4,4,4,4,4", "--rho-db", repr(MAX_RHO_DB)]) == 0
+    above = math.nextafter(MAX_RHO, math.inf)
+    with pytest.raises(ValidationError, match=f"{MAX_RHO_DB:.6g} dB"):
+        check_rhos((above,))
+    with pytest.raises(ValidationError, match="overflows"):
+        check_snr(above, (DEFAULT_ALPHA_CAP,))
+    assert check_snr(above, (2.0,)) == above
+    capsys.readouterr()
+    assert main(["eval", "--alpha", FIG_ALPHA, "--rho-db", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: rho = 10**(rho_db/10) must exceed 1, got 1.0 at rho_db 0.0\n"
 
 
 def test_scenario_snr_above_maximum_exits_2(tmp_path, capsys):

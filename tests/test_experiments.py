@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from xctin import achievability, bounds, experiments, regime
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
 from xctin.bounds import gdof_ub, sum_capacity_ub
-from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, libm_log2,
-                           libm_pow, rho_from_db)
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix,
+                           first_extremum, libm_log2, libm_pow)
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
@@ -128,7 +128,7 @@ def test_sweep_audit_checks_inclusion_and_gdof_equality():
              "GDoF equality violated at (0, 0): d_tt 2, gdof_ub 2.00000000001")):
         broken = list(records)
         broken[idx] = records[idx]._replace(**change)
-        broken = Table.from_rows(records.names, records.kinds, broken, SweepRecord)
+        broken = Table.from_rows(records.names, broken, SweepRecord)
         assert sweep_audit_failure(broken, 0.75, 0.25, 0.0) == failure
         # Tolerance > 0 skips only the geometry, never these two checks.
         assert sweep_audit_failure(broken, 0.75, 0.25, 1e-6) == failure
@@ -164,8 +164,9 @@ def test_sweep_broadcast_matches_the_block_kernels_on_grid_rows(beta, step, tol)
     assert _signed(a21) == _signed(grids[:, 3].tolist())
     assert _signed(a12) == _signed(grids[:, 1].tolist())
     assert _signed(d_tt) == _signed(
-        experiments._first_max(achievability.tdma_tin_gdof_profiles(grids)).tolist())
-    assert _signed(d_ub) == _signed(experiments._first_min(bounds.gdof_ub_profiles(grids)).tolist())
+        first_extremum(achievability.tdma_tin_gdof_profiles(grids), lowest=False).tolist())
+    assert _signed(d_ub) == _signed(
+        first_extremum(bounds.gdof_ub_profiles(grids), lowest=True).tolist())
     assert (ext, gsj) == ((want_ext >= 0).tolist(), (want_gsj >= 0).tolist())
     assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
 
@@ -188,8 +189,8 @@ def _profile_reduction(axis, beta, tol):
         ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK,
                                                          np.where, np.maximum)
     rows = side * side
-    return (experiments._first_max(d_tt.reshape(rows, -1)),
-            experiments._first_min(d_ub.reshape(rows, -1)),
+    return (first_extremum(d_tt.reshape(rows, -1), lowest=False),
+            first_extremum(d_ub.reshape(rows, -1), lowest=True),
             regime._first_true(ext.reshape(rows, -1)), regime._first_true(gsj.reshape(rows, -1)))
 
 
@@ -654,7 +655,7 @@ def test_sandwich_audit_rejects_bad_rho_range(rho_range):
     with pytest.raises(TypeError):
         sandwich_audit(5, seed=1, rho_range=rho_range)
     lo, hi = SANDWICH_RHO_RANGE
-    assert 1.0 < lo < hi <= rho_from_db(MAX_RHO_DB)
+    assert 1.0 < lo < hi <= MAX_RHO
     assert sandwich_audit(5, seed=1).rho_range == (10.0, 1e9)
 
 
@@ -675,7 +676,7 @@ def test_audits_reject_box_above_the_exponent_cap(box):
 
 def test_audits_reject_snr_above_the_cap():
     # Both used to end in OverflowError from libm_pow.
-    cap = rho_from_db(MAX_RHO_DB)
+    cap = MAX_RHO
     above = math.nextafter(cap, math.inf)
     for call in (lambda: gap_audit(5, (1e300,), seed=1),
                  lambda: gap_audit(5, (1e2, above), seed=1),

@@ -25,7 +25,8 @@ from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, Coded, SweepRecord,
 FIG_ALPHA = (1.0, 0.2, 0.75, 0.4, 1.0, 0.75)
 
 # One small invocation of every command; their reports give each table's
-# column names and kinds as the commands declare them.
+# column names, and the cell types of its first row a generator letter per
+# column (below).
 _INVOCATIONS = (
     CliInvocation("eval", alpha=FIG_ALPHA, rho_db=(40.0,)),
     CliInvocation("classify", alpha=FIG_ALPHA),
@@ -36,9 +37,6 @@ _INVOCATIONS = (
     CliInvocation("sandwich-audit", n=2),
     CliInvocation("converge", alpha=FIG_ALPHA, rho_db=(40.0, 60.0)),
 )
-SCHEMAS = sorted({(t.names, t.kinds) for t in
-                  (cli.COMMANDS[inv.command].handler(inv).table for inv in _INVOCATIONS)})
-
 SPECIAL_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
                   1.0 / 3.0, 1e308, 12345678901234.5, 1e-300)
 CELLS = {
@@ -48,10 +46,16 @@ CELLS = {
     "s": st.one_of(st.none(), st.from_regex(r"[0-9]{1,6}", fullmatch=True)),
     "g": st.one_of(st.none(), st.sampled_from(SPECIAL_FLOATS), st.floats()),
 }
+# The letter of a first-row cell's type: "i" int, "f" float, "b" bool, "s" a
+# digit-only label or None, and "g" a float or None for a None cell (a
+# certified GDoF outside a regime is one, so is a missing witness).
+_LETTERS = {int: "i", float: "f", bool: "b", str: "s", type(None): "g"}
+SCHEMAS = sorted({(t.names, "".join(_LETTERS[type(v)] for v in t[0])) for t in
+                  (cli.COMMANDS[inv.command].handler(inv).table for inv in _INVOCATIONS)})
 SUMMARIES = (
     {},
     {"command": "sweep", "beta": 0.75, "n_records": 3, "range_max": 1.0 / 3.0},
-    {"rho_list": [1e2, math.inf], "argmax_alpha": AlphaMatrix.from_rows(
+    {"rho_list": [1e2, math.inf], "argmax_alpha": AlphaMatrix(
         (FIG_ALPHA[:3], FIG_ALPHA[3:])), "rho_range": None, "ok": True, "text": "a\nb"},
 )
 
@@ -66,7 +70,7 @@ INT64_CELLS = st.one_of(st.integers(-10**12 + 1, 10**12 - 1), st.integers(-2**63
 def tables(draw):
     """A table of one command's schema. Each column either repeats a few
     drawn cells or, for floats, holds distinct values mixed with them. A
-    column is a list, or for kinds f and i either a list or a float64 or
+    column is a list, or for letters f and i either a list or a float64 or
     int64 array."""
     names, kinds = draw(st.sampled_from(SCHEMAS))
     n = draw(st.sampled_from([0, 1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS + 1]))
@@ -82,7 +86,7 @@ def tables(draw):
         else:
             col = [rng.choice(pool) for _ in range(n)]
         columns.append(np.array(col, dtype=float if kind == "f" else np.int64) if array else col)
-    return Table(names, kinds, columns)
+    return Table(names, columns)
 
 
 @st.composite
@@ -101,7 +105,7 @@ def all_text_tables(draw):
         pool = draw(st.lists(st.one_of(st.none(), CELLS[kind]), min_size=1, max_size=6))
         col = Coded(pool, rng.integers(len(pool), size=n))
         columns.append(col if kind == "f" or all_coded or draw(st.booleans()) else list(col))
-    return Table(("flag", "label", "x", "y"), "bsff", columns)
+    return Table(("flag", "label", "x", "y"), columns)
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,8 +220,8 @@ def test_bench_sized_tables_rarely_leave_the_fast_path(monkeypatch):
     _, sandwich = experiments.sandwich_audit_with_rows(2500, None, 5)
     _, gap = experiments.gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
     for table, fmt in ((sandwich, "csv"), (gap, "json")):
-        floats = sum(len(col) for kind, col in zip(table.kinds, table.columns)
-                     if kind == "f" and not isinstance(col, Coded))
+        floats = sum(len(col) for col in table.columns
+                     if isinstance(col, np.ndarray) and col.dtype.kind == "f")
         slow.clear()
         emit_report(table if fmt == "csv" else {"records": table}, fmt)
         assert floats >= 6750 and sum(slow) <= floats / 1000
@@ -228,7 +232,7 @@ def test_bench_sized_tables_rarely_leave_the_fast_path(monkeypatch):
 def test_int_arrays_match_the_generic_paths_at_the_int64_extremes(cells):
     # np.abs(-2**63) wraps to itself, below 10**12: the formatter would
     # write it as a float.
-    table = Table(("sample", "x"), "if", (np.array(cells), np.array([0.5, -1.0])))
+    table = Table(("sample", "x"), (np.array(cells), np.array([0.5, -1.0])))
     rows = list(table)
     assert emit_report(table, "csv") == emit_report({"columns": table.names, "rows": rows}, "csv")
     want = json.dumps({"records": [dict(zip(table.names, row)) for row in rows]}, indent=2)
@@ -247,7 +251,8 @@ def test_audit_tables_hand_over_arrays_and_give_plain_rows():
     for table, again, other in zip(_audit_tables(3), _audit_tables(3), _audit_tables(4)):
         assert all(isinstance(col, np.ndarray)
                    for name, col in zip(table.names, table.columns) if name != "rho")
-        want = tuple(int if kind == "i" else float for kind in table.kinds)
+        want = tuple(int if np.asarray(col).dtype.kind == "i" else float
+                     for col in table.columns)
         rows, indexed = list(table), [table[i] for i in range(-len(table), len(table))]
         assert indexed == rows + rows
         assert all(tuple(map(type, row)) == want for row in indexed)
@@ -255,7 +260,7 @@ def test_audit_tables_hand_over_arrays_and_give_plain_rows():
         assert table == again and not table != again and table != other
         columns = [col.copy() if isinstance(col, np.ndarray) else col for col in table.columns]
         columns[2][5] = np.nextafter(columns[2][5], math.inf)
-        changed = Table(table.names, table.kinds, columns)
+        changed = Table(table.names, columns)
         assert changed != table and table != changed
 
 
@@ -322,7 +327,7 @@ _REPEATING_COLUMNS = [
 def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
     coded = _coded_floats(np.array(col))
     assert len(coded.values) == formatted
-    table = Table(("x", "k"), "fi", (coded, np.arange(len(col))))
+    table = Table(("x", "k"), (coded, np.arange(len(col))))
     want_csv = emit_report({"columns": table.names, "rows": list(zip(col, table.columns[1]))},
                            "csv")
     csv_cell = cli._csv_cell
@@ -361,7 +366,7 @@ def test_classify_outside_the_regime_writes_empty_cells(capsys):
 
 
 def test_empty_table_renders_header_and_empty_records():
-    table = Table(("a", "b"), "fb", ([], []))
+    table = Table(("a", "b"), ([], []))
     assert emit_report(table, "csv") == b"a,b\n"
     assert emit_report({"summary": {"n": 0}, "records": table}, "json") == \
         b'{\n  "summary": {\n    "n": 0\n  },\n  "records": []\n}\n'
@@ -426,7 +431,7 @@ def test_sweep_audit_names_the_same_first_offender_as_the_record_loop(
         else:
             change = {field: r.d_tt + delta}
         records[idx % len(records)] = r._replace(**change)
-    table = Table.from_rows(_sweep(beta, step).names, "ffbbffs", records, SweepRecord)
+    table = Table.from_rows(_sweep(beta, step).names, records, SweepRecord)
     beta_audited = beta if audit_beta is None else audit_beta
     assert sweep_audit_failure(table, beta_audited, step, tol) == \
         _reference_audit(records, beta_audited, step, tol)
