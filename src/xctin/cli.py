@@ -13,13 +13,12 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .achievability import tdma_tin_gdof, tdma_tin_rate
-from .bounds import gdof_ub, sum_capacity_ub
+from .achievability import IcConfig, tdma_tin_gdof, tdma_tin_rate
+from .bounds import TxPermutation, gdof_ub, sum_capacity_ub
 from .channel import (AlphaMatrix, check_exponent_range, load_scenario, rhos_from_db,
                       validate_scenario)
 from .errors import UnsupportedFormat, ValidationError
@@ -71,6 +70,8 @@ def _jsonify(value):
         return _round12(value)
     if isinstance(value, AlphaMatrix):
         return [[_round12(x) for x in row] for row in value.a]
+    if isinstance(value, (TxPermutation, IcConfig)):
+        return list(value)
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     # exact types: a record is a tuple too, but no JSON array
@@ -86,6 +87,8 @@ def _csv_cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".12g")
+    if isinstance(v, (TxPermutation, IcConfig)):
+        return v.label()
     return str(v)
 
 
@@ -423,75 +426,58 @@ def _single_rho(inv: CliInvocation, scenario_rho: float | None) -> float:
 
 # ---------------------------------------------------------------- command handlers
 
+def _point_report(doc: dict) -> Report:
+    """A point command's report: its JSON document, and as its table the
+    document's "per_perm" records when it has a profile, otherwise one row
+    of the fields after "command"."""
+    records = doc.get("per_perm")
+    if records is None:
+        _, *names = doc
+        records = [{name: doc[name] for name in names}]
+    return Report(doc, Table.from_rows(records[0], [r.values() for r in records]))
+
+
 def _cmd_eval(inv: CliInvocation):
     alpha, scenario_rho = _resolve_alpha(inv)
     rho = _single_rho(inv, scenario_rho)
     rate = tdma_tin_rate(rho, alpha)
     ub = sum_capacity_ub(rho, alpha)
-    gap = ub.value - rate.value
-    doc = {
-        "command": "eval",
-        "rho": rho,
-        "rate_bits": rate.value,
-        "rate_argmax": list(rate.argmax.as_tuple()),
-        "ub_bits": ub.value,
-        "ub_argmin": list(ub.argmin.as_tuple()),
-        "gap_bits": gap,
-    }
-    columns = ("rho", "rate_bits", "rate_argmax", "ub_bits", "ub_argmin", "gap_bits")
-    rows = [(rho, rate.value, rate.argmax.label(), ub.value, ub.argmin.label(), gap)]
-    return Report(doc, Table.from_rows(columns, rows))
+    return _point_report({
+        "command": "eval", "rho": rho, "rate_bits": rate.value, "rate_argmax": rate.argmax,
+        "ub_bits": ub.value, "ub_argmin": ub.argmin, "gap_bits": ub.value - rate.value})
 
 
 def _cmd_classify(inv: CliInvocation):
     alpha, _ = _resolve_alpha(inv)
     verdict = classify(alpha, tol=inv.tolerance)
-    we = verdict.witness_extended
-    wg = verdict.witness_gsj
-    doc = {
-        "command": "classify",
-        "extended": verdict.in_extended,
-        "gsj": verdict.in_gsj,
-        "gdof": verdict.gdof_value,
-        "witness_extended": list(we.as_tuple()) if we is not None else None,
-        "witness_gsj": list(wg.as_tuple()) if wg is not None else None,
-    }
-    columns = ("extended", "gsj", "gdof", "witness_extended", "witness_gsj")
-    rows = [(verdict.in_extended, verdict.in_gsj, verdict.gdof_value,
-             we.label() if we is not None else None,
-             wg.label() if wg is not None else None)]
-    return Report(doc, Table.from_rows(columns, rows))
-
-
-def _profile_report(doc: dict, per_perm, key: str) -> Report:
-    """A per-ordering profile: doc gains "per_perm", one {"perm", key}
-    object per ordering, and the table is its (perm label, value) rows."""
-    doc["per_perm"] = [{"perm": list(p.as_tuple()), key: v} for p, v in per_perm]
-    rows = [(p.label(), v) for p, v in per_perm]
-    return Report(doc, Table.from_rows(("perm", key), rows))
+    return _point_report({
+        "command": "classify", "extended": verdict.in_extended, "gsj": verdict.in_gsj,
+        "gdof": verdict.gdof_value, "witness_extended": verdict.witness_extended,
+        "witness_gsj": verdict.witness_gsj})
 
 
 def _cmd_bound(inv: CliInvocation):
     alpha, scenario_rho = _resolve_alpha(inv)
     rho = _single_rho(inv, scenario_rho)
     result = sum_capacity_ub(rho, alpha)
-    doc = {"command": "bound", "rho": rho, "min_bits": result.value,
-           "argmin": list(result.argmin.as_tuple())}
-    return _profile_report(doc, result.per_perm, "bound_bits")
+    return _point_report({
+        "command": "bound", "rho": rho, "min_bits": result.value, "argmin": result.argmin,
+        "per_perm": [{"perm": p, "bound_bits": v} for p, v in result.per_perm]})
 
 
 def _cmd_gdof(inv: CliInvocation):
     alpha, _ = _resolve_alpha(inv)
     ub = gdof_ub(alpha)
     ach = tdma_tin_gdof(alpha)
-    doc = {"command": "gdof", "tdma_tin_gdof": ach.value,
-           "tdma_tin_argmax": list(ach.argmax.as_tuple()), "gdof_ub": ub.value,
-           "argmin": list(ub.argmin.as_tuple())}
-    return _profile_report(doc, ub.per_perm, "gdof_ub")
+    return _point_report({
+        "command": "gdof", "tdma_tin_gdof": ach.value, "tdma_tin_argmax": ach.argmax,
+        "gdof_ub": ub.value, "argmin": ub.argmin,
+        "per_perm": [{"perm": p, "gdof_ub": v} for p, v in ub.per_perm]})
 
 
 # The table commands import experiments, and with it numpy, when called, and
-# look its functions up on the module, where the benchmark tracer rebinds them.
+# look its functions up on the module, where the benchmark tracer rebinds
+# them; each passes its audit's verdict through.
 
 def _cmd_sweep(inv: CliInvocation):
     from . import experiments
@@ -507,8 +493,8 @@ def _cmd_sweep(inv: CliInvocation):
         "n_extended": extended.count(True),
         "n_gsj": gsj.count(True),
     }
-    failure = experiments.sweep_audit_failure(table, inv.beta, inv.step, inv.tolerance)
-    return Report(summary, table, failure)
+    return Report(summary, table, experiments.sweep_audit_failure(
+        table, inv.beta, inv.step, inv.tolerance))
 
 
 def _cmd_gap_audit(inv: CliInvocation):
@@ -519,12 +505,7 @@ def _cmd_gap_audit(inv: CliInvocation):
                                                    beta_free=not inv.fixed_family)
     summary = {"command": "gap-audit", "generator": experiments.GENERATOR_ID,
                **report._asdict()}
-    failure = None
-    if not report.all_within_7:
-        failure = f"max gap {report.max_gap_bits:.12g} bits exceeds 7 bits"
-    elif not report.min_gap_bits > 0.0:
-        failure = f"min gap {report.min_gap_bits:.12g} bits is not positive"
-    return Report(summary, rows, failure)
+    return Report(summary, rows, experiments.gap_audit_failure(report))
 
 
 def _cmd_sandwich_audit(inv: CliInvocation):
@@ -532,22 +513,10 @@ def _cmd_sandwich_audit(inv: CliInvocation):
     n = inv.n if inv.n is not None else 10000
     rhos = rhos_from_db(inv.rho_db) if inv.rho_db is not None else None
     report, rows = experiments.sandwich_audit_with_rows(n, rhos, inv.seed)
-    rate_tol, gdof_tol = experiments.SANDWICH_RATE_TOL_BITS, experiments.SANDWICH_GDOF_TOL
-    summary = {
-        "command": "sandwich-audit",
-        "generator": experiments.GENERATOR_ID,
-        **report._asdict(),
-        "rate_tol_bits": rate_tol,
-        "gdof_tol": gdof_tol,
-    }
-    failure = None
-    if not report.max_rate_violation_bits <= rate_tol:
-        failure = (f"rate exceeds the bound by {report.max_rate_violation_bits:.12g} "
-                   f"bits (tolerance {rate_tol:g})")
-    elif not report.max_gdof_violation <= gdof_tol:
-        failure = (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation:.12g} "
-                   f"(tolerance {gdof_tol:g})")
-    return Report(summary, rows, failure)
+    summary = {"command": "sandwich-audit", "generator": experiments.GENERATOR_ID,
+               **report._asdict(), "rate_tol_bits": experiments.SANDWICH_RATE_TOL_BITS,
+               "gdof_tol": experiments.SANDWICH_GDOF_TOL}
+    return Report(summary, rows, experiments.sandwich_audit_failure(report))
 
 
 def _cmd_converge(inv: CliInvocation):
@@ -555,25 +524,10 @@ def _cmd_converge(inv: CliInvocation):
     alpha, _ = _resolve_alpha(inv)
     rhos = rhos_from_db(inv.rho_db if inv.rho_db is not None else (40.0, 60.0, 90.0))
     probe = experiments.gdof_convergence_probe(alpha, rhos)
-    rows = [(r.rho, r.rate_norm, r.ub_norm, r.d_tt, r.d_ub) for r in probe]
-    summary = {
-        "command": "converge",
-        "rho_list": list(rhos),
-        "d_tt": probe[0].d_tt,
-        "d_ub": probe[0].d_ub,
-    }
-    outside = [r for r in probe if not abs(r.rate_norm - r.d_tt) <= 2.0 / math.log2(r.rho) + 1e-9]
-    crossed = [r for r in probe if not r.ub_norm >= r.rate_norm - 1e-12]
-    failure = None
-    if outside:
-        r = max(outside, key=lambda r: abs(r.rate_norm - r.d_tt) - 2.0 / math.log2(r.rho))
-        failure = (f"normalized rate is {abs(r.rate_norm - r.d_tt):.12g} from d_tt at rho "
-                   f"{r.rho:.12g}, outside the 2/log2(rho) corridor")
-    elif crossed:
-        r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
-        failure = (f"normalized bound is below the normalized rate by "
-                   f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
-    return Report(summary, Table.from_rows(experiments.CONVERGE_COLUMNS, rows), failure)
+    summary = {"command": "converge", "rho_list": list(rhos), "d_tt": probe[0].d_tt,
+               "d_ub": probe[0].d_ub}
+    return Report(summary, Table.from_rows(experiments.ConvergenceRow._fields, probe),
+                  experiments.convergence_failure(probe))
 
 
 class Command(NamedTuple):

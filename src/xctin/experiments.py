@@ -1,5 +1,5 @@
 """Desk-scale audits: regime sweeps, constant-gap and bound-sandwich checks,
-and a GDoF convergence probe.
+and a GDoF convergence probe, each with its verdict (`*_failure`) beside it.
 
 Every study is deterministic given its parameters and seed. Random draws come
 from a seeded counter-based generator (see GENERATOR_ID, also echoed in JSON
@@ -31,6 +31,9 @@ from .tables import Coded, Table
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
 
+# The paper's constant gap: inside the extended regime the sum-capacity bound
+# exceeds the TDMA-TIN rate by at most this many bits.
+GAP_BOUND_BITS = 7.0
 # Tolerances the sandwich audit asserts: achievability may exceed the bound
 # only by floating-point noise.
 SANDWICH_RATE_TOL_BITS = 1e-9
@@ -39,7 +42,6 @@ SANDWICH_GDOF_TOL = 1e-12
 SWEEP_COLUMNS = ("alpha21", "alpha12", "extended", "gsj", "d_tt", "gdof_ub", "witness")
 GAP_COLUMNS = ("sample", "rho", "gap_bits", "ub_bits", "rate_bits")
 SANDWICH_COLUMNS = ("sample", "rho", "rate_bits", "ub_bits", "d_tt", "d_ub")
-CONVERGE_COLUMNS = ("rho", "rate_norm", "ub_norm", "d_tt", "d_ub")
 
 # Slack the sweep adds to the caller's tolerance: a grid line k*step meant
 # to sit on a regime boundary misses it by rounding (95*0.005 =
@@ -412,7 +414,7 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True):
         # Summed in row order, one addition at a time, as a running total.
         mean_gap_bits=functools.reduce(operator.add, gap.tolist(), 0.0) / len(rows),
         min_gap_bits=float(gap.min()),
-        all_within_7=max_gap <= 7.0,
+        all_within_7=max_gap <= GAP_BOUND_BITS,
         argmax_alpha=AlphaMatrix((worst[:3], worst[3:])),
     )
     return report, rows
@@ -422,6 +424,17 @@ def gap_audit(n: int, rho_list, seed: int, beta_free: bool = True) -> GapReport:
     """See gap_audit_with_rows; this variant drops the per-evaluation rows."""
     report, _ = gap_audit_with_rows(n, rho_list, seed, beta_free)
     return report
+
+
+def gap_audit_failure(report: GapReport) -> str | None:
+    """The first failed check of a gap audit, or None when both pass: every
+    gap within GAP_BOUND_BITS, and every gap positive (the bound above the
+    rate). A NaN gap fails both."""
+    if not report.max_gap_bits <= GAP_BOUND_BITS:
+        return f"max gap {report.max_gap_bits:.12g} bits exceeds {GAP_BOUND_BITS:g} bits"
+    if not report.min_gap_bits > 0.0:
+        return f"min gap {report.min_gap_bits:.12g} bits is not positive"
+    return None
 
 
 def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0):
@@ -477,12 +490,24 @@ def sandwich_audit(n: int, rho_list=None, seed: int = 0) -> SandwichReport:
     return report
 
 
+def sandwich_audit_failure(report: SandwichReport) -> str | None:
+    """The first failed check of a sandwich audit, or None when both pass:
+    the rate exceeds the bound by at most SANDWICH_RATE_TOL_BITS, and the
+    TIN GDoF the GDoF bound by at most SANDWICH_GDOF_TOL. A NaN fails."""
+    if not report.max_rate_violation_bits <= SANDWICH_RATE_TOL_BITS:
+        return (f"rate exceeds the bound by {report.max_rate_violation_bits:.12g} "
+                f"bits (tolerance {SANDWICH_RATE_TOL_BITS:g})")
+    if not report.max_gdof_violation <= SANDWICH_GDOF_TOL:
+        return (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation:.12g} "
+                f"(tolerance {SANDWICH_GDOF_TOL:g})")
+    return None
+
+
 def gdof_convergence_probe(alpha: AlphaMatrix, rho_list) -> list[ConvergenceRow]:
     """Normalized rate/bound table along a strictly increasing SNR list.
 
     Each row carries R/log2(rho) and UB/log2(rho) next to the GDoF pair they
-    approach; the normalized rate stays within 2/log2(rho) of the achievable
-    GDoF on both sides.
+    approach; `convergence_failure` checks the rows.
     """
     rhos = check_rhos(rho_list)
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
@@ -500,3 +525,21 @@ def gdof_convergence_probe(alpha: AlphaMatrix, rho_list) -> list[ConvergenceRow]
             d_ub=d_ub,
         ))
     return rows
+
+
+def convergence_failure(rows: list[ConvergenceRow]) -> str | None:
+    """The first failed check of a convergence probe, named with its worst
+    row, or None when both pass: the normalized rate stays within
+    2/log2(rho) (plus 1e-9) of the achievable GDoF on both sides, and the
+    normalized bound stays above the normalized rate (less 1e-12)."""
+    outside = [r for r in rows if not abs(r.rate_norm - r.d_tt) <= 2.0 / math.log2(r.rho) + 1e-9]
+    if outside:
+        r = max(outside, key=lambda r: abs(r.rate_norm - r.d_tt) - 2.0 / math.log2(r.rho))
+        return (f"normalized rate is {abs(r.rate_norm - r.d_tt):.12g} from d_tt at rho "
+                f"{r.rho:.12g}, outside the 2/log2(rho) corridor")
+    crossed = [r for r in rows if not r.ub_norm >= r.rate_norm - 1e-12]
+    if crossed:
+        r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
+        return (f"normalized bound is below the normalized rate by "
+                f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
+    return None

@@ -158,6 +158,44 @@ def test_bound_and_gdof_profiles(capsys):
     assert doc["argmin"] == [1, 2, 3, 1, 2]
 
 
+# A scenario of complex gains, and grids in and out of the regimes: outside,
+# classify's gdof and both witnesses are null.
+GAINS_SCENARIO = {"rho_db": 40, "gains": [[[1, 0], [0.025, 0], [0, 0.3]],
+                                          [[0.06, 0], [0, 1], [0.3, 0.1]]]}
+POINT_SOURCES = {
+    "fig": ["--alpha", "1,0.2,0.75,0.4,1,0.75"],
+    "out-of-regime": ["--alpha", "1,1,1,1,1,1"],
+    "gains": None,
+}
+
+
+def _csv_text(value) -> str:
+    """The csv cell of a JSON value: an index list is read back as its label."""
+    return "".join(map(str, value)) if isinstance(value, list) else cli._csv_cell(value)
+
+
+@pytest.mark.parametrize("source", POINT_SOURCES)
+@pytest.mark.parametrize("command", ["eval", "classify", "bound", "gdof"])
+def test_point_csv_is_its_json_document(tmp_path, capsys, command, source):
+    argv = POINT_SOURCES[source]
+    if argv is None:
+        argv = ["--scenario", _write_scenario(tmp_path, GAINS_SCENARIO)]
+    elif command in ("eval", "bound"):
+        argv = argv + ["--rho-db", "40"]
+    assert main([command, *argv]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main([command, *argv, "--format", "csv"]) == 0
+    header, *rows = csv.reader(io.StringIO(capsys.readouterr().out))
+    name, *fields = doc
+    assert (name, doc[name]) == ("command", command)
+    records = doc["per_perm"] if "per_perm" in doc else [{k: doc[k] for k in fields}]
+    assert header == list(records[0])
+    assert rows == [[_csv_text(v) for v in record.values()] for record in records]
+    if command == "classify":
+        nulls = [doc[k] is None for k in ("gdof", "witness_extended", "witness_gsj")]
+        assert nulls == ([True] * 3 if source == "out-of-regime" else [False, False, True])
+
+
 # ---------------------------------------------------------------- validation
 
 def test_malformed_scenario_exits_2_with_clean_stdout(tmp_path, capsys):
@@ -661,6 +699,24 @@ def test_sandwich_and_converge_failures_name_the_bound_on_stderr(monkeypatch, ca
     assert main(["converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60"]) == 3
     assert capsys.readouterr().err == ("audit failure: normalized bound is below the "
                                        "normalized rate by 0.5 at rho 10000\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--step", "0.25"],
+    ["gap-audit", "--n", "2", "--rho-db", "20"],
+    ["sandwich-audit", "--n", "2"],
+    ["converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60"],
+], ids=lambda argv: argv[0])
+def test_table_commands_pass_their_audit_verdict_through(monkeypatch, capsys, argv):
+    # The records are written, then the verdict of experiments decides the
+    # exit code and the message alone.
+    assert main(argv) == 0
+    records = capsys.readouterr().out
+    for verdict in ("sweep_audit_failure", "gap_audit_failure", "sandwich_audit_failure",
+                    "convergence_failure"):
+        monkeypatch.setattr(experiments, verdict, lambda *args: "x")
+    assert main(argv) == 3
+    assert capsys.readouterr() == (records, "audit failure: x\n")
 
 
 def test_sweep_near_grid_beta_passes_geometry_audit(capsys):

@@ -14,12 +14,15 @@ from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix,
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
-                               SAMPLER_EXHAUSTION_WINDOW, SANDWICH_RHO_RANGE,
-                               SWEEP_GRID_SLACK, SWEEP_RANGE_MAX, GapReport, SweepRecord,
-                               Table, gap_audit, gap_audit_with_rows,
+                               SAMPLER_EXHAUSTION_WINDOW, SANDWICH_GDOF_TOL,
+                               SANDWICH_RATE_TOL_BITS, SANDWICH_RHO_RANGE,
+                               SWEEP_GRID_SLACK, SWEEP_RANGE_MAX, ConvergenceRow, GapReport,
+                               SandwichReport, SweepRecord, Table, convergence_failure,
+                               gap_audit, gap_audit_failure, gap_audit_with_rows,
                                gdof_convergence_probe, sample_in_regime,
-                               sandwich_audit, sandwich_audit_with_rows,
-                               sweep_audit_failure, sweep_regime_plane)
+                               sandwich_audit, sandwich_audit_failure,
+                               sandwich_audit_with_rows, sweep_audit_failure,
+                               sweep_regime_plane)
 from xctin.regime import classify, in_extended_regime
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
@@ -824,3 +827,48 @@ def test_convergence_probe_requires_increasing_rhos():
         gdof_convergence_probe(FIG_POINT, (1e4, 1e4))
     with pytest.raises(ValidationError):
         gdof_convergence_probe(FIG_POINT, ())
+
+
+# ---------------------------------------------------------------- audit verdicts
+
+def test_gap_verdict_at_its_edges():
+    report = GapReport(n_samples=1, rho_list=(100.0,), seed=0, max_gap_bits=7.0,
+                       mean_gap_bits=4.0, min_gap_bits=1.0, all_within_7=True,
+                       argmax_alpha=FIG_POINT)
+    assert gap_audit_failure(report) is None
+    above = math.nextafter(7.0, math.inf)
+    assert gap_audit_failure(report._replace(max_gap_bits=above)) == (
+        f"max gap {above:.12g} bits exceeds 7 bits")
+    assert gap_audit_failure(report._replace(min_gap_bits=0.0)) == (
+        "min gap 0 bits is not positive")
+    assert gap_audit_failure(report._replace(min_gap_bits=math.nan)) == (
+        "min gap nan bits is not positive")
+    assert gap_audit_failure(report._replace(max_gap_bits=math.nan, min_gap_bits=math.nan)) == (
+        "max gap nan bits exceeds 7 bits")
+
+
+def test_sandwich_verdict_at_its_edges():
+    report = SandwichReport(n_samples=1, seed=0, rho_list=None, rho_range=SANDWICH_RHO_RANGE,
+                            max_rate_violation_bits=SANDWICH_RATE_TOL_BITS,
+                            max_gdof_violation=SANDWICH_GDOF_TOL)
+    assert sandwich_audit_failure(report) is None
+    for rate in (math.nextafter(SANDWICH_RATE_TOL_BITS, math.inf), math.nan):
+        assert sandwich_audit_failure(report._replace(max_rate_violation_bits=rate)) == (
+            f"rate exceeds the bound by {rate:.12g} bits (tolerance 1e-09)")
+    for gdof in (math.nextafter(SANDWICH_GDOF_TOL, math.inf), math.nan):
+        assert sandwich_audit_failure(report._replace(max_gdof_violation=gdof)) == (
+            f"TIN GDoF exceeds the GDoF bound by {gdof:.12g} (tolerance 1e-12)")
+
+
+def test_convergence_verdict_names_the_worst_row():
+    # Corridors 0.2 and 0.1: the first row is farther from d_tt, the second
+    # farther outside its corridor.
+    rows = [ConvergenceRow(2.0 ** 10, 1.55, 1.6, 1.0, 1.0),
+            ConvergenceRow(2.0 ** 20, 1.5, 1.6, 1.0, 1.0)]
+    assert convergence_failure(rows) == (
+        "normalized rate is 0.5 from d_tt at rho 1048576, outside the 2/log2(rho) corridor")
+    inside = [r._replace(rate_norm=1.05) for r in rows]
+    assert convergence_failure(inside) is None
+    crossed = [inside[0]._replace(ub_norm=0.95), inside[1]._replace(ub_norm=0.85)]
+    assert convergence_failure(crossed) == (
+        "normalized bound is below the normalized rate by 0.2 at rho 1048576")

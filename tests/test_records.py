@@ -128,8 +128,13 @@ def test_records_equal_plain_tuples_of_their_fields():
 
 def test_jsonify_writes_alpha_grids_and_rejects_other_records():
     assert cli._jsonify({"alpha": ALPHA}) == {"alpha": [list(row) for row in GRID]}
+    # An ordering or pairing is written as its index list.
     result = sum_capacity_ub(1e6, ALPHA)
-    for record in (PERM, result, [result], {"argmin": result.argmin}):
+    assert cli._jsonify([PERM, CFG]) == [[1, 2, 3, 1, 2], [1, 2, 1, 2]]
+    assert cli._jsonify({"argmin": result.argmin}) == {"argmin": list(result.argmin)}
+    assert json.loads(emit_report({"record": PERM}, "json")) == {"record": [1, 2, 3, 1, 2]}
+    verdict = RegimeVerdict(True, False, PERM, None, 1.4)
+    for record in (result, [result], verdict):
         with pytest.raises(UnsupportedFormat, match="cannot serialize"):
             emit_report({"record": record}, "json")
 

@@ -266,3 +266,43 @@ def test_genie_gap_coverage_sampled():
             continue
         checked += 1
         assert genie_satisfies_entropy_gap(rho, alpha, p)
+
+
+def _mixing_pair_at_tie(u1, u3, v1, rho):
+    """The mixing (d = 1) genie's AuxChannelPair at the case-1/2 tie v3 = v1,
+    mapped as in genie_aux_pair: case 2's c^2 = rho**(v1 - u1) where
+    u3 <= u1 - v1 (case 2's test at v3 = v1), case 3's rho**(-u3) otherwise."""
+    c_sq = rho ** (v1 - u1) if u3 <= u1 - v1 else rho ** -u3
+    return AuxChannelPair(h1_sq=c_sq * rho ** (u1 - 1.0), h2_sq=c_sq * rho ** (u3 - 1.0),
+                          h3_sq=rho ** (v1 - 1.0), h4_sq=rho ** (v1 - 1.0), rho=rho)
+
+
+def test_mixing_genie_stays_valid_at_the_case_1_2_tie():
+    # The genie rule takes case 1 (d = 0) at v3 = v1, which gives a looser
+    # bound than case 2 a double away. The mixing genie is valid there too:
+    # in exact arithmetic one chained inequality is an equality and the
+    # other holds by the case's test, and rho*|h3|^2 = rho**v1 > 1.
+    rng = np.random.Generator(np.random.Philox(25))
+    cases = []
+    for _ in range(4000):
+        u1, u2, u3, v1, v2 = (2.0 - 2.0 * rng.random(5)).tolist()
+        rho = 10.0 ** rng.uniform(1.0, 9.0)
+        pair = _mixing_pair_at_tie(u1, u3, v1, rho)
+        assert entropy_gap_conditions_hold(pair, rel_tol=1e-9), (u1, u3, v1, rho)
+        cases.append(u3 <= u1 - v1)
+        if cases[-1]:
+            # Case 2's c^2 is case 1's, so the library's pair at the tie is it.
+            alpha = AlphaMatrix(((u1, u2, u3), (v1, v2, v1)))
+            assert genie_params(alpha, P0, rho).case_id == 1
+            assert genie_aux_pair(rho, alpha, P0) == pair
+    assert 500 < sum(cases) < len(cases) - 500
+
+
+@pytest.mark.parametrize("rho_db", [1.0, 10.0, 20.0, 90.0])
+def test_mixing_genie_at_the_all_zero_grid_breaks_the_strict_bound(rho_db):
+    # v1 = 0: rho*|h3|^2 = 1, so only the strict lower bound fails.
+    rho = 10.0 ** (rho_db / 10.0)
+    pair = _mixing_pair_at_tie(0.0, 0.0, 0.0, rho)
+    assert pair.rho * pair.h3_sq == 1.0
+    assert pair.h1_sq <= pair.h3_sq <= pair.h4_sq / (pair.rho * pair.h2_sq) * (1.0 + 1e-9)
+    assert not entropy_gap_conditions_hold(pair, rel_tol=1e-9)

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xctin import cli, experiments
+from xctin.achievability import IcConfig
+from xctin.bounds import TxPermutation
 from xctin.channel import AlphaMatrix
 from xctin.cli import CliInvocation, emit_report
 from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, Coded, SweepRecord, Table,
@@ -47,9 +49,11 @@ CELLS = {
     "g": st.one_of(st.none(), st.sampled_from(SPECIAL_FLOATS), st.floats()),
 }
 # The letter of a first-row cell's type: "i" int, "f" float, "b" bool, "s" a
-# digit-only label or None, and "g" a float or None for a None cell (a
-# certified GDoF outside a regime is one, so is a missing witness).
-_LETTERS = {int: "i", float: "f", bool: "b", str: "s", type(None): "g"}
+# digit-only label or None (an ordering or pairing, which csv writes as its
+# label), and "g" a float or None for a None cell (a certified GDoF outside
+# a regime is one, so is a missing witness).
+_LETTERS = {int: "i", float: "f", bool: "b", str: "s", TxPermutation: "s", IcConfig: "s",
+            type(None): "g"}
 SCHEMAS = sorted({(t.names, "".join(_LETTERS[type(v)] for v in t[0])) for t in
                   (cli.COMMANDS[inv.command].handler(inv).table for inv in _INVOCATIONS)})
 SUMMARIES = (
