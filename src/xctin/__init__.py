@@ -1,9 +1,11 @@
 """Achievability, converse bounds, and regime audits for the 3x2 Gaussian X
 channel under treat-interference-as-noise scheduling.
 
-The audits in `experiments` run on numpy; the package imports that module,
-and so numpy, on the first use of it or of one of its exports, so the
-scalar API and the point commands start without numpy.
+numpy is imported at the top of the three modules that work on arrays, and
+nowhere else: `kernels` (the block kernels), `writer` (the table writer) and
+`experiments` (the audits). The package imports `experiments`, and so
+numpy, on the first use of it or of one of its exports, so the scalar API
+and the point commands, in JSON or csv, start without numpy.
 """
 
 import importlib

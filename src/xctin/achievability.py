@@ -20,15 +20,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .channel import (AlphaMatrix, ValidatedRecord, check_snr, first_best, libm_log2,
-                      libm_pow, link_columns, link_entries, link_picker, link_table,
-                      scalar_where, screened_first)
+from .channel import (AlphaMatrix, ValidatedRecord, check_snr, first_best, link_picker,
+                      scalar_where)
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class _IcConfig(NamedTuple):
@@ -86,8 +82,6 @@ IC_CONFIGS: tuple[IcConfig, ...] = tuple(
     IcConfig(i1, i2, 1, 2) for i1 in (1, 2, 3) for i2 in (1, 2, 3) if i2 != i1
 )
 _PICKS = tuple((cfg, cfg.take) for cfg in IC_CONFIGS)
-# 6 rows of 4: row k holds the grid positions IC_CONFIGS[k].take reads.
-_CONFIG_LINKS = link_table(IC_CONFIGS)
 
 
 def _first_max(kernel, grid) -> AchievabilityResult:
@@ -124,17 +118,12 @@ def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
     return _first_max(lambda links: _tin_gdof_links(links, scalar_where), alpha.flat())
 
 
-# ------------------------------------------- link-level formulas, block kernels
+# ---------------------------------------------------------- link-level formulas
 #
 # Each formula is written once, on the links of one pairing, with its
-# selections and logarithms taken as arguments. The scalar API passes
-# Python floats with channel.scalar_where and math.log2; the block kernels
-# pass the gathered link columns of an (n, 6) row-major exponent array a
-# (rows as AlphaMatrix.flat()) with np.where and libm's logarithm (numpy's
-# only in the audits' screen, see channel.screened_first), so every entry
-# is bit-identical to the scalar value. Column k of a returned (n, 6)
-# profile belongs to IC_CONFIGS[k]; channel.first_extremum gives a row's
-# first maximum, as _first_max does.
+# selections and logarithms taken as arguments: the scalar API passes Python
+# floats with channel.scalar_where and math.log2, and the block kernels (see
+# kernels) gathered link columns with numpy's.
 
 
 def _tin_rate_links(powers, log2):
@@ -145,24 +134,6 @@ def _tin_rate_links(powers, log2):
     return log2(1.0 + des1 / (1.0 + cross1)) + log2(1.0 + des2 / (1.0 + cross2))
 
 
-def tdma_tin_rate_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """TIN sum rate in bits of every pairing and every row of a at the SNRs
-    rho (shape (n,)); returns (n, 6)."""
-    return _tin_rate_links(link_columns(libm_pow(rho[:, None], a), _CONFIG_LINKS), libm_log2)
-
-
-def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
-    """TDMA-TIN rate of every row of the powers r = libm_pow(rho[:, None], a);
-    bit-identical to the first maximum of tdma_tin_rate_profiles(a, rho).
-    numpy screens the six pairings and libm evaluates only those that can be
-    the maximum (see channel.screened_first)."""
-    import numpy as np
-    return screened_first(
-        _tin_rate_links(link_columns(r, _CONFIG_LINKS), np.log2),
-        lambda rows, cfgs: _tin_rate_links(link_entries(r, _CONFIG_LINKS, rows, cfgs), libm_log2),
-        lowest=False)
-
-
 def _tin_gdof_links(links, where):
     """TIN GDoF from the exponents of each receiver's desired and cross link,
     (j1, i1), (j1, i2), (j2, i2), (j2, i1), as floats, gathered columns or
@@ -171,9 +142,3 @@ def _tin_gdof_links(links, where):
     x = des1 - cross1
     y = des2 - cross2
     return where(x > 0.0, x, 0.0) + where(y > 0.0, y, 0.0)
-
-
-def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
-    """TIN GDoF of every pairing and every row of a; returns (n, 6)."""
-    import numpy as np
-    return _tin_gdof_links(link_columns(a, _CONFIG_LINKS), np.where)

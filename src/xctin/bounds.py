@@ -31,15 +31,11 @@ import functools
 import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, first_best,
-                      libm_log2, libm_pow, link_columns, link_entries, link_picker,
-                      link_table, scalar_where, screened_first)
+                      link_picker, scalar_where)
 from .errors import CaseMismatch, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class _TxPermutation(NamedTuple):
@@ -120,8 +116,6 @@ PERMUTATIONS: tuple[TxPermutation, ...] = tuple(
     for (j1, j2) in ((1, 2), (2, 1))
 )
 _PICKS = tuple((p, p.take) for p in PERMUTATIONS)
-# 12 rows of 6: row k holds the grid positions PERMUTATIONS[k].take reads.
-_PERM_LINKS = link_table(PERMUTATIONS)
 
 
 def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParams:
@@ -224,17 +218,12 @@ def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     return _first_min(tuple([(p, _gdof_links(take(a), scalar_where)) for p, take in _PICKS]))
 
 
-# ------------------------------------------- link-level formulas, block kernels
+# ---------------------------------------------------------- link-level formulas
 #
 # Each formula is written once, on the links of one ordering, with its
-# selections, powers and logarithms taken as arguments. The scalar API
-# passes Python floats with channel.scalar_where, pow and math.log2; the
-# block kernels pass the gathered link columns of an (n, 6) row-major
-# exponent array a (rows as AlphaMatrix.flat()) with np.where and libm's
-# transcendentals (numpy's only in the audits' screen, see
-# channel.screened_first), so every entry is bit-identical to the scalar
-# value. Column k of a returned (n, 12) profile belongs to PERMUTATIONS[k];
-# channel.first_extremum gives a row's first minimum, as _first_min does.
+# selections, powers and logarithms taken as arguments: the scalar API
+# passes Python floats with channel.scalar_where, pow and math.log2, and the
+# block kernels (see kernels) gathered link columns with numpy's.
 
 
 def _max3(x, y, z, where):
@@ -270,29 +259,6 @@ def _bound_links(links, powers, rho, power, log2, where):
     return term1 + term2 + 1.0
 
 
-def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """B(p) in bits for every ordering and every row of a at the SNRs rho
-    (shape (n,)); returns (n, 12)."""
-    import numpy as np
-    r = libm_pow(rho[:, None], a)
-    return _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                        rho[:, None], libm_pow, libm_log2, np.where)
-
-
-def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """min_p B(p) of every row of a at the SNRs rho (shape (n,)), given its
-    powers r = libm_pow(rho[:, None], a); bit-identical to the first minimum
-    of sum_capacity_ub_profiles(a, rho). numpy screens the twelve orderings
-    and libm evaluates only those that can be the minimum (see
-    channel.screened_first)."""
-    import numpy as np
-    screened = _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                            rho[:, None], np.power, np.log2, np.where)
-    return screened_first(screened, lambda rows, perms: _bound_links(
-        link_entries(a, _PERM_LINKS, rows, perms), link_entries(r, _PERM_LINKS, rows, perms),
-        rho[rows], libm_pow, libm_log2, np.where), lowest=True)
-
-
 def _gdof_links(links, where):
     """D(p) from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
     (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
@@ -301,9 +267,3 @@ def _gdof_links(links, where):
     diff = v3 - v1
     return (_max3(v1, v3, v2 - u2, where)
             + _max3(u2, u1 - v1, u3 - where(diff > 0.0, diff, 0.0), where))
-
-
-def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
-    """D(p) for every ordering and every row of a; returns (n, 12)."""
-    import numpy as np
-    return _gdof_links(link_columns(a, _PERM_LINKS), np.where)

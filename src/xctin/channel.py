@@ -14,17 +14,13 @@ package are in bits (base-2 logarithms throughout).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
 import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import DegenerateSnr, NotInterferenceLimited, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 N_RX = 2
 N_TX = 3
@@ -169,124 +165,16 @@ def link_picker(links) -> operator.itemgetter:
     return operator.itemgetter(*((j - 1) * N_TX + i - 1 for j, i in links))
 
 
-# The scalar API runs in pure Python, so that importing the package loads no
-# numpy: an index table is a tuple, and the block-kernel helpers from here
-# on import numpy when called, each table becoming an array on first use.
-
-def link_table(items) -> tuple[tuple[int, ...], ...]:
-    """Index table of the links each item's `take` picks: row k holds the
-    row-major grid positions that items[k].take reads, in take order."""
-    return tuple(item.take(range(N_RX * N_TX)) for item in items)
-
-
-@functools.cache
-def _index_array(table: tuple) -> np.ndarray:
-    """A link_table as an integer array, made once per table."""
-    import numpy as np
-    return np.array(table)
-
-
-def link_columns(x: np.ndarray, table: tuple) -> np.ndarray:
-    """For each link column of an index table, the (n, len(table)) array of
-    that link gathered from every row of the (n, 6) row-major array x, as
-    the items of one take from the transpose of x."""
-    import numpy as np
-    return np.ascontiguousarray(x.T)[_index_array(table).T].transpose(0, 2, 1)
-
-
-def link_entries(x: np.ndarray, table: tuple, rows: np.ndarray,
-                 items: np.ndarray) -> np.ndarray:
-    """link_columns(x, table) at the entries (rows[k], items[k]) only: for
-    each link column of the table, the (m,) array of that link of item
-    items[k] gathered from row rows[k] of x."""
-    return x[rows[:, None], _index_array(table)[items]].T
-
-
-# np.power and np.log2 may dispatch to SIMD approximations that round
-# differently from libm on some inputs, which shows at 12 printed digits.
-# The block kernels therefore take every transcendental in a returned value
-# through the libm routine that the scalar API's pow and math.log2 call, so
-# both paths are bit-identical; + - * / and comparisons are exact in numpy
-# already. np.float_power has no SIMD loop: its float64 loop calls the C
-# pow of the same libm that Python's float ** calls, so libm_pow is one C
-# loop. numpy has no documented float64 log2 loop that calls libm, so
-# libm_log2 maps math.log2 over the elements. The tests in
-# tests/test_block_kernels.py pin both against the builtins bit for bit.
-
 def scalar_where(cond, x, y):
     """np.where for one Python condition: x if cond else y. The scalar API
     passes it to the link-level formulas in place of np.where."""
     return x if cond else y
 
 
-def libm_pow(base, expo: np.ndarray) -> np.ndarray:
-    """base ** expo elementwise for positive bases, base broadcast against
-    expo, through libm's pow as Python's float ** computes it: a finite
-    result is the same double, and an infinite one from a finite base and
-    exponent raises OverflowError, with no RuntimeWarning."""
-    import numpy as np
-    with np.errstate(all="ignore", over="raise"):
-        try:
-            return np.float_power(base, expo)
-        except FloatingPointError:
-            raise OverflowError("libm_pow result out of range") from None
-
-
-def libm_log2(x: np.ndarray) -> np.ndarray:
-    """math.log2 of every element of x."""
-    import numpy as np
-    return np.fromiter(map(math.log2, x.ravel().tolist()), float,
-                       count=x.size).reshape(x.shape)
-
-
-# An audit reports only each row's minimum bound and maximum rate, so the
-# block kernels screen every ordering or pairing with numpy's power and log2
-# and evaluate through libm only the entries within SCREEN_MARGIN *
-# (1 + |extremum|) of the row's screened extremum. numpy missed libm by at
-# most 1.4e-14 bits on audit draws and 2.3e-13 bits (about one unit in the
-# last place of a 2000-bit bound) with exponents up to DEFAULT_ALPHA_CAP at
-# MAX_RHO_DB. Every term is a sum, product or quotient of positive numbers,
-# so that error cannot grow, and the margin is over 10^4 times larger:
-# every exact extremum is a candidate, and the first one is found bit for
-# bit.
-SCREEN_MARGIN = 1e-9
-
-
-def screened_first(screened: np.ndarray, exact, lowest: bool) -> np.ndarray:
-    """Each row's first minimum (lowest) or first maximum of an exact (n, m)
-    profile, of which screened is an approximation with an error far below
-    SCREEN_MARGIN * (1 + |extremum|).
-
-    exact(rows, items) returns the exact entries at (rows[k], items[k]); it
-    is called once, on the candidates: entries within the margin of their
-    row's screened extremum, and every entry of a row with a non-finite
-    screened value.
-    """
-    import numpy as np
-    sign = 1.0 if lowest else -1.0
-    score = sign * screened
-    best = score.min(axis=1)
-    with np.errstate(invalid="ignore"):  # -inf + inf on a non-finite row
-        near = score <= (best + SCREEN_MARGIN * (1.0 + np.abs(best)))[:, None]
-    near |= ~np.isfinite(score).all(axis=1)[:, None]
-    rows, items = near.nonzero()
-    values = np.full(screened.shape, sign * np.inf)
-    values[rows, items] = exact(rows, items)
-    return first_extremum(values, lowest)
-
-
-def first_extremum(profiles: np.ndarray, lowest: bool) -> np.ndarray:
-    """Each row's first minimum (lowest) or first maximum of an (n, m)
-    profile, the entry first_best picks from the row's (k, value) pairs."""
-    import numpy as np
-    first = profiles.argmin(axis=1) if lowest else profiles.argmax(axis=1)
-    return profiles[np.arange(len(profiles)), first]
-
-
 def first_best(per_item, lowest: bool):
     """The first (item, value) pair of per_item with the least (lowest) or
     the greatest value: a later equal value, -0.0 after 0.0 among them,
-    does not replace it, as first_extremum picks in a row."""
+    does not replace it, as kernels.first_extremum picks in a row."""
     return (min if lowest else max)(per_item, key=operator.itemgetter(1))
 
 

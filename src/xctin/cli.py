@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import io
 import json
 import sys
 from itertools import chain
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .achievability import IcConfig, tdma_tin_gdof, tdma_tin_rate
 from .bounds import TxPermutation, gdof_ub, sum_capacity_ub
@@ -23,10 +22,7 @@ from .channel import (AlphaMatrix, check_exponent_range, load_scenario, rhos_fro
                       validate_scenario)
 from .errors import UnsupportedFormat, ValidationError
 from .regime import classify
-from .tables import Coded, Table
-
-if TYPE_CHECKING:
-    import numpy as np
+from .tables import Table
 
 
 class CliInvocation(NamedTuple):
@@ -49,11 +45,12 @@ class CliInvocation(NamedTuple):
 
 class Report(NamedTuple):
     """A command's result: head is a point command's JSON document or a table
-    command's summary; table holds the csv records; failure names the audit
-    check that failed, if any."""
+    command's summary; records are an audit's Table, or the list of record
+    dicts of a point command or converge; failure names the audit check that
+    failed, if any."""
 
     head: dict
-    table: Table
+    records: Table | list[dict]
     failure: str | None = None
 
 
@@ -96,269 +93,12 @@ def _json_cell(v) -> str:
     return json.dumps(_jsonify(v))
 
 
-# Rows per piece of a table's text.
-_JOIN_ROWS = 1024
-
-
-# The table writer from here to _json_records imports numpy when called; a
-# point command's JSON document never reaches it.
-
-class _Layout(NamedTuple):
-    """The lookup tables of _float_texts. A text lies in uint64 words,
-    little-endian: its first character is the low byte."""
-
-    groups: np.ndarray    # g < 10**4 as four ASCII digits, and 10**4 as 1000
-    reach: np.ndarray     # [k, g]: how many of the 12 digits of n reach its
-                          # last nonzero one when g is n's group k of four
-                          # (0 if g is 0)
-    low: np.ndarray       # by byte count 0 < b <= 16, the low word of a
-                          # b-byte mask (and no mask at 0)
-    high: np.ndarray      # and its high word
-    point_lo: np.ndarray  # by byte 0 < b < 16, the low word of a "." at byte b
-    point_hi: np.ndarray  # and its high word
-    heads: np.ndarray     # by e + 4 + 16 * negative: "-" if negative, then
-                          # "0." and -e - 1 zeros if e < 0
-    shifts: np.ndarray    # and the bit length of that text
-    pow10: np.ndarray     # 10**k for k = 0..15, each exact in float64
-    u64: type             # np.uint64, the type of the words and their shifts
-
-
-@functools.cache
-def _layout() -> _Layout:
-    import numpy as np
-    u64 = np.uint64
-    # the digits a, b, c, d of g = 1000a + 100b + 10c + d on an open grid,
-    # so that no temporary is larger than a table
-    a, b, c, d = np.ix_(*[np.arange(10, dtype=u64)] * 4)
-    groups = np.empty(10**4 + 1, dtype=u64)
-    groups[:-1] = ((a + 48) | (b + 48) << u64(8)
-                   | (c + 48) << u64(16) | (d + 48) << u64(24)).ravel()
-    reach = np.zeros((3, 10**4 + 1), dtype=np.int8)
-    reach[0, :-1] = np.maximum(np.maximum(a > 0, (b > 0) * np.int8(2)),
-                               np.maximum((c > 0) * np.int8(3), (d > 0) * np.int8(4))).ravel()
-    reach[1:, :-1] = np.where(reach[0, :-1] > 0, reach[0, :-1] + np.int8([[4], [8]]), 0)
-    groups[-1], reach[0, -1] = groups[1000], 1  # a carried n = 10**12 has 10**4 on top
-    heads = [sign + (b"0." + b"0" * (-e - 1) if e < 0 else b"")
-             for sign in (b"", b"-") for e in range(-4, 12)]
-    return _Layout(
-        groups,
-        reach,
-        np.array([(1 << 8 * min(k or 8, 8)) - 1 for k in range(17)], dtype=u64),
-        np.array([(1 << 8 * max(k or 16, 8) - 64) - 1 for k in range(17)], dtype=u64),
-        np.array([46 << 8 * k if 0 < k < 8 else 0 for k in range(16)], dtype=u64),
-        np.array([46 << 8 * (k - 8) if 8 <= k else 0 for k in range(16)], dtype=u64),
-        np.array([int.from_bytes(h, "little") for h in heads], dtype=u64),
-        np.array([8 * len(h) for h in heads], dtype=u64),
-        np.array([float(10**k) for k in range(16)]),
-        u64)
-
-
-def _python_floats(x: np.ndarray, as_json: np.ndarray) -> list[bytes]:
-    """The texts of the cells that _float_texts leaves to Python's own
-    formatting: _csv_cell's, or where as_json holds, _json_cell's."""
-    return [(_json_cell if j else _csv_cell)(v).encode()
-            for v, j in zip(x.tolist(), as_json.tolist())]
-
-
-def _digits(ax: np.ndarray):
-    """For |v| in ax: the decimal exponent e of its 12-digit rounding, where
-    _float_texts writes it, the 12 digits of that rounding and a "0" in
-    ASCII, as the (low, high) words of a word pair, and how many of the 12
-    reach the last nonzero one. Zeros have e = 0 and digits "0"; the other
-    cells left to Python have e = 0 and any digits."""
-    import numpy as np
-    t = _layout()
-    zero = ax == 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.fmax(np.fmin(np.floor(np.log10(ax)), 11.0), -4.0)  # nan to 11
-        m = ax * t.pow10[(11.0 - e).astype(np.intp)]
-        n = np.rint(m)
-        fast = np.abs(m - n) < 0.5  # not a tie
-        # e judged one too high, or too low, by log10 next to a power of ten
-        fast &= m >= 1e11
-        fast &= n <= 1e12
-        # below 10**12 - 0.5, so that the rounding does not reach exponent form
-        fast &= ax < 999999999999.5
-        e += n == 1e12  # a carry, whose n = 10**12 the tables read as 10**11
-        n = np.fmin(n * fast, 1e12).astype(np.int64)
-    e *= fast
-    fast |= zero
-    groups, (r0, r1, r2) = t.groups, t.reach
-    top = n // 10**4
-    first = top // 10**4
-    n -= top * 10**4
-    top -= first * 10**4
-    digits = np.maximum(np.maximum(r0[first], r1[top]), r2[n])
-    lo = groups[first]
-    lo |= groups[top] << t.u64(32)
-    hi = groups[n]
-    hi |= t.u64(ord("0") << 32)
-    return e.astype(np.intp), fast, lo, hi, digits.astype(np.intp)
-
-
-def _with_point(lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> None:
-    """Puts a "." into the word pairs at byte at, in place, moving the
-    bytes from there on up one (no point where at is 0)."""
-    t = _layout()
-    keep = t.low[at]
-    moved = lo & ~keep
-    lo &= keep
-    lo |= moved << t.u64(8)
-    lo |= t.point_lo[at]
-    keep = t.high[at]
-    spill = hi & ~keep
-    hi &= keep
-    hi |= spill << t.u64(8)
-    hi |= moved >> t.u64(56)
-    hi |= t.point_hi[at]
-
-
-def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
-    """The cells of the float array x as an S array of its shape, each text
-    NUL-padded: '%.12g' % v (as _csv_cell writes it), or where as_json (a
-    bool, or bools broadcast against x; False is csv throughout)
-    holds, json.dumps(_round12(v)) (as _json_cell writes it).
-
-    Both write a finite v whose 12-digit rounding has a decimal exponent e
-    in [-4, 11] positionally: the digits of the 12-digit integer
-    n = round(|v| * 10**(11 - e)) less its trailing zeros, with a point
-    after digit e when a digit follows it, "0." and -e - 1 zeros before
-    them when e < 0, and in json ".0" after an integral value (the repr of
-    the nearest double to a decimal of at most 12 digits is that decimal).
-    Here e is floor(log10|v|), and n is the nearest integer to the product
-    by the exact power of ten; n = 10**12 carries into e + 1. The product is
-    correctly rounded and every half-integer below 2**52 is a double, so it
-    lies on the same side of each half-integer as the exact product, or on
-    it: n is the correct rounding unless the product is a half-integer. A
-    cell's digits come in a pair of words from a table of 4-digit groups,
-    the point is put in by a shift, and the sign and "0.0…" go before them
-    by another. A cell whose product is a half-integer (a tie, or within
-    half an ulp of one), whose e is out of range or misjudged by log10, or
-    that is nan or infinite goes to _python_floats, so every text is
-    Python's by construction. The steps hold few arrays at a time: on a
-    piece of rows, fresh pages cost more than the arithmetic."""
-    import numpy as np
-    flat = np.asarray(x, dtype=float).ravel()
-    e, fast, lo, hi, digits = _digits(np.abs(flat))
-    e += 1
-    # An integral value keeps its e + 1 digits, and in json one more for ".0".
-    if as_json is False:
-        np.maximum(digits, e, out=digits)
-    else:
-        np.maximum(digits, (e.reshape(np.shape(x)) + as_json).ravel(), out=digits)
-    point = (e > 0) & (digits > e)
-    _with_point(lo, hi, e * point)
-    digits += point
-    t = _layout()
-    lo &= t.low[digits]
-    hi &= t.high[digits]
-    e += 3 + 16 * np.signbit(flat)
-    shift = t.shifts[e]
-    # a bound on the longest text
-    width = (int(np.maximum.reduce(shift, initial=0)) // 8
-             + int(np.maximum.reduce(digits, initial=1)))
-    words = np.empty((len(flat), (width + 7) // 8), dtype="<u8")
-    np.bitwise_or(t.heads[e], lo << shift, out=words[:, 0])
-    if width > 8:
-        back = t.u64(64) - shift
-        np.bitwise_or(hi << shift, lo >> back, out=words[:, 1])
-        if width > 16:
-            np.right_shift(hi, back, out=words[:, 2])
-    texts = words.view(np.dtype((np.bytes_, words.shape[1] * 8))).ravel()
-    if not fast.all():
-        slow = ~fast
-        as_json = (np.zeros(np.shape(x), dtype=bool) | as_json).ravel()[slow]
-        python = np.array(_python_floats(flat[slow], as_json), dtype=bytes)
-        texts = texts.astype(np.promote_types(texts.dtype, python.dtype), copy=False)
-        texts[slow] = python
-    return texts.reshape(np.shape(x))
-
-
-def _cell_texts(cells, cell) -> np.ndarray:
-    """The cells as an S array of their texts by cell."""
-    import numpy as np
-    return np.array([cell(v).encode() for v in cells], dtype=bytes)
-
-
-def _join(texts, leads, close: str, buffers: dict) -> bytes:
-    """One piece of rows, row i the texts[j][i] each after leads[j], then
-    close, less the NUL padding of the texts. The rows are one structured
-    array, kept in buffers by the widths of the texts, so that its leads
-    and closes are written once; the first piece is the longest."""
-    import numpy as np
-    key = tuple(t.dtype for t in texts)
-    if key not in buffers:
-        fixed, fields = {}, []
-        for j, (lead, t) in enumerate(zip(leads, texts)):
-            if lead:
-                fixed[f"l{j}"] = lead.encode()
-                fields.append((f"l{j}", f"S{len(fixed[f'l{j}'])}"))
-            fields.append((f"t{j}", t.dtype))
-        fixed["close"] = close.encode()
-        fields.append(("close", f"S{len(fixed['close'])}"))
-        buffers[key] = np.empty(len(texts[0]), dtype=fields)  # no later piece is longer
-        for name, text in fixed.items():
-            buffers[key][name] = text
-    rows = buffers[key][:len(texts[0])]
-    for j, t in enumerate(texts):
-        rows[f"t{j}"] = t
-    return rows.tobytes().translate(None, b"\0")
-
-
-def _records(table: Table, leads, close: str, cell, as_json: bool):
-    """The rows of a typed table as bytes pieces of _JOIN_ROWS rows, each
-    cell after its column's lead and each row ending in close. Every column
-    gives each piece its cells as NUL-padded texts, so no text may hold a
-    NUL (JSON texts never do, nor do the csv texts of numbers, bools and
-    digit labels). A column's type picks its path: a Coded column's values
-    are formatted once by cell and taken by its codes; the float arrays,
-    and the int arrays of cells all below 10**12 in magnitude (exact as
-    floats, which _float_texts writes as str does), together by
-    _float_texts, floats in json as json does when as_json; any other
-    column (a list, such as a point command's, or a larger int array) cell
-    by cell."""
-    import numpy as np
-    n = len(table)
-    coded, plain, numbers, layouts = {}, {}, {}, []
-    for j, col in enumerate(table.columns):
-        kind = col.dtype.kind if isinstance(col, np.ndarray) else None
-        if isinstance(col, Coded):
-            coded[j] = _cell_texts(col.values, cell), col.codes
-        # compared as floats, since np.abs of int64 -2**63 wraps to itself
-        elif kind == "f" or (kind == "i" and (np.abs(col.astype(float)) < 1e12).all()):
-            numbers[j] = col
-            layouts.append(as_json and kind == "f")
-        else:
-            plain[j] = col.tolist() if isinstance(col, np.ndarray) else col
-    # row-major, so that a piece's numbers are one contiguous block
-    values = np.stack(list(numbers.values()), axis=1) if numbers else None
-    layouts = layouts if any(layouts) else False
-    buffers = {}
-    for start in range(0, n, _JOIN_ROWS):
-        stop = min(start + _JOIN_ROWS, n)
-        texts = {j: np.take(t, codes[start:stop]) for j, (t, codes) in coded.items()}
-        texts.update((j, _cell_texts(col[start:stop], cell)) for j, col in plain.items())
-        if numbers:
-            texts.update(zip(numbers, _float_texts(values[start:stop], layouts).T))
-        yield _join([texts[j] for j in range(len(leads))], leads, close, buffers)
-
-
-def _json_records(table: Table) -> list[bytes]:
-    """A typed table as bytes pieces of the records list of a top-level JSON
-    document, in the indent=2 layout."""
-    if not len(table):
-        return [b"[]"]
-    leads = [f"{',' if k else '    {'}\n      {json.dumps(name)}: "
-             for k, name in enumerate(table.names)]
-    *pieces, last = _records(table, leads, "\n    },\n", _json_cell, True)
-    return [b"[\n", *pieces, last[:-2], b"\n  ]"]  # no ",\n" after the last record
-
-
 def _json_bytes(doc) -> bytes:
     """json.dumps(_jsonify(doc), indent=2) and a newline in UTF-8, each
-    Table value of a top-level dict written by _json_records."""
+    Table value of a top-level dict written by writer._json_records."""
     if not (isinstance(doc, dict) and any(isinstance(v, Table) for v in doc.values())):
         return (json.dumps(_jsonify(doc), indent=2) + "\n").encode("utf-8")
+    from .writer import _json_records
     pieces = []
     for key, value in doc.items():
         pieces.append(f"{',' if pieces else '{'}\n  {json.dumps(key)}: ".encode("utf-8"))
@@ -370,16 +110,17 @@ def _json_bytes(doc) -> bytes:
 def emit_report(results, format: str) -> bytes:
     """Serialize a results payload to bytes.
 
-    "csv" renders a Table row by row (see _records), or the "columns" and
-    "rows" of a dict cell by cell; "json" renders the whole payload with its
-    construction field order, a Table value as its list of records. Reals
-    carry 12 significant digits in both formats, so equal results serialize
-    to equal bytes.
+    "csv" renders a Table row by row (see writer._records), or the "columns"
+    and "rows" of a dict cell by cell; "json" renders the whole payload with
+    its construction field order, a Table value as its list of records.
+    Reals carry 12 significant digits in both formats, so equal results
+    serialize to equal bytes. Only a Table loads the writer, and numpy.
     """
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         if isinstance(results, Table):
+            from .writer import _records
             writer.writerow(results.names)
             # Written a piece at a time, so no list of pieces is held.
             out = io.BytesIO()
@@ -427,14 +168,14 @@ def _single_rho(inv: CliInvocation, scenario_rho: float | None) -> float:
 # ---------------------------------------------------------------- command handlers
 
 def _point_report(doc: dict) -> Report:
-    """A point command's report: its JSON document, and as its table the
-    document's "per_perm" records when it has a profile, otherwise one row
-    of the fields after "command"."""
+    """A point command's report: its JSON document, and as its records the
+    document's "per_perm" records when it has a profile, otherwise one
+    record of the fields after "command"."""
     records = doc.get("per_perm")
     if records is None:
         _, *names = doc
         records = [{name: doc[name] for name in names}]
-    return Report(doc, Table.from_rows(records[0], [r.values() for r in records]))
+    return Report(doc, records)
 
 
 def _cmd_eval(inv: CliInvocation):
@@ -526,7 +267,7 @@ def _cmd_converge(inv: CliInvocation):
     probe = experiments.gdof_convergence_probe(alpha, rhos)
     summary = {"command": "converge", "rho_list": list(rhos), "d_tt": probe[0].d_tt,
                "d_ub": probe[0].d_ub}
-    return Report(summary, Table.from_rows(experiments.ConvergenceRow._fields, probe),
+    return Report(summary, [row._asdict() for row in probe],
                   experiments.convergence_failure(probe))
 
 
@@ -625,9 +366,11 @@ def run(inv: CliInvocation, stdout=None, stderr=None) -> int:
         report = command.handler(inv)
         data = report.head
         if fmt == "csv":
-            data = report.table
+            data = report.records
+            if not isinstance(data, Table):
+                data = {"columns": list(data[0]), "rows": [r.values() for r in data]}
         elif command.table:
-            data = {"summary": report.head, "records": report.table}
+            data = {"summary": report.head, "records": report.records}
         _write(emit_report(data, fmt), inv.out, out_stream)
         if fmt == "csv" and inv.out is not None and command.table:
             _write(emit_report(report.head, "json"), None, out_stream)

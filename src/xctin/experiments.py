@@ -16,17 +16,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .achievability import (IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof,
-                            tdma_tin_gdof_profiles, tdma_tin_rate, tdma_tin_rate_max)
-from .bounds import (PERMUTATIONS, _gdof_links, gdof_ub, gdof_ub_profiles,
-                     sum_capacity_ub, sum_capacity_ub_min)
-from .channel import AlphaMatrix, check_rhos, first_extremum, libm_pow
+from .achievability import IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof, tdma_tin_rate
+from .bounds import PERMUTATIONS, _gdof_links, gdof_ub, sum_capacity_ub
+from .channel import AlphaMatrix, check_rhos
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
+from .kernels import (_in_extended_rows, first_extremum, gdof_ub_profiles, libm_pow,
+                      sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
 # tests/test_bench_names.py name them.
-from .regime import (_in_extended_rows, _witness_links, check_tol, classify,  # noqa: F401
-                     in_extended_regime)
+from .regime import _witness_links, check_tol, classify, in_extended_regime  # noqa: F401
 from .tables import Coded, Table
 
 GENERATOR_ID = "numpy.random.Generator(numpy.random.Philox(seed)) [philox4x64-10]"
@@ -62,6 +61,8 @@ SAMPLER_EXHAUSTION_WINDOW = 1_000_000
 SWEEP_MAX_AXIS_POINTS = 1001
 # Largest exponent on each sweep axis.
 SWEEP_RANGE_MAX = 0.75
+# The sweep family's cross exponent: lo <= beta < hi.
+SWEEP_BETA_RANGE = (0.5, 1.0)
 # Rows per block-kernel call in the audits (the sweep is one broadcast over
 # its axes): enough to spread numpy's per-call cost, few enough that the
 # temporaries stay small whatever n. Against 256 (in process, 2 shared
@@ -163,8 +164,9 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     SweepRecords.
     """
     b = float(beta)
-    if not (0.5 <= b < 1.0):
-        raise InvalidBeta(f"beta must satisfy 0.5 <= beta < 1, got {beta!r}")
+    lo, hi = SWEEP_BETA_RANGE
+    if not (lo <= b < hi):
+        raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
     t = check_tol(tol)
     s = float(step)
     rng_max = float(range_max)
@@ -236,8 +238,7 @@ def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> s
         where = f"({a21[i]:.12g}, {a12[i]:.12g})"
         if inclusion[i]:
             return f"regime inclusion violated at {where}"
-        return (f"GDoF equality violated at {where}: "
-                f"d_tt {d_tt[i]:.12g}, gdof_ub {d_ub[i]:.12g}")
+        return f"GDoF equality violated at {where}: d_tt {dt.item(i)!r}, gdof_ub {du.item(i)!r}"
     if tol > 0.0:
         return None
     s = float(step)
@@ -339,9 +340,12 @@ def sample_in_regime(n: int, rng: np.random.Generator) -> list[AlphaMatrix]:
 
 
 def _symmetric_grids(u: np.ndarray) -> np.ndarray:
-    """Grids of the symmetric sweep family with beta in [0.5, 1) and a21, a12
-    in [0, 0.75), from (m, 3) uniform draws in the order beta, a21, a12."""
-    return _family_grids(0.75 * u[:, 1], 0.75 * u[:, 2], 0.5 + 0.5 * u[:, 0])
+    """Grids of the symmetric sweep family with beta on SWEEP_BETA_RANGE and
+    a21, a12 in [0, SWEEP_RANGE_MAX), from (m, 3) uniform draws in the order
+    beta, a21, a12."""
+    lo, hi = SWEEP_BETA_RANGE
+    return _family_grids(SWEEP_RANGE_MAX * u[:, 1], SWEEP_RANGE_MAX * u[:, 2],
+                         lo + (hi - lo) * u[:, 0])
 
 
 def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
@@ -431,9 +435,9 @@ def gap_audit_failure(report: GapReport) -> str | None:
     gap within GAP_BOUND_BITS, and every gap positive (the bound above the
     rate). A NaN gap fails both."""
     if not report.max_gap_bits <= GAP_BOUND_BITS:
-        return f"max gap {report.max_gap_bits:.12g} bits exceeds {GAP_BOUND_BITS:g} bits"
+        return f"max gap {report.max_gap_bits!r} bits exceeds {GAP_BOUND_BITS:g} bits"
     if not report.min_gap_bits > 0.0:
-        return f"min gap {report.min_gap_bits:.12g} bits is not positive"
+        return f"min gap {report.min_gap_bits!r} bits is not positive"
     return None
 
 
@@ -495,10 +499,10 @@ def sandwich_audit_failure(report: SandwichReport) -> str | None:
     the rate exceeds the bound by at most SANDWICH_RATE_TOL_BITS, and the
     TIN GDoF the GDoF bound by at most SANDWICH_GDOF_TOL. A NaN fails."""
     if not report.max_rate_violation_bits <= SANDWICH_RATE_TOL_BITS:
-        return (f"rate exceeds the bound by {report.max_rate_violation_bits:.12g} "
+        return (f"rate exceeds the bound by {report.max_rate_violation_bits!r} "
                 f"bits (tolerance {SANDWICH_RATE_TOL_BITS:g})")
     if not report.max_gdof_violation <= SANDWICH_GDOF_TOL:
-        return (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation:.12g} "
+        return (f"TIN GDoF exceeds the GDoF bound by {report.max_gdof_violation!r} "
                 f"(tolerance {SANDWICH_GDOF_TOL:g})")
     return None
 
@@ -535,11 +539,11 @@ def convergence_failure(rows: list[ConvergenceRow]) -> str | None:
     outside = [r for r in rows if not abs(r.rate_norm - r.d_tt) <= 2.0 / math.log2(r.rho) + 1e-9]
     if outside:
         r = max(outside, key=lambda r: abs(r.rate_norm - r.d_tt) - 2.0 / math.log2(r.rho))
-        return (f"normalized rate is {abs(r.rate_norm - r.d_tt):.12g} from d_tt at rho "
+        return (f"normalized rate is {abs(r.rate_norm - r.d_tt)!r} from d_tt at rho "
                 f"{r.rho:.12g}, outside the 2/log2(rho) corridor")
     crossed = [r for r in rows if not r.ub_norm >= r.rate_norm - 1e-12]
     if crossed:
         r = max(crossed, key=lambda r: r.rate_norm - r.ub_norm)
         return (f"normalized bound is below the normalized rate by "
-                f"{r.rate_norm - r.ub_norm:.12g} at rho {r.rho:.12g}")
+                f"{r.rate_norm - r.ub_norm!r} at rho {r.rho:.12g}")
     return None

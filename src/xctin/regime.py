@@ -28,15 +28,11 @@ side-information bound.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-from .bounds import _PERM_LINKS, _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, link_columns,
-                      scalar_where)
+from .bounds import _PICKS, TxPermutation, _genie_links, genie_params
+from .channel import AlphaMatrix, ValidatedRecord, check_rho, check_snr, scalar_where
 from .errors import NotApplicable, ValidationError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class RegimeVerdict(NamedTuple):
@@ -142,32 +138,6 @@ def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
     return RegimeVerdict(pe is not None, pg is not None, pe, pg, gdof)
 
 
-def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Block form of in_extended_regime and in_gsj_regime over the rows of an
-    (n, 6) row-major exponent array (rows as AlphaMatrix.flat()).
-
-    Returns two (n,) integer arrays: each row's first extended witness and
-    first reference-regime witness as an index into PERMUTATIONS, or -1 for
-    none. The scalar loop runs the same link-level test, which has only
-    subtractions, additions and comparisons, so the verdicts are those of
-    in_extended_regime and in_gsj_regime. tol is checked as there.
-    """
-    import numpy as np
-    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol),
-                                   np.where, np.maximum)
-    return _first_true(extended), _first_true(gsj)
-
-
-def _in_extended_rows(a: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each row of an (n, 6) row-major exponent array is in the
-    extended regime: regime_witnesses(a, tol)[0] >= 0 without the reference
-    regime's test or the witness index (the rejection sampler's test)."""
-    import numpy as np
-    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol),
-                                 np.where, np.maximum, reference=False)
-    return extended.any(axis=1)
-
-
 def _witness_links(links, tol: float, where, maximum, reference=True):
     """Whether the extended and (when reference, else None) the reference
     regime conditions hold at slack tol, from the exponents of (j1, i1),
@@ -181,13 +151,6 @@ def _witness_links(links, tol: float, where, maximum, reference=True):
     first = where(v3 > v1, u3 - (v3 - v1), u3)
     extended = (direct >= maximum(first, u2)) & cross
     return extended, ((direct >= maximum(u3, u2)) & cross if reference else None)
-
-
-def _first_true(ok: np.ndarray) -> np.ndarray:
-    """Column of each row's first True, or -1 where the row has none."""
-    import numpy as np
-    k = ok.argmax(axis=1)
-    return np.where(ok[np.arange(len(ok)), k], k, -1)
 
 
 def entropy_gap_conditions_hold(pair: AuxChannelPair, rel_tol: float = 0.0) -> bool:

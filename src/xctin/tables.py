@@ -1,20 +1,10 @@
-"""A command's records as columns: Table and its repeated-value Coded column.
+"""An audit's records as columns: Table and its repeated-value Coded column.
 
-The module loads no numpy: a point command builds its one-row Table from
-lists. Array columns, and the codes of a Coded column, come from experiments,
-so numpy is loaded whenever one exists, and the Coded methods that need it
-import it when called.
+Only the audits in experiments build Tables, so numpy is loaded whenever one
+exists. The module itself loads none, because cli imports it to tell a Table
+from the Python values of the other commands' records; the Coded methods
+that need numpy import it when called.
 """
-
-from __future__ import annotations
-
-import sys
-
-
-def _is_array(column) -> bool:
-    """Whether column is a numpy array; none can be before numpy is loaded."""
-    np = sys.modules.get("numpy")
-    return np is not None and isinstance(column, np.ndarray)
 
 
 class Coded:
@@ -52,15 +42,14 @@ class Coded:
 
 
 class Table:
-    """A table command's records as equal-length columns.
+    """An audit's records as equal-length columns.
 
     A column is a Coded column when its producer knows that it repeats a
-    few values, which the writer then formats once each; a 1-D float64 or
-    int64 array, which the writer formats with numpy; or a list, written
-    cell by cell. len(), iteration and indexing see rows of plain Python
-    cells (an array column's through tolist() or item()), made on demand:
-    record(*row) when record is given, plain tuples otherwise; == compares
-    names and rows.
+    few values, which the writer then formats once each; otherwise a 1-D
+    float64 or int64 array, which the writer formats with numpy. len(),
+    iteration and indexing see rows of plain Python cells (an array
+    column's through tolist() or item()), made on demand: record(*row) when
+    record is given, plain tuples otherwise; == compares names and rows.
     """
 
     __slots__ = ("names", "columns", "record")
@@ -70,19 +59,15 @@ class Table:
         self.columns = tuple(columns)
         self.record = record
 
-    @classmethod
-    def from_rows(cls, names, rows, record=None) -> "Table":
-        return cls(names, [list(c) for c in zip(*rows)] or [[] for _ in names], record)
-
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __iter__(self):
-        columns = [c.tolist() if _is_array(c) else c for c in self.columns]
+        columns = [c if isinstance(c, Coded) else c.tolist() for c in self.columns]
         return zip(*columns) if self.record is None else map(self.record, *columns)
 
     def __getitem__(self, i):
-        row = tuple(c.item(i) if _is_array(c) else c[i] for c in self.columns)
+        row = tuple(c[i] if isinstance(c, Coded) else c.item(i) for c in self.columns)
         return row if self.record is None else self.record(*row)
 
     def __eq__(self, other):

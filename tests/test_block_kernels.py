@@ -32,19 +32,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xctin import achievability, bounds
-from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof,
-                                 tdma_tin_gdof_config, tdma_tin_gdof_profiles,
-                                 tdma_tin_rate, tdma_tin_rate_max,
-                                 tdma_tin_rate_profiles, tin_sum_rate)
-from xctin.bounds import (PERMUTATIONS, gdof_ub, gdof_ub_profiles,
-                          sum_capacity_ub, sum_capacity_ub_min,
-                          sum_capacity_ub_profiles)
-from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, SCREEN_MARGIN, AlphaMatrix,
-                           first_best, first_extremum, libm_pow, link_columns)
+from xctin import achievability, bounds, kernels
+from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof, tdma_tin_gdof_config,
+                                 tdma_tin_rate, tin_sum_rate)
+from xctin.bounds import PERMUTATIONS, gdof_ub, sum_capacity_ub
+from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO, AlphaMatrix, first_best
 from xctin.experiments import BLOCK_ROWS, SWEEP_GRID_SLACK
-from xctin.regime import (_in_extended_rows, in_extended_regime, in_gsj_regime, psi,
-                          regime_witnesses)
+from xctin.kernels import (SCREEN_MARGIN, _in_extended_rows, first_extremum, gdof_ub_profiles,
+                           libm_pow, link_columns, regime_witnesses, sum_capacity_ub_min,
+                           sum_capacity_ub_profiles, tdma_tin_gdof_profiles,
+                           tdma_tin_rate_max, tdma_tin_rate_profiles)
+from xctin.regime import in_extended_regime, in_gsj_regime, psi
 
 EIGHTHS = [k / 8 for k in range(17)]
 entries = st.one_of(st.sampled_from(EIGHTHS), st.floats(0.0, 2.0))
@@ -305,11 +303,11 @@ def test_screen_misses_libm_by_far_less_than_its_margin(box):
     rho[:256] = MAX_RHO
     r = libm_pow(rho[:, None], a)
     screened_ub = bounds._bound_links(
-        link_columns(a, bounds._PERM_LINKS), link_columns(r, bounds._PERM_LINKS),
+        link_columns(a, kernels._PERM_LINKS), link_columns(r, kernels._PERM_LINKS),
         rho[:, None], np.power, np.log2, np.where)
     ub = sum_capacity_ub_profiles(a, rho)
     screened_rate = achievability._tin_rate_links(
-        link_columns(r, achievability._CONFIG_LINKS), np.log2)
+        link_columns(r, kernels._CONFIG_LINKS), np.log2)
     for screened, exact in ((screened_ub, ub), (screened_rate, tdma_tin_rate_profiles(a, rho))):
         # A thousandth of the margin screened_first gives each extremum.
         assert (np.abs(screened - exact) < SCREEN_MARGIN / 1000 * (1.0 + np.abs(exact))).all()

@@ -340,8 +340,8 @@ def test_gap_audit_failure_maps_to_exit_3(tmp_path, monkeypatch, capsys):
                          mean_gap_bits=8.5, min_gap_bits=8.5, argmax_alpha=alpha,
                          all_within_7=False, seed=0)
     monkeypatch.setattr(experiments, "gap_audit_with_rows",
-                        lambda *a, **k: (doctored, Table.from_rows(
-                            GAP_COLUMNS, [(0, 100.0, 8.5, 10.0, 1.5)])))
+                        lambda *a, **k: (doctored, Table(
+                            GAP_COLUMNS, [np.array([v]) for v in (0, 100.0, 8.5, 10.0, 1.5)])))
     assert main(["gap-audit", "--n", "1"]) == 3
     # the finding is still reported, not swallowed
     captured = capsys.readouterr()
@@ -443,6 +443,20 @@ BYTE_PINS = [
     (("sweep", "--format", "json", "--out", "{out}", "--step", "0.01", "--tolerance", "0.004",
       "--beta", "0.9"),
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "3fd1d547a9be33f49297d728f51604d03b4c1eb5bfdbddcbd2a90d481804ff7f"),
+    # Recorded before the point and converge records stopped being Tables:
+    # their csv and json records in a file, with converge's summary on
+    # stdout, and a classify row of empty cells.
+    (("converge", "--alpha", FIG_ALPHA, "--rho-db", "40,60,90", "--format", "csv",
+      "--out", "{out}"),
+     "6da6c8f249763778e4bbac23f05cf514e9b88d41ab3dda4543672f80ea4c18ab", "61efc72f9eb35ec2808c845d8dbf8529a7f3421b22f5c02941ca1f9a7dfda58d"),
+    (("converge", "--out", "{out}", "--format", "json", "--scenario", "{scenario}"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "ff38987b95e173c927091b975c5f882314909eac893cf8f6fdda44913ba8e7a2"),
+    (("bound", "--alpha", FIG_ALPHA, "--rho-db", "40", "--format", "csv", "--out", "{out}"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "a712f0315db747a0b6df902a0183f7e4ce34ac15c5a158897d4edde6ee0f8f35"),
+    (("classify", "--scenario", "{scenario}", "--format", "csv", "--out", "{out}"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "5f89b9f8268d0f4a9d9f69745b543acb406a9d61088a1d7c7e8838cae4006e45"),
+    (("classify", "--format", "csv", "--out", "{out}", "--alpha", "1,1,1,1,1,1"),
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", "c65da920fd3024170c9cac34f6d942aa9f6c8fb8fd84834413694348b0d7ef25"),
 ]
 # Each pin's test id is its command and last two args; pytest would rename
 # colliding ids silently, so a new pin orders its flags to make its id new.

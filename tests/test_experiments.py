@@ -6,23 +6,23 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xctin import achievability, bounds, experiments, regime
+from xctin import achievability, bounds, experiments, kernels, regime
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
 from xctin.bounds import gdof_ub, sum_capacity_ub
-from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix,
-                           first_extremum, libm_log2, libm_pow)
+from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
                                SAMPLER_EXHAUSTION_WINDOW, SANDWICH_GDOF_TOL,
                                SANDWICH_RATE_TOL_BITS, SANDWICH_RHO_RANGE,
-                               SWEEP_GRID_SLACK, SWEEP_RANGE_MAX, ConvergenceRow, GapReport,
+                               SWEEP_GRID_SLACK, SWEEP_RANGE_MAX, Coded, ConvergenceRow, GapReport,
                                SandwichReport, SweepRecord, Table, convergence_failure,
                                gap_audit, gap_audit_failure, gap_audit_with_rows,
                                gdof_convergence_probe, sample_in_regime,
                                sandwich_audit, sandwich_audit_failure,
                                sandwich_audit_with_rows, sweep_audit_failure,
                                sweep_regime_plane)
+from xctin.kernels import first_extremum, libm_log2, libm_pow
 from xctin.regime import classify, in_extended_regime
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
@@ -128,10 +128,11 @@ def test_sweep_audit_checks_inclusion_and_gdof_equality():
     for idx, change, failure in (
             (outside, dict(in_gsj=True), "regime inclusion violated at (0, 0.75)"),
             (inside, dict(gdof_ub=records[inside].d_tt + 1e-11),
-             "GDoF equality violated at (0, 0): d_tt 2, gdof_ub 2.00000000001")):
+             "GDoF equality violated at (0, 0): d_tt 2.0, gdof_ub 2.00000000001")):
         broken = list(records)
         broken[idx] = records[idx]._replace(**change)
-        broken = Table.from_rows(records.names, broken, SweepRecord)
+        broken = Table(records.names, [Coded(col, np.arange(len(broken)))
+                                       for col in zip(*broken)], SweepRecord)
         assert sweep_audit_failure(broken, 0.75, 0.25, 0.0) == failure
         # Tolerance > 0 skips only the geometry, never these two checks.
         assert sweep_audit_failure(broken, 0.75, 0.25, 1e-6) == failure
@@ -163,13 +164,13 @@ def test_sweep_broadcast_matches_the_block_kernels_on_grid_rows(beta, step, tol)
     table = sweep_regime_plane(beta, step, tol=tol)
     a21, a12, ext, gsj, d_tt, d_ub, witness = table.columns
     grids = experiments._family_grids(np.array(a21), np.array(a12), beta)
-    want_ext, want_gsj = regime.regime_witnesses(grids, tol + SWEEP_GRID_SLACK)
+    want_ext, want_gsj = kernels.regime_witnesses(grids, tol + SWEEP_GRID_SLACK)
     assert _signed(a21) == _signed(grids[:, 3].tolist())
     assert _signed(a12) == _signed(grids[:, 1].tolist())
     assert _signed(d_tt) == _signed(
-        first_extremum(achievability.tdma_tin_gdof_profiles(grids), lowest=False).tolist())
+        first_extremum(kernels.tdma_tin_gdof_profiles(grids), lowest=False).tolist())
     assert _signed(d_ub) == _signed(
-        first_extremum(bounds.gdof_ub_profiles(grids), lowest=True).tolist())
+        first_extremum(kernels.gdof_ub_profiles(grids), lowest=True).tolist())
     assert (ext, gsj) == ((want_ext >= 0).tolist(), (want_gsj >= 0).tolist())
     assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
 
@@ -194,7 +195,7 @@ def _profile_reduction(axis, beta, tol):
     rows = side * side
     return (first_extremum(d_tt.reshape(rows, -1), lowest=False),
             first_extremum(d_ub.reshape(rows, -1), lowest=True),
-            regime._first_true(ext.reshape(rows, -1)), regime._first_true(gsj.reshape(rows, -1)))
+            kernels._first_true(ext.reshape(rows, -1)), kernels._first_true(gsj.reshape(rows, -1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -320,8 +321,8 @@ def test_the_sampler_tests_only_the_extended_regime(monkeypatch):
         calls[bind(*args, **kwargs).arguments.get("reference", True)] += 1
         return witness_links(*args, **kwargs)
 
-    monkeypatch.setattr(regime, "_witness_links", counted)
-    monkeypatch.setattr(experiments, "_witness_links", counted)
+    for module in (regime, kernels, experiments):
+        monkeypatch.setattr(module, "_witness_links", counted)
     gap_audit_with_rows(300, (1e2, 1e4), seed=3)
     gap_audit_with_rows(50, (1e2,), seed=3, beta_free=False)
     sample_in_regime(2000, np.random.Generator(np.random.Philox(3)))
@@ -535,8 +536,7 @@ def _count_libm_elements(monkeypatch) -> dict:
             return out
         return call
 
-    for module, f in ((bounds, libm_pow), (bounds, libm_log2), (achievability, libm_pow),
-                      (achievability, libm_log2), (experiments, libm_pow)):
+    for module, f in ((kernels, libm_pow), (kernels, libm_log2), (experiments, libm_pow)):
         monkeypatch.setattr(module, f.__name__, counted(f))
     return counts
 
@@ -836,11 +836,11 @@ def test_gap_verdict_at_its_edges():
                        mean_gap_bits=4.0, min_gap_bits=1.0, all_within_7=True,
                        argmax_alpha=FIG_POINT)
     assert gap_audit_failure(report) is None
-    above = math.nextafter(7.0, math.inf)
-    assert gap_audit_failure(report._replace(max_gap_bits=above)) == (
-        f"max gap {above:.12g} bits exceeds 7 bits")
+    # One double past the threshold prints as itself, not as the threshold.
+    assert gap_audit_failure(report._replace(max_gap_bits=math.nextafter(7.0, math.inf))) == (
+        "max gap 7.000000000000001 bits exceeds 7 bits")
     assert gap_audit_failure(report._replace(min_gap_bits=0.0)) == (
-        "min gap 0 bits is not positive")
+        "min gap 0.0 bits is not positive")
     assert gap_audit_failure(report._replace(min_gap_bits=math.nan)) == (
         "min gap nan bits is not positive")
     assert gap_audit_failure(report._replace(max_gap_bits=math.nan, min_gap_bits=math.nan)) == (
@@ -852,12 +852,14 @@ def test_sandwich_verdict_at_its_edges():
                             max_rate_violation_bits=SANDWICH_RATE_TOL_BITS,
                             max_gdof_violation=SANDWICH_GDOF_TOL)
     assert sandwich_audit_failure(report) is None
-    for rate in (math.nextafter(SANDWICH_RATE_TOL_BITS, math.inf), math.nan):
+    for rate, text in ((math.nextafter(SANDWICH_RATE_TOL_BITS, math.inf),
+                        "1.0000000000000003e-09"), (math.nan, "nan")):
         assert sandwich_audit_failure(report._replace(max_rate_violation_bits=rate)) == (
-            f"rate exceeds the bound by {rate:.12g} bits (tolerance 1e-09)")
-    for gdof in (math.nextafter(SANDWICH_GDOF_TOL, math.inf), math.nan):
+            f"rate exceeds the bound by {text} bits (tolerance 1e-09)")
+    for gdof, text in ((math.nextafter(SANDWICH_GDOF_TOL, math.inf), "1.0000000000000002e-12"),
+                       (math.nan, "nan")):
         assert sandwich_audit_failure(report._replace(max_gdof_violation=gdof)) == (
-            f"TIN GDoF exceeds the GDoF bound by {gdof:.12g} (tolerance 1e-12)")
+            f"TIN GDoF exceeds the GDoF bound by {text} (tolerance 1e-12)")
 
 
 def test_convergence_verdict_names_the_worst_row():
@@ -871,4 +873,4 @@ def test_convergence_verdict_names_the_worst_row():
     assert convergence_failure(inside) is None
     crossed = [inside[0]._replace(ub_norm=0.95), inside[1]._replace(ub_norm=0.85)]
     assert convergence_failure(crossed) == (
-        "normalized bound is below the normalized rate by 0.2 at rho 1048576")
+        "normalized bound is below the normalized rate by 0.20000000000000007 at rho 1048576")

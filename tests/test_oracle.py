@@ -28,10 +28,10 @@ import pytest
 from mpmath import mp, mpf
 
 from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof, tdma_tin_gdof_config,
-                                 tdma_tin_rate, tdma_tin_rate_profiles, tin_sum_rate)
-from xctin.bounds import (PERMUTATIONS, gdof_ub, sum_capacity_ub,
-                          sum_capacity_ub_profiles)
+                                 tdma_tin_rate, tin_sum_rate)
+from xctin.bounds import PERMUTATIONS, gdof_ub, sum_capacity_ub
 from xctin.channel import MAX_RHO_DB, AlphaMatrix, rho_from_db
+from xctin.kernels import sum_capacity_ub_profiles, tdma_tin_rate_profiles
 from xctin.regime import classify
 
 # (i1, i2, i3, j1, j2): Tx i1 and i3 are seen by the genie at Rx j1, Tx i2

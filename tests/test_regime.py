@@ -10,10 +10,11 @@ from xctin.achievability import tdma_tin_gdof
 from xctin.bounds import PERMUTATIONS, TxPermutation, gdof_ub, genie_params
 from xctin.channel import AlphaMatrix
 from xctin.errors import NotApplicable, ValidationError
+from xctin.kernels import regime_witnesses
 from xctin.regime import (AuxChannelPair, classify,
                           entropy_gap_conditions_hold, genie_aux_pair,
                           genie_satisfies_entropy_gap, in_extended_regime,
-                          in_gsj_regime, psi, regime_witnesses)
+                          in_gsj_regime, psi)
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
 P0 = TxPermutation(1, 2, 3, 1, 2)

@@ -1,13 +1,16 @@
 """The scalar path starts without numpy, scipy or dataclasses.
 
 The point commands (eval, classify, bound, gdof) run in pure Python, so
-importing the package or the CLI and running a point command in JSON, or
-rejecting an input, must leave numpy unloaded; a table command loads it.
-The records are named tuples, so nothing loads dataclasses, nor, on the
-scalar path, the inspect module it imports. Each case runs in a fresh
-interpreter, since this test process has numpy.
+importing the package or the CLI and running a point command in JSON or
+csv, or rejecting an input, must leave numpy unloaded; a table command loads
+it. numpy is imported at the top of the modules that work on arrays and
+nowhere else but in the Coded column's array methods. The records are named
+tuples, so nothing loads dataclasses, nor, on the scalar path, the inspect
+module it imports. Each run case uses a fresh interpreter, since this test
+process has numpy.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -87,6 +90,44 @@ def test_point_commands_and_input_errors_add_no_heavy_module(tmp_path):
         argvs.append([command, "--alpha", ALPHA, *rho, "--format", "json"])
     codes = [2, 2] + [0] * 12
     assert _added("xctin.cli", *argvs) == [[]] + [[code, []] for code in codes]
+
+
+def test_point_csv_adds_no_heavy_module(tmp_path):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(ALPHA_SCENARIO))
+    argvs = []
+    for command in POINT_COMMANDS:
+        rho = ["--rho-db", "40"] if command in ("eval", "bound") else []
+        argvs += [[command, "--alpha", ALPHA, *rho, "--format", "csv"],
+                  [command, "--scenario", str(path), "--format", "csv"]]
+    assert _added("xctin.cli", *argvs) == [[]] + [[0, []]] * len(argvs)
+
+
+def _numpy_imports(node, scope: str):
+    """The scope of each numpy import under node: "" for a statement of the
+    module body, the dotted names of the enclosing classes and functions,
+    or "<block>" under any other statement of the body (such as `if
+    TYPE_CHECKING:`)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""])
+            if any(name.partition(".")[0] == "numpy" for name in names):
+                yield scope
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = child.name if scope in ("", "<block>") else f"{scope}.{child.name}"
+            yield from _numpy_imports(child, inner)
+        else:
+            yield from _numpy_imports(child, scope or "<block>")
+
+
+def test_numpy_is_imported_only_where_the_arrays_are():
+    found = {(path.stem, scope) for path in (SRC / "xctin").glob("*.py")
+             for scope in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")), "")}
+    assert {module for module, scope in found if scope == ""} == {
+        "experiments", "kernels", "writer"}
+    assert {(module, scope.partition(".")[0]) for module, scope in found if scope} <= {
+        ("tables", "Coded")}
 
 
 def test_experiments_import_adds_no_dataclasses():

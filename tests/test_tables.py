@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xctin import cli, experiments
+from xctin import cli, experiments, writer
 from xctin.achievability import IcConfig
 from xctin.bounds import TxPermutation
 from xctin.channel import AlphaMatrix
@@ -26,9 +26,9 @@ from xctin.experiments import (BLOCK_ROWS, SWEEP_GRID_SLACK, Coded, SweepRecord,
 
 FIG_ALPHA = (1.0, 0.2, 0.75, 0.4, 1.0, 0.75)
 
-# One small invocation of every command; their reports give each table's
-# column names, and the cell types of its first row a generator letter per
-# column (below).
+# One small invocation of every command; the records of their reports (a
+# Table, or a list of record dicts) give each schema's column names, and the
+# cell types of the first row a generator letter per column (below).
 _INVOCATIONS = (
     CliInvocation("eval", alpha=FIG_ALPHA, rho_db=(40.0,)),
     CliInvocation("classify", alpha=FIG_ALPHA),
@@ -54,8 +54,20 @@ CELLS = {
 # a regime is one, so is a missing witness).
 _LETTERS = {int: "i", float: "f", bool: "b", str: "s", TxPermutation: "s", IcConfig: "s",
             type(None): "g"}
-SCHEMAS = sorted({(t.names, "".join(_LETTERS[type(v)] for v in t[0])) for t in
-                  (cli.COMMANDS[inv.command].handler(inv).table for inv in _INVOCATIONS)})
+
+
+def _schema(records) -> tuple:
+    """The column names of a report's records and the letters of their first
+    row."""
+    if isinstance(records, Table):
+        names, row = records.names, records[0]
+    else:
+        names, row = tuple(records[0]), records[0].values()
+    return names, "".join(_LETTERS[type(v)] for v in row)
+
+
+SCHEMAS = sorted({_schema(cli.COMMANDS[inv.command].handler(inv).records)
+                  for inv in _INVOCATIONS})
 SUMMARIES = (
     {},
     {"command": "sweep", "beta": 0.75, "n_records": 3, "range_max": 1.0 / 3.0},
@@ -74,8 +86,8 @@ INT64_CELLS = st.one_of(st.integers(-10**12 + 1, 10**12 - 1), st.integers(-2**63
 def tables(draw):
     """A table of one command's schema. Each column either repeats a few
     drawn cells or, for floats, holds distinct values mixed with them. A
-    column is a list, or for letters f and i either a list or a float64 or
-    int64 array."""
+    column is Coded with one value per cell, or for letters f and i either
+    that or a float64 or int64 array."""
     names, kinds = draw(st.sampled_from(SCHEMAS))
     n = draw(st.sampled_from([0, 1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS + 1]))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -89,26 +101,28 @@ def tables(draw):
                    for _ in range(n)]
         else:
             col = [rng.choice(pool) for _ in range(n)]
-        columns.append(np.array(col, dtype=float if kind == "f" else np.int64) if array else col)
+        columns.append(np.array(col, dtype=float if kind == "f" else np.int64) if array
+                       else Coded(col, np.arange(n)))
     return Table(names, columns)
 
 
 @st.composite
 def all_text_tables(draw):
-    """A table of Coded float columns next to bool and label columns, plain
-    or Coded: all four Coded, as in the sweep, or some written cell by cell.
+    """A table of Coded float columns next to bool and label columns, each
+    Coded over a few values, as in the sweep, or over one value per cell.
     The values of each column are a few drawn cells, None among them, and
     the float cells include signed zeros, NaNs, infinities and subnormals;
-    up to more than two pieces of cli._JOIN_ROWS rows, all columns Coded in
-    some tables of that size."""
-    n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * cli._JOIN_ROWS + 1]))
-    all_coded = n > 2 * cli._JOIN_ROWS and draw(st.booleans())
+    up to more than two pieces of writer._JOIN_ROWS rows, all columns over a
+    few values in some tables of that size."""
+    n = draw(st.sampled_from([0, 1, 2, BLOCK_ROWS + 1, 2 * writer._JOIN_ROWS + 1]))
+    all_coded = n > 2 * writer._JOIN_ROWS and draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     columns = []
     for kind in "bsff":
         pool = draw(st.lists(st.one_of(st.none(), CELLS[kind]), min_size=1, max_size=6))
         col = Coded(pool, rng.integers(len(pool), size=n))
-        columns.append(col if kind == "f" or all_coded or draw(st.booleans()) else list(col))
+        columns.append(col if kind == "f" or all_coded or draw(st.booleans())
+                       else Coded(list(col), np.arange(n)))
     return Table(("flag", "label", "x", "y"), columns)
 
 
@@ -151,7 +165,7 @@ REWRITTEN = st.one_of(
        rewritten=st.lists(REWRITTEN, max_size=3))
 def test_json_floats_match_the_three_call_path(data, cells, rewritten):
     col = data.draw(st.permutations(cells + rewritten))
-    assert cli._float_texts(np.array(col, dtype=float), True).tolist() == \
+    assert writer._float_texts(np.array(col, dtype=float), True).tolist() == \
         [json.dumps(float(format(x, ".12g"))).encode() for x in col]
 
 
@@ -160,11 +174,11 @@ def test_json_floats_match_the_three_call_path(data, cells, rewritten):
        layouts=st.tuples(st.booleans(), st.booleans()))
 def test_float_texts_match_python_formatting(cells, as_json, layouts):
     want = [(cli._json_cell if as_json else cli._csv_cell)(x).encode() for x in cells]
-    assert cli._float_texts(np.array(cells), as_json).tolist() == want
+    assert writer._float_texts(np.array(cells), as_json).tolist() == want
     # two rows, each in its own layout, as the writer formats a piece
     rows = np.array([cells, cells[::-1]])
     cell = [cli._json_cell if j else cli._csv_cell for j in layouts]
-    assert cli._float_texts(rows, np.array(layouts)[:, None]).tolist() == \
+    assert writer._float_texts(rows, np.array(layouts)[:, None]).tolist() == \
         [[cell[k](x).encode() for x in row] for k, row in enumerate(rows.tolist())]
 
 
@@ -209,7 +223,7 @@ def test_float_texts_match_python_on_a_seeded_corpus():
     assert [json_texts[i] for i in sample] == \
         [names.get(csv_texts[i]) or repr(float(csv_texts[i])) for i in sample]
     for as_json, want in ((False, csv_texts), (True, json_texts)):
-        got = cli._float_texts(x, as_json).tolist()
+        got = writer._float_texts(x, as_json).tolist()
         if got != [t.encode() for t in want]:
             bad = [(v, g, w) for v, g, w in zip(x.tolist(), got, want) if g != w.encode()]
             pytest.fail(f"{len(bad)} mismatches, first {bad[:5]}")
@@ -218,8 +232,8 @@ def test_float_texts_match_python_on_a_seeded_corpus():
 def test_bench_sized_tables_rarely_leave_the_fast_path(monkeypatch):
     # the benchmark's sandwich and gap op sizes; a cell goes to Python only
     # when its scaled product is a half-integer
-    python_floats, slow = cli._python_floats, []
-    monkeypatch.setattr(cli, "_python_floats",
+    python_floats, slow = writer._python_floats, []
+    monkeypatch.setattr(writer, "_python_floats",
                         lambda x, j: slow.append(len(x)) or python_floats(x, j))
     _, sandwich = experiments.sandwich_audit_with_rows(2500, None, 5)
     _, gap = experiments.gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
@@ -345,10 +359,11 @@ def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
 
 
 def test_every_table_goes_through_one_byte_row_path(monkeypatch):
-    # Every table a command writes, in csv and json, is joined by _join; a
-    # point command's json document holds no table.
-    join, calls = cli._join, []
-    monkeypatch.setattr(cli, "_join", lambda *args: calls.append(args) or join(*args))
+    # Every audit table, in csv and json, is joined by _join; the records of
+    # a point command and of converge are Python values, which never reach
+    # the writer.
+    join, calls = writer._join, []
+    monkeypatch.setattr(writer, "_join", lambda *args: calls.append(args) or join(*args))
     reached = set()
     for inv, fmt in ((inv, fmt) for inv in _INVOCATIONS for fmt in ("csv", "json")):
         before = len(calls)
@@ -356,9 +371,10 @@ def test_every_table_goes_through_one_byte_row_path(monkeypatch):
                        stderr=io.StringIO()) == 0
         if len(calls) > before:
             reached.add((inv.command, fmt))
-    assert reached == {(inv.command, fmt) for inv in _INVOCATIONS for fmt in ("csv", "json")
-                       if fmt == "csv" or cli.COMMANDS[inv.command].table}
-    assert re.search(r"__mod__|%[%sd]", inspect.getsource(cli)) is None
+    assert reached == {(command, fmt) for command in ("sweep", "gap-audit", "sandwich-audit")
+                       for fmt in ("csv", "json")}
+    for module in (cli, writer):
+        assert re.search(r"__mod__|%[%sd]", inspect.getsource(module)) is None
 
 
 def test_classify_outside_the_regime_writes_empty_cells(capsys):
@@ -370,7 +386,7 @@ def test_classify_outside_the_regime_writes_empty_cells(capsys):
 
 
 def test_empty_table_renders_header_and_empty_records():
-    table = Table(("a", "b"), ([], []))
+    table = Table(("a", "b"), (np.array([]), np.arange(0)))
     assert emit_report(table, "csv") == b"a,b\n"
     assert emit_report({"summary": {"n": 0}, "records": table}, "json") == \
         b'{\n  "summary": {\n    "n": 0\n  },\n  "records": []\n}\n'
@@ -379,7 +395,8 @@ def test_empty_table_renders_header_and_empty_records():
 # ---------------------------------------------------------------- sweep audit
 
 def _reference_audit(records, beta, step, tol):
-    """The per-record loop that sweep_audit_failure replaced, as it was."""
+    """The per-record loop that sweep_audit_failure replaced, naming the
+    GDoF pair by repr as the audit now does."""
     def coords(r):
         return f"({r.alpha21:.12g}, {r.alpha12:.12g})"
 
@@ -388,7 +405,7 @@ def _reference_audit(records, beta, step, tol):
             return f"regime inclusion violated at {coords(r)}"
         if r.in_extended and abs(r.d_tt - r.gdof_ub) > 1e-12:
             return (f"GDoF equality violated at {coords(r)}: "
-                    f"d_tt {r.d_tt:.12g}, gdof_ub {r.gdof_ub:.12g}")
+                    f"d_tt {r.d_tt!r}, gdof_ub {r.gdof_ub!r}")
     if tol > 0.0:
         return None
     s = float(step)
@@ -435,7 +452,8 @@ def test_sweep_audit_names_the_same_first_offender_as_the_record_loop(
         else:
             change = {field: r.d_tt + delta}
         records[idx % len(records)] = r._replace(**change)
-    table = Table.from_rows(_sweep(beta, step).names, records, SweepRecord)
+    table = Table(_sweep(beta, step).names,
+                  [Coded(col, np.arange(len(records))) for col in zip(*records)], SweepRecord)
     beta_audited = beta if audit_beta is None else audit_beta
     assert sweep_audit_failure(table, beta_audited, step, tol) == \
         _reference_audit(records, beta_audited, step, tol)
