@@ -209,29 +209,22 @@ def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
 
 def gdof_ub_single(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Combined GDoF bound D(p); the positive part unifies the two branches."""
-    return _gdof_links(p.take(alpha.flat()), scalar_where)
+    return _gdof_links(p.take(alpha.flat()), scalar_where, max)
 
 
 def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     """min_p D(p) with the full profile; ties break lexicographically."""
     a = alpha.flat()
-    return _first_min(tuple([(p, _gdof_links(take(a), scalar_where)) for p, take in _PICKS]))
+    return _first_min(tuple([(p, _gdof_links(take(a), scalar_where, max)) for p, take in _PICKS]))
 
 
 # ---------------------------------------------------------- link-level formulas
 #
 # Each formula is written once, on the links of one ordering, with its
-# selections, powers and logarithms taken as arguments: the scalar API
-# passes Python floats with channel.scalar_where, pow and math.log2, and the
-# block kernels (see kernels) gathered link columns with numpy's.
-
-
-def _max3(x, y, z, where):
-    """Elementwise builtin max(x, y, z): the first of equal values wins, so
-    signed zeros come out as builtin max gives them (np.maximum keeps the
-    last)."""
-    m = where(y > x, y, x)
-    return where(z > m, z, m)
+# selections, maxima, powers and logarithms taken as arguments: the scalar
+# API passes Python floats with channel.scalar_where, max, pow and
+# math.log2, and the block kernels (see kernels) gathered link columns with
+# numpy's.
 
 
 def _genie_links(links, rho, power, where):
@@ -259,11 +252,12 @@ def _bound_links(links, powers, rho, power, log2, where):
     return term1 + term2 + 1.0
 
 
-def _gdof_links(links, where):
+def _gdof_links(links, where, maximum):
     """D(p) from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
     (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
-    operands; the positive part unifies the two case forms."""
+    operands; the positive part unifies the two case forms. maximum(x, y)
+    gives the first of equal values, as builtin max does, signed zeros too."""
     u1, u2, u3, v1, v2, v3 = links
     diff = v3 - v1
-    return (_max3(v1, v3, v2 - u2, where)
-            + _max3(u2, u1 - v1, u3 - where(diff > 0.0, diff, 0.0), where))
+    return (maximum(maximum(v1, v3), v2 - u2)
+            + maximum(maximum(u2, u1 - v1), u3 - where(diff > 0.0, diff, 0.0)))

@@ -20,8 +20,8 @@ from .achievability import IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof, tdma_tin_
 from .bounds import PERMUTATIONS, _gdof_links, gdof_ub, sum_capacity_ub
 from .channel import AlphaMatrix, check_rhos
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
-from .kernels import (_in_extended_rows, first_extremum, gdof_ub_profiles, libm_pow,
-                      sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
+from .kernels import (_in_extended_rows, first_extremum, first_maximum, gdof_ub_profiles,
+                      libm_pow, sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
 # classify and in_extended_regime are no longer called here; both stay module
 # attributes because the benchmark tracer's BOUNDARIES and
 # tests/test_bench_names.py name them.
@@ -167,7 +167,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     lo, hi = SWEEP_BETA_RANGE
     if not (lo <= b < hi):
         raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
-    t = check_tol(tol)
+    t = check_tol(tol) + SWEEP_GRID_SLACK
     s = float(step)
     rng_max = float(range_max)
     if not (math.isfinite(s) and 0.0 < s <= rng_max):
@@ -180,34 +180,28 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     if not np.isfinite(axis).all():
         raise ValidationError(f"sweep grid values must be finite and >= 0, got step {step!r}")
     side = len(axis)
-    t += SWEEP_GRID_SLACK
-    # Each link of the family is 1, beta, alpha12 (a row of the plane) or
-    # alpha21 (a column), so every formula runs on these operands and only
-    # its result is broadcast to the plane and folded at once into a running
-    # extremum; the partners in _SWEEP_ORDERINGS and _SWEEP_PAIRINGS come in
-    # as the fold transposed. The folds may run in any order: the grid is
-    # finite and >= +0.0, so every D(p) and TIN GDoF is finite and >= +0.0
-    # (a difference of equal values is +0.0), no NaN or -0.0 arises, and
-    # equal values share one bit pattern, that of the first extremum in
-    # PERMUTATIONS (IC_CONFIGS) order. The witness is the least index.
+    # Each link of the family is 1, beta, an alpha12 row or an alpha21
+    # column, so each formula's result broadcasts to the plane and folds at
+    # once into a running extremum, the partners' as the fold transposed. The
+    # order of the extremum folds changes no bit: the grid is finite and
+    # >= +0.0, so no NaN or -0.0 arises and equal values share one pattern.
     grid = (1.0, axis[None, :], b, axis[:, None], 1.0, b)
-    d_tt = np.full((side, side), -np.inf)
-    for k, _ in _SWEEP_PAIRINGS:
-        np.maximum(d_tt, _tin_gdof_links(IC_CONFIGS[k].take(grid), np.where), out=d_tt)
-    # Coded now, so its floats are freed before the next loop.
+    d_tt = _fold((_tin_gdof_links(IC_CONFIGS[k].take(grid), np.where)
+                  for k, _ in _SWEEP_PAIRINGS), np.maximum)
+    # Coded now, so its floats are freed before the orderings are evaluated.
     d_tt = _coded_floats(np.maximum(d_tt, d_tt.T).ravel())
+    evaluated = [(k, m, PERMUTATIONS[k].take(grid)) for k, m in reversed(_SWEEP_ORDERINGS)]
+    d_ub = _fold((_gdof_links(links, np.where, first_maximum) for _, _, links in evaluated),
+                 np.minimum)
+    # The first witness among the evaluated orderings (copied in descending
+    # order) and among their partners (where smaller) on the transposed plane.
     none = np.int8(len(PERMUTATIONS))  # the witness code of no witness
-    d_ub = np.full((side, side), np.inf)
-    # The first witness among the evaluated orderings, and among their
-    # partners on the transposed plane.
     ext, ext_partner = np.full((2, side, side), none)
     gsj = np.zeros((side, side), dtype=bool)
-    for k, m in _SWEEP_ORDERINGS:
-        links = PERMUTATIONS[k].take(grid)
-        np.minimum(d_ub, _gdof_links(links, np.where), out=d_ub)
+    for k, m, links in evaluated:
         e, g = _witness_links(links, t, np.where, np.maximum)
-        np.minimum(ext, np.where(e, np.int8(k), none), out=ext)
-        np.minimum(ext_partner, np.where(e, np.int8(m), none), out=ext_partner)
+        np.copyto(ext, np.int8(k), where=e)
+        np.minimum(ext_partner, np.int8(m), out=ext_partner, where=e)
         gsj |= g
     d_ub, ext, gsj = np.minimum(d_ub, d_ub.T), np.minimum(ext, ext_partner.T), gsj | gsj.T
     points, index = axis.tolist(), np.arange(side, dtype=np.uint16)
@@ -244,14 +238,23 @@ def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> s
     s = float(step)
     k_half = int((0.5 + SWEEP_GRID_SLACK) / s)
     k_beta = int((1.0 - float(beta) + SWEEP_GRID_SLACK) / s)
-    k21, k12 = np.divmod(np.arange(len(e)), math.isqrt(len(e)))
-    in_beta = (k21 <= k_beta) & (k12 <= k_beta)
-    want_ext = ((k21 <= k_half) & (k12 <= k_beta)) | ((k21 <= k_beta) & (k12 <= k_half))
-    bad = (e != want_ext) | (g != in_beta)
+    k = np.arange(math.isqrt(len(e)))
+    half, low = k <= k_half, k <= k_beta
+    want_ext = (half[:, None] & low) | (low[:, None] & half)
+    bad = (e != want_ext.ravel()) | (g != (low[:, None] & low).ravel())
     if not bad.any():
         return None
     i = int(bad.argmax())
     return f"regime geometry violated at ({a21[i]:.12g}, {a12[i]:.12g})"
+
+
+def _fold(results, ufunc) -> np.ndarray:
+    """ufunc folded over results in place in the first, which spans them all."""
+    folded = next(results)
+    for x in results:
+        ufunc(folded, x, out=folded)
+        del x  # not held while the next result is made
+    return folded
 
 
 def _coded_floats(x: np.ndarray) -> Coded:

@@ -4,12 +4,15 @@ AlphaMatrix.flat()).
 
 Each formula is written once, in its scalar module, on the links of one
 ordering or pairing. The scalar API passes it Python floats with
-channel.scalar_where, pow and math.log2; the kernels here pass the gathered
-link columns of a with np.where and libm's transcendentals (numpy's only in
-the audits' screen, see screened_first), so every entry is bit-identical to
-the scalar value. Column k of an (n, 12) profile belongs to PERMUTATIONS[k]
-and of an (n, 6) one to IC_CONFIGS[k]; first_extremum gives a row's first
-extremum, as channel.first_best does.
+channel.scalar_where, max, pow and math.log2; the kernels here pass the
+gathered link columns of a with np.where, first_maximum and libm's
+transcendentals (numpy's only in the audits' screen, see screened_first),
+so every entry is bit-identical to the scalar value. A product overflows to
+inf unwarned, as float * does (only libm_pow raises, as ** does), and a NaN
+exponent, which the scalar API refuses, makes D(p) NaN through np.maximum.
+Column k of an (n, 12) profile belongs to PERMUTATIONS[k] and of an (n, 6)
+one to IC_CONFIGS[k]; first_extremum gives a row's first extremum, as
+channel.first_best does.
 
 This module, the table writer and the audits are the library's numpy; the
 scalar API loads none of them.
@@ -43,6 +46,12 @@ def link_columns(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     that link gathered from every row of the (n, 6) row-major array x, as
     the items of one take from the transpose of x."""
     return np.ascontiguousarray(x.T)[table.T].transpose(0, 2, 1)
+
+
+def first_maximum(x, y):
+    """builtin max(x, y) elementwise: np.maximum gives its second of equal
+    values, so swapped it gives the first, signed zeros as max does."""
+    return np.maximum(y, x)
 
 
 def link_entries(x: np.ndarray, table: np.ndarray, rows: np.ndarray,
@@ -127,6 +136,7 @@ def first_extremum(profiles: np.ndarray, lowest: bool) -> np.ndarray:
 
 # ---------------------------------------------------------------- bounds
 
+@np.errstate(over="ignore")
 def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """B(p) in bits for every ordering and every row of a at the SNRs rho
     (shape (n,)); returns (n, 12)."""
@@ -135,6 +145,7 @@ def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
                         rho[:, None], libm_pow, libm_log2, np.where)
 
 
+@np.errstate(over="ignore")
 def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.ndarray:
     """min_p B(p) of every row of a at the SNRs rho (shape (n,)), given its
     powers r = libm_pow(rho[:, None], a); bit-identical to the first minimum
@@ -150,7 +161,7 @@ def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.nda
 
 def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
     """D(p) for every ordering and every row of a; returns (n, 12)."""
-    return _gdof_links(link_columns(a, _PERM_LINKS), np.where)
+    return _gdof_links(link_columns(a, _PERM_LINKS), np.where, first_maximum)
 
 
 # ---------------------------------------------------------------- achievability

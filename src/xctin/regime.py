@@ -12,8 +12,9 @@ a[j1][i2]}. Inside the regime TDMA-TIN attains the channel's GDoF,
     a[j1][i1] - a[j2][i1] + a[j2][i2] - a[j1][i2],
 
 and the sum capacity within a constant gap. The stricter reference regime
-(tagged ``gsj`` in all outputs) replaces psi by max{a[j1][i3], a[j1][i2]},
-which is never smaller, so it is contained in the extended regime.
+of Geng, Sun and Jafar (IEEE Trans. Inf. Theory, 2015; tagged ``gsj`` in all
+outputs) replaces psi by max{a[j1][i3], a[j1][i2]}, which is never smaller,
+so it is contained in the extended regime.
 
 Swapping ordering (i1, i2, i3, j1, j2) for (i2, i1, i3, j2, j1) trades the
 reference regime's two conditions, so six of the twelve orderings decide

@@ -11,7 +11,9 @@ class Coded:
     """A column that repeats a few values: its distinct values and an array of
     non-negative integer codes, cell i being values[codes[i]]. It acts as the
     list of its cells without building it (len, indexing, iteration over the
-    very value objects, ==, count); np.asarray takes the values by the codes."""
+    very value objects, ==, count); np.asarray takes the values by the codes.
+    The writer formats each value once, float values in numpy with those of
+    the table's other Coded columns of floats."""
 
     __slots__ = ("values", "codes")
 
@@ -33,8 +35,8 @@ class Coded:
 
     def count(self, v) -> int:
         import numpy as np
-        counts = np.bincount(self.codes, minlength=len(self.values)).tolist()
-        return sum(n for x, n in zip(self.values, counts) if x is v or x == v)
+        return sum(int(np.count_nonzero(self.codes == k))
+                   for k, x in enumerate(self.values) if x is v or x == v)
 
     def __array__(self, dtype=None, copy=None):
         import numpy as np

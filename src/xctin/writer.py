@@ -209,16 +209,26 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
     gives each piece its cells as NUL-padded texts, so no text may hold a
     NUL (JSON texts never do, nor do the csv texts of numbers, bools and
     digit labels). A column's type picks its path: a Coded column's values
-    are formatted once by cell and taken by its codes; the float arrays,
-    and the int arrays of cells all below 10**12 in magnitude (exact as
-    floats, which _float_texts writes as str does), together by
-    _float_texts, floats in json as json does when as_json; any other
-    array (a larger int array) cell by cell."""
+    are formatted once and taken by its codes, Python floats by one
+    _float_texts call per table (once per values object: the sweep's axes
+    share one), others by cell; the float arrays, and the int arrays of
+    cells all below 10**12 in magnitude (exact as floats, which _float_texts
+    writes as str does), by _float_texts per piece, floats in json as json
+    does when as_json; any other array (a larger int array) cell by cell."""
     n = len(table)
+    shared = {id(c.values): c.values for c in table.columns
+              if isinstance(c, Coded) and set(map(type, c.values)) <= {float}}
+    if shared:  # each S array as wide as its longest text, as _cell_texts makes it
+        floats = [np.asarray(v, dtype=float) for v in shared.values()]
+        split = np.split(_float_texts(np.concatenate(floats), as_json),
+                         np.cumsum([len(v) for v in floats])[:-1])
+        shared = {key: t.astype(f"S{max(map(len, t.tolist()), default=1)}")
+                  for key, t in zip(shared, split)}
     coded, plain, numbers, layouts = {}, {}, {}, []
     for j, col in enumerate(table.columns):
         if isinstance(col, Coded):
-            coded[j] = _cell_texts(col.values, cell), col.codes
+            texts = shared.get(id(col.values))
+            coded[j] = _cell_texts(col.values, cell) if texts is None else texts, col.codes
         # compared as floats, since np.abs of int64 -2**63 wraps to itself
         elif col.dtype.kind == "f" or (
                 col.dtype.kind == "i" and (np.abs(col.astype(float)) < 1e12).all()):

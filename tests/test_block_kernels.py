@@ -24,6 +24,7 @@ the scalar first-extremum pick the entry the block one picks.
 libm_pow itself must be builtin pow, bit for bit and in its overflow.
 """
 
+import itertools
 import math
 import warnings
 
@@ -167,6 +168,33 @@ def test_tin_gdof_profiles_match_tdma_tin_gdof(case):
         assert IC_CONFIGS[prof.argmax()] == ref.argmax
 
 
+def _max_triple_grids() -> list[list[float]]:
+    """Each triple of 0.0, -0.0 and 1.0 placed, for every ordering, as the
+    three operands of D(p)'s first maximum, (v1, v3, v2 - u2), and of its
+    second, (u2, u1 - v1, u3 - (v3 - v1)^+)."""
+    grids = []
+    for p in PERMUTATIONS:
+        u1, u2, u3, v1, v2, v3 = p.take(range(6))
+        for x, y, z in itertools.product((0.0, -0.0, 1.0), repeat=3):
+            for placed in ({v1: x, v3: y, u2: 0.0, v2: z, u1: -0.0, u3: -0.0},
+                           {u2: x, v1: 0.0, u1: y, v3: 0.0, u3: z, v2: -0.0}):
+                grids.append([placed[k] for k in range(6)])
+    return grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=blocks(tie_grids()))
+@example(case=(np.array(_max_triple_grids()), None))
+def test_gdof_profiles_keep_the_scalar_signed_zeros(case):
+    # Each maximum of D(p) gives the first of equal values in both paths,
+    # builtin max in the scalar API and one swapped np.maximum pass in the
+    # kernel, so -0.0 and 0.0 come out alike.
+    a, _ = case
+    for row, prof in zip(a, gdof_ub_profiles(a)):
+        want = [v for _, v in gdof_ub(_alpha(row)).per_perm]
+        assert _bits(prof).tolist() == _bits(want).tolist()
+
+
 def _index(p) -> int:
     return -1 if p is None else PERMUTATIONS.index(p)
 
@@ -282,6 +310,9 @@ def screen_blocks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(case=screen_blocks())
+# A product of two finite powers that overflows: inf with no warning, as
+# Python's float * gives it.
+@example(case=(np.array([[0.0, math.inf, 2.0, 0.0, 4.0, 0.0]]), np.array([MAX_RHO])))
 def test_screened_extrema_equal_the_libm_profiles(case):
     a, rho = case
     r = libm_pow(rho[:, None], a)

@@ -7,12 +7,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
-from xctin.bounds import (PERMUTATIONS, TxPermutation, _max3, gdof_ub, gdof_ub_case1,
+from xctin.bounds import (PERMUTATIONS, TxPermutation, gdof_ub, gdof_ub_case1,
                           gdof_ub_case2, gdof_ub_single, genie_params,
                           genie_params_from_gains, sum_capacity_ub,
                           sum_capacity_ub_single)
-from xctin.channel import (AlphaMatrix, ChannelScenario, rho_from_db, scalar_where,
-                           validate_scenario)
+from xctin.channel import AlphaMatrix, ChannelScenario, rho_from_db, validate_scenario
 from xctin.errors import CaseMismatch, ValidationError
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
@@ -341,15 +340,3 @@ def test_column_relabeling_permutes_profile(alpha, rho, tx):
     base = sorted(v for _, v in sum_capacity_ub(rho, alpha).per_perm)
     moved = sorted(v for _, v in sum_capacity_ub(rho, _relabel(alpha, tx, (1, 2))).per_perm)
     assert moved == base
-
-
-def test_max3_is_builtin_max_with_its_signed_zeros():
-    # The first of equal values wins, as in builtin max: _max3(0.0, -0.0, 1.0)
-    # keeps no sign to tell, but _max3(-0.0, 0.0, -0.0) must give -0.0.
-    triples = list(itertools.product((0.0, -0.0, 1.0), repeat=3))
-    want = [max(t) for t in triples]
-    scalar = [_max3(*t, where=scalar_where) for t in triples]
-    array = _max3(*np.array(triples).T, where=np.where).tolist()
-    for got in (scalar, array):
-        assert [(v, math.copysign(1.0, v)) for v in got] == \
-            [(v, math.copysign(1.0, v)) for v in want]

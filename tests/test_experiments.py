@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
                                SAMPLER_EXHAUSTION_WINDOW, SANDWICH_GDOF_TOL,
                                SANDWICH_RATE_TOL_BITS, SANDWICH_RHO_RANGE,
-                               SWEEP_GRID_SLACK, SWEEP_RANGE_MAX, Coded, ConvergenceRow, GapReport,
+                               SWEEP_GRID_SLACK, SWEEP_MAX_AXIS_POINTS, SWEEP_RANGE_MAX,
+                               Coded, ConvergenceRow, GapReport,
                                SandwichReport, SweepRecord, Table, convergence_failure,
                                gap_audit, gap_audit_failure, gap_audit_with_rows,
                                gdof_convergence_probe, sample_in_regime,
@@ -189,7 +191,7 @@ def _profile_reduction(axis, beta, tol):
     ext, gsj = np.empty((2, side, side, len(bounds.PERMUTATIONS)), dtype=bool)
     for k, p in enumerate(bounds.PERMUTATIONS):
         links = p.take(grid)
-        d_ub[..., k] = bounds._gdof_links(links, np.where)
+        d_ub[..., k] = bounds._gdof_links(links, np.where, kernels.first_maximum)
         ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK,
                                                          np.where, np.maximum)
     rows = side * side
@@ -201,8 +203,12 @@ def _profile_reduction(axis, beta, tol):
 @settings(max_examples=60, deadline=None)
 @given(beta=st.one_of(st.floats(0.5, 1.0, exclude_max=True), st.just(0.75000000003)),
        points=st.integers(2, 200),
-       tol=st.one_of(st.just(0.0), st.floats(0.0, 0.01)))
+       tol=st.one_of(st.just(0.0), st.floats(0.0, 0.01), st.sampled_from([0.5, 1.0])))
 @example(beta=0.75000000003, points=16, tol=0.0)
+# At tol 1 several orderings are witnesses at each point, so a witness fold
+# that does not keep the least index fails; up to tol 0.3 the family's first
+# witnesses are only ordering 0 and its partner 5.
+@example(beta=0.6725, points=16, tol=1.0)
 def test_sweep_folds_match_the_profile_reductions(beta, points, tol):
     table = sweep_regime_plane(beta, SWEEP_RANGE_MAX / (points - 1), tol=tol)
     _, a12, ext, gsj, d_tt, d_ub, witness = table.columns
@@ -240,7 +246,7 @@ def test_sweep_partner_tables_are_the_1_2_relabelling():
 
     def planes(p):
         links = p.take(grid)
-        return (bounds._gdof_links(links, np.where).view(np.int64),
+        return (bounds._gdof_links(links, np.where, kernels.first_maximum).view(np.int64),
                 *regime._witness_links(links, tol, np.where, np.maximum))
 
     for k, m in orderings:
@@ -263,6 +269,23 @@ def test_sweep_verdicts_match_scalar_classify(beta, tol):
         witness = verdict.witness_extended
         assert (r.in_extended, r.in_gsj, r.witness) == (
             verdict.in_extended, verdict.in_gsj, witness.label() if witness else None)
+
+
+def test_sweep_on_the_largest_grid_holds_no_plane_per_ordering():
+    # 1001 points per axis, so a float64 plane is 7.6 MiB. Each fold holds
+    # one running plane, and the peak is that of the running planes and the
+    # temporaries of one formula (32.7 MiB); a fold that kept a plane per
+    # ordering would pass 40 MiB.
+    step = SWEEP_RANGE_MAX / (SWEEP_MAX_AXIS_POINTS - 1)
+    sweep_regime_plane(0.6725, 0.05)
+    tracemalloc.start()
+    try:
+        table = sweep_regime_plane(0.6725, step)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) == SWEEP_MAX_AXIS_POINTS ** 2
+    assert peak <= 40 * 2**20
 
 
 def test_sweep_rejects_bad_parameters():

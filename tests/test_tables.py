@@ -348,12 +348,54 @@ def test_repeating_float_columns_keep_every_cell(monkeypatch, col, formatted):
     table = Table(("x", "k"), (coded, np.arange(len(col))))
     want_csv = emit_report({"columns": table.names, "rows": list(zip(col, table.columns[1]))},
                            "csv")
-    csv_cell = cli._csv_cell
-    counts = []
-    monkeypatch.setattr(cli, "_csv_cell", lambda v: counts.append(v) or csv_cell(v))
-    assert emit_report(table, "csv") == want_csv
-    assert len(counts) == formatted
     want = json.dumps(cli._jsonify({"records": [{"x": x, "k": k} for k, x in enumerate(col)]}),
+                      indent=2)
+    float_texts, calls = writer._float_texts, []
+    monkeypatch.setattr(writer, "_float_texts",
+                        lambda x, as_json: calls.append(x) or float_texts(x, as_json))
+    for fmt, expected in (("csv", want_csv), ("json", (want + "\n").encode("utf-8"))):
+        calls.clear()
+        assert emit_report(table if fmt == "csv" else {"records": table}, fmt) == expected
+        # The k column goes by pieces of (rows, 1); the Coded values in one
+        # call, each distinct bit pattern once.
+        values = [x for x in calls if x.ndim == 1]
+        assert len(values) == 1 and len(values[0]) == formatted
+        assert sorted(values[0].view(np.int64).tolist()) == \
+            sorted(set(np.array(col).view(np.int64).tolist()))
+
+
+# Doubles whose texts take every path of the float formatter: signed zeros,
+# NaN payloads, infinities, the least subnormal, exponent form, a sum that
+# is not its decimal, and 12-digit ties (13 exact digits ending in 5, on
+# either side of exponent form).
+_NAN_PAYLOAD = np.array([0x7FF8000000000001, -0x0007FFFFFFFFFFFF], dtype=np.int64).view(float)
+_CODED_FLOATS = [0.0, -0.0, math.nan, -math.nan, *_NAN_PAYLOAD.tolist(), math.inf, -math.inf,
+                 5e-324, -5e-324, 1e16, 0.1 + 0.2, 12345678901.25, -98765432109.75,
+                 1234567890125.0, 999999999999.5, 1e-5, 123456.0]
+
+
+def test_coded_float_values_take_the_cell_texts(monkeypatch):
+    coded = _coded_floats(np.array(_CODED_FLOATS * 3))
+    assert len(coded.values) == len(_CODED_FLOATS)
+    # Two columns that share their values, as the sweep's axes do, and one
+    # with values of its own.
+    table = Table(("x", "y", "z"), (coded, Coded(coded.values, coded.codes[::-1].copy()),
+                                    Coded(list(coded.values), coded.codes)))
+    join, pieces = writer._join, []
+    monkeypatch.setattr(writer, "_join", lambda texts, *args: pieces.append(texts) or join(
+        texts, *args))
+    for as_json, cell in ((False, cli._csv_cell), (True, cli._json_cell)):
+        pieces.clear()
+        list(writer._records(table, ["", ",", ","], "\n", cell, as_json))
+        # Each column's texts, as wide as the cell texts' S array.
+        want = writer._cell_texts(coded.values, cell)
+        for texts, col in zip(pieces[0], table.columns):
+            assert texts.dtype == want.dtype
+            assert texts.tolist() == [cell(v).encode() for v in col]
+    rows = list(table)
+    want_csv = emit_report({"columns": table.names, "rows": rows}, "csv")
+    assert emit_report(table, "csv") == want_csv
+    want = json.dumps(cli._jsonify({"records": [dict(zip(table.names, r)) for r in rows]}),
                       indent=2)
     assert emit_report({"records": table}, "json") == (want + "\n").encode("utf-8")
 
