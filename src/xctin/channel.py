@@ -49,13 +49,19 @@ def rho_from_db(rho_db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def float_or_nan(x) -> float:
+    """float(x), or nan, which every range check rejects, when x is no
+    number or an int too large for a float."""
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def check_rho(rho) -> float:
     """rho as a float when it is a finite number > 1, the transmit SNRs the
     exponent parametrization admits; anything else raises DegenerateSnr."""
-    try:
-        r = float(rho)
-    except (TypeError, ValueError, OverflowError):
-        r = math.nan
+    r = float_or_nan(rho)
     if not 1.0 < r < math.inf:
         raise DegenerateSnr(f"rho must be finite and > 1, got {rho!r}")
     return r
@@ -89,8 +95,12 @@ def check_snr(rho, exponents) -> float:
 def check_rhos(rho_list) -> tuple[float, ...]:
     """A non-empty SNR list as floats, each with 1 < rho <= MAX_RHO, the
     SNRs the audits evaluate at any exponent up to DEFAULT_ALPHA_CAP;
-    anything else raises ValidationError."""
-    rhos = tuple(float(r) for r in rho_list)
+    anything else, a list that is not iterable or holds a non-number too,
+    raises ValidationError."""
+    try:
+        rhos = tuple(map(float_or_nan, rho_list))
+    except TypeError:  # not iterable
+        rhos = ()
     if not rhos or any(not 1.0 < r <= MAX_RHO for r in rhos):
         raise ValidationError(f"every rho must satisfy 1 < rho <= {MAX_RHO!r} "
                               f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_list!r}")

@@ -110,9 +110,9 @@ def _json_bytes(doc) -> bytes:
 def emit_report(results, format: str) -> bytes:
     """Serialize a results payload to bytes.
 
-    "csv" renders a Table row by row (see writer._records), or the "columns"
-    and "rows" of a dict cell by cell; "json" renders the whole payload with
-    its construction field order, a Table value as its list of records.
+    "csv" renders a Table as writer._records(table, False) gives it, or the
+    "columns" and "rows" of a dict cell by cell; "json" renders the whole
+    payload with its construction field order, a Table as its records.
     Reals carry 12 significant digits in both formats, so equal results
     serialize to equal bytes. Only a Table loads the writer, and numpy.
     """
@@ -124,9 +124,7 @@ def emit_report(results, format: str) -> bytes:
             writer.writerow(results.names)
             # Written a piece at a time, so no list of pieces is held.
             out = io.BytesIO()
-            leads = [""] + [","] * (len(results.names) - 1)
-            out.writelines(chain((buf.getvalue().encode("utf-8"),),
-                                 _records(results, leads, "\n", _csv_cell, False)))
+            out.writelines(chain((buf.getvalue().encode("utf-8"),), _records(results, False)))
             return out.getvalue()
         if isinstance(results, dict) and "columns" in results and "rows" in results:
             writer.writerow(results["columns"])

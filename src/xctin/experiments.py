@@ -9,7 +9,6 @@ identical record streams byte for byte.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from typing import NamedTuple
@@ -18,7 +17,7 @@ import numpy as np
 
 from .achievability import IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof, tdma_tin_rate
 from .bounds import PERMUTATIONS, _gdof_links, gdof_ub, sum_capacity_ub
-from .channel import AlphaMatrix, check_rhos
+from .channel import AlphaMatrix, check_rhos, float_or_nan
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 from .kernels import (_in_extended_rows, first_extremum, first_maximum, gdof_ub_profiles,
                       libm_pow, sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
@@ -163,13 +162,11 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     checks the result. Returns a Table of SWEEP_COLUMNS whose rows are
     SweepRecords.
     """
-    b = float(beta)
+    b, s, rng_max = map(float_or_nan, (beta, step, range_max))
     lo, hi = SWEEP_BETA_RANGE
     if not (lo <= b < hi):
         raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
     t = check_tol(tol) + SWEEP_GRID_SLACK
-    s = float(step)
-    rng_max = float(range_max)
     if not (math.isfinite(s) and 0.0 < s <= rng_max):
         raise ValidationError(f"step must satisfy 0 < step <= range_max, got {step!r}")
     span = rng_max / s + 1e-9
@@ -321,10 +318,16 @@ def _box_grids(u: np.ndarray) -> np.ndarray:
     return hi - (hi - lo) * u
 
 
-def _generator(seed: int) -> np.random.Generator:
-    if seed < 0:
+def _generator(seed) -> tuple[int, np.random.Generator]:
+    """seed as an int >= 0, and the generator it seeds; a float, a string or
+    a negative seed raises ValidationError."""
+    try:
+        checked = operator.index(seed)
+    except TypeError:
+        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    if checked < 0:
         raise ValidationError(f"seed must be >= 0, got {seed!r}")
-    return np.random.Generator(np.random.Philox(seed))
+    return checked, np.random.Generator(np.random.Philox(checked))
 
 
 def sample_in_regime(n: int, rng: np.random.Generator) -> list[AlphaMatrix]:
@@ -401,8 +404,9 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True):
     7-bit claim is exactly what the audit is for.
     """
     rhos = check_rhos(rho_list)
+    seed, rng = _generator(seed)
     width, to_grids = (6, _box_grids) if beta_free else (3, _symmetric_grids)
-    grids = _sample_blocks(n, _generator(seed), width, to_grids, SAMPLER_EXHAUSTION_WINDOW)
+    grids = _sample_blocks(n, rng, width, to_grids, SAMPLER_EXHAUSTION_WINDOW)
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gap = ub - rate
@@ -419,7 +423,7 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True):
         seed=seed,
         max_gap_bits=max_gap,
         # Summed in row order, one addition at a time, as a running total.
-        mean_gap_bits=functools.reduce(operator.add, gap.tolist(), 0.0) / len(rows),
+        mean_gap_bits=float(np.cumsum(gap)[-1]) / len(rows),
         min_gap_bits=float(gap.min()),
         all_within_7=max_gap <= GAP_BOUND_BITS,
         argmax_alpha=AlphaMatrix((worst[:3], worst[3:])),
@@ -459,7 +463,7 @@ def sandwich_audit_with_rows(n: int, rho_list=None, seed: int = 0):
     n = _check_n(n)
     rhos = check_rhos(rho_list) if rho_list is not None else None
     lg_lo, lg_hi = map(math.log10, SANDWICH_RHO_RANGE)
-    rng = _generator(seed)
+    seed, rng = _generator(seed)
 
     def evaluate(sample):
         m = len(sample)

@@ -32,7 +32,8 @@ import math
 from typing import NamedTuple
 
 from .bounds import _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import AlphaMatrix, ValidatedRecord, check_rho, check_snr, scalar_where
+from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, float_or_nan,
+                      scalar_where)
 from .errors import NotApplicable, ValidationError
 
 
@@ -91,7 +92,7 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
 def check_tol(tol: float) -> float:
     """tol as a float when it is finite and >= 0; a NaN, negative or infinite
     slack would silently put every grid outside or inside the regimes."""
-    t = float(tol)
+    t = float_or_nan(tol)
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     return t

@@ -1,5 +1,5 @@
 """The table writer: a Table's records as bytes, csv rows or the records list
-of a JSON document, with numpy.
+of a JSON document, with numpy; given only the format, it knows the layout.
 
 cli.emit_report imports this module, and so numpy, only when it writes a
 Table; every text is the one cli._csv_cell or cli._json_cell gives the cell.
@@ -58,13 +58,6 @@ _SHIFTS = np.array([8 * len(h) for h in _HEAD_TEXTS], dtype=_U64)
 _POW10 = np.array([float(10**k) for k in range(16)])
 
 
-def _python_floats(x: np.ndarray, as_json: np.ndarray) -> list[bytes]:
-    """The texts of the cells that _float_texts leaves to Python's own
-    formatting: _csv_cell's, or where as_json holds, _json_cell's."""
-    return [(_json_cell if j else _csv_cell)(v).encode()
-            for v, j in zip(x.tolist(), as_json.tolist())]
-
-
 def _digits(ax: np.ndarray):
     """For |v| in ax: the decimal exponent e of its 12-digit rounding, where
     _float_texts writes it, the 12 digits of that rounding and a "0" in
@@ -115,11 +108,10 @@ def _with_point(lo: np.ndarray, hi: np.ndarray, at: np.ndarray) -> None:
     hi |= _POINT_HI[at]
 
 
-def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
+def _float_texts(x: np.ndarray, as_json: bool) -> np.ndarray:
     """The cells of the float array x as an S array of its shape, each text
-    NUL-padded: '%.12g' % v (as _csv_cell writes it), or where as_json (a
-    bool, or bools broadcast against x; False is csv throughout)
-    holds, json.dumps(_round12(v)) (as _json_cell writes it).
+    NUL-padded: '%.12g' % v (as _csv_cell writes it), or when as_json,
+    json.dumps(_round12(v)) (as _json_cell writes it).
 
     Both write a finite v whose 12-digit rounding has a decimal exponent e
     in [-4, 11] positionally: the digits of the 12-digit integer
@@ -136,17 +128,15 @@ def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
     the point is put in by a shift, and the sign and "0.0…" go before them
     by another. A cell whose product is a half-integer (a tie, or within
     half an ulp of one), whose e is out of range or misjudged by log10, or
-    that is nan or infinite goes to _python_floats, so every text is
-    Python's by construction. The steps hold few arrays at a time: on a
-    piece of rows, fresh pages cost more than the arithmetic."""
+    that is nan or infinite goes to _cell_texts with _csv_cell or
+    _json_cell, so every text is Python's by construction. The steps hold
+    few arrays at a time: on a piece of rows, fresh pages cost more than
+    the arithmetic."""
     flat = np.asarray(x, dtype=float).ravel()
     e, fast, lo, hi, digits = _digits(np.abs(flat))
     e += 1
     # An integral value keeps its e + 1 digits, and in json one more for ".0".
-    if as_json is False:
-        np.maximum(digits, e, out=digits)
-    else:
-        np.maximum(digits, (e.reshape(np.shape(x)) + as_json).ravel(), out=digits)
+    np.maximum(digits, e + 1 if as_json else e, out=digits)
     point = (e > 0) & (digits > e)
     _with_point(lo, hi, e * point)
     digits += point
@@ -167,8 +157,7 @@ def _float_texts(x: np.ndarray, as_json) -> np.ndarray:
     texts = words.view(np.dtype((np.bytes_, words.shape[1] * 8))).ravel()
     if not fast.all():
         slow = ~fast
-        as_json = (np.zeros(np.shape(x), dtype=bool) | as_json).ravel()[slow]
-        python = np.array(_python_floats(flat[slow], as_json), dtype=bytes)
+        python = _cell_texts(flat[slow].tolist(), _json_cell if as_json else _csv_cell)
         texts = texts.astype(np.promote_types(texts.dtype, python.dtype), copy=False)
         texts[slow] = python
     return texts.reshape(np.shape(x))
@@ -203,19 +192,25 @@ def _join(texts, leads, close: str, buffers: dict) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-def _records(table: Table, leads, close: str, cell, as_json: bool):
-    """The rows of a table as bytes pieces of _JOIN_ROWS rows, each cell
-    after its column's lead and each row ending in close. Every column
-    gives each piece its cells as NUL-padded texts, so no text may hold a
-    NUL (JSON texts never do, nor do the csv texts of numbers, bools and
-    digit labels). A column's type picks its path: a Coded column's values
-    are formatted once and taken by its codes, Python floats by one
-    _float_texts call per table (once per values object: the sweep's axes
-    share one), others by cell; the float arrays, and the int arrays of
-    cells all below 10**12 in magnitude (exact as floats, which _float_texts
-    writes as str does), by _float_texts per piece, floats in json as json
-    does when as_json; any other array (a larger int array) cell by cell."""
-    n = len(table)
+def _records(table: Table, as_json: bool):
+    """The rows of a table as bytes pieces of _JOIN_ROWS rows: csv rows, or
+    when as_json, the records of a JSON list in the indent=2 layout, each
+    closed by "},". A piece of a column is NUL-padded texts of _csv_cell
+    or _json_cell, so no text may hold a NUL (JSON texts never do, nor do
+    the csv texts of numbers, bools and digit labels). A column's type picks
+    its path: a Coded column's values are formatted once and taken by its
+    codes, Python floats by one _float_texts call per table (once per values
+    object: the sweep's axes share one), others by cell; the float arrays,
+    and the int arrays of cells all below 10**12 in magnitude (exact as
+    floats), by one _float_texts call per piece and layout, the ints in csv
+    (as str writes them) and the floats in the table's format; any other
+    array (a larger int array) cell by cell."""
+    if as_json:
+        leads = [f"{',' if k else '    {'}\n      {json.dumps(name)}: "
+                 for k, name in enumerate(table.names)]
+        close, cell = "\n    },\n", _json_cell
+    else:
+        leads, close, cell = [""] + [","] * (len(table.names) - 1), "\n", _csv_cell
     shared = {id(c.values): c.values for c in table.columns
               if isinstance(c, Coded) and set(map(type, c.values)) <= {float}}
     if shared:  # each S array as wide as its longest text, as _cell_texts makes it
@@ -224,7 +219,7 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
                          np.cumsum([len(v) for v in floats])[:-1])
         shared = {key: t.astype(f"S{max(map(len, t.tolist()), default=1)}")
                   for key, t in zip(shared, split)}
-    coded, plain, numbers, layouts = {}, {}, {}, []
+    coded, plain, numbers = {}, {}, {}
     for j, col in enumerate(table.columns):
         if isinstance(col, Coded):
             texts = shared.get(id(col.values))
@@ -232,20 +227,19 @@ def _records(table: Table, leads, close: str, cell, as_json: bool):
         # compared as floats, since np.abs of int64 -2**63 wraps to itself
         elif col.dtype.kind == "f" or (
                 col.dtype.kind == "i" and (np.abs(col.astype(float)) < 1e12).all()):
-            numbers[j] = col
-            layouts.append(as_json and col.dtype.kind == "f")
+            numbers.setdefault(as_json and col.dtype.kind == "f", {})[j] = col
         else:
             plain[j] = col.tolist()
-    # row-major, so that a piece's numbers are one contiguous block
-    values = np.stack(list(numbers.values()), axis=1) if numbers else None
-    layouts = layouts if any(layouts) else False
+    # row-major, so that a piece's numbers in one layout are one contiguous block
+    blocks = {layout: (list(cols), np.stack(list(cols.values()), axis=1))
+              for layout, cols in numbers.items()}
     buffers = {}
-    for start in range(0, n, _JOIN_ROWS):
-        stop = min(start + _JOIN_ROWS, n)
+    for start in range(0, len(table), _JOIN_ROWS):
+        stop = min(start + _JOIN_ROWS, len(table))
         texts = {j: np.take(t, codes[start:stop]) for j, (t, codes) in coded.items()}
         texts.update((j, _cell_texts(col[start:stop], cell)) for j, col in plain.items())
-        if numbers:
-            texts.update(zip(numbers, _float_texts(values[start:stop], layouts).T))
+        for layout, (columns, block) in blocks.items():
+            texts.update(zip(columns, _float_texts(block[start:stop], layout).T))
         yield _join([texts[j] for j in range(len(leads))], leads, close, buffers)
 
 
@@ -254,7 +248,5 @@ def _json_records(table: Table) -> list[bytes]:
     document, in the indent=2 layout."""
     if not len(table):
         return [b"[]"]
-    leads = [f"{',' if k else '    {'}\n      {json.dumps(name)}: "
-             for k, name in enumerate(table.names)]
-    *pieces, last = _records(table, leads, "\n    },\n", _json_cell, True)
+    *pieces, last = _records(table, True)
     return [b"[\n", *pieces, last[:-2], b"\n  ]"]  # no ",\n" after the last record

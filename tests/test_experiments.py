@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -471,6 +472,35 @@ def test_sample_counts_must_be_integers_of_at_least_one(n):
                  lambda: sandwich_audit(n, seed=1)):
         with pytest.raises(ValidationError, match="n must be an integer >= 1"):
             call()
+
+
+@pytest.mark.parametrize("call, args, kwargs, message", [
+    (gap_audit, (5, (100.0,)), {"seed": 1.5}, "seed must be an integer, got 1.5"),
+    (gap_audit, (5, (100.0,)), {"seed": None}, "seed must be an integer, got None"),
+    (sandwich_audit, (5,), {"seed": "3"}, "seed must be an integer, got '3'"),
+    (sandwich_audit, (5,), {"seed": -1}, "seed must be >= 0, got -1"),
+    (sandwich_audit, (5,), {"rho_list": 100.0}, "every rho must satisfy"),
+    (gap_audit, (5, (100.0, "x")), {"seed": 1}, "every rho must satisfy"),
+    (gap_audit, (5, (100.0, 10**400)), {"seed": 1}, "every rho must satisfy"),
+    (gdof_convergence_probe, (FIG_POINT, None), {}, "every rho must satisfy"),
+    (sweep_regime_plane, ("x", 0.05), {}, "beta must satisfy"),
+    (sweep_regime_plane, (None, 0.05), {}, "beta must satisfy"),
+    (sweep_regime_plane, (0.75, "x"), {}, "step must satisfy"),
+    (sweep_regime_plane, (0.75, None), {}, "step must satisfy"),
+    (sweep_regime_plane, (0.75, 0.05, "x"), {}, "step must satisfy"),
+    (sweep_regime_plane, (0.75, 0.05, None), {}, "step must satisfy"),
+    (sweep_regime_plane, (0.75, 0.05), {"tol": None}, "tol must be finite and >= 0"),
+], ids=lambda v: v.__name__ if callable(v) else repr(v)[:40])
+def test_malformed_library_inputs_raise_validation_error(call, args, kwargs, message):
+    # Each used to raise numpy's TypeError, a comparison TypeError, a plain
+    # ValueError, or TypeError for a rho list that is not iterable.
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        call(*args, **kwargs)
+
+
+def test_audit_reports_echo_the_seed_as_an_int():
+    for report in (gap_audit(5, (100.0,), seed=np.int64(3)), sandwich_audit(5, seed=np.int64(3))):
+        assert type(report.seed) is int and report.seed == 3
 
 
 def test_sample_in_regime_rejects_bad_arguments():

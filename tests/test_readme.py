@@ -51,3 +51,11 @@ def test_readme_library_snippet_keeps_its_claims():
     assert ns["verdict"].in_extended
     assert format(ns["verdict"].gdof_value, ".12g") == gdof == "1.4"
     assert 0.0 < ns["gap_bits"] < float(gap_cap) == 7.0
+
+
+def test_readme_largest_gap_is_what_its_command_prints(capsys):
+    argv, gap = re.search(r"^\*\*Largest gap found:\*\*.*?```sh\nxctin (.*?)\n"
+                          r"# \"gap_bits\": ([0-9.]+)\n", README, re.S | re.M).groups()
+    assert main(argv.split()) == 0
+    assert json.loads(capsys.readouterr().out)["gap_bits"] == float(gap)
+    assert f"largest gap found so far is {float(gap):.5f} bits" in README

@@ -170,16 +170,10 @@ def test_json_floats_match_the_three_call_path(data, cells, rewritten):
 
 
 @settings(max_examples=150, deadline=None)
-@given(cells=st.lists(st.floats(), min_size=1, max_size=30), as_json=st.booleans(),
-       layouts=st.tuples(st.booleans(), st.booleans()))
-def test_float_texts_match_python_formatting(cells, as_json, layouts):
+@given(cells=st.lists(st.floats(), min_size=1, max_size=30), as_json=st.booleans())
+def test_float_texts_match_python_formatting(cells, as_json):
     want = [(cli._json_cell if as_json else cli._csv_cell)(x).encode() for x in cells]
     assert writer._float_texts(np.array(cells), as_json).tolist() == want
-    # two rows, each in its own layout, as the writer formats a piece
-    rows = np.array([cells, cells[::-1]])
-    cell = [cli._json_cell if j else cli._csv_cell for j in layouts]
-    assert writer._float_texts(rows, np.array(layouts)[:, None]).tolist() == \
-        [[cell[k](x).encode() for x in row] for k, row in enumerate(rows.tolist())]
 
 
 def _float_corpus(n: int, m: int) -> np.ndarray:
@@ -230,11 +224,19 @@ def test_float_texts_match_python_on_a_seeded_corpus():
 
 
 def test_bench_sized_tables_rarely_leave_the_fast_path(monkeypatch):
-    # the benchmark's sandwich and gap op sizes; a cell goes to Python only
-    # when its scaled product is a half-integer
-    python_floats, slow = writer._python_floats, []
-    monkeypatch.setattr(writer, "_python_floats",
-                        lambda x, j: slow.append(len(x)) or python_floats(x, j))
+    # the benchmark's sandwich and gap op sizes; a cell goes to Python, the
+    # cells _float_texts hands to _cell_texts, only when its scaled product
+    # is a half-integer
+    cell_texts, slow = writer._cell_texts, []
+
+    def counted(cells, cell):
+        if inspect.currentframe().f_back.f_code is writer._float_texts.__code__:
+            slow.append(len(cells))
+        return cell_texts(cells, cell)
+
+    monkeypatch.setattr(writer, "_cell_texts", counted)
+    writer._float_texts(np.array([0.5, math.nan, math.inf]), True)
+    assert slow == [2]
     _, sandwich = experiments.sandwich_audit_with_rows(2500, None, 5)
     _, gap = experiments.gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
     for table, fmt in ((sandwich, "csv"), (gap, "json")):
@@ -386,7 +388,7 @@ def test_coded_float_values_take_the_cell_texts(monkeypatch):
         texts, *args))
     for as_json, cell in ((False, cli._csv_cell), (True, cli._json_cell)):
         pieces.clear()
-        list(writer._records(table, ["", ",", ","], "\n", cell, as_json))
+        list(writer._records(table, as_json))
         # Each column's texts, as wide as the cell texts' S array.
         want = writer._cell_texts(coded.values, cell)
         for texts, col in zip(pieces[0], table.columns):
