@@ -18,12 +18,10 @@ and its high-SNR slope (GDoF) is
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from typing import NamedTuple
 
-from .channel import (AlphaMatrix, ValidatedRecord, check_snr, first_best, link_picker,
-                      scalar_where)
+from .channel import SCALAR, AlphaMatrix, ValidatedRecord, check_snr, first_best, link_picker
 from .errors import ValidationError
 
 
@@ -95,7 +93,7 @@ def tin_sum_rate(rho: float, alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """Sum rate in bits of one pairing with interference treated as noise."""
     links = cfg.take(alpha.flat())
     rho = check_snr(rho, links)
-    return _tin_rate_links([rho ** x for x in links], math.log2)
+    return _tin_rate_links([rho ** x for x in links], SCALAR)
 
 
 def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
@@ -105,40 +103,36 @@ def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
     """
     a = alpha.flat()
     rho = check_snr(rho, a)
-    return _first_max(lambda pw: _tin_rate_links(pw, math.log2), [rho ** x for x in a])
+    return _first_max(lambda pw: _tin_rate_links(pw, SCALAR), [rho ** x for x in a])
 
 
 def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """GDoF of one pairing: (a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+."""
-    return _tin_gdof_links(cfg.take(alpha.flat()), scalar_where)
+    return _tin_gdof_links(cfg.take(alpha.flat()), SCALAR)
 
 
 def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
     """Best pairing GDoF; ties break to the lexicographically first (i1, i2)."""
-    return _first_max(lambda links: _tin_gdof_links(links, scalar_where), alpha.flat())
+    return _first_max(lambda links: _tin_gdof_links(links, SCALAR), alpha.flat())
 
 
 # ---------------------------------------------------------- link-level formulas
-#
-# Each formula is written once, on the links of one pairing, with its
-# selections and logarithms taken as arguments: the scalar API passes Python
-# floats with channel.scalar_where and math.log2, and the block kernels (see
-# kernels) gathered link columns with numpy's.
+# Each formula is written once, on the links of one pairing, and computes
+# through one channel.Arithmetic ar, on floats or link columns (see kernels).
 
 
-def _tin_rate_links(powers, log2):
+def _tin_rate_links(powers, ar):
     """TIN sum rate from the powers rho**a of each receiver's desired and
-    cross link, (j1, i1), (j1, i2), (j2, i2), (j2, i1); log2 takes the
-    logs."""
+    cross link, (j1, i1), (j1, i2), (j2, i2), (j2, i1)."""
     des1, cross1, des2, cross2 = powers
-    return log2(1.0 + des1 / (1.0 + cross1)) + log2(1.0 + des2 / (1.0 + cross2))
+    return ar.log2(1.0 + des1 / (1.0 + cross1)) + ar.log2(1.0 + des2 / (1.0 + cross2))
 
 
-def _tin_gdof_links(links, where):
+def _tin_gdof_links(links, ar):
     """TIN GDoF from the exponents of each receiver's desired and cross link,
     (j1, i1), (j1, i2), (j2, i2), (j2, i1), as floats, gathered columns or
     any broadcastable operands."""
     des1, cross1, des2, cross2 = links
     x = des1 - cross1
     y = des2 - cross2
-    return where(x > 0.0, x, 0.0) + where(y > 0.0, y, 0.0)
+    return ar.where(x > 0.0, x, 0.0) + ar.where(y > 0.0, y, 0.0)

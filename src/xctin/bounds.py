@@ -33,8 +33,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, first_best,
-                      link_picker, scalar_where)
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, check_rho, check_snr, first_best,
+                      link_picker)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -132,7 +132,7 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     case-2/case-3 tie the two exponents coincide anyway.
     """
     a = alpha.flat()
-    c_sq, case1, at_i1 = _genie_links(p.take(a), check_snr(rho, a), pow, scalar_where)
+    c_sq, case1, at_i1 = _genie_links(p.take(a), check_snr(rho, a), SCALAR)
     return GenieParams(c_sq, 1 - case1, 3 - case1 - at_i1)
 
 
@@ -174,8 +174,7 @@ def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> 
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
     a = alpha.flat()
     rho = check_snr(rho, a)
-    return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, pow, math.log2,
-                        scalar_where)
+    return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, SCALAR)
 
 
 def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
@@ -187,8 +186,8 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
     a = alpha.flat()
     rho = check_snr(rho, a)
     pw = [rho ** x for x in a]
-    return _first_min(tuple([(p, _bound_links(take(a), take(pw), rho, pow, math.log2,
-                                              scalar_where)) for p, take in _PICKS]))
+    return _first_min(tuple([(p, _bound_links(take(a), take(pw), rho, SCALAR))
+                             for p, take in _PICKS]))
 
 
 def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
@@ -209,25 +208,21 @@ def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
 
 def gdof_ub_single(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Combined GDoF bound D(p); the positive part unifies the two branches."""
-    return _gdof_links(p.take(alpha.flat()), scalar_where, max)
+    return _gdof_links(p.take(alpha.flat()), SCALAR)
 
 
 def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     """min_p D(p) with the full profile; ties break lexicographically."""
     a = alpha.flat()
-    return _first_min(tuple([(p, _gdof_links(take(a), scalar_where, max)) for p, take in _PICKS]))
+    return _first_min(tuple([(p, _gdof_links(take(a), SCALAR)) for p, take in _PICKS]))
 
 
 # ---------------------------------------------------------- link-level formulas
-#
-# Each formula is written once, on the links of one ordering, with its
-# selections, maxima, powers and logarithms taken as arguments: the scalar
-# API passes Python floats with channel.scalar_where, max, pow and
-# math.log2, and the block kernels (see kernels) gathered link columns with
-# numpy's.
+# Each formula is written once, on the links of one ordering, and computes
+# through one channel.Arithmetic ar, on floats or link columns (see kernels).
 
 
-def _genie_links(links, rho, power, where):
+def _genie_links(links, rho, ar):
     """The genie rule of genie_params on the exponents of (j1, i1), (j1, i2),
     (j1, i3), (j2, i1), (j2, i2), (j2, i3): returns c^2, whether case 1
     holds (d = 0) and whether c^2 is scaled at i1 (cases 1 and 2; case 3
@@ -235,29 +230,28 @@ def _genie_links(links, rho, power, where):
     u1, _, u3, v1, _, v3 = links
     case1 = v3 <= v1
     at_i1 = case1 | (v1 - u1 <= v3 - u3 - v1)
-    return power(rho, where(at_i1, v1 - u1, v3 - v1 - u3)), case1, at_i1
+    return ar.power(rho, ar.where(at_i1, v1 - u1, v3 - v1 - u3)), case1, at_i1
 
 
-def _bound_links(links, powers, rho, power, log2, where):
+def _bound_links(links, powers, rho, ar):
     """B(p) from the links' exponents and their powers rho**a, in
-    _genie_links order, with rho broadcastable to them; power and log2 take
-    c^2 and the logs."""
-    c_sq, case1, _ = _genie_links(links, rho, power, where)
-    d = where(case1, 0.0, 1.0)
+    _genie_links order, with rho broadcastable to them."""
+    c_sq, case1, _ = _genie_links(links, rho, ar)
+    d = ar.where(case1, 0.0, 1.0)
     r_j1i1, r_j1i2, r_j1i3, r_j2i1, r_j2i2, r_j2i3 = powers
     genie_power = r_j1i1 + d * r_j1i3
-    term1 = log2(1.0 + r_j1i2 + (1.0 - d) * r_j1i3
-                 + genie_power / (1.0 + c_sq * genie_power))
-    term2 = log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
+    term1 = ar.log2(1.0 + r_j1i2 + (1.0 - d) * r_j1i3
+                    + genie_power / (1.0 + c_sq * genie_power))
+    term2 = ar.log2(1.0 + r_j2i1 + r_j2i3 + r_j2i2 / (1.0 + r_j1i2))
     return term1 + term2 + 1.0
 
 
-def _gdof_links(links, where, maximum):
+def _gdof_links(links, ar):
     """D(p) from the exponents of (j1, i1), (j1, i2), (j1, i3), (j2, i1),
     (j2, i2), (j2, i3), as floats, gathered columns or any broadcastable
-    operands; the positive part unifies the two case forms. maximum(x, y)
-    gives the first of equal values, as builtin max does, signed zeros too."""
+    operands; the positive part unifies the two case forms."""
     u1, u2, u3, v1, v2, v3 = links
+    where, maximum = ar.where, ar.maximum
     diff = v3 - v1
     return (maximum(maximum(v1, v3), v2 - u2)
             + maximum(maximum(u2, u1 - v1), u3 - where(diff > 0.0, diff, 0.0)))

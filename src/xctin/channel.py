@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import sys
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import DegenerateSnr, NotInterferenceLimited, ValidationError
 
@@ -169,16 +169,28 @@ class AlphaMatrix(ValidatedRecord, _AlphaMatrix):
         return self.a[0] + self.a[1]
 
 
+def as_alpha(alpha) -> AlphaMatrix:
+    """alpha if it is an AlphaMatrix, else AlphaMatrix(alpha)."""
+    return alpha if isinstance(alpha, AlphaMatrix) else AlphaMatrix(alpha)
+
+
 def link_picker(links) -> operator.itemgetter:
     """Picker for the 1-based (receiver, transmitter) links, in order, out of
     any row-major 2x3 sequence such as `AlphaMatrix.flat()`."""
     return operator.itemgetter(*((j - 1) * N_TX + i - 1 for j, i in links))
 
 
-def scalar_where(cond, x, y):
-    """np.where for one Python condition: x if cond else y. The scalar API
-    passes it to the link-level formulas in place of np.where."""
-    return x if cond else y
+class Arithmetic(NamedTuple):
+    """What a link-level formula computes with besides its operators: where as
+    np.where, and maximum giving the first of equal values, as max does."""
+
+    where: Callable
+    maximum: Callable
+    power: Callable
+    log2: Callable
+
+
+SCALAR = Arithmetic(lambda cond, x, y: x if cond else y, max, pow, math.log2)
 
 
 def first_best(per_item, lowest: bool):
@@ -221,9 +233,7 @@ class ChannelScenario(ValidatedRecord, _ChannelScenario):
                 for h in row:
                     if not (math.isfinite(h.real) and math.isfinite(h.imag)):
                         raise ValidationError("gains must be finite")
-        elif not isinstance(alpha, AlphaMatrix):
-            alpha = AlphaMatrix(alpha)
-        return tuple.__new__(cls, (rho, gains, alpha))
+        return tuple.__new__(cls, (rho, gains, None if alpha is None else as_alpha(alpha)))
 
 
 def alpha_from_gain(h: complex, rho: float) -> float:

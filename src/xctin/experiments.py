@@ -17,13 +17,12 @@ import numpy as np
 
 from .achievability import IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof, tdma_tin_rate
 from .bounds import PERMUTATIONS, _gdof_links, gdof_ub, sum_capacity_ub
-from .channel import AlphaMatrix, check_rhos, float_or_nan
+from .channel import AlphaMatrix, as_alpha, check_rhos, float_or_nan
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
-from .kernels import (_in_extended_rows, first_extremum, first_maximum, gdof_ub_profiles,
-                      libm_pow, sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
-# classify and in_extended_regime are no longer called here; both stay module
-# attributes because the benchmark tracer's BOUNDARIES and
-# tests/test_bench_names.py name them.
+from .kernels import (EXACT, _in_extended_rows, first_extremum, gdof_ub_profiles, libm_pow,
+                      sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
+# classify and in_extended_regime, unused here, stay module attributes: the
+# benchmark tracer's BOUNDARIES and tests/test_bench_names.py name them.
 from .regime import _witness_links, check_tol, classify, in_extended_regime  # noqa: F401
 from .tables import Coded, Table
 
@@ -167,6 +166,8 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     if not (lo <= b < hi):
         raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
     t = check_tol(tol) + SWEEP_GRID_SLACK
+    if not (math.isfinite(rng_max) and rng_max > 0.0):
+        raise ValidationError(f"range_max must be finite and > 0, got {range_max!r}")
     if not (math.isfinite(s) and 0.0 < s <= rng_max):
         raise ValidationError(f"step must satisfy 0 < step <= range_max, got {step!r}")
     span = rng_max / s + 1e-9
@@ -183,20 +184,19 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     # order of the extremum folds changes no bit: the grid is finite and
     # >= +0.0, so no NaN or -0.0 arises and equal values share one pattern.
     grid = (1.0, axis[None, :], b, axis[:, None], 1.0, b)
-    d_tt = _fold((_tin_gdof_links(IC_CONFIGS[k].take(grid), np.where)
+    d_tt = _fold((_tin_gdof_links(IC_CONFIGS[k].take(grid), EXACT)
                   for k, _ in _SWEEP_PAIRINGS), np.maximum)
     # Coded now, so its floats are freed before the orderings are evaluated.
     d_tt = _coded_floats(np.maximum(d_tt, d_tt.T).ravel())
     evaluated = [(k, m, PERMUTATIONS[k].take(grid)) for k, m in reversed(_SWEEP_ORDERINGS)]
-    d_ub = _fold((_gdof_links(links, np.where, first_maximum) for _, _, links in evaluated),
-                 np.minimum)
+    d_ub = _fold((_gdof_links(links, EXACT) for _, _, links in evaluated), np.minimum)
     # The first witness among the evaluated orderings (copied in descending
     # order) and among their partners (where smaller) on the transposed plane.
     none = np.int8(len(PERMUTATIONS))  # the witness code of no witness
     ext, ext_partner = np.full((2, side, side), none)
     gsj = np.zeros((side, side), dtype=bool)
     for k, m, links in evaluated:
-        e, g = _witness_links(links, t, np.where, np.maximum)
+        e, g = _witness_links(links, t, EXACT)
         np.copyto(ext, np.int8(k), where=e)
         np.minimum(ext_partner, np.int8(m), out=ext_partner, where=e)
         gsj |= g
@@ -341,6 +341,8 @@ def sample_in_regime(n: int, rng: np.random.Generator) -> list[AlphaMatrix]:
     once acceptance drops below 0.1% after SAMPLER_EXHAUSTION_WINDOW draws,
     at the same draw and with the same message as one draw at a time.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
     grids = _sample_blocks(n, rng, 6, _box_grids, SAMPLER_EXHAUSTION_WINDOW)
     return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
@@ -518,8 +520,10 @@ def gdof_convergence_probe(alpha: AlphaMatrix, rho_list) -> list[ConvergenceRow]
     """Normalized rate/bound table along a strictly increasing SNR list.
 
     Each row carries R/log2(rho) and UB/log2(rho) next to the GDoF pair they
-    approach; `convergence_failure` checks the rows.
+    approach; `convergence_failure` checks the rows. alpha goes through
+    channel.as_alpha.
     """
+    alpha = as_alpha(alpha)
     rhos = check_rhos(rho_list)
     if any(b <= a for a, b in zip(rhos, rhos[1:])):
         raise ValidationError("rho values must be strictly increasing")
@@ -528,13 +532,8 @@ def gdof_convergence_probe(alpha: AlphaMatrix, rho_list) -> list[ConvergenceRow]
     rows = []
     for rho in rhos:
         lg = math.log2(rho)
-        rows.append(ConvergenceRow(
-            rho=rho,
-            rate_norm=tdma_tin_rate(rho, alpha).value / lg,
-            ub_norm=sum_capacity_ub(rho, alpha).value / lg,
-            d_tt=d_tt,
-            d_ub=d_ub,
-        ))
+        rows.append(ConvergenceRow(rho, tdma_tin_rate(rho, alpha).value / lg,
+                                   sum_capacity_ub(rho, alpha).value / lg, d_tt, d_ub))
     return rows
 
 

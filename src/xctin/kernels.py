@@ -3,13 +3,13 @@ over every row of an (n, 6) row-major exponent array a (rows as
 AlphaMatrix.flat()).
 
 Each formula is written once, in its scalar module, on the links of one
-ordering or pairing. The scalar API passes it Python floats with
-channel.scalar_where, max, pow and math.log2; the kernels here pass the
-gathered link columns of a with np.where, first_maximum and libm's
-transcendentals (numpy's only in the audits' screen, see screened_first),
-so every entry is bit-identical to the scalar value. A product overflows to
-inf unwarned, as float * does (only libm_pow raises, as ** does), and a NaN
-exponent, which the scalar API refuses, makes D(p) NaN through np.maximum.
+ordering or pairing, and computes through one channel.Arithmetic: the
+scalar API passes it Python floats with channel.SCALAR, the kernels here
+the gathered link columns of a with EXACT, so every entry is bit-identical
+to the scalar value, and the audits' screen with SCREEN (see
+screened_first). A product overflows to inf unwarned, as float * does (only
+libm_pow raises, as ** does), and a NaN exponent, which the scalar API
+refuses, makes D(p) NaN through np.maximum.
 Column k of an (n, 12) profile belongs to PERMUTATIONS[k] and of an (n, 6)
 one to IC_CONFIGS[k]; first_extremum gives a row's first extremum, as
 channel.first_best does.
@@ -26,7 +26,7 @@ import numpy as np
 
 from .achievability import IC_CONFIGS, _tin_gdof_links, _tin_rate_links
 from .bounds import PERMUTATIONS, _bound_links, _gdof_links
-from .channel import N_RX, N_TX
+from .channel import N_RX, N_TX, Arithmetic
 from .regime import _witness_links, check_tol
 
 
@@ -91,6 +91,10 @@ def libm_log2(x: np.ndarray) -> np.ndarray:
                        count=x.size).reshape(x.shape)
 
 
+EXACT = Arithmetic(np.where, first_maximum, libm_pow, libm_log2)
+SCREEN = EXACT._replace(power=np.power, log2=np.log2)
+
+
 # An audit reports only each row's minimum bound and maximum rate, so the
 # block kernels screen every ordering or pairing with numpy's power and log2
 # and evaluate through libm only the entries within SCREEN_MARGIN *
@@ -142,7 +146,7 @@ def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     (shape (n,)); returns (n, 12)."""
     r = libm_pow(rho[:, None], a)
     return _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                        rho[:, None], libm_pow, libm_log2, np.where)
+                        rho[:, None], EXACT)
 
 
 @np.errstate(over="ignore")
@@ -153,15 +157,15 @@ def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.nda
     and libm evaluates only those that can be the minimum (see
     screened_first)."""
     screened = _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                            rho[:, None], np.power, np.log2, np.where)
+                            rho[:, None], SCREEN)
     return screened_first(screened, lambda rows, perms: _bound_links(
         link_entries(a, _PERM_LINKS, rows, perms), link_entries(r, _PERM_LINKS, rows, perms),
-        rho[rows], libm_pow, libm_log2, np.where), lowest=True)
+        rho[rows], EXACT), lowest=True)
 
 
 def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
     """D(p) for every ordering and every row of a; returns (n, 12)."""
-    return _gdof_links(link_columns(a, _PERM_LINKS), np.where, first_maximum)
+    return _gdof_links(link_columns(a, _PERM_LINKS), EXACT)
 
 
 # ---------------------------------------------------------------- achievability
@@ -169,7 +173,7 @@ def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
 def tdma_tin_rate_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """TIN sum rate in bits of every pairing and every row of a at the SNRs
     rho (shape (n,)); returns (n, 6)."""
-    return _tin_rate_links(link_columns(libm_pow(rho[:, None], a), _CONFIG_LINKS), libm_log2)
+    return _tin_rate_links(link_columns(libm_pow(rho[:, None], a), _CONFIG_LINKS), EXACT)
 
 
 def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
@@ -178,14 +182,14 @@ def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
     numpy screens the six pairings and libm evaluates only those that can be
     the maximum (see screened_first)."""
     return screened_first(
-        _tin_rate_links(link_columns(r, _CONFIG_LINKS), np.log2),
-        lambda rows, cfgs: _tin_rate_links(link_entries(r, _CONFIG_LINKS, rows, cfgs), libm_log2),
+        _tin_rate_links(link_columns(r, _CONFIG_LINKS), SCREEN),
+        lambda rows, cfgs: _tin_rate_links(link_entries(r, _CONFIG_LINKS, rows, cfgs), EXACT),
         lowest=False)
 
 
 def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
     """TIN GDoF of every pairing and every row of a; returns (n, 6)."""
-    return _tin_gdof_links(link_columns(a, _CONFIG_LINKS), np.where)
+    return _tin_gdof_links(link_columns(a, _CONFIG_LINKS), EXACT)
 
 
 # ---------------------------------------------------------------- regime
@@ -199,8 +203,7 @@ def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.nd
     subtractions, additions and comparisons, so the verdicts are those of
     in_extended_regime and in_gsj_regime. tol is checked as there.
     """
-    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol),
-                                   np.where, np.maximum)
+    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol), EXACT)
     return _first_true(extended), _first_true(gsj)
 
 
@@ -208,8 +211,8 @@ def _in_extended_rows(a: np.ndarray, tol: float) -> np.ndarray:
     """Whether each row of a is in the extended regime:
     regime_witnesses(a, tol)[0] >= 0 without the reference regime's test or
     the witness index (the rejection sampler's test)."""
-    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol),
-                                 np.where, np.maximum, reference=False)
+    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol), EXACT,
+                                 reference=False)
     return extended.any(axis=1)
 
 

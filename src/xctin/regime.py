@@ -32,8 +32,7 @@ import math
 from typing import NamedTuple
 
 from .bounds import _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import (AlphaMatrix, ValidatedRecord, check_rho, check_snr, float_or_nan,
-                      scalar_where)
+from .channel import SCALAR, AlphaMatrix, ValidatedRecord, check_rho, check_snr, float_or_nan
 from .errors import NotApplicable, ValidationError
 
 
@@ -106,7 +105,7 @@ def _first_witnesses(alpha: AlphaMatrix, tol: float) -> tuple[TxPermutation | No
     a = alpha.flat()
     pe = None
     for p, take in _PICKS:
-        extended, gsj = _witness_links(take(a), tol, scalar_where, max)
+        extended, gsj = _witness_links(take(a), tol, SCALAR)
         if extended and pe is None:
             pe = p
         if gsj:
@@ -140,14 +139,14 @@ def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
     return RegimeVerdict(pe is not None, pg is not None, pe, pg, gdof)
 
 
-def _witness_links(links, tol: float, where, maximum, reference=True):
+def _witness_links(links, tol: float, ar, reference=True):
     """Whether the extended and (when reference, else None) the reference
     regime conditions hold at slack tol, from the exponents of (j1, i1),
     (j1, i2), (j1, i3), (j2, i1), (j2, i2), (j2, i3), as floats, gathered
-    columns or any broadcastable operands. The two thresholds differ only in
-    the (v3 - v1)^+ reduction. Each maximum is only compared, so which of
-    equal values it gives (np.maximum or builtin max) does not matter."""
+    columns or any broadcastable operands, through the channel.Arithmetic ar.
+    The two thresholds differ only in the (v3 - v1)^+ reduction."""
     u1, u2, u3, v1, v2, v3 = links
+    where, maximum = ar.where, ar.maximum
     cross = v2 - u2 + tol >= maximum(v1, v3)
     direct = u1 - v1 + tol
     first = where(v3 > v1, u3 - (v3 - v1), u3)
@@ -184,7 +183,7 @@ def genie_aux_pair(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> AuxChann
     rho = check_snr(rho, a)
     links = p.take(a)
     u1, _, u3, v1, _, v3 = links
-    c_sq, _, _ = _genie_links(links, rho, pow, scalar_where)
+    c_sq, _, _ = _genie_links(links, rho, SCALAR)
     return AuxChannelPair(
         h1_sq=c_sq * rho ** (u1 - 1.0),
         h2_sq=c_sq * rho ** (u3 - 1.0),

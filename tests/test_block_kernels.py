@@ -1,10 +1,9 @@
 """The block kernels against the scalar API, entry for entry with exact ==.
 
 Both run the same link-level formula bodies, the scalar API on Python
-floats with channel.scalar_where, pow and math.log2, the kernels on link
-columns with np.where, libm_pow and libm_log2. These tests pin the two op
-sets against each other; tests/test_oracle.py checks the formulas against
-independent references.
+floats with channel.SCALAR, the kernels on link columns with kernels.EXACT.
+These tests pin the two arithmetics against each other; tests/test_oracle.py
+checks the formulas against independent references.
 
 Each profile row must equal the scalar profile of the same grid, and its
 first argmin/argmax must be the scalar argmin/argmax. Grids include ties,
@@ -21,9 +20,12 @@ threshold tied to u2 and signed zeros) and on points of the sweep family.
 The audits' screened kernels must return the first extremum of the libm profiles, bit
 for bit, also on exact ties, at the largest SNR and on non-finite rows, and
 the scalar first-extremum pick the entry the block one picks.
-libm_pow itself must be builtin pow, bit for bit and in its overflow.
+libm_pow itself must be builtin pow, bit for bit and in its overflow. Each
+link-level formula must compute only through its one Arithmetic argument, so
+that replaying it on another number type needs only another Arithmetic.
 """
 
+import ast
 import itertools
 import math
 import warnings
@@ -33,7 +35,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xctin import achievability, bounds, kernels
+from xctin import achievability, bounds, kernels, regime
 from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof, tdma_tin_gdof_config,
                                  tdma_tin_rate, tin_sum_rate)
 from xctin.bounds import PERMUTATIONS, gdof_ub, sum_capacity_ub
@@ -335,10 +337,10 @@ def test_screen_misses_libm_by_far_less_than_its_margin(box):
     r = libm_pow(rho[:, None], a)
     screened_ub = bounds._bound_links(
         link_columns(a, kernels._PERM_LINKS), link_columns(r, kernels._PERM_LINKS),
-        rho[:, None], np.power, np.log2, np.where)
+        rho[:, None], kernels.SCREEN)
     ub = sum_capacity_ub_profiles(a, rho)
     screened_rate = achievability._tin_rate_links(
-        link_columns(r, kernels._CONFIG_LINKS), np.log2)
+        link_columns(r, kernels._CONFIG_LINKS), kernels.SCREEN)
     for screened, exact in ((screened_ub, ub), (screened_rate, tdma_tin_rate_profiles(a, rho))):
         # A thousandth of the margin screened_first gives each extremum.
         assert (np.abs(screened - exact) < SCREEN_MARGIN / 1000 * (1.0 + np.abs(exact))).all()
@@ -385,3 +387,24 @@ def test_libm_pow_overflows_as_builtin_pow():
         # An infinite exponent or base is exact, not an overflow.
         assert libm_pow(np.array([2.0, math.inf]), np.array([math.inf, 2.0])).tolist() == [
             pow(2.0, math.inf), pow(math.inf, 2.0)]
+
+
+# The link-level formulas and the names none of them may read: numpy, math
+# and the builtins or libm routines that an Arithmetic supplies instead.
+FORMULAS = {bounds: ("_genie_links", "_bound_links", "_gdof_links"),
+            achievability: ("_tin_rate_links", "_tin_gdof_links"),
+            regime: ("_witness_links",)}
+BARRED = {"np", "math", "max", "min", "pow", "abs", "libm_pow", "libm_log2"}
+
+
+def test_link_level_formulas_compute_only_through_their_arithmetic():
+    for module, names in FORMULAS.items():
+        with open(module.__file__, encoding="utf-8") as f:
+            defs = {node.name: node for node in ast.parse(f.read()).body
+                    if isinstance(node, ast.FunctionDef)}
+        for name in names:
+            args = defs[name].args
+            assert [a.arg for a in args.args].count("ar") == 1, name
+            assert not args.vararg and not args.kwarg and not args.kwonlyargs, name
+            read = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
+            assert not read & BARRED, (name, read & BARRED)

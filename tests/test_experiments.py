@@ -187,14 +187,14 @@ def _profile_reduction(axis, beta, tol):
     grid = (1.0, axis[None, :], beta, axis[:, None], 1.0, beta)
     d_tt = np.empty((side, side, len(achievability.IC_CONFIGS)))
     for k, cfg in enumerate(achievability.IC_CONFIGS):
-        d_tt[..., k] = achievability._tin_gdof_links(cfg.take(grid), np.where)
+        d_tt[..., k] = achievability._tin_gdof_links(cfg.take(grid), kernels.EXACT)
     d_ub = np.empty((side, side, len(bounds.PERMUTATIONS)))
     ext, gsj = np.empty((2, side, side, len(bounds.PERMUTATIONS)), dtype=bool)
     for k, p in enumerate(bounds.PERMUTATIONS):
         links = p.take(grid)
-        d_ub[..., k] = bounds._gdof_links(links, np.where, kernels.first_maximum)
+        d_ub[..., k] = bounds._gdof_links(links, kernels.EXACT)
         ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK,
-                                                         np.where, np.maximum)
+                                                         kernels.EXACT)
     rows = side * side
     return (first_extremum(d_tt.reshape(rows, -1), lowest=False),
             first_extremum(d_ub.reshape(rows, -1), lowest=True),
@@ -247,15 +247,15 @@ def test_sweep_partner_tables_are_the_1_2_relabelling():
 
     def planes(p):
         links = p.take(grid)
-        return (bounds._gdof_links(links, np.where, kernels.first_maximum).view(np.int64),
-                *regime._witness_links(links, tol, np.where, np.maximum))
+        return (bounds._gdof_links(links, kernels.EXACT).view(np.int64),
+                *regime._witness_links(links, tol, kernels.EXACT))
 
     for k, m in orderings:
         for mine, partner in zip(planes(perms[k]), planes(perms[m])):
             assert (partner == mine.T).all()
     for k, m in pairings:
         mine, partner = (np.broadcast_to(achievability._tin_gdof_links(
-            configs[x].take(grid), np.where), (16, 16)).view(np.int64) for x in (k, m))
+            configs[x].take(grid), kernels.EXACT), (16, 16)).view(np.int64) for x in (k, m))
         assert (partner == mine.T).all()
 
 
@@ -487,15 +487,30 @@ def test_sample_counts_must_be_integers_of_at_least_one(n):
     (sweep_regime_plane, (None, 0.05), {}, "beta must satisfy"),
     (sweep_regime_plane, (0.75, "x"), {}, "step must satisfy"),
     (sweep_regime_plane, (0.75, None), {}, "step must satisfy"),
-    (sweep_regime_plane, (0.75, 0.05, "x"), {}, "step must satisfy"),
-    (sweep_regime_plane, (0.75, 0.05, None), {}, "step must satisfy"),
+    (sweep_regime_plane, (0.75, 0.05, "x"), {}, "range_max must be finite and > 0, got 'x'"),
+    (sweep_regime_plane, (0.75, 0.05, None), {}, "range_max must be finite and > 0, got None"),
+    (sweep_regime_plane, (0.75, 0.05, math.nan), {}, "range_max must be finite and > 0, got nan"),
+    (sweep_regime_plane, (0.75, 0.05, math.inf), {}, "range_max must be finite and > 0, got inf"),
+    (sweep_regime_plane, (0.75, 0.05, -1), {}, "range_max must be finite and > 0, got -1"),
     (sweep_regime_plane, (0.75, 0.05), {"tol": None}, "tol must be finite and >= 0"),
+    (sample_in_regime, (5, 3), {}, "rng must be a numpy.random.Generator, got 3"),
+    (sample_in_regime, (5, None), {}, "rng must be a numpy.random.Generator, got None"),
+    (gdof_convergence_probe, (None, (10.0, 100.0)), {}, "alpha entries must be numbers"),
+    (gdof_convergence_probe, (((1, 1), (1, 1)), (10.0,)), {}, "alpha must be a 2x3 grid"),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v)[:40])
 def test_malformed_library_inputs_raise_validation_error(call, args, kwargs, message):
     # Each used to raise numpy's TypeError, a comparison TypeError, a plain
-    # ValueError, or TypeError for a rho list that is not iterable.
+    # ValueError, TypeError for a rho list that is not iterable, or
+    # AttributeError for an rng or an alpha of the wrong type; a bad
+    # range_max named the step.
     with pytest.raises(ValidationError, match=re.escape(message)):
         call(*args, **kwargs)
+
+
+def test_convergence_probe_takes_a_plain_grid_through_alpha_matrix():
+    grid = ((1, 0.2, 0.75), (0.4, 1, 0.75))
+    assert gdof_convergence_probe(grid, (10.0, 100.0)) == \
+        gdof_convergence_probe(AlphaMatrix(grid), (10.0, 100.0))
 
 
 def test_audit_reports_echo_the_seed_as_an_int():
@@ -579,7 +594,8 @@ def test_gap_audit_builds_one_alpha_matrix(monkeypatch, beta_free):
 
 def _count_libm_elements(monkeypatch) -> dict:
     """Count the elements that go through libm_pow and libm_log2 in the
-    audit kernels, by function."""
+    audit kernels, by function: the powers the kernels and audits take
+    directly, and the c^2 and logs the formulas take through kernels.EXACT."""
     counts = {libm_pow: 0, libm_log2: 0}
 
     def counted(f):
@@ -589,8 +605,10 @@ def _count_libm_elements(monkeypatch) -> dict:
             return out
         return call
 
-    for module, f in ((kernels, libm_pow), (kernels, libm_log2), (experiments, libm_pow)):
-        monkeypatch.setattr(module, f.__name__, counted(f))
+    for module in (kernels, experiments):
+        monkeypatch.setattr(module, "libm_pow", counted(libm_pow))
+    monkeypatch.setattr(kernels, "EXACT", kernels.EXACT._replace(
+        power=counted(libm_pow), log2=counted(libm_log2)))
     return counts
 
 
@@ -598,13 +616,13 @@ def test_gap_audit_takes_libm_only_for_the_candidates(monkeypatch):
     # The powers rho**a are taken once per (draw, SNR) pair, 6 pow; numpy
     # screens the orderings and pairings, and libm evaluates only the
     # candidates, about one ordering (one c^2, two logs) and one pairing
-    # (two logs) per pair. Every entry of both profiles through libm took
-    # 24 pow and 36 log2 per pair.
+    # (two logs) per pair, and at least that. Every entry of both profiles
+    # through libm took 24 pow and 36 log2 per pair.
     counts = _count_libm_elements(monkeypatch)
     gap_audit_with_rows(750, (1e2, 1e4, 1e6), 5)
     pairs = 750 * 3
-    assert counts[libm_pow] <= 8 * pairs
-    assert counts[libm_log2] <= 6 * pairs
+    assert 6 * pairs < counts[libm_pow] <= 8 * pairs
+    assert 4 * pairs <= counts[libm_log2] <= 6 * pairs
 
 
 def test_sandwich_audit_takes_libm_only_for_the_candidates(monkeypatch):
@@ -614,7 +632,7 @@ def test_sandwich_audit_takes_libm_only_for_the_candidates(monkeypatch):
     n = 3 * BLOCK_ROWS + 7
     sandwich_audit_with_rows(n, seed=5)
     assert 7 * n < counts[libm_pow] <= 9 * n
-    assert counts[libm_log2] <= 6 * n
+    assert 4 * n <= counts[libm_log2] <= 6 * n
 
 
 def test_gap_audit_deterministic():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from xctin import regime
 from xctin.achievability import tdma_tin_gdof
 from xctin.bounds import PERMUTATIONS, TxPermutation, gdof_ub, genie_params
-from xctin.channel import AlphaMatrix
+from xctin.channel import SCALAR, AlphaMatrix
 from xctin.errors import NotApplicable, ValidationError
 from xctin.kernels import regime_witnesses
 from xctin.regime import (AuxChannelPair, classify,
@@ -175,18 +175,17 @@ def test_reference_regime_is_invariant_under_the_ordering_swap(a, tol):
         q = _swap(p)
         assert q in PERMUTATIONS and _swap(q) == p
         for t in (0.0, tol):
-            assert bool(regime._witness_links(p.take(a), t, np.where, np.maximum)[1]) is \
-                bool(regime._witness_links(q.take(a), t, np.where, np.maximum)[1])
+            assert bool(regime._witness_links(p.take(a), t, SCALAR)[1]) is \
+                bool(regime._witness_links(q.take(a), t, SCALAR)[1])
 
 
 def test_extended_regime_is_not_invariant_under_the_ordering_swap():
     # P0's reduced threshold is 0.4 <= 0.6, but its swap's cross condition
     # needs 0.6 >= a13 = 0.75.
     a = FIG_POINT.flat()
-    assert [bool(x) for x in regime._witness_links(P0.take(a), 0.0, np.where, np.maximum)] == \
-        [True, False]
-    assert [bool(x) for x in regime._witness_links(_swap(P0).take(a), 0.0, np.where,
-                                                   np.maximum)] == [False, False]
+    assert [bool(x) for x in regime._witness_links(P0.take(a), 0.0, SCALAR)] == [True, False]
+    assert [bool(x) for x in regime._witness_links(_swap(P0).take(a), 0.0, SCALAR)] == \
+        [False, False]
 
 
 def test_equality_chain_on_sampled_regime_points():
