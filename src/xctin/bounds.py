@@ -33,8 +33,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, check_rho, check_snr, first_best,
-                      link_picker)
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, check_gains, check_rho, check_snr,
+                      first_best, link_picker)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -149,9 +149,10 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     point rounding.
     """
     rho = check_rho(rho)
+    gains = check_gains(gains)
     try:
         h_j1i1_sq, _, h_j1i3_sq, h_j2i1_sq, _, h_j2i3_sq = (
-            abs(h) ** 2 for h in p.take(tuple(gains[0]) + tuple(gains[1])))
+            abs(h) ** 2 for h in p.take(gains[0] + gains[1]))
         if min(h_j1i1_sq, h_j1i3_sq, h_j2i1_sq, h_j2i3_sq) <= 0.0:
             raise ValidationError("gains must be nonzero")
         if h_j2i3_sq <= h_j2i1_sq:

@@ -39,10 +39,7 @@ MAX_RHO_DB = 10.0 * math.log10(sys.float_info.max / 4.0) / DEFAULT_ALPHA_CAP
 def rho_from_db(rho_db: float) -> float:
     """Convert an SNR in dB, finite and at most MAX_RHO_DB, to linear scale:
     rho = 10**(dB/10)."""
-    try:
-        db = float(rho_db)
-    except OverflowError:
-        db = math.inf
+    db = float_or_nan(rho_db)
     if not (math.isfinite(db) and db <= MAX_RHO_DB):
         raise ValidationError(
             f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got {rho_db!r}")
@@ -222,18 +219,22 @@ class ChannelScenario(ValidatedRecord, _ChannelScenario):
         rho = check_rho(rho)
         if (gains is None) == (alpha is None):
             raise ValidationError("scenario needs exactly one of gains/alpha")
-        if gains is not None:
-            try:
-                gains = tuple(tuple(complex(h) for h in row) for row in gains)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"gain entries must be complex numbers: {exc}") from None
-            if len(gains) != N_RX or any(len(row) != N_TX for row in gains):
-                raise ValidationError(f"gains must be a {N_RX}x{N_TX} grid")
-            for row in gains:
-                for h in row:
-                    if not (math.isfinite(h.real) and math.isfinite(h.imag)):
-                        raise ValidationError("gains must be finite")
-        return tuple.__new__(cls, (rho, gains, None if alpha is None else as_alpha(alpha)))
+        return tuple.__new__(cls, (rho, None if gains is None else check_gains(gains),
+                                   None if alpha is None else as_alpha(alpha)))
+
+
+def check_gains(gains) -> tuple[tuple[complex, ...], ...]:
+    """gains as a 2x3 tuple grid of finite complex numbers; anything else
+    raises ValidationError."""
+    try:
+        gains = tuple(tuple(complex(h) for h in row) for row in gains)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"gain entries must be complex numbers: {exc}") from None
+    if len(gains) != N_RX or any(len(row) != N_TX for row in gains):
+        raise ValidationError(f"gains must be a {N_RX}x{N_TX} grid")
+    if not all(math.isfinite(h.real) and math.isfinite(h.imag) for row in gains for h in row):
+        raise ValidationError("gains must be finite")
+    return gains
 
 
 def alpha_from_gain(h: complex, rho: float) -> float:
@@ -260,9 +261,10 @@ def alpha_from_gain(h: complex, rho: float) -> float:
 
 def effective_inr(rho: float, alpha: float) -> float:
     """Received power ratio rho**alpha; inverts `alpha_from_gain`."""
-    if not (math.isfinite(alpha) and alpha >= 0.0):
+    x = float_or_nan(alpha)
+    if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
-    return check_snr(rho, (alpha,)) ** alpha
+    return check_snr(rho, (x,)) ** x
 
 
 def validate_scenario(scenario: ChannelScenario) -> AlphaMatrix:
@@ -332,11 +334,7 @@ def scenario_from_dict(payload) -> ChannelScenario:
         raise ValidationError("scenario must be a JSON object")
     if "rho_db" not in payload:
         raise ValidationError("scenario is missing rho_db")
-    rho_db = _wire_number(payload["rho_db"], "rho_db")
-    try:
-        rho = rho_from_db(float(rho_db))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad rho_db: {exc}") from None
+    rho = rhos_from_db((_wire_number(payload["rho_db"], "rho_db"),))[0]
     has_gains = "gains" in payload
     has_alpha = "alpha" in payload
     if has_gains == has_alpha:

@@ -71,8 +71,8 @@ BLOCK_ROWS = 512
 # about 18% acceptance a block of 1024 gives some 180 samples; 256 rows paid
 # numpy's per-call cost too often at n = 10^4, and 4096 drew too far past
 # the stop row at n = 750 (the unused tail is drawn again after a rewind).
-# The extended-only test takes 0.16 ms per block, against 0.40 ms for
-# regime_witnesses with both regimes (in process, best of 7 x 200 calls).
+# The extended-only test takes 0.16 ms per block, against 0.40 ms with both
+# regimes' first witnesses (in process, best of 7 x 200 calls).
 SAMPLER_BLOCK_ROWS = 1024
 # Witness labels of the sweep records, indexed like PERMUTATIONS; the index
 # len(PERMUTATIONS) (no witness) gives None.
@@ -343,7 +343,7 @@ def sample_in_regime(n: int, rng: np.random.Generator) -> list[AlphaMatrix]:
     """
     if not isinstance(rng, np.random.Generator):
         raise ValidationError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    grids = _sample_blocks(n, rng, 6, _box_grids, SAMPLER_EXHAUSTION_WINDOW)
+    grids = _sample_blocks(n, rng, 6, _box_grids)
     return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
 
@@ -356,8 +356,7 @@ def _symmetric_grids(u: np.ndarray) -> np.ndarray:
                          lo + (hi - lo) * u[:, 0])
 
 
-def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
-                   exhaustion_window: int) -> np.ndarray:
+def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids) -> np.ndarray:
     """The first n grids inside the extended regime among to_grids(u) of
     successive rows u of width uniform draws, as an (n, 6) array; see
     sample_in_regime.
@@ -365,8 +364,7 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
     Each block draws SAMPLER_BLOCK_ROWS rows and tests them with one
     _in_extended_rows call, which skips the reference regime. The block's
     stop row is the one that gives the n-th sample, or the first rejected
-    one past exhaustion_window draws (SAMPLER_EXHAUSTION_WINDOW in the
-    audits) with acceptance below 0.1%.
+    one past SAMPLER_EXHAUSTION_WINDOW draws with acceptance below 0.1%.
     A block not used in full is drawn again up to its stop row from the
     saved generator state, so rng ends where one draw at a time ends.
     """
@@ -376,11 +374,11 @@ def _sample_blocks(n: int, rng: np.random.Generator, width: int, to_grids,
     while accepted < n:
         state = rng.bit_generator.state
         grids = to_grids(rng.random((SAMPLER_BLOCK_ROWS, width)))
-        ok = _in_extended_rows(grids, 0.0)
+        ok = _in_extended_rows(grids)
         count = accepted + np.cumsum(ok)
         tried = trials + np.arange(1, SAMPLER_BLOCK_ROWS + 1)
         stop = (ok & (count == n)) | (
-            ~ok & (tried >= exhaustion_window) & (count < 0.001 * tried))
+            ~ok & (tried >= SAMPLER_EXHAUSTION_WINDOW) & (count < 0.001 * tried))
         hit = bool(stop.any())
         used = int(stop.argmax()) + 1 if hit else SAMPLER_BLOCK_ROWS
         if used < SAMPLER_BLOCK_ROWS:
@@ -408,7 +406,7 @@ def gap_audit_with_rows(n: int, rho_list, seed: int, beta_free: bool = True):
     rhos = check_rhos(rho_list)
     seed, rng = _generator(seed)
     width, to_grids = (6, _box_grids) if beta_free else (3, _symmetric_grids)
-    grids = _sample_blocks(n, rng, width, to_grids, SAMPLER_EXHAUSTION_WINDOW)
+    grids = _sample_blocks(n, rng, width, to_grids)
     n, k = len(grids), len(rhos)
     rate, ub = _rates_and_bounds(grids, np.broadcast_to(rhos, (n, k)))
     gap = ub - rate

@@ -12,7 +12,8 @@ libm_pow raises, as ** does), and a NaN exponent, which the scalar API
 refuses, makes D(p) NaN through np.maximum.
 Column k of an (n, 12) profile belongs to PERMUTATIONS[k] and of an (n, 6)
 one to IC_CONFIGS[k]; first_extremum gives a row's first extremum, as
-channel.first_best does.
+channel.first_best does. The one regime kernel, _in_extended_rows, is the
+rejection sampler's extended verdict; the sweep folds _witness_links itself.
 
 This module, the table writer and the audits are the library's numpy; the
 scalar API loads none of them.
@@ -27,7 +28,7 @@ import numpy as np
 from .achievability import IC_CONFIGS, _tin_gdof_links, _tin_rate_links
 from .bounds import PERMUTATIONS, _bound_links, _gdof_links
 from .channel import N_RX, N_TX, Arithmetic
-from .regime import _witness_links, check_tol
+from .regime import _witness_links
 
 
 def _link_table(items) -> np.ndarray:
@@ -194,29 +195,10 @@ def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- regime
 
-def regime_witnesses(a: np.ndarray, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Block form of in_extended_regime and in_gsj_regime over the rows of a.
-
-    Returns two (n,) integer arrays: each row's first extended witness and
-    first reference-regime witness as an index into PERMUTATIONS, or -1 for
-    none. The scalar loop runs the same link-level test, which has only
-    subtractions, additions and comparisons, so the verdicts are those of
-    in_extended_regime and in_gsj_regime. tol is checked as there.
-    """
-    extended, gsj = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol), EXACT)
-    return _first_true(extended), _first_true(gsj)
-
-
-def _in_extended_rows(a: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each row of a is in the extended regime:
-    regime_witnesses(a, tol)[0] >= 0 without the reference regime's test or
-    the witness index (the rejection sampler's test)."""
-    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), check_tol(tol), EXACT,
-                                 reference=False)
+def _in_extended_rows(a: np.ndarray) -> np.ndarray:
+    """Whether each row of a is in the extended regime, the verdict of
+    in_extended_regime at tol 0 through the same link-level test (only
+    subtractions, additions and comparisons) without the reference regime's
+    condition: the rejection sampler's test."""
+    extended, _ = _witness_links(link_columns(a, _PERM_LINKS), 0.0, EXACT, reference=False)
     return extended.any(axis=1)
-
-
-def _first_true(ok: np.ndarray) -> np.ndarray:
-    """Column of each row's first True, or -1 where the row has none."""
-    k = ok.argmax(axis=1)
-    return np.where(ok[np.arange(len(ok)), k], k, -1)

@@ -614,6 +614,20 @@ def test_snr_whose_rho_is_not_above_1_exits_2_naming_rho(capsys, argv, db):
                             f"{10.0 ** (db / 10.0)!r} at rho_db {db!r}\n")
 
 
+@pytest.mark.parametrize("text", ["0", "-3", "800", "nan"])
+def test_scenario_rho_db_follows_the_rho_db_rule(tmp_path, capsys, text):
+    # A scenario's rho_db used to fail its own way: 800 as "bad rho_db: ...",
+    # 0 and -3 through ChannelScenario's "rho must be finite and > 1". The
+    # file holds the number the flag parses to, so the messages match.
+    payload = dict(FIG_SCENARIO, rho_db=float(text))
+    from_file = main(["eval", "--scenario", _write_scenario(tmp_path, payload)])
+    file_err = capsys.readouterr().err
+    assert main(["eval", "--alpha", FIG_ALPHA, "--rho-db", text]) == from_file == 2
+    assert capsys.readouterr().err == file_err
+    assert file_err.startswith("error: rho_db must be finite" if text in ("800", "nan")
+                               else "error: rho = 10**(rho_db/10) must exceed 1")
+
+
 @pytest.mark.parametrize("argv, flag, text", [
     (["eval", "--alpha", "", "--rho-db", "20"], "--alpha", ""),
     (["eval", "--alpha", FIG_ALPHA, "--rho-db", ""], "--rho-db", ""),

@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 
 from xctin import achievability, bounds, experiments, kernels, regime
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
-from xctin.bounds import gdof_ub, sum_capacity_ub
-from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix
+from xctin.bounds import PERMUTATIONS, gdof_ub, genie_params_from_gains, sum_capacity_ub
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix, effective_inr,
+                           rho_from_db)
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
@@ -164,18 +166,17 @@ def _signed(values):
 @example(beta=0.65, step=0.05, tol=0.0)  # a grid line that misses 1 - beta by rounding
 @example(beta=1.0 - 2.0 ** -53, step=0.005, tol=0.004)
 def test_sweep_broadcast_matches_the_block_kernels_on_grid_rows(beta, step, tol):
+    # The regime columns are checked against the scalar classify below and
+    # against the profile reductions in test_sweep_folds_match_the_profile_reductions.
     table = sweep_regime_plane(beta, step, tol=tol)
-    a21, a12, ext, gsj, d_tt, d_ub, witness = table.columns
+    a21, a12, _, _, d_tt, d_ub, _ = table.columns
     grids = experiments._family_grids(np.array(a21), np.array(a12), beta)
-    want_ext, want_gsj = kernels.regime_witnesses(grids, tol + SWEEP_GRID_SLACK)
     assert _signed(a21) == _signed(grids[:, 3].tolist())
     assert _signed(a12) == _signed(grids[:, 1].tolist())
     assert _signed(d_tt) == _signed(
         first_extremum(kernels.tdma_tin_gdof_profiles(grids), lowest=False).tolist())
     assert _signed(d_ub) == _signed(
         first_extremum(kernels.gdof_ub_profiles(grids), lowest=True).tolist())
-    assert (ext, gsj) == ((want_ext >= 0).tolist(), (want_gsj >= 0).tolist())
-    assert witness == [experiments._WITNESS_LABELS[k] for k in want_ext.tolist()]
 
 
 def _profile_reduction(axis, beta, tol):
@@ -196,9 +197,15 @@ def _profile_reduction(axis, beta, tol):
         ext[..., k], gsj[..., k] = regime._witness_links(links, tol + SWEEP_GRID_SLACK,
                                                          kernels.EXACT)
     rows = side * side
+
+    def first_true(ok):
+        """Column of each row's first True, or -1 where the row has none."""
+        ok = ok.reshape(rows, -1)
+        k = ok.argmax(axis=1)
+        return np.where(ok[np.arange(rows), k], k, -1)
+
     return (first_extremum(d_tt.reshape(rows, -1), lowest=False),
-            first_extremum(d_ub.reshape(rows, -1), lowest=True),
-            kernels._first_true(ext.reshape(rows, -1)), kernels._first_true(gsj.reshape(rows, -1)))
+            first_extremum(d_ub.reshape(rows, -1), lowest=True), first_true(ext), first_true(gsj))
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,16 +335,18 @@ def _box_map(box):
 
 
 def _block_sample(n, rng, box, window):
-    """The block sampler's grids drawn on box, as AlphaMatrix objects."""
-    grids = experiments._sample_blocks(n, rng, 6, _box_map(box), window)
+    """The block sampler's grids drawn on box with the exhaustion window
+    set to window, as AlphaMatrix objects."""
+    with mock.patch.object(experiments, "SAMPLER_EXHAUSTION_WINDOW", window):
+        grids = experiments._sample_blocks(n, rng, 6, _box_map(box))
     return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
 
 def test_the_sampler_tests_only_the_extended_regime(monkeypatch):
     # The rejection sampler reads only the extended verdict, so neither the
     # gap audit nor sample_in_regime takes the two-witness path (the
-    # reference regime's test, as in regime_witnesses): each sampler block
-    # tests its draws in one extended-only call.
+    # reference regime's test, as in classify): each sampler block tests its
+    # draws in one extended-only call.
     witness_links, bind = regime._witness_links, inspect.signature(regime._witness_links).bind
     calls = {True: 0, False: 0}
 
@@ -411,8 +420,7 @@ def _box_outcomes(n, seed, box, window):
 
 def _symmetric_outcomes(n, seed):
     def block_sample(rng):
-        grids = experiments._sample_blocks(n, rng, 3, experiments._symmetric_grids,
-                                           SAMPLER_EXHAUSTION_WINDOW)
+        grids = experiments._sample_blocks(n, rng, 3, experiments._symmetric_grids)
         assert grids.shape == (n, 6)
         return [AlphaMatrix((row[:3], row[3:])) for row in grids.tolist()]
 
@@ -497,12 +505,19 @@ def test_sample_counts_must_be_integers_of_at_least_one(n):
     (sample_in_regime, (5, None), {}, "rng must be a numpy.random.Generator, got None"),
     (gdof_convergence_probe, (None, (10.0, 100.0)), {}, "alpha entries must be numbers"),
     (gdof_convergence_probe, (((1, 1), (1, 1)), (10.0,)), {}, "alpha must be a 2x3 grid"),
+    (rho_from_db, (None,), {}, f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got None"),
+    (rho_from_db, ("abc",), {}, f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got 'abc'"),
+    (effective_inr, (10.0, "x"), {}, "alpha must be finite and >= 0, got 'x'"),
+    (effective_inr, (10.0, None), {}, "alpha must be finite and >= 0, got None"),
+    (genie_params_from_gains, ([[1, 1], [1, 1]], PERMUTATIONS[0], 10.0), {},
+     "gains must be a 2x3 grid"),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v)[:40])
 def test_malformed_library_inputs_raise_validation_error(call, args, kwargs, message):
     # Each used to raise numpy's TypeError, a comparison TypeError, a plain
-    # ValueError, TypeError for a rho list that is not iterable, or
-    # AttributeError for an rng or an alpha of the wrong type; a bad
-    # range_max named the step.
+    # ValueError, TypeError for a rho list that is not iterable, a dB value
+    # or an exponent that is no number, IndexError for a gain grid of the
+    # wrong shape, or AttributeError for an rng or an alpha of the wrong
+    # type; a bad range_max named the step.
     with pytest.raises(ValidationError, match=re.escape(message)):
         call(*args, **kwargs)
 
@@ -768,8 +783,7 @@ def test_audits_reject_snr_above_the_cap():
     rate, ub = experiments._rates_and_bounds(grids, rhos)
     assert np.isfinite(rate).all() and np.isfinite(ub).all()
     assert (rate - ub).max() <= 1e-9
-    grids = experiments._sample_blocks(5, rng, 6, _box_map((0.0, DEFAULT_ALPHA_CAP)),
-                                       SAMPLER_EXHAUSTION_WINDOW)
+    grids = experiments._sample_blocks(5, rng, 6, _box_map((0.0, DEFAULT_ALPHA_CAP)))
     rate, ub = experiments._rates_and_bounds(grids, np.full((5, 1), cap))
     assert (ub - rate).max() <= 7.0
 

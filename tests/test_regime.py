@@ -10,7 +10,6 @@ from xctin.achievability import tdma_tin_gdof
 from xctin.bounds import PERMUTATIONS, TxPermutation, gdof_ub, genie_params
 from xctin.channel import SCALAR, AlphaMatrix
 from xctin.errors import NotApplicable, ValidationError
-from xctin.kernels import regime_witnesses
 from xctin.regime import (AuxChannelPair, classify,
                           entropy_gap_conditions_hold, genie_aux_pair,
                           genie_satisfies_entropy_gap, in_extended_regime,
@@ -99,8 +98,7 @@ def test_regime_functions_reject_bad_tol(tol):
     # Each used to answer "neither" (nan, -1.0) or "both" (inf) without error.
     for check in (lambda: classify(FIG_POINT, tol),
                   lambda: in_extended_regime(FIG_POINT, tol),
-                  lambda: in_gsj_regime(FIG_POINT, tol),
-                  lambda: regime_witnesses(np.array([FIG_POINT.flat()]), tol)):
+                  lambda: in_gsj_regime(FIG_POINT, tol)):
         with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
             check()
 
