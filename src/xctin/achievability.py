@@ -58,9 +58,6 @@ class IcConfig(ValidatedRecord, _IcConfig):
     def label(self) -> str:
         return f"{self.i1}{self.i2}{self.j1}{self.j2}"
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.i1, self.i2, self.j1, self.j2)
-
 
 @functools.cache
 def _config_picker(cfg: IcConfig) -> operator.itemgetter:

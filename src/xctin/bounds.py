@@ -34,7 +34,7 @@ import operator
 from typing import NamedTuple
 
 from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, check_gains, check_rho, check_snr,
-                      first_best, link_picker)
+                      first_best, link_picker, number)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -70,9 +70,6 @@ class TxPermutation(ValidatedRecord, _TxPermutation):
     def label(self) -> str:
         return f"{self.i1}{self.i2}{self.i3}{self.j1}{self.j2}"
 
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.i1, self.i2, self.i3, self.j1, self.j2)
-
 
 @functools.cache
 def _perm_picker(p: TxPermutation) -> operator.itemgetter:
@@ -92,13 +89,14 @@ class GenieParams(ValidatedRecord, _GenieParams):
     __slots__ = ()
 
     def __new__(cls, c_sq, d, case_id):
+        c, d, case_id = map(number, (c_sq, d, case_id), cls._fields)
         if d not in (0, 1) or case_id not in (1, 2, 3):
             raise ValidationError("d must be 0/1 and case_id one of 1, 2, 3")
         if (d == 0) != (case_id == 1):
             raise ValidationError("d = 0 exactly in case 1")
-        if not (math.isfinite(c_sq) and c_sq > 0.0):
+        if not (math.isfinite(c) and c > 0.0):
             raise ValidationError(f"c_sq must be finite and > 0, got {c_sq!r}")
-        return tuple.__new__(cls, (c_sq, d, case_id))
+        return tuple.__new__(cls, (c, int(d), int(case_id)))
 
 
 class BoundResult(NamedTuple):

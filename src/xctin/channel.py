@@ -39,26 +39,44 @@ MAX_RHO_DB = 10.0 * math.log10(sys.float_info.max / 4.0) / DEFAULT_ALPHA_CAP
 def rho_from_db(rho_db: float) -> float:
     """Convert an SNR in dB, finite and at most MAX_RHO_DB, to linear scale:
     rho = 10**(dB/10)."""
-    db = float_or_nan(rho_db)
+    db = number(rho_db, "rho_db")
     if not (math.isfinite(db) and db <= MAX_RHO_DB):
         raise ValidationError(
             f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got {rho_db!r}")
     return 10.0 ** (db / 10.0)
 
 
-def float_or_nan(x) -> float:
-    """float(x), or nan, which every range check rejects, when x is no
-    number or an int too large for a float."""
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
+# The kinds of value that are no number, by their JSON names; number names
+# any other type by its own name.
+_JSON_TYPE_NAMES = {bool: "a boolean", str: "a string", list: "an array",
+                    dict: "an object", type(None): "null"}
+
+
+def number(value, field: str, *where, convert=float):
+    """convert(value), a float by default, for anything convert takes but a
+    bool, a str or bytes, so numpy scalars, Fraction and Decimal pass. Anything
+    else raises ValidationError naming the field, field.format(*where), and
+    the kind of value; an int too large for a float is named by its digit
+    count. The one rule by which every input of the package is a number."""
+    if not isinstance(value, (bool, str, bytes, bytearray)):
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            pass
+        except OverflowError:  # an int, or a ratio of ints, past the floats
+            n = abs(int(value))
+            digits = int(n.bit_length() * 0.30102999566398120)  # log10(2): n's digits, or one less
+            digits += n >= 10 ** digits
+            raise ValidationError(f"{field.format(*where)} is too large for a float: "
+                                  f"{digits} digits") from None
+    kind = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+    raise ValidationError(f"{field.format(*where)} must be a number, got {kind}")
 
 
 def check_rho(rho) -> float:
     """rho as a float when it is a finite number > 1, the transmit SNRs the
-    exponent parametrization admits; anything else raises DegenerateSnr."""
-    r = float_or_nan(rho)
+    exponent parametrization admits; another number raises DegenerateSnr."""
+    r = number(rho, "rho")
     if not 1.0 < r < math.inf:
         raise DegenerateSnr(f"rho must be finite and > 1, got {rho!r}")
     return r
@@ -93,14 +111,17 @@ def check_rhos(rho_list) -> tuple[float, ...]:
     """A non-empty SNR list as floats, each with 1 < rho <= MAX_RHO, the
     SNRs the audits evaluate at any exponent up to DEFAULT_ALPHA_CAP;
     anything else, a list that is not iterable or holds a non-number too,
-    raises ValidationError."""
+    raises ValidationError, which shows a long list by its first entries."""
     try:
-        rhos = tuple(map(float_or_nan, rho_list))
+        given = tuple(rho_list)
     except TypeError:  # not iterable
-        rhos = ()
+        given = ()
+    rhos = tuple(number(r, "rho_list[{}]", k) for k, r in enumerate(given))
     if not rhos or any(not 1.0 < r <= MAX_RHO for r in rhos):
+        shown = (f"{len(given)} entries from {given[:3]!r}" if len(given) > 3
+                 else repr(rho_list))
         raise ValidationError(f"every rho must satisfy 1 < rho <= {MAX_RHO!r} "
-                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {rho_list!r}")
+                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {shown}")
     return rhos
 
 
@@ -143,12 +164,7 @@ class AlphaMatrix(ValidatedRecord, _AlphaMatrix):
     __slots__ = ()
 
     def __new__(cls, a):
-        try:
-            rows = tuple(tuple(float(x) for x in row) for row in a)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"alpha entries must be numbers: {exc}") from None
-        if len(rows) != N_RX or any(len(row) != N_TX for row in rows):
-            raise ValidationError(f"alpha must be a {N_RX}x{N_TX} grid")
+        rows = _grid(a, "alpha", float)
         for j, row in enumerate(rows, start=1):
             for i, x in enumerate(row, start=1):
                 if not math.isfinite(x):
@@ -164,6 +180,21 @@ class AlphaMatrix(ValidatedRecord, _AlphaMatrix):
     def flat(self) -> tuple[float, ...]:
         """Row-major (a11, a12, a13, a21, a22, a23)."""
         return self.a[0] + self.a[1]
+
+
+def _grid(rows, field: str, convert) -> tuple[tuple, ...]:
+    """rows as a 2x3 tuple grid of numbers, entry [j][i] through
+    number(..., convert=convert) as field[j][i]; a grid of another shape
+    raises ValidationError."""
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:  # not a grid of rows
+        rows = ()
+    if len(rows) != N_RX or any(len(row) != N_TX for row in rows):
+        raise ValidationError(f"{field} must be a {N_RX}x{N_TX} grid")
+    entry = field + "[{}][{}]"
+    return tuple(tuple(number(x, entry, j, i, convert=convert) for i, x in enumerate(row, start=1))
+                 for j, row in enumerate(rows, start=1))
 
 
 def as_alpha(alpha) -> AlphaMatrix:
@@ -226,12 +257,7 @@ class ChannelScenario(ValidatedRecord, _ChannelScenario):
 def check_gains(gains) -> tuple[tuple[complex, ...], ...]:
     """gains as a 2x3 tuple grid of finite complex numbers; anything else
     raises ValidationError."""
-    try:
-        gains = tuple(tuple(complex(h) for h in row) for row in gains)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"gain entries must be complex numbers: {exc}") from None
-    if len(gains) != N_RX or any(len(row) != N_TX for row in gains):
-        raise ValidationError(f"gains must be a {N_RX}x{N_TX} grid")
+    gains = _grid(gains, "gains", complex)
     if not all(math.isfinite(h.real) and math.isfinite(h.imag) for row in gains for h in row):
         raise ValidationError("gains must be finite")
     return gains
@@ -244,10 +270,7 @@ def alpha_from_gain(h: complex, rho: float) -> float:
     (exponent exactly 0) is rejected rather than mapped to 0.
     """
     rho = check_rho(rho)
-    try:
-        h = complex(h)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"bad gain: {exc}") from None
+    h = number(h, "gain", convert=complex)
     try:
         inr = rho * abs(h) ** 2
     except OverflowError:
@@ -261,7 +284,7 @@ def alpha_from_gain(h: complex, rho: float) -> float:
 
 def effective_inr(rho: float, alpha: float) -> float:
     """Received power ratio rho**alpha; inverts `alpha_from_gain`."""
-    x = float_or_nan(alpha)
+    x = number(alpha, "alpha")
     if not (math.isfinite(x) and x >= 0.0):
         raise ValidationError(f"alpha must be finite and >= 0, got {alpha!r}")
     return check_snr(rho, (x,)) ** x
@@ -307,58 +330,36 @@ def check_exponent_range(alpha: AlphaMatrix) -> None:
                     f"alpha[{j}][{i}] = {x!r} exceeds the cap {DEFAULT_ALPHA_CAP}")
 
 
-# The JSON names of the types json.load returns for values that are no number.
-_JSON_TYPE_NAMES = {bool: "a boolean", str: "a string", list: "an array",
-                    dict: "an object", type(None): "null"}
-
-
-def _wire_number(value, field: str):
-    """value if it is a JSON number (int or float, not bool); anything else
-    raises ValidationError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        kind = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
-        raise ValidationError(f"{field} must be a number, got {kind}")
-    return value
-
-
 def scenario_from_dict(payload) -> ChannelScenario:
     """Build a scenario from its JSON wire format.
 
     Accepted shapes (exactly one of gains/alpha):
         {"rho_db": <num>, "gains": [[[re, im] x3] x2]}
         {"rho_db": <num>, "alpha": [[a11, a12, a13], [a21, a22, a23]]}
-    Row 1 is receiver 1. Every <num>, exponent and gain part must be a JSON
-    number: strings and booleans are rejected, not converted.
+    Row 1 is receiver 1. Every <num>, exponent and gain part is a number
+    as `number` takes it: strings and booleans are rejected, not converted.
     """
     if not isinstance(payload, dict):
         raise ValidationError("scenario must be a JSON object")
     if "rho_db" not in payload:
         raise ValidationError("scenario is missing rho_db")
-    rho = rhos_from_db((_wire_number(payload["rho_db"], "rho_db"),))[0]
+    rho = rhos_from_db((payload["rho_db"],))[0]
     has_gains = "gains" in payload
     has_alpha = "alpha" in payload
     if has_gains == has_alpha:
         raise ValidationError("scenario needs exactly one of gains/alpha")
-    if has_gains:
-        try:
-            gains = tuple(
-                tuple(complex(float(_wire_number(re, f"gains[{j}][{i}] real part")),
-                              float(_wire_number(im, f"gains[{j}][{i}] imaginary part")))
-                      for i, (re, im) in enumerate(row, start=1))
-                for j, row in enumerate(payload["gains"], start=1)
-            )
-        except ValidationError:
-            raise
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"malformed gains grid: {exc}") from None
-        return ChannelScenario(rho=rho, gains=gains)
-    # A list first: AlphaMatrix would wrap _wire_number's ValidationError.
+    if has_alpha:
+        return ChannelScenario(rho=rho, alpha=payload["alpha"])
     try:
-        rows = [[_wire_number(x, f"alpha[{j}][{i}]") for i, x in enumerate(row, start=1)]
-                for j, row in enumerate(payload["alpha"], start=1)]
-    except TypeError as exc:
-        raise ValidationError(f"malformed alpha grid: {exc}") from None
-    return ChannelScenario(rho=rho, alpha=AlphaMatrix(rows))
+        gains = [[complex(number(re, "gains[{}][{}] real part", j, i),
+                          number(im, "gains[{}][{}] imaginary part", j, i))
+                  for i, (re, im) in enumerate(row, start=1)]
+                 for j, row in enumerate(payload["gains"], start=1)]
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:  # a row or a gain of the wrong shape
+        raise ValidationError(f"malformed gains grid: {exc}") from None
+    return ChannelScenario(rho=rho, gains=gains)
 
 
 def load_scenario(path) -> ChannelScenario:
@@ -366,6 +367,7 @@ def load_scenario(path) -> ChannelScenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # ValueError: JSONDecodeError, UnicodeDecodeError or an int past the digit limit.
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"invalid scenario JSON: {exc}") from None
     return scenario_from_dict(payload)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .achievability import IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof, tdma_tin_rate
 from .bounds import PERMUTATIONS, _gdof_links, gdof_ub, sum_capacity_ub
-from .channel import AlphaMatrix, as_alpha, check_rhos, float_or_nan
+from .channel import AlphaMatrix, as_alpha, check_rhos, number
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 from .kernels import (EXACT, _in_extended_rows, first_extremum, gdof_ub_profiles, libm_pow,
                       sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
@@ -161,7 +161,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     checks the result. Returns a Table of SWEEP_COLUMNS whose rows are
     SweepRecords.
     """
-    b, s, rng_max = map(float_or_nan, (beta, step, range_max))
+    b, s, rng_max = map(number, (beta, step, range_max), ("beta", "step", "range_max"))
     lo, hi = SWEEP_BETA_RANGE
     if not (lo <= b < hi):
         raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
@@ -300,10 +300,10 @@ def _family_grids(a21, a12, beta) -> np.ndarray:
 
 
 def _check_n(n) -> int:
-    """n as an int >= 1; a float, a string or a smaller count raises
+    """n as an int >= 1; a bool, a float, a string or a smaller count raises
     ValidationError."""
-    try:
-        count = operator.index(n)
+    try:  # operator.index(None) raises TypeError, as for any non-integer
+        count = operator.index(None if isinstance(n, bool) else n)
     except TypeError:
         count = 0
     if count < 1:
@@ -319,10 +319,10 @@ def _box_grids(u: np.ndarray) -> np.ndarray:
 
 
 def _generator(seed) -> tuple[int, np.random.Generator]:
-    """seed as an int >= 0, and the generator it seeds; a float, a string or
-    a negative seed raises ValidationError."""
+    """seed as an int >= 0, and the generator it seeds; a bool, a float, a
+    string or a negative seed raises ValidationError."""
     try:
-        checked = operator.index(seed)
+        checked = operator.index(None if isinstance(seed, bool) else seed)
     except TypeError:
         raise ValidationError(f"seed must be an integer, got {seed!r}") from None
     if checked < 0:

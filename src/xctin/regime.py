@@ -32,7 +32,7 @@ import math
 from typing import NamedTuple
 
 from .bounds import _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import SCALAR, AlphaMatrix, ValidatedRecord, check_rho, check_snr, float_or_nan
+from .channel import SCALAR, AlphaMatrix, ValidatedRecord, check_rho, check_snr, number
 from .errors import NotApplicable, ValidationError
 
 
@@ -69,11 +69,12 @@ class AuxChannelPair(ValidatedRecord, _AuxChannelPair):
     __slots__ = ()
 
     def __new__(cls, h1_sq, h2_sq, h3_sq, h4_sq, rho):
-        for name, v in zip(cls._fields, (h1_sq, h2_sq, h3_sq, h4_sq)):
-            if not (math.isfinite(v) and v >= 0.0):
+        given = (h1_sq, h2_sq, h3_sq, h4_sq)
+        powers = tuple(map(number, given, cls._fields))
+        for name, v, x in zip(cls._fields, given, powers):
+            if not (math.isfinite(x) and x >= 0.0):
                 raise ValidationError(f"{name} must be finite and >= 0, got {v!r}")
-        check_rho(rho)
-        return tuple.__new__(cls, (h1_sq, h2_sq, h3_sq, h4_sq, rho))
+        return tuple.__new__(cls, (*powers, check_rho(rho)))
 
 
 def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
@@ -91,7 +92,7 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
 def check_tol(tol: float) -> float:
     """tol as a float when it is finite and >= 0; a NaN, negative or infinite
     slack would silently put every grid outside or inside the regimes."""
-    t = float_or_nan(tol)
+    t = number(tol, "tol")
     if not (math.isfinite(t) and t >= 0.0):
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
     return t

@@ -39,7 +39,7 @@ from xctin import achievability, bounds, kernels, regime
 from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof, tdma_tin_gdof_config,
                                  tdma_tin_rate, tin_sum_rate)
 from xctin.bounds import PERMUTATIONS, gdof_ub, sum_capacity_ub
-from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO, AlphaMatrix, first_best
+from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO, AlphaMatrix, Arithmetic, first_best
 from xctin.experiments import BLOCK_ROWS
 from xctin.kernels import (SCREEN_MARGIN, _in_extended_rows, first_extremum, gdof_ub_profiles,
                            libm_pow, link_columns, sum_capacity_ub_min,
@@ -398,3 +398,37 @@ def test_link_level_formulas_compute_only_through_their_arithmetic():
             assert not args.vararg and not args.kwarg and not args.kwonlyargs, name
             read = {node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name)}
             assert not read & BARRED, (name, read & BARRED)
+
+
+class _Operand:
+    """A replay operand: each operator, and each Arithmetic call, on it gives
+    another, while asking for its truth raises, as it must for an operand
+    that stands for a set of values."""
+
+    def __bool__(self):
+        raise TypeError("a link-level formula branched on an operand")
+
+    def _op(self, *_):
+        return _Operand()
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _op
+    __truediv__ = __rtruediv__ = __neg__ = _op
+    __lt__ = __le__ = __gt__ = __ge__ = __and__ = __rand__ = __or__ = __ror__ = __invert__ = _op
+
+
+REPLAY = Arithmetic(*[lambda *_: _Operand()] * 4)
+
+
+def test_link_level_formulas_never_branch_on_their_operands():
+    # An if, and, or, not or chained comparison on an operand asks for its
+    # truth, so each formula runs once on operands that refuse it; the
+    # witness formula's reference is a flag, not an operand.
+    six, rho = [_Operand() for _ in range(6)], _Operand()
+    results = [bounds._genie_links(six, rho, REPLAY),
+               bounds._bound_links(six, [_Operand() for _ in range(6)], rho, REPLAY),
+               bounds._gdof_links(six, REPLAY),
+               achievability._tin_rate_links(six[:4], REPLAY),
+               achievability._tin_gdof_links(six[:4], REPLAY),
+               regime._witness_links(six, _Operand(), REPLAY, reference=True)]
+    flat = [x for r in results for x in (r if isinstance(r, tuple) else (r,))]
+    assert len(flat) == 9 and all(isinstance(x, _Operand) for x in flat)

@@ -36,7 +36,7 @@ def test_enumerate_twelve_permutations():
     assert len(set(ps)) == 12
     assert TxPermutation(1, 2, 3, 1, 2) in ps
     assert all({p.i1, p.i2, p.i3} == {1, 2, 3} and {p.j1, p.j2} == {1, 2} for p in ps)
-    assert [p.as_tuple() for p in ps] == sorted(p.as_tuple() for p in ps)
+    assert [tuple(p) for p in ps] == sorted(tuple(p) for p in ps)
 
 
 def test_permutation_validation():
@@ -178,7 +178,7 @@ def test_seven_bit_gap_at_regime_point():
 def test_sum_capacity_ub_profile_consistency():
     result = sum_capacity_ub(1e4, FIG_POINT)
     assert len(result.per_perm) == 12
-    assert [p.as_tuple() for p, _ in result.per_perm] == [p.as_tuple() for p in PERMUTATIONS]
+    assert [tuple(p) for p, _ in result.per_perm] == [tuple(p) for p in PERMUTATIONS]
     assert result.value == min(v for _, v in result.per_perm)
     by_perm = dict(result.per_perm)
     assert by_perm[result.argmin] == result.value

@@ -264,8 +264,11 @@ def test_every_snr_taker_rejects_a_degenerate_rho(rho):
                  lambda: genie_params_from_gains(_gains(), p, rho)):
         with pytest.raises(DegenerateSnr, match=f"^rho must be finite and > 1, got {rho!r}$"):
             call()
-    for bad in ("loud", 1j, None, 10**400):
-        with pytest.raises(DegenerateSnr):
+    # A value that is no number is no SNR: it names its kind, not the range.
+    for bad, kind in (("loud", "must be a number, got a string"),
+                      (1j, "must be a number, got complex"), (None, "must be a number, got null"),
+                      (10**400, "is too large for a float: 401 digits")):
+        with pytest.raises(ValidationError, match=f"^rho {kind}$"):
             check_rho(bad)
     assert check_rho(100) == 100.0 and type(check_rho(100)) is float
 
@@ -364,8 +367,11 @@ def test_scenario_from_dict_takes_ints_and_floats():
     assert s.alpha.flat() == (1.0, 0.5, 1.0, 0.0, 1.0, 2.0)
     s = scenario_from_dict({"rho_db": 30, "gains": [[[1, 0]] * 3, [[0, 1.5]] * 3]})
     assert s.gains[1][0] == 1.5j
-    # The Python API still converts what float() takes.
-    assert AlphaMatrix([[True, "0.5", 1], [1] * 3]).flat()[:2] == (1.0, 0.5)
+    # The Python API takes numbers by the same rule.
+    for bad, kind in ((True, "a boolean"), ("0.5", "a string")):
+        message = f"alpha[1][1] must be a number, got {kind}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            AlphaMatrix([[bad, 0.5, 1], [1] * 3])
 
 
 def test_load_scenario_round_trip(tmp_path):

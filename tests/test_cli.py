@@ -216,7 +216,21 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, capsys, payload):
     assert main(["eval", "--scenario", _write_scenario(tmp_path, payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    # One line naming the field and the digit count, not the 401 digits.
+    assert captured.err.startswith("error: ") and captured.err.endswith(
+        " is too large for a float: 401 digits\n")
+    assert captured.err.count("\n") == 1 and len(captured.err) < 200
+
+
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys):
+    # json.load raised a bare ValueError, past the int digit limit of str
+    # conversion, which ended the run in a traceback.
+    path = tmp_path / "digits.json"
+    path.write_text('{"rho_db": 1' + "0" * 5000 + ', "alpha": [[1, 1, 1], [1, 1, 1]]}')
+    assert main(["eval", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid scenario JSON: ")
 
 
 @pytest.mark.parametrize("payload, field", [

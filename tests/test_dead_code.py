@@ -1,5 +1,7 @@
-"""Every top-level function and class of the library is named by library
-code outside its own body, or is one of the few roots listed here.
+"""Every top-level function and class of the library, and every method of
+its classes, is named by library code outside its own body, or is one of
+the few roots listed here; a method that overrides a base-class method
+counts as used too.
 
 A definition that only tests call is dead code kept alive by its tests: it
 is documented and maintained as if an audit used it. The scan reads the
@@ -8,6 +10,8 @@ ignores names that appear only in strings and comments.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import xctin
@@ -29,29 +33,73 @@ ROOTS = {
     ("kernels", "tdma_tin_rate_profiles"),
 }
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-def _definitions_and_names():
-    """(module, name) of each top-level def or class of the package, and
-    every identifier its code names, as a name or an attribute, outside the
-    body of the definition of that name."""
-    defined, named = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((path.stem, own))
-            for node in ast.walk(top):
-                ident = getattr(node, "id", None) or getattr(node, "attr", None)
-                if isinstance(node, (ast.Name, ast.Attribute)) and ident != own:
-                    named.add(ident)
-    return defined, named
+
+def _identifiers(node):
+    """Every identifier node names, as a name or an attribute."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _definitions():
+    """(module, name, uses) of each top-level def or class of the package,
+    and (module, "Class.method", uses) of each method of its classes; uses
+    counts the identifiers that name it in library code outside its own
+    body."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    named = Counter(ident for tree in trees.values() for ident in _identifiers(tree))
+
+    def uses(node):
+        return named[node.name] - sum(ident == node.name for ident in _identifiers(node))
+
+    found = []
+    for module, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, _DEFS):
+                found.append((module, top.name, uses(top)))
+            if isinstance(top, ast.ClassDef):
+                found += [(module, f"{top.name}.{node.name}", uses(node))
+                          for node in top.body if isinstance(node, _DEFS)]
+    return found
+
+
+def _overrides(module: str, qualname: str) -> bool:
+    """Whether the method overrides one that a class after its own defines
+    in the MRO of its class or of a direct subclass (a mixin's methods
+    override those of the classes it is mixed into)."""
+    cls_name, name = qualname.split(".")
+    cls = getattr(importlib.import_module(f"xctin.{module}"), cls_name)
+    return any(hasattr(base, name)
+               for sub in (cls, *cls.__subclasses__())
+               for base in sub.__mro__[sub.__mro__.index(cls) + 1:])
+
+
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")  # __getattr__, __new__
 
 
 def test_every_library_definition_has_a_library_caller():
-    defined, named = _definitions_and_names()
-    assert ROOTS <= set(defined)  # every root is still defined
-    unnamed = [(module, name) for module, name in defined
-               if name not in named and name not in xctin.__all__
-               and not (name.startswith("__") and name.endswith("__"))  # __getattr__
+    definitions = [d for d in _definitions() if "." not in d[1]]
+    assert ROOTS <= {(module, name) for module, name, _ in definitions}  # roots still defined
+    unnamed = [(module, name) for module, name, uses in definitions
+               if not uses and name not in xctin.__all__ and not _dunder(name)
                and (module, name) not in ROOTS]
     assert unnamed == []
+
+
+def test_every_library_method_has_a_library_caller_or_overrides():
+    methods = [d for d in _definitions() if "." in d[1]]
+    # The scan sees the methods, and the overrides no library code names.
+    assert {("bounds", "TxPermutation.label"), ("channel", "AlphaMatrix.flat")} <= {
+        (module, name) for module, name, _ in methods}
+    assert _overrides("channel", "ValidatedRecord._make")
+    assert _overrides("cli", "_CommandParser.parse_known_args")
+    assert not _overrides("bounds", "TxPermutation.label")
+    unused = [(module, name) for module, name, uses in methods
+              if not uses and not _dunder(name.split(".")[1]) and not _overrides(module, name)]
+    assert unused == []

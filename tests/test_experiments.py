@@ -2,6 +2,7 @@ import inspect
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,9 +12,11 @@ from hypothesis import strategies as st
 
 from xctin import achievability, bounds, experiments, kernels, regime
 from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
-from xctin.bounds import PERMUTATIONS, gdof_ub, genie_params_from_gains, sum_capacity_ub
-from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix, effective_inr,
-                           rho_from_db)
+from xctin.bounds import (PERMUTATIONS, GenieParams, gdof_ub, genie_params_from_gains,
+                          sum_capacity_ub)
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix, alpha_from_gain,
+                           check_gains, check_rho, check_rhos, effective_inr, rho_from_db,
+                           rhos_from_db, scenario_from_dict)
 from xctin.cli import main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
@@ -28,7 +31,7 @@ from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
                                sandwich_audit_with_rows, sweep_audit_failure,
                                sweep_regime_plane)
 from xctin.kernels import first_extremum, libm_log2, libm_pow
-from xctin.regime import classify, in_extended_regime
+from xctin.regime import AuxChannelPair, check_tol, classify, in_extended_regime
 
 FIG_POINT = AlphaMatrix(((1.0, 0.2, 0.75), (0.4, 1.0, 0.75)))
 
@@ -488,27 +491,34 @@ def test_sample_counts_must_be_integers_of_at_least_one(n):
     (sandwich_audit, (5,), {"seed": "3"}, "seed must be an integer, got '3'"),
     (sandwich_audit, (5,), {"seed": -1}, "seed must be >= 0, got -1"),
     (sandwich_audit, (5,), {"rho_list": 100.0}, "every rho must satisfy"),
-    (gap_audit, (5, (100.0, "x")), {"seed": 1}, "every rho must satisfy"),
-    (gap_audit, (5, (100.0, 10**400)), {"seed": 1}, "every rho must satisfy"),
+    (sandwich_audit, (True,), {"seed": 1}, "n must be an integer >= 1, got True"),
+    (gap_audit, (5, (100.0,)), {"seed": True}, "seed must be an integer, got True"),
+    # A long list shows its length and first entries, not all 100000.
+    (sandwich_audit, (5,), {"rho_list": [0.5] * 100_000},
+     "got 100000 entries from (0.5, 0.5, 0.5)"),
+    (rhos_from_db, ([[0.5] * 100_000],), {}, "rho_db must be a number, got an array"),
+    (gap_audit, (5, (100.0, "x")), {"seed": 1}, "rho_list[1] must be a number, got a string"),
+    (gap_audit, (5, (100.0, 10**400)), {"seed": 1},
+     "rho_list[1] is too large for a float: 401 digits"),
     (gdof_convergence_probe, (FIG_POINT, None), {}, "every rho must satisfy"),
-    (sweep_regime_plane, ("x", 0.05), {}, "beta must satisfy"),
-    (sweep_regime_plane, (None, 0.05), {}, "beta must satisfy"),
-    (sweep_regime_plane, (0.75, "x"), {}, "step must satisfy"),
-    (sweep_regime_plane, (0.75, None), {}, "step must satisfy"),
-    (sweep_regime_plane, (0.75, 0.05, "x"), {}, "range_max must be finite and > 0, got 'x'"),
-    (sweep_regime_plane, (0.75, 0.05, None), {}, "range_max must be finite and > 0, got None"),
+    (sweep_regime_plane, ("x", 0.05), {}, "beta must be a number, got a string"),
+    (sweep_regime_plane, (None, 0.05), {}, "beta must be a number, got null"),
+    (sweep_regime_plane, (0.75, "x"), {}, "step must be a number, got a string"),
+    (sweep_regime_plane, (0.75, None), {}, "step must be a number, got null"),
+    (sweep_regime_plane, (0.75, 0.05, "x"), {}, "range_max must be a number, got a string"),
+    (sweep_regime_plane, (0.75, 0.05, None), {}, "range_max must be a number, got null"),
     (sweep_regime_plane, (0.75, 0.05, math.nan), {}, "range_max must be finite and > 0, got nan"),
     (sweep_regime_plane, (0.75, 0.05, math.inf), {}, "range_max must be finite and > 0, got inf"),
     (sweep_regime_plane, (0.75, 0.05, -1), {}, "range_max must be finite and > 0, got -1"),
-    (sweep_regime_plane, (0.75, 0.05), {"tol": None}, "tol must be finite and >= 0"),
+    (sweep_regime_plane, (0.75, 0.05), {"tol": None}, "tol must be a number, got null"),
     (sample_in_regime, (5, 3), {}, "rng must be a numpy.random.Generator, got 3"),
     (sample_in_regime, (5, None), {}, "rng must be a numpy.random.Generator, got None"),
-    (gdof_convergence_probe, (None, (10.0, 100.0)), {}, "alpha entries must be numbers"),
+    (gdof_convergence_probe, (None, (10.0, 100.0)), {}, "alpha must be a 2x3 grid"),
     (gdof_convergence_probe, (((1, 1), (1, 1)), (10.0,)), {}, "alpha must be a 2x3 grid"),
-    (rho_from_db, (None,), {}, f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got None"),
-    (rho_from_db, ("abc",), {}, f"rho_db must be finite and at most {MAX_RHO_DB:.6g}, got 'abc'"),
-    (effective_inr, (10.0, "x"), {}, "alpha must be finite and >= 0, got 'x'"),
-    (effective_inr, (10.0, None), {}, "alpha must be finite and >= 0, got None"),
+    (rho_from_db, (None,), {}, "rho_db must be a number, got null"),
+    (rho_from_db, ("abc",), {}, "rho_db must be a number, got a string"),
+    (effective_inr, (10.0, "x"), {}, "alpha must be a number, got a string"),
+    (effective_inr, (10.0, None), {}, "alpha must be a number, got null"),
     (genie_params_from_gains, ([[1, 1], [1, 1]], PERMUTATIONS[0], 10.0), {},
      "gains must be a 2x3 grid"),
 ], ids=lambda v: v.__name__ if callable(v) else repr(v)[:40])
@@ -517,9 +527,64 @@ def test_malformed_library_inputs_raise_validation_error(call, args, kwargs, mes
     # ValueError, TypeError for a rho list that is not iterable, a dB value
     # or an exponent that is no number, IndexError for a gain grid of the
     # wrong shape, or AttributeError for an rng or an alpha of the wrong
-    # type; a bad range_max named the step.
-    with pytest.raises(ValidationError, match=re.escape(message)):
+    # type; a bad range_max named the step. True was taken as n = 1 or seed
+    # 1, and the long lists were echoed whole.
+    with pytest.raises(ValidationError, match=re.escape(message)) as excinfo:
         call(*args, **kwargs)
+    assert len(str(excinfo.value)) < 200
+
+
+# Every entry point that takes a number from its caller, with the field its
+# messages name: call(x) passes x in that field.
+NUMBER_TAKERS = [
+    pytest.param("rho_db", rho_from_db, id="rho_from_db"),
+    pytest.param("rho", check_rho, id="check_rho"),
+    pytest.param("rho_list[0]", lambda x: check_rhos([x]), id="check_rhos"),
+    pytest.param("alpha", lambda x: effective_inr(10.0, x), id="effective_inr"),
+    pytest.param("tol", check_tol, id="check_tol"),
+    pytest.param("beta", lambda x: sweep_regime_plane(x, 0.5, 1.0), id="sweep-beta"),
+    pytest.param("step", lambda x: sweep_regime_plane(0.75, x, 1.0), id="sweep-step"),
+    pytest.param("range_max", lambda x: sweep_regime_plane(0.75, 0.5, x), id="sweep-range_max"),
+    pytest.param("rho_db", lambda x: scenario_from_dict({"rho_db": x, "alpha": [[1] * 3] * 2}),
+                 id="scenario-rho_db"),
+    pytest.param("alpha[2][3]",
+                 lambda x: scenario_from_dict({"rho_db": 20, "alpha": [[1] * 3, [1, 1, x]]}),
+                 id="scenario-alpha"),
+    pytest.param("gains[1][2] imaginary part", lambda x: scenario_from_dict(
+        {"rho_db": 20, "gains": [[[1, 0], [1, x], [1, 0]], [[1, 0]] * 3]}), id="scenario-gain"),
+    pytest.param("alpha[1][2]", lambda x: AlphaMatrix([[1, x, 1], [1] * 3]), id="AlphaMatrix"),
+    pytest.param("gains[2][1]", lambda x: check_gains([[1] * 3, [x, 1, 1]]), id="check_gains"),
+    pytest.param("gain", lambda x: alpha_from_gain(x, 100.0), id="alpha_from_gain"),
+    pytest.param("h3_sq", lambda x: AuxChannelPair(1.0, 1.0, x, 1.0, 10.0), id="AuxChannelPair"),
+    pytest.param("rho", lambda x: AuxChannelPair(1.0, 1.0, 1.0, 1.0, x), id="AuxChannelPair-rho"),
+    pytest.param("c_sq", lambda x: GenieParams(x, 0, 1), id="GenieParams"),
+    pytest.param("d", lambda x: GenieParams(1.0, x, 2), id="GenieParams-d"),
+    pytest.param("case_id", lambda x: GenieParams(1.0, 1, x), id="GenieParams-case_id"),
+]
+
+
+@pytest.mark.parametrize("field, call", NUMBER_TAKERS)
+@pytest.mark.parametrize("value, kind", [("20", "a string"), (b"20", "bytes"),
+                                         (True, "a boolean"), (None, "null")])
+def test_every_number_taker_refuses_what_is_no_number(field, call, value, kind):
+    # "20" and True used to be converted by float(), and the two records
+    # raised TypeError on "20".
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)} must be a number, got {kind}$"):
+        call(value)
+
+
+def _result_or_error(call, x):
+    try:
+        return call(x)
+    except ValidationError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("field, call", NUMBER_TAKERS)
+def test_every_number_taker_takes_numpy_scalars_and_fractions_as_floats(field, call):
+    for x in (np.float32(20), np.int64(100), Fraction(1, 2)):
+        got, want = _result_or_error(call, x), _result_or_error(call, float(x))
+        assert got == want and type(got) is type(want), (field, x)
 
 
 def test_convergence_probe_takes_a_plain_grid_through_alpha_matrix():
