@@ -21,7 +21,8 @@ import functools
 import operator
 from typing import NamedTuple
 
-from .channel import SCALAR, AlphaMatrix, ValidatedRecord, check_snr, first_best, link_picker
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_snr, first_best,
+                      link_picker, number)
 from .errors import ValidationError
 
 
@@ -33,7 +34,7 @@ class _IcConfig(NamedTuple):
 
 
 class IcConfig(ValidatedRecord, _IcConfig):
-    """One embedded two-user pairing: Tx i1 -> Rx j1 and Tx i2 -> Rx j2.
+    """One embedded two-user pairing of integers: Tx i1 -> Rx j1 and Tx i2 -> Rx j2.
 
     Canonical form fixes j1 = 1; the tuple with both pairs swapped denotes
     the same interference channel and the same sum rate, so six canonical
@@ -45,6 +46,8 @@ class IcConfig(ValidatedRecord, _IcConfig):
     __slots__ = ()
 
     def __new__(cls, i1, i2, j1, j2):
+        i1, i2, j1, j2 = (number(x, name, convert=operator.index)
+                          for x, name in zip((i1, i2, j1, j2), cls._fields))
         if i1 not in (1, 2, 3) or i2 not in (1, 2, 3) or i1 == i2:
             raise ValidationError(f"i1, i2 must be distinct in {{1,2,3}}, got ({i1}, {i2})")
         if (j1, j2) != (1, 2):
@@ -88,7 +91,7 @@ def _first_max(kernel, grid) -> AchievabilityResult:
 
 def tin_sum_rate(rho: float, alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """Sum rate in bits of one pairing with interference treated as noise."""
-    links = cfg.take(alpha.flat())
+    links = cfg.take(as_alpha(alpha).flat())
     rho = check_snr(rho, links)
     return _tin_rate_links([rho ** x for x in links], SCALAR)
 
@@ -98,19 +101,19 @@ def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
 
     Ties break to the lexicographically first (i1, i2).
     """
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     rho = check_snr(rho, a)
     return _first_max(lambda pw: _tin_rate_links(pw, SCALAR), [rho ** x for x in a])
 
 
 def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """GDoF of one pairing: (a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+."""
-    return _tin_gdof_links(cfg.take(alpha.flat()), SCALAR)
+    return _tin_gdof_links(cfg.take(as_alpha(alpha).flat()), SCALAR)
 
 
 def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:
     """Best pairing GDoF; ties break to the lexicographically first (i1, i2)."""
-    return _first_max(lambda links: _tin_gdof_links(links, SCALAR), alpha.flat())
+    return _first_max(lambda links: _tin_gdof_links(links, SCALAR), as_alpha(alpha).flat())
 
 
 # ---------------------------------------------------------- link-level formulas

@@ -33,8 +33,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, check_gains, check_rho, check_snr,
-                      first_best, link_picker, number)
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_gains, check_rho,
+                      check_snr, first_best, link_picker, number)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -47,7 +47,7 @@ class _TxPermutation(NamedTuple):
 
 
 class TxPermutation(ValidatedRecord, _TxPermutation):
-    """Ordering (i1, i2, i3, j1, j2): all transmitters and receivers, distinct.
+    """Ordering (i1, i2, i3, j1, j2) of integers: each transmitter and receiver once.
 
     take(x) picks the links (j1, i1), (j1, i2), (j1, i3), (j2, i1), (j2, i2),
     (j2, i3), in that order, out of a row-major grid such as AlphaMatrix.flat().
@@ -56,6 +56,8 @@ class TxPermutation(ValidatedRecord, _TxPermutation):
     __slots__ = ()
 
     def __new__(cls, i1, i2, i3, j1, j2):
+        i1, i2, i3, j1, j2 = (number(x, name, convert=operator.index)
+                              for x, name in zip((i1, i2, i3, j1, j2), cls._fields))
         if {i1, i2, i3} != {1, 2, 3}:
             raise ValidationError(f"(i1, i2, i3) must enumerate {{1,2,3}}, got "
                                   f"({i1}, {i2}, {i3})")
@@ -89,14 +91,15 @@ class GenieParams(ValidatedRecord, _GenieParams):
     __slots__ = ()
 
     def __new__(cls, c_sq, d, case_id):
-        c, d, case_id = map(number, (c_sq, d, case_id), cls._fields)
+        c, d, case_id = (number(c_sq, "c_sq"), number(d, "d", convert=operator.index),
+                         number(case_id, "case_id", convert=operator.index))
         if d not in (0, 1) or case_id not in (1, 2, 3):
             raise ValidationError("d must be 0/1 and case_id one of 1, 2, 3")
         if (d == 0) != (case_id == 1):
             raise ValidationError("d = 0 exactly in case 1")
         if not (math.isfinite(c) and c > 0.0):
             raise ValidationError(f"c_sq must be finite and > 0, got {c_sq!r}")
-        return tuple.__new__(cls, (c, int(d), int(case_id)))
+        return tuple.__new__(cls, (c, d, case_id))
 
 
 class BoundResult(NamedTuple):
@@ -129,7 +132,7 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     Boundary ties resolve in this order (both comparisons are <=); at the
     case-2/case-3 tie the two exponents coincide anyway.
     """
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     c_sq, case1, at_i1 = _genie_links(p.take(a), check_snr(rho, a), SCALAR)
     return GenieParams(c_sq, 1 - case1, 3 - case1 - at_i1)
 
@@ -171,7 +174,7 @@ def _first_min(per_perm) -> BoundResult:
 
 def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     rho = check_snr(rho, a)
     return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, SCALAR)
 
@@ -182,7 +185,7 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
     Ties break to the lexicographically first ordering; the profile is always
     materialized so audits can report per-ordering diagnostics.
     """
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     rho = check_snr(rho, a)
     pw = [rho ** x for x in a]
     return _first_min(tuple([(p, _bound_links(take(a), take(pw), rho, SCALAR))
@@ -191,7 +194,7 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
 
 def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """GDoF bound branch for a strong third cross link (a[j2][i3] > a[j2][i1])."""
-    u1, u2, u3, v1, v2, v3 = p.take(alpha.flat())
+    u1, u2, u3, v1, v2, v3 = p.take(as_alpha(alpha).flat())
     if not v3 > v1:
         raise CaseMismatch(f"case 1 needs a[j2][i3] > a[j2][i1], got {v3!r} <= {v1!r}")
     return max(v1, v3, v2 - u2) + max(u2, u1 - v1, u3 - (v3 - v1))
@@ -199,7 +202,7 @@ def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
 
 def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """GDoF bound branch for a weak third cross link (a[j2][i3] <= a[j2][i1])."""
-    u1, u2, u3, v1, v2, v3 = p.take(alpha.flat())
+    u1, u2, u3, v1, v2, v3 = p.take(as_alpha(alpha).flat())
     if not v3 <= v1:
         raise CaseMismatch(f"case 2 needs a[j2][i3] <= a[j2][i1], got {v3!r} > {v1!r}")
     return max(v1, v3, v2 - u2) + max(u2, u3, u1 - v1)
@@ -207,12 +210,12 @@ def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
 
 def gdof_ub_single(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Combined GDoF bound D(p); the positive part unifies the two branches."""
-    return _gdof_links(p.take(alpha.flat()), SCALAR)
+    return _gdof_links(p.take(as_alpha(alpha).flat()), SCALAR)
 
 
 def gdof_ub(alpha: AlphaMatrix) -> BoundResult:
     """min_p D(p) with the full profile; ties break lexicographically."""
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     return _first_min(tuple([(p, _gdof_links(take(a), SCALAR)) for p, take in _PICKS]))
 
 

@@ -53,12 +53,16 @@ _JSON_TYPE_NAMES = {bool: "a boolean", str: "a string", list: "an array",
 
 
 def number(value, field: str, *where, convert=float):
-    """convert(value), a float by default, for anything convert takes but a
-    bool, a str or bytes, so numpy scalars, Fraction and Decimal pass. Anything
-    else raises ValidationError naming the field, field.format(*where), and
-    the kind of value; an int too large for a float is named by its digit
-    count. The one rule by which every input of the package is a number."""
-    if not isinstance(value, (bool, str, bytes, bytearray)):
+    """convert(value), a float by default and an int with operator.index, for
+    anything convert takes but a bool, str or bytes, or a numpy boolean or
+    (unless convert is complex) complex by dtype kind. Anything else raises
+    ValidationError naming the field, field.format(*where), and the kind of
+    value; an int too large for a float is named by its digit count. The one
+    rule by which every input of the package is a number."""
+    plain = type(value) in (float, int, complex)  # no kind to check
+    np_kind = "" if plain else getattr(getattr(value, "dtype", None), "kind", "")
+    if plain or not (isinstance(value, (bool, str, bytes, bytearray)) or np_kind == "b"
+                     or np_kind == "c" and convert is not complex):
         try:
             return convert(value)
         except (TypeError, ValueError):
@@ -69,8 +73,9 @@ def number(value, field: str, *where, convert=float):
             digits += n >= 10 ** digits
             raise ValidationError(f"{field.format(*where)} is too large for a float: "
                                   f"{digits} digits") from None
-    kind = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
-    raise ValidationError(f"{field.format(*where)} must be a number, got {kind}")
+    kind = _JSON_TYPE_NAMES.get(bool if np_kind == "b" else type(value), type(value).__name__)
+    noun = "an integer" if convert is operator.index else "a number"
+    raise ValidationError(f"{field.format(*where)} must be {noun}, got {kind}")
 
 
 def check_rho(rho) -> float:
@@ -109,9 +114,9 @@ def check_snr(rho, exponents) -> float:
 
 def check_rhos(rho_list) -> tuple[float, ...]:
     """A non-empty SNR list as floats, each with 1 < rho <= MAX_RHO, the
-    SNRs the audits evaluate at any exponent up to DEFAULT_ALPHA_CAP;
-    anything else, a list that is not iterable or holds a non-number too,
-    raises ValidationError, which shows a long list by its first entries."""
+    SNRs the audits evaluate at any exponent up to DEFAULT_ALPHA_CAP; an
+    entry <= 1 or NaN raises DegenerateSnr, anything else ValidationError,
+    which shows a long list by its first entries."""
     try:
         given = tuple(rho_list)
     except TypeError:  # not iterable
@@ -120,8 +125,9 @@ def check_rhos(rho_list) -> tuple[float, ...]:
     if not rhos or any(not 1.0 < r <= MAX_RHO for r in rhos):
         shown = (f"{len(given)} entries from {given[:3]!r}" if len(given) > 3
                  else repr(rho_list))
-        raise ValidationError(f"every rho must satisfy 1 < rho <= {MAX_RHO!r} "
-                              f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {shown}")
+        error = DegenerateSnr if any(not r > 1.0 for r in rhos) else ValidationError
+        raise error(f"every rho must satisfy 1 < rho <= {MAX_RHO!r} "
+                    f"(MAX_RHO_DB = {MAX_RHO_DB:.6g} dB), got {shown}")
     return rhos
 
 
@@ -318,10 +324,9 @@ def validate_scenario(scenario: ChannelScenario) -> AlphaMatrix:
 
 def check_exponent_range(alpha: AlphaMatrix) -> None:
     """Require every exponent of a physical channel to satisfy
-    0 < x <= DEFAULT_ALPHA_CAP."""
-    for j in (1, 2):
-        for i in (1, 2, 3):
-            x = alpha.entry(j, i)
+    0 < x <= DEFAULT_ALPHA_CAP; alpha goes through as_alpha."""
+    for j, row in enumerate(as_alpha(alpha).a, start=1):
+        for i, x in enumerate(row, start=1):
             if x <= 0.0:
                 raise NotInterferenceLimited(
                     f"link ({j},{i}): exponent {x!r} is not > 0", j=j, i=i)

@@ -161,14 +161,11 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     checks the result. Returns a Table of SWEEP_COLUMNS whose rows are
     SweepRecords.
     """
-    b, s, rng_max = map(number, (beta, step, range_max), ("beta", "step", "range_max"))
-    lo, hi = SWEEP_BETA_RANGE
-    if not (lo <= b < hi):
-        raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
-    t = check_tol(tol) + SWEEP_GRID_SLACK
+    b, s, t = _sweep_parameters(beta, step, tol)
+    rng_max = number(range_max, "range_max")
     if not (math.isfinite(rng_max) and rng_max > 0.0):
         raise ValidationError(f"range_max must be finite and > 0, got {range_max!r}")
-    if not (math.isfinite(s) and 0.0 < s <= rng_max):
+    if not s <= rng_max:
         raise ValidationError(f"step must satisfy 0 < step <= range_max, got {step!r}")
     span = rng_max / s + 1e-9
     if not span < SWEEP_MAX_AXIS_POINTS:
@@ -196,7 +193,7 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     ext, ext_partner = np.full((2, side, side), none)
     gsj = np.zeros((side, side), dtype=bool)
     for k, m, links in evaluated:
-        e, g = _witness_links(links, t, EXACT)
+        e, g = _witness_links(links, t + SWEEP_GRID_SLACK, EXACT)
         np.copyto(ext, np.int8(k), where=e)
         np.minimum(ext_partner, np.int8(m), out=ext_partner, where=e)
         gsj |= g
@@ -209,6 +206,18 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
         Coded(_WITNESS_LABELS, ext.ravel())), SweepRecord)
 
 
+def _sweep_parameters(beta, step, tol) -> tuple[float, float, float]:
+    """(beta, step, tol) as floats by the sweep's rules: beta on SWEEP_BETA_RANGE
+    (else InvalidBeta), step finite and > 0, tol by check_tol (else ValidationError)."""
+    b, s = number(beta, "beta"), number(step, "step")
+    lo, hi = SWEEP_BETA_RANGE
+    if not (lo <= b < hi):
+        raise InvalidBeta(f"beta must satisfy {lo:g} <= beta < {hi:g}, got {beta!r}")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValidationError(f"step must be finite and > 0, got {step!r}")
+    return b, s, check_tol(tol)
+
+
 def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> str | None:
     """The first failed audit of a sweep table at tolerance tol, named with
     the first offending (alpha21, alpha12) in row order, or None when all
@@ -216,7 +225,8 @@ def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> s
     bound within 1e-12 inside the extended regime, and at tol 0 the
     closed-form geometry on grid indices: extended = ([0, 0.5] x [0, 1-beta])
     u ([0, 1-beta] x [0, 0.5]), reference = [0, 1-beta]^2, boundaries moved
-    out by the sweep's SWEEP_GRID_SLACK."""
+    out by the sweep's SWEEP_GRID_SLACK; beta, step and tol as the sweep's."""
+    b, s, t = _sweep_parameters(beta, step, tol)
     a21, a12, ext, gsj, d_tt, d_ub, _ = table.columns
     e, g = np.array(ext, dtype=bool), np.array(gsj, dtype=bool)
     dt, du = np.array(d_tt, dtype=float), np.array(d_ub, dtype=float)
@@ -230,11 +240,10 @@ def sweep_audit_failure(table: Table, beta: float, step: float, tol: float) -> s
         if inclusion[i]:
             return f"regime inclusion violated at {where}"
         return f"GDoF equality violated at {where}: d_tt {dt.item(i)!r}, gdof_ub {du.item(i)!r}"
-    if tol > 0.0:
+    if t > 0.0:
         return None
-    s = float(step)
     k_half = int((0.5 + SWEEP_GRID_SLACK) / s)
-    k_beta = int((1.0 - float(beta) + SWEEP_GRID_SLACK) / s)
+    k_beta = int((1.0 - b + SWEEP_GRID_SLACK) / s)
     k = np.arange(math.isqrt(len(e)))
     half, low = k <= k_half, k <= k_beta
     want_ext = (half[:, None] & low) | (low[:, None] & half)
@@ -300,12 +309,8 @@ def _family_grids(a21, a12, beta) -> np.ndarray:
 
 
 def _check_n(n) -> int:
-    """n as an int >= 1; a bool, a float, a string or a smaller count raises
-    ValidationError."""
-    try:  # operator.index(None) raises TypeError, as for any non-integer
-        count = operator.index(None if isinstance(n, bool) else n)
-    except TypeError:
-        count = 0
+    """n as an int >= 1 by channel.number; a smaller count raises ValidationError."""
+    count = number(n, "n", convert=operator.index)
     if count < 1:
         raise ValidationError(f"n must be an integer >= 1, got {n!r}")
     return count
@@ -319,12 +324,8 @@ def _box_grids(u: np.ndarray) -> np.ndarray:
 
 
 def _generator(seed) -> tuple[int, np.random.Generator]:
-    """seed as an int >= 0, and the generator it seeds; a bool, a float, a
-    string or a negative seed raises ValidationError."""
-    try:
-        checked = operator.index(None if isinstance(seed, bool) else seed)
-    except TypeError:
-        raise ValidationError(f"seed must be an integer, got {seed!r}") from None
+    """seed as an int >= 0 by channel.number, and the generator it seeds."""
+    checked = number(seed, "seed", convert=operator.index)
     if checked < 0:
         raise ValidationError(f"seed must be >= 0, got {seed!r}")
     return checked, np.random.Generator(np.random.Philox(checked))

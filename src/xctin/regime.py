@@ -32,7 +32,7 @@ import math
 from typing import NamedTuple
 
 from .bounds import _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import SCALAR, AlphaMatrix, ValidatedRecord, check_rho, check_snr, number
+from .channel import SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_rho, check_snr, number
 from .errors import NotApplicable, ValidationError
 
 
@@ -83,7 +83,7 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
     The first argument can go negative and is deliberately not clipped; the
     outer max with a[j1][i2] >= 0 makes clipping immaterial.
     """
-    _, u2, u3, v1, _, v3 = p.take(alpha.flat())
+    _, u2, u3, v1, _, v3 = p.take(as_alpha(alpha).flat())
     diff = v3 - v1
     first = u3 - (diff if diff > 0.0 else 0.0)
     return first if first > u2 else u2
@@ -103,7 +103,7 @@ def _first_witnesses(alpha: AlphaMatrix, tol: float) -> tuple[TxPermutation | No
     extended and of the reference regime, each or None, in one pass that
     ends at the first reference witness, which is an extended one too."""
     tol = check_tol(tol)
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     pe = None
     for p, take in _PICKS:
         extended, gsj = _witness_links(take(a), tol, SCALAR)
@@ -135,7 +135,7 @@ def classify(alpha: AlphaMatrix, tol: float = 0.0) -> RegimeVerdict:
     pe, pg = _first_witnesses(alpha, tol)
     gdof = None
     if pe is not None:
-        u1, u2, _, v1, v2, _ = pe.take(alpha.flat())
+        u1, u2, _, v1, v2, _ = pe.take(as_alpha(alpha).flat())
         gdof = u1 - v1 + v2 - u2
     return RegimeVerdict(pe is not None, pg is not None, pe, pg, gdof)
 
@@ -180,7 +180,7 @@ def genie_aux_pair(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> AuxChann
     h1 = c*h[j1][i1], h2 = c*h[j1][i3], h3 = h[j2][i1], h4 = h[j2][i3] with
     |h[j][i]|^2 = rho**(a[j][i] - 1).
     """
-    a = alpha.flat()
+    a = as_alpha(alpha).flat()
     rho = check_snr(rho, a)
     links = p.take(a)
     u1, _, u3, v1, _, v3 = links

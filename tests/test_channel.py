@@ -6,17 +6,19 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from xctin.achievability import IC_CONFIGS, IcConfig, tdma_tin_rate, tin_sum_rate
-from xctin.bounds import (PERMUTATIONS, TxPermutation, genie_params,
-                          genie_params_from_gains, sum_capacity_ub,
-                          sum_capacity_ub_single)
-from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix,
-                           ChannelScenario, alpha_from_gain, check_rho, effective_inr,
-                           link_picker, load_scenario, rho_from_db,
+from xctin.achievability import (IC_CONFIGS, IcConfig, tdma_tin_gdof, tdma_tin_gdof_config,
+                                 tdma_tin_rate, tin_sum_rate)
+from xctin.bounds import (PERMUTATIONS, TxPermutation, gdof_ub, gdof_ub_case1, gdof_ub_case2,
+                          gdof_ub_single, genie_params, genie_params_from_gains,
+                          sum_capacity_ub, sum_capacity_ub_single)
+from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO_DB, AlphaMatrix, ChannelScenario,
+                           alpha_from_gain, check_exponent_range, check_rho, check_rhos,
+                           effective_inr, link_picker, load_scenario, rho_from_db,
                            scenario_from_dict, validate_scenario)
 from xctin.errors import DegenerateSnr, NotInterferenceLimited, ValidationError
-from xctin.experiments import gdof_convergence_probe
-from xctin.regime import AuxChannelPair, genie_aux_pair, genie_satisfies_entropy_gap
+from xctin.experiments import gap_audit, gdof_convergence_probe, sandwich_audit
+from xctin.regime import (AuxChannelPair, classify, genie_aux_pair, genie_satisfies_entropy_gap,
+                          in_extended_regime, in_gsj_regime, psi)
 
 rhos = st.floats(2.0, 1e12)
 
@@ -237,6 +239,49 @@ def test_scenario_converts_or_rejects_a_plain_alpha():
             ChannelScenario(rho=10, alpha=bad)
 
 
+# Every scalar entry point that takes an exponent grid: call(alpha).
+_P, _CFG = PERMUTATIONS[0], IC_CONFIGS[0]
+GRID_TAKERS = [
+    pytest.param(lambda a: sum_capacity_ub(100.0, a), id="sum_capacity_ub"),
+    pytest.param(lambda a: sum_capacity_ub_single(100.0, a, _P), id="sum_capacity_ub_single"),
+    pytest.param(gdof_ub, id="gdof_ub"),
+    pytest.param(lambda a: gdof_ub_single(a, _P), id="gdof_ub_single"),
+    pytest.param(lambda a: gdof_ub_case1(a, _P), id="gdof_ub_case1"),
+    pytest.param(lambda a: gdof_ub_case2(a, _P), id="gdof_ub_case2"),
+    pytest.param(lambda a: genie_params(a, _P, 100.0), id="genie_params"),
+    pytest.param(lambda a: tdma_tin_rate(100.0, a), id="tdma_tin_rate"),
+    pytest.param(lambda a: tin_sum_rate(100.0, a, _CFG), id="tin_sum_rate"),
+    pytest.param(tdma_tin_gdof, id="tdma_tin_gdof"),
+    pytest.param(lambda a: tdma_tin_gdof_config(a, _CFG), id="tdma_tin_gdof_config"),
+    pytest.param(lambda a: psi(a, _P), id="psi"),
+    pytest.param(in_extended_regime, id="in_extended_regime"),
+    pytest.param(in_gsj_regime, id="in_gsj_regime"),
+    pytest.param(classify, id="classify"),
+    pytest.param(lambda a: genie_aux_pair(100.0, a, _P), id="genie_aux_pair"),
+    pytest.param(lambda a: genie_satisfies_entropy_gap(100.0, a, _P),
+                 id="genie_satisfies_entropy_gap"),
+    pytest.param(check_exponent_range, id="check_exponent_range"),
+]
+
+
+def _value_or_error(call, alpha):
+    try:
+        return call(alpha)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("call", GRID_TAKERS)
+def test_every_grid_taker_converts_a_nested_list_through_alpha_matrix(call):
+    # Each used to raise AttributeError ('list' object has no attribute
+    # 'flat'). a23 > a21 for the ordering 12312: case 1 of the GDoF bound
+    # and d = 1 of the genie; its case-2 form raises CaseMismatch for both.
+    grid = [[1.0, 0.5, 0.3], [0.4, 1.0, 0.6]]
+    assert _value_or_error(call, grid) == _value_or_error(call, AlphaMatrix(grid))
+    with pytest.raises(ValidationError, match="^alpha must be a 2x3 grid$"):
+        call([[1.0, 1.0], [1.0, 1.0]])
+
+
 def test_scenario_rejects_degenerate_rho():
     with pytest.raises(DegenerateSnr):
         ChannelScenario(rho=1.0, gains=_gains())
@@ -264,6 +309,18 @@ def test_every_snr_taker_rejects_a_degenerate_rho(rho):
                  lambda: genie_params_from_gains(_gains(), p, rho)):
         with pytest.raises(DegenerateSnr, match=f"^rho must be finite and > 1, got {rho!r}$"):
             call()
+    # The audits' SNR lists raise DegenerateSnr for an entry <= 1 or NaN (a
+    # plain ValidationError before) and ValidationError above MAX_RHO, with
+    # the message that names the list.
+    want = ValidationError if rho == math.inf else DegenerateSnr
+    for call in (lambda: check_rhos([100.0, rho]),
+                 lambda: gap_audit(2, [rho], seed=1),
+                 lambda: sandwich_audit(2, [rho], seed=1),
+                 lambda: gdof_convergence_probe(a, [rho])):
+        with pytest.raises(ValidationError, match=re.escape("every rho must satisfy 1 < rho <= ")) \
+                as excinfo:
+            call()
+        assert type(excinfo.value) is want
     # A value that is no number is no SNR: it names its kind, not the range.
     for bad, kind in (("loud", "must be a number, got a string"),
                       (1j, "must be a number, got complex"), (None, "must be a number, got null"),

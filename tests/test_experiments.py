@@ -1,7 +1,9 @@
 import inspect
+import json
 import math
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -11,13 +13,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xctin import achievability, bounds, experiments, kernels, regime
-from xctin.achievability import tdma_tin_gdof, tdma_tin_rate
-from xctin.bounds import (PERMUTATIONS, GenieParams, gdof_ub, genie_params_from_gains,
-                          sum_capacity_ub)
+from xctin.achievability import IC_CONFIGS, IcConfig, tdma_tin_gdof, tdma_tin_rate
+from xctin.bounds import (PERMUTATIONS, GenieParams, TxPermutation, gdof_ub,
+                          genie_params_from_gains, sum_capacity_ub)
 from xctin.channel import (DEFAULT_ALPHA_CAP, MAX_RHO, MAX_RHO_DB, AlphaMatrix, alpha_from_gain,
                            check_gains, check_rho, check_rhos, effective_inr, rho_from_db,
                            rhos_from_db, scenario_from_dict)
-from xctin.cli import main
+from xctin.cli import emit_report, main
 from xctin.errors import InvalidBeta, SamplerExhausted, ValidationError
 from xctin.experiments import (AUDIT_BOX, BLOCK_ROWS, SAMPLER_BLOCK_ROWS,
                                SAMPLER_EXHAUSTION_WINDOW, SANDWICH_GDOF_TOL,
@@ -470,29 +472,42 @@ def test_block_sampler_exhausts_at_the_scalar_trial(box, seed, window, acceptanc
                         "the draws barely intersect the extended regime")
 
 
-BAD_COUNTS = [0, -1, 2.5, math.inf, math.nan, "3"]
+BAD_COUNTS = [
+    pytest.param(0, "n must be an integer >= 1, got 0", id="0"),
+    pytest.param(-1, "n must be an integer >= 1, got -1", id="-1"),
+    pytest.param(2.5, "n must be an integer, got float", id="2.5"),
+    pytest.param(math.inf, "n must be an integer, got float", id="inf"),
+    pytest.param(math.nan, "n must be an integer, got float", id="nan"),
+    pytest.param("3", "n must be an integer, got a string", id="3"),
+]
 
 
-@pytest.mark.parametrize("n", BAD_COUNTS)
-def test_sample_counts_must_be_integers_of_at_least_one(n):
+@pytest.mark.parametrize("n, message", BAD_COUNTS)
+def test_sample_counts_must_be_integers_of_at_least_one(n, message):
     # 2.5 used to give 176 samples, inf never returned from the gap audit,
     # and the sandwich audit raised TypeError on 2.5.
     for call in (lambda: sample_in_regime(n, np.random.Generator(np.random.Philox(1))),
                  lambda: gap_audit(n, (100.0,), seed=1),
                  lambda: gap_audit(n, (100.0,), seed=1, beta_free=False),
                  lambda: sandwich_audit(n, seed=1)):
-        with pytest.raises(ValidationError, match="n must be an integer >= 1"):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             call()
 
 
+def _audit_small_sweep(beta, step, tol):
+    """sweep_audit_failure of the 4x4 sweep at beta 0.75, step 0.25, with
+    the given parameters."""
+    return sweep_audit_failure(sweep_regime_plane(0.75, 0.25), beta, step, tol)
+
+
 @pytest.mark.parametrize("call, args, kwargs, message", [
-    (gap_audit, (5, (100.0,)), {"seed": 1.5}, "seed must be an integer, got 1.5"),
-    (gap_audit, (5, (100.0,)), {"seed": None}, "seed must be an integer, got None"),
-    (sandwich_audit, (5,), {"seed": "3"}, "seed must be an integer, got '3'"),
+    (gap_audit, (5, (100.0,)), {"seed": 1.5}, "seed must be an integer, got float"),
+    (gap_audit, (5, (100.0,)), {"seed": None}, "seed must be an integer, got null"),
+    (sandwich_audit, (5,), {"seed": "3"}, "seed must be an integer, got a string"),
     (sandwich_audit, (5,), {"seed": -1}, "seed must be >= 0, got -1"),
     (sandwich_audit, (5,), {"rho_list": 100.0}, "every rho must satisfy"),
-    (sandwich_audit, (True,), {"seed": 1}, "n must be an integer >= 1, got True"),
-    (gap_audit, (5, (100.0,)), {"seed": True}, "seed must be an integer, got True"),
+    (sandwich_audit, (True,), {"seed": 1}, "n must be an integer, got a boolean"),
+    (gap_audit, (5, (100.0,)), {"seed": True}, "seed must be an integer, got a boolean"),
     # A long list shows its length and first entries, not all 100000.
     (sandwich_audit, (5,), {"rho_list": [0.5] * 100_000},
      "got 100000 entries from (0.5, 0.5, 0.5)"),
@@ -511,6 +526,19 @@ def test_sample_counts_must_be_integers_of_at_least_one(n):
     (sweep_regime_plane, (0.75, 0.05, math.inf), {}, "range_max must be finite and > 0, got inf"),
     (sweep_regime_plane, (0.75, 0.05, -1), {}, "range_max must be finite and > 0, got -1"),
     (sweep_regime_plane, (0.75, 0.05), {"tol": None}, "tol must be a number, got null"),
+    (sweep_regime_plane, (0.75, 0.0), {}, "step must be finite and > 0, got 0.0"),
+    (sweep_regime_plane, (0.75, 1.0), {}, "step must satisfy 0 < step <= range_max, got 1.0"),
+    # The sweep's audit checks beta, step and tol as the sweep does; it
+    # used to raise TypeError on tol None or 'x', ZeroDivisionError on
+    # step 0, to run its geometry check at tol nan and to take '0.25'.
+    (_audit_small_sweep, (0.75, 0.25, None), {}, "tol must be a number, got null"),
+    (_audit_small_sweep, (0.75, 0.25, "x"), {}, "tol must be a number, got a string"),
+    (_audit_small_sweep, (0.75, 0.25, math.nan), {}, "tol must be finite and >= 0, got nan"),
+    (_audit_small_sweep, (0.75, 0.0, 0.0), {}, "step must be finite and > 0, got 0.0"),
+    (_audit_small_sweep, (0.75, math.inf, 0.0), {}, "step must be finite and > 0, got inf"),
+    (_audit_small_sweep, (0.75, "0.25", 0.0), {}, "step must be a number, got a string"),
+    (_audit_small_sweep, ("0.75", 0.25, 0.0), {}, "beta must be a number, got a string"),
+    (_audit_small_sweep, (1.5, 0.25, 0.0), {}, "beta must satisfy 0.5 <= beta < 1, got 1.5"),
     (sample_in_regime, (5, 3), {}, "rng must be a numpy.random.Generator, got 3"),
     (sample_in_regime, (5, None), {}, "rng must be a numpy.random.Generator, got None"),
     (gdof_convergence_probe, (None, (10.0, 100.0)), {}, "alpha must be a 2x3 grid"),
@@ -565,12 +593,32 @@ NUMBER_TAKERS = [
 
 @pytest.mark.parametrize("field, call", NUMBER_TAKERS)
 @pytest.mark.parametrize("value, kind", [("20", "a string"), (b"20", "bytes"),
-                                         (True, "a boolean"), (None, "null")])
+                                         (True, "a boolean"), (None, "null"),
+                                         (np.True_, "a boolean")])
 def test_every_number_taker_refuses_what_is_no_number(field, call, value, kind):
-    # "20" and True used to be converted by float(), and the two records
-    # raised TypeError on "20".
-    with pytest.raises(ValidationError, match=f"^{re.escape(field)} must be a number, got {kind}$"):
+    # "20", True and np.True_ used to be converted by float(), and the two
+    # records raised TypeError on "20". The genie's flag and case are
+    # integers.
+    noun = "an integer" if field in ("d", "case_id") else "a number"
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)} must be {noun}, got {kind}$"):
         call(value)
+
+
+@pytest.mark.parametrize("field, call", NUMBER_TAKERS)
+def test_a_numpy_complex_is_a_number_only_where_a_gain_is(field, call):
+    # A numpy complex used to pass as its real part, with only numpy's
+    # ComplexWarning; a gain takes it as the equal complex.
+    x = np.complex128(100 + 5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if field in ("gains[2][1]", "gain"):
+            got, want = _result_or_error(call, x), _result_or_error(call, complex(x))
+            assert got == want and type(got) is type(want)
+        else:
+            noun = "an integer" if field in ("d", "case_id") else "a number"
+            with pytest.raises(ValidationError,
+                               match=f"^{re.escape(field)} must be {noun}, got complex128$"):
+                call(x)
 
 
 def _result_or_error(call, x):
@@ -585,6 +633,59 @@ def test_every_number_taker_takes_numpy_scalars_and_fractions_as_floats(field, c
     for x in (np.float32(20), np.int64(100), Fraction(1, 2)):
         got, want = _result_or_error(call, x), _result_or_error(call, float(x))
         assert got == want and type(got) is type(want), (field, x)
+
+
+def _replaced(record, at, x):
+    """record's type built from its fields with the field at index at set to x."""
+    fields = list(record)
+    fields[at] = x
+    return type(record)(*fields)
+
+
+# Every entry point that takes an integer, with the field its messages name,
+# a value it accepts, and call(x), which passes x in that field and returns
+# what the result stores of it.
+INTEGER_TAKERS = [
+    pytest.param("n", 2, lambda x: gap_audit(x, (100.0,), seed=1).n_samples, id="gap_audit-n"),
+    pytest.param("n", 2, lambda x: sandwich_audit(x, seed=1).n_samples, id="sandwich_audit-n"),
+    pytest.param("n", 2, lambda x: len(sample_in_regime(x, np.random.default_rng(1))),
+                 id="sample_in_regime-n"),
+    pytest.param("seed", 3, lambda x: gap_audit(2, (100.0,), seed=x).seed, id="gap_audit-seed"),
+    pytest.param("seed", 3, lambda x: sandwich_audit(2, seed=x).seed, id="sandwich_audit-seed"),
+    *(pytest.param(name, want, lambda x, k=k: _replaced(PERMUTATIONS[0], k, x)[k],
+                   id=f"TxPermutation-{name}")
+      for k, (name, want) in enumerate(zip(TxPermutation._fields, PERMUTATIONS[0]))),
+    *(pytest.param(name, want, lambda x, k=k: _replaced(IC_CONFIGS[0], k, x)[k],
+                   id=f"IcConfig-{name}")
+      for k, (name, want) in enumerate(zip(IcConfig._fields, IC_CONFIGS[0]))),
+    pytest.param("d", 1, lambda x: GenieParams(1.0, x, 2).d, id="GenieParams-d"),
+    pytest.param("case_id", 2, lambda x: GenieParams(1.0, 1, x).case_id, id="GenieParams-case_id"),
+]
+
+
+@pytest.mark.parametrize("field, valid, call", INTEGER_TAKERS)
+@pytest.mark.parametrize("value, kind", [(True, "a boolean"), (np.True_, "a boolean"),
+                                         (1.0, "float"), ("1", "a string"), (None, "null")])
+def test_every_integer_taker_refuses_what_is_no_integer(field, valid, call, value, kind):
+    # The orderings and pairings used to take True and 1.0 (labels True2312
+    # and 1.02312), and n and the seeds named the value, not its kind.
+    with pytest.raises(ValidationError, match=f"^{field} must be an integer, got {kind}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("field, valid, call", INTEGER_TAKERS)
+def test_every_integer_taker_stores_a_numpy_integer_as_an_int(field, valid, call):
+    # The orderings and pairings used to keep numpy ints, which the JSON
+    # writer then refused with a bare TypeError.
+    assert call(valid) == valid
+    for x in (np.int64(valid), np.uint8(valid)):
+        got = call(x)
+        assert type(got) is int and got == valid, (field, x)
+
+
+def test_an_ordering_from_numpy_ints_writes_as_json():
+    doc = json.loads(emit_report({"perm": TxPermutation(*map(np.int64, (1, 2, 3, 1, 2)))}, "json"))
+    assert doc == {"perm": [1, 2, 3, 1, 2]}
 
 
 def test_convergence_probe_takes_a_plain_grid_through_alpha_matrix():
