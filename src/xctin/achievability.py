@@ -21,8 +21,8 @@ import functools
 import operator
 from typing import NamedTuple
 
-from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_snr, first_best,
-                      link_picker, number)
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_record, check_snr,
+                      first_best, link_picker, number)
 from .errors import ValidationError
 
 
@@ -91,7 +91,7 @@ def _first_max(kernel, grid) -> AchievabilityResult:
 
 def tin_sum_rate(rho: float, alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """Sum rate in bits of one pairing with interference treated as noise."""
-    links = cfg.take(as_alpha(alpha).flat())
+    links = check_record(cfg, IcConfig, "cfg").take(as_alpha(alpha).flat())
     rho = check_snr(rho, links)
     return _tin_rate_links([rho ** x for x in links], SCALAR)
 
@@ -108,7 +108,8 @@ def tdma_tin_rate(rho: float, alpha: AlphaMatrix) -> AchievabilityResult:
 
 def tdma_tin_gdof_config(alpha: AlphaMatrix, cfg: IcConfig) -> float:
     """GDoF of one pairing: (a[j1][i1]-a[j1][i2])^+ + (a[j2][i2]-a[j2][i1])^+."""
-    return _tin_gdof_links(cfg.take(as_alpha(alpha).flat()), SCALAR)
+    return _tin_gdof_links(check_record(cfg, IcConfig, "cfg").take(as_alpha(alpha).flat()),
+                           SCALAR)
 
 
 def tdma_tin_gdof(alpha: AlphaMatrix) -> AchievabilityResult:

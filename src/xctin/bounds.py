@@ -33,8 +33,8 @@ import math
 import operator
 from typing import NamedTuple
 
-from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_gains, check_rho,
-                      check_snr, first_best, link_picker, number)
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_gains, check_record,
+                      check_rho, check_snr, first_best, link_picker, number)
 from .errors import CaseMismatch, ValidationError
 
 
@@ -133,7 +133,8 @@ def genie_params(alpha: AlphaMatrix, p: TxPermutation, rho: float) -> GenieParam
     case-2/case-3 tie the two exponents coincide anyway.
     """
     a = as_alpha(alpha).flat()
-    c_sq, case1, at_i1 = _genie_links(p.take(a), check_snr(rho, a), SCALAR)
+    links = check_record(p, TxPermutation, "p").take(a)
+    c_sq, case1, at_i1 = _genie_links(links, check_snr(rho, a), SCALAR)
     return GenieParams(c_sq, 1 - case1, 3 - case1 - at_i1)
 
 
@@ -153,7 +154,7 @@ def genie_params_from_gains(gains, p: TxPermutation, rho: float) -> GenieParams:
     gains = check_gains(gains)
     try:
         h_j1i1_sq, _, h_j1i3_sq, h_j2i1_sq, _, h_j2i3_sq = (
-            abs(h) ** 2 for h in p.take(gains[0] + gains[1]))
+            abs(h) ** 2 for h in check_record(p, TxPermutation, "p").take(gains[0] + gains[1]))
         if min(h_j1i1_sq, h_j1i3_sq, h_j2i1_sq, h_j2i3_sq) <= 0.0:
             raise ValidationError("gains must be nonzero")
         if h_j2i3_sq <= h_j2i1_sq:
@@ -174,9 +175,10 @@ def _first_min(per_perm) -> BoundResult:
 
 def sum_capacity_ub_single(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Sum-capacity bound B(p) in bits for one ordering (always > 1)."""
+    take = check_record(p, TxPermutation, "p").take
     a = as_alpha(alpha).flat()
     rho = check_snr(rho, a)
-    return _bound_links(p.take(a), p.take([rho ** x for x in a]), rho, SCALAR)
+    return _bound_links(take(a), take([rho ** x for x in a]), rho, SCALAR)
 
 
 def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
@@ -194,7 +196,7 @@ def sum_capacity_ub(rho: float, alpha: AlphaMatrix) -> BoundResult:
 
 def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """GDoF bound branch for a strong third cross link (a[j2][i3] > a[j2][i1])."""
-    u1, u2, u3, v1, v2, v3 = p.take(as_alpha(alpha).flat())
+    u1, u2, u3, v1, v2, v3 = check_record(p, TxPermutation, "p").take(as_alpha(alpha).flat())
     if not v3 > v1:
         raise CaseMismatch(f"case 1 needs a[j2][i3] > a[j2][i1], got {v3!r} <= {v1!r}")
     return max(v1, v3, v2 - u2) + max(u2, u1 - v1, u3 - (v3 - v1))
@@ -202,7 +204,7 @@ def gdof_ub_case1(alpha: AlphaMatrix, p: TxPermutation) -> float:
 
 def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """GDoF bound branch for a weak third cross link (a[j2][i3] <= a[j2][i1])."""
-    u1, u2, u3, v1, v2, v3 = p.take(as_alpha(alpha).flat())
+    u1, u2, u3, v1, v2, v3 = check_record(p, TxPermutation, "p").take(as_alpha(alpha).flat())
     if not v3 <= v1:
         raise CaseMismatch(f"case 2 needs a[j2][i3] <= a[j2][i1], got {v3!r} > {v1!r}")
     return max(v1, v3, v2 - u2) + max(u2, u3, u1 - v1)
@@ -210,7 +212,7 @@ def gdof_ub_case2(alpha: AlphaMatrix, p: TxPermutation) -> float:
 
 def gdof_ub_single(alpha: AlphaMatrix, p: TxPermutation) -> float:
     """Combined GDoF bound D(p); the positive part unifies the two branches."""
-    return _gdof_links(p.take(as_alpha(alpha).flat()), SCALAR)
+    return _gdof_links(check_record(p, TxPermutation, "p").take(as_alpha(alpha).flat()), SCALAR)
 
 
 def gdof_ub(alpha: AlphaMatrix) -> BoundResult:

@@ -154,6 +154,17 @@ class ValidatedRecord:
         return cls(*iterable)
 
 
+def check_record(value, cls: type, field: str):
+    """value when it is a cls; anything else, a plain tuple of the same
+    fields too, raises ValidationError naming the field, cls and the kind
+    of value as number does."""
+    if isinstance(value, cls):
+        return value
+    kind = _JSON_TYPE_NAMES.get(type(value), type(value).__name__)
+    article = "an" if cls.__name__[0] in "AEIOU" else "a"
+    raise ValidationError(f"{field} must be {article} {cls.__name__}, got {kind}")
+
+
 class _AlphaMatrix(NamedTuple):
     a: tuple[tuple[float, float, float], tuple[float, float, float]]
 

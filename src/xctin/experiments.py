@@ -17,7 +17,7 @@ import numpy as np
 
 from .achievability import IC_CONFIGS, _tin_gdof_links, tdma_tin_gdof, tdma_tin_rate
 from .bounds import PERMUTATIONS, _gdof_links, gdof_ub, sum_capacity_ub
-from .channel import AlphaMatrix, as_alpha, check_rhos, number
+from .channel import DEFAULT_ALPHA_CAP, AlphaMatrix, as_alpha, check_rhos, number
 from .errors import InvalidBeta, SamplerExhausted, ValidationError
 from .kernels import (EXACT, _in_extended_rows, first_extremum, gdof_ub_profiles, libm_pow,
                       sum_capacity_ub_min, tdma_tin_gdof_profiles, tdma_tin_rate_max)
@@ -155,16 +155,19 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
     Grid points are k*step for integer k with k*step <= range_max (endpoints
     inclusive, generated by index so record counts do not drift), emitted
     row-major: alpha21 outer, alpha12 inner; at most SWEEP_MAX_AXIS_POINTS
-    per axis. beta = 0.5 is accepted for the regime-coincidence check;
-    otherwise 0.5 < beta < 1. Points are classified with tolerance
-    tol + SWEEP_GRID_SLACK (tol finite and >= 0); `sweep_audit_failure`
-    checks the result. Returns a Table of SWEEP_COLUMNS whose rows are
-    SweepRecords.
+    per axis, with 0 < range_max <= DEFAULT_ALPHA_CAP. beta = 0.5 is
+    accepted for the regime-coincidence check; otherwise 0.5 < beta < 1.
+    Points are classified with tolerance tol + SWEEP_GRID_SLACK (tol finite
+    and >= 0); `sweep_audit_failure` checks the result. Returns a Table of
+    SWEEP_COLUMNS whose rows are SweepRecords.
     """
     b, s, t = _sweep_parameters(beta, step, tol)
     rng_max = number(range_max, "range_max")
     if not (math.isfinite(rng_max) and rng_max > 0.0):
         raise ValidationError(f"range_max must be finite and > 0, got {range_max!r}")
+    if rng_max > DEFAULT_ALPHA_CAP:
+        raise ValidationError(f"range_max must be at most the exponent cap "
+                              f"{DEFAULT_ALPHA_CAP:g}, got {range_max!r}")
     if not s <= rng_max:
         raise ValidationError(f"step must satisfy 0 < step <= range_max, got {step!r}")
     span = rng_max / s + 1e-9
@@ -172,8 +175,6 @@ def sweep_regime_plane(beta: float, step: float, range_max: float = SWEEP_RANGE_
         raise ValidationError(
             f"step {step!r} gives more than {SWEEP_MAX_AXIS_POINTS} grid points per axis")
     axis = np.arange(int(span) + 1) * s
-    if not np.isfinite(axis).all():
-        raise ValidationError(f"sweep grid values must be finite and >= 0, got step {step!r}")
     side = len(axis)
     # Each link of the family is 1, beta, an alpha12 row or an alpha21
     # column, so each formula's result broadcasts to the plane and folds at

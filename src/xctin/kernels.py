@@ -6,7 +6,8 @@ Each formula is written once, in its scalar module, on the links of one
 ordering or pairing, and computes through one channel.Arithmetic: the
 scalar API passes it Python floats with channel.SCALAR, the kernels here
 the gathered link columns of a with EXACT, so every entry is bit-identical
-to the scalar value, and the audits' screen with SCREEN (see
+to the scalar value, and the audits' screen with SCREEN, whose exact
+pass reads the candidates' entries of the screen's own operands (see
 screened_first). A product overflows to inf unwarned, as float * does (only
 libm_pow raises, as ** does), and a NaN exponent, which the scalar API
 refuses, makes D(p) NaN through np.maximum.
@@ -55,14 +56,6 @@ def first_maximum(x, y):
     return np.maximum(y, x)
 
 
-def link_entries(x: np.ndarray, table: np.ndarray, rows: np.ndarray,
-                 items: np.ndarray) -> np.ndarray:
-    """link_columns(x, table) at the entries (rows[k], items[k]) only: for
-    each link column of the table, the (m,) array of that link of item
-    items[k] gathered from row rows[k] of x."""
-    return x[rows[:, None], table[items]].T
-
-
 # np.power and np.log2 may dispatch to SIMD approximations that round
 # differently from libm on some inputs, which shows at 12 printed digits.
 # The block kernels therefore take every transcendental in a returned value
@@ -109,25 +102,25 @@ SCREEN = EXACT._replace(power=np.power, log2=np.log2)
 SCREEN_MARGIN = 1e-9
 
 
-def screened_first(screened: np.ndarray, exact, lowest: bool) -> np.ndarray:
-    """Each row's first minimum (lowest) or first maximum of an exact (n, m)
-    profile, of which screened is an approximation with an error far below
-    SCREEN_MARGIN * (1 + |extremum|).
+def screened_first(formula, operands, lowest: bool) -> np.ndarray:
+    """Each row's first minimum (lowest) or first maximum of the (n, m)
+    profile formula(*operands, EXACT), screened with formula(*operands,
+    SCREEN), whose error is far below SCREEN_MARGIN * (1 + |extremum|).
 
-    exact(rows, items) returns the exact entries at (rows[k], items[k]); it
-    is called once, on the candidates: entries within the margin of their
-    row's screened extremum, and every entry of a row with a non-finite
-    screened value.
+    Each operand is an array whose last two axes are the profile's (n, m),
+    such as link_columns. The exact pass reads the same operands at the
+    candidates only: entries within the margin of their row's screened
+    extremum, and every entry of a row with a non-finite screened value.
     """
     sign = 1.0 if lowest else -1.0
-    score = sign * screened
+    score = sign * formula(*operands, SCREEN)
     best = score.min(axis=1)
     with np.errstate(invalid="ignore"):  # -inf + inf on a non-finite row
         near = score <= (best + SCREEN_MARGIN * (1.0 + np.abs(best)))[:, None]
     near |= ~np.isfinite(score).all(axis=1)[:, None]
     rows, items = near.nonzero()
-    values = np.full(screened.shape, sign * np.inf)
-    values[rows, items] = exact(rows, items)
+    values = np.full(score.shape, sign * np.inf)
+    values[rows, items] = formula(*(x[..., rows, items] for x in operands), EXACT)
     return first_extremum(values, lowest)
 
 
@@ -141,13 +134,18 @@ def first_extremum(profiles: np.ndarray, lowest: bool) -> np.ndarray:
 
 # ---------------------------------------------------------------- bounds
 
+def _bound_operands(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> tuple:
+    """_bound_links's operands for every ordering and every row of a at the
+    SNRs rho (shape (n,)) with powers r: rho broadcast to (n, 12) as a view."""
+    return (link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
+            np.broadcast_to(rho[:, None], (len(a), len(_PERM_LINKS))))
+
+
 @np.errstate(over="ignore")
 def sum_capacity_ub_profiles(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """B(p) in bits for every ordering and every row of a at the SNRs rho
     (shape (n,)); returns (n, 12)."""
-    r = libm_pow(rho[:, None], a)
-    return _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                        rho[:, None], EXACT)
+    return _bound_links(*_bound_operands(a, rho, libm_pow(rho[:, None], a)), EXACT)
 
 
 @np.errstate(over="ignore")
@@ -157,11 +155,7 @@ def sum_capacity_ub_min(a: np.ndarray, rho: np.ndarray, r: np.ndarray) -> np.nda
     of sum_capacity_ub_profiles(a, rho). numpy screens the twelve orderings
     and libm evaluates only those that can be the minimum (see
     screened_first)."""
-    screened = _bound_links(link_columns(a, _PERM_LINKS), link_columns(r, _PERM_LINKS),
-                            rho[:, None], SCREEN)
-    return screened_first(screened, lambda rows, perms: _bound_links(
-        link_entries(a, _PERM_LINKS, rows, perms), link_entries(r, _PERM_LINKS, rows, perms),
-        rho[rows], EXACT), lowest=True)
+    return screened_first(_bound_links, _bound_operands(a, rho, r), lowest=True)
 
 
 def gdof_ub_profiles(a: np.ndarray) -> np.ndarray:
@@ -182,10 +176,7 @@ def tdma_tin_rate_max(r: np.ndarray) -> np.ndarray:
     bit-identical to the first maximum of tdma_tin_rate_profiles(a, rho).
     numpy screens the six pairings and libm evaluates only those that can be
     the maximum (see screened_first)."""
-    return screened_first(
-        _tin_rate_links(link_columns(r, _CONFIG_LINKS), SCREEN),
-        lambda rows, cfgs: _tin_rate_links(link_entries(r, _CONFIG_LINKS, rows, cfgs), EXACT),
-        lowest=False)
+    return screened_first(_tin_rate_links, (link_columns(r, _CONFIG_LINKS),), lowest=False)
 
 
 def tdma_tin_gdof_profiles(a: np.ndarray) -> np.ndarray:

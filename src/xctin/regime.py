@@ -32,7 +32,8 @@ import math
 from typing import NamedTuple
 
 from .bounds import _PICKS, TxPermutation, _genie_links, genie_params
-from .channel import SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_rho, check_snr, number
+from .channel import (SCALAR, AlphaMatrix, ValidatedRecord, as_alpha, check_record, check_rho,
+                      check_snr, number)
 from .errors import NotApplicable, ValidationError
 
 
@@ -83,7 +84,7 @@ def psi(alpha: AlphaMatrix, p: TxPermutation) -> float:
     The first argument can go negative and is deliberately not clipped; the
     outer max with a[j1][i2] >= 0 makes clipping immaterial.
     """
-    _, u2, u3, v1, _, v3 = p.take(as_alpha(alpha).flat())
+    _, u2, u3, v1, _, v3 = check_record(p, TxPermutation, "p").take(as_alpha(alpha).flat())
     diff = v3 - v1
     first = u3 - (diff if diff > 0.0 else 0.0)
     return first if first > u2 else u2
@@ -182,7 +183,7 @@ def genie_aux_pair(rho: float, alpha: AlphaMatrix, p: TxPermutation) -> AuxChann
     """
     a = as_alpha(alpha).flat()
     rho = check_snr(rho, a)
-    links = p.take(a)
+    links = check_record(p, TxPermutation, "p").take(a)
     u1, _, u3, v1, _, v3 = links
     c_sq, _, _ = _genie_links(links, rho, SCALAR)
     return AuxChannelPair(

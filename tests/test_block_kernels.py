@@ -18,8 +18,9 @@ scalar verdicts and those of the conditions written out, also on grids
 sitting exactly on a regime boundary (with the threshold tied to u2 and
 signed zeros) and on points of the sweep family.
 The audits' screened kernels must return the first extremum of the libm profiles, bit
-for bit, also on exact ties, at the largest SNR and on non-finite rows, and
-the scalar first-extremum pick the entry the block one picks.
+for bit, also on exact ties, at the largest SNR and on non-finite rows, their
+exact pass must cover few entries per row, and the scalar first-extremum
+pick the entry the block one picks.
 libm_pow itself must be builtin pow, bit for bit and in its overflow. Each
 link-level formula must compute only through its one Arithmetic argument, so
 that replaying it on another number type needs only another Arithmetic.
@@ -40,7 +41,7 @@ from xctin.achievability import (IC_CONFIGS, tdma_tin_gdof, tdma_tin_gdof_config
                                  tdma_tin_rate, tin_sum_rate)
 from xctin.bounds import PERMUTATIONS, gdof_ub, sum_capacity_ub
 from xctin.channel import DEFAULT_ALPHA_CAP, MAX_RHO, AlphaMatrix, Arithmetic, first_best
-from xctin.experiments import BLOCK_ROWS
+from xctin.experiments import AUDIT_BOX, BLOCK_ROWS, SANDWICH_RHO_RANGE
 from xctin.kernels import (SCREEN_MARGIN, _in_extended_rows, first_extremum, gdof_ub_profiles,
                            libm_pow, link_columns, sum_capacity_ub_min,
                            sum_capacity_ub_profiles, tdma_tin_gdof_profiles,
@@ -325,15 +326,46 @@ def test_screen_misses_libm_by_far_less_than_its_margin(box):
     rho = 10.0 ** rng.uniform(0.01, math.log10(MAX_RHO), len(a))
     rho[:256] = MAX_RHO
     r = libm_pow(rho[:, None], a)
-    screened_ub = bounds._bound_links(
-        link_columns(a, kernels._PERM_LINKS), link_columns(r, kernels._PERM_LINKS),
-        rho[:, None], kernels.SCREEN)
+    screened_ub = bounds._bound_links(*kernels._bound_operands(a, rho, r), kernels.SCREEN)
     ub = sum_capacity_ub_profiles(a, rho)
     screened_rate = achievability._tin_rate_links(
         link_columns(r, kernels._CONFIG_LINKS), kernels.SCREEN)
     for screened, exact in ((screened_ub, ub), (screened_rate, tdma_tin_rate_profiles(a, rho))):
         # A thousandth of the margin screened_first gives each extremum.
         assert (np.abs(screened - exact) < SCREEN_MARGIN / 1000 * (1.0 + np.abs(exact))).all()
+
+
+@pytest.mark.parametrize("kind", ["bound", "rate"])
+def test_the_exact_pass_covers_few_entries_per_row(kind):
+    # On 10^4 sandwich audit draws (exponents on AUDIT_BOX, one SNR each
+    # log-uniform over SANDWICH_RHO_RANGE) the exact pass evaluated 1.16
+    # bound and 1.00 rate entries per row: a drift toward twelve or six,
+    # every entry through libm, fails here, as does a pass that calls the
+    # formula twice.
+    n = 10_000
+    rng = np.random.default_rng(11)
+    a = AUDIT_BOX[1] * rng.random((n, 6))
+    rho = 10.0 ** rng.uniform(*np.log10(SANDWICH_RHO_RANGE), n)
+    r = libm_pow(rho[:, None], a)
+    if kind == "bound":
+        formula, operands, lowest, most = (
+            bounds._bound_links, kernels._bound_operands(a, rho, r), True, 1.25)
+    else:
+        formula, operands, lowest, most = (
+            achievability._tin_rate_links, (link_columns(r, kernels._CONFIG_LINKS),), False, 1.0)
+    passes = []
+
+    def counted(*args):
+        passes.append((args[-1], args[0].shape[-1]))  # (arithmetic, entries per link)
+        return formula(*args)
+
+    values = kernels.screened_first(counted, operands, lowest)
+    (screen, screened), (exact, entries) = passes
+    assert screen is kernels.SCREEN and exact is kernels.EXACT
+    assert screened == (12 if lowest else 6)
+    assert n <= entries <= most * n
+    want = first_extremum(formula(*operands, kernels.EXACT), lowest)
+    np.testing.assert_array_equal(values, want, strict=True)
 
 
 def _bits(x) -> np.ndarray:

@@ -2,6 +2,7 @@ import inspect
 import json
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -319,6 +320,23 @@ def test_sweep_rejects_bad_parameters():
         # (0, 0.75), as if the regime geometry were wrong.
         with pytest.raises(ValidationError, match="tol must be finite and >= 0"):
             sweep_regime_plane(0.75, 0.25, tol=tol)
+
+
+@pytest.mark.parametrize("divisor", [1.0, 3.0, 999.0])
+def test_sweep_refuses_a_range_above_the_exponent_cap(divisor):
+    # At step max/3 numpy's multiply overflowed building the axis, and at
+    # max/999 the plane held infinities that overflowed in the formulas; the
+    # suite's error::RuntimeWarning fails on either warning.
+    top = sys.float_info.max
+    with pytest.raises(ValidationError, match=re.escape(
+            f"range_max must be at most the exponent cap 4, got {top!r}")):
+        sweep_regime_plane(0.75, top / divisor, top)
+
+
+def test_sweep_takes_a_range_up_to_the_exponent_cap():
+    assert len(sweep_regime_plane(0.75, 0.5, DEFAULT_ALPHA_CAP)) == 9 ** 2
+    with pytest.raises(ValidationError, match="range_max must be at most the exponent cap"):
+        sweep_regime_plane(0.75, 0.5, math.nextafter(DEFAULT_ALPHA_CAP, math.inf))
 
 
 # ---------------------------------------------------------------- sampling

@@ -15,13 +15,16 @@ import re
 import pytest
 
 from xctin import cli
-from xctin.achievability import AchievabilityResult, IcConfig
-from xctin.bounds import BoundResult, GenieParams, TxPermutation, sum_capacity_ub
+from xctin.achievability import AchievabilityResult, IcConfig, tdma_tin_gdof_config, tin_sum_rate
+from xctin.bounds import (BoundResult, GenieParams, TxPermutation, gdof_ub_case1, gdof_ub_case2,
+                          gdof_ub_single, genie_params, genie_params_from_gains, sum_capacity_ub,
+                          sum_capacity_ub_single)
 from xctin.channel import AlphaMatrix, ChannelScenario
 from xctin.cli import CliInvocation, Command, emit_report, main
 from xctin.errors import DegenerateSnr, UnsupportedFormat, ValidationError
 from xctin.experiments import ConvergenceRow, GapReport, SandwichReport
-from xctin.regime import AuxChannelPair, RegimeVerdict
+from xctin.regime import (AuxChannelPair, RegimeVerdict, genie_aux_pair,
+                          genie_satisfies_entropy_gap, psi)
 
 GRID = ((1.0, 0.2, 0.75), (0.4, 1.0, 0.75))
 ALPHA = AlphaMatrix(GRID)
@@ -124,6 +127,47 @@ def test_validated_records_normalize_their_fields():
 def test_records_equal_plain_tuples_of_their_fields():
     assert PERM == (1, 2, 3, 1, 2) and hash(PERM) == hash((1, 2, 3, 1, 2))
     assert CFG.take is IcConfig(1, 2, 1, 2).take
+
+
+# Every entry point that takes an ordering or a pairing, with the message
+# head it refuses a non-record with and a record it takes: call(x) passes x.
+WEAK_PERM = TxPermutation(1, 2, 3, 2, 1)  # a[j2][i3] <= a[j2][i1] on GRID, as case 2 needs
+RECORD_TAKERS = [
+    pytest.param("p must be a TxPermutation", PERM,
+                 lambda p: sum_capacity_ub_single(100.0, GRID, p), id="sum_capacity_ub_single"),
+    pytest.param("p must be a TxPermutation", PERM, lambda p: gdof_ub_single(GRID, p),
+                 id="gdof_ub_single"),
+    pytest.param("p must be a TxPermutation", PERM, lambda p: gdof_ub_case1(GRID, p),
+                 id="gdof_ub_case1"),
+    pytest.param("p must be a TxPermutation", WEAK_PERM, lambda p: gdof_ub_case2(GRID, p),
+                 id="gdof_ub_case2"),
+    pytest.param("p must be a TxPermutation", PERM, lambda p: genie_params(GRID, p, 100.0),
+                 id="genie_params"),
+    pytest.param("p must be a TxPermutation", PERM,
+                 lambda p: genie_params_from_gains([[1, 2, 3], [4, 5, 6]], p, 100.0),
+                 id="genie_params_from_gains"),
+    pytest.param("cfg must be an IcConfig", CFG, lambda cfg: tin_sum_rate(100.0, GRID, cfg),
+                 id="tin_sum_rate"),
+    pytest.param("cfg must be an IcConfig", CFG, lambda cfg: tdma_tin_gdof_config(GRID, cfg),
+                 id="tdma_tin_gdof_config"),
+    pytest.param("p must be a TxPermutation", PERM, lambda p: psi(GRID, p), id="psi"),
+    pytest.param("p must be a TxPermutation", PERM, lambda p: genie_aux_pair(100.0, GRID, p),
+                 id="genie_aux_pair"),
+    pytest.param("p must be a TxPermutation", PERM,
+                 lambda p: genie_satisfies_entropy_gap(100.0, GRID, p),
+                 id="genie_satisfies_entropy_gap"),
+]
+
+
+@pytest.mark.parametrize("head, record, call", RECORD_TAKERS)
+def test_every_ordering_or_pairing_taker_refuses_what_is_no_record(head, record, call):
+    # A plain tuple equals its record but has no take; each of these ended
+    # in AttributeError: 'tuple' object has no attribute 'take'.
+    call(record)
+    for value, kind in ((tuple(record), "tuple"), (list(record), "an array"), (None, "null"),
+                        ("12312", "a string")):
+        with pytest.raises(ValidationError, match=f"^{head}, got {kind}$"):
+            call(value)
 
 
 def test_jsonify_writes_alpha_grids_and_rejects_other_records():
